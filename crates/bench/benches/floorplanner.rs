@@ -1,16 +1,16 @@
 //! Floorplanner benches: the cost-evaluation hot path (naive per-candidate
 //! thermal-model rebuild vs the cached `ThermalSession` kernel vs the
-//! memoised kernel), the placement-evaluation tier (full `O(n)` Polish
-//! re-evaluation vs the incremental `O(depth)` Stockmeyer slicing tree, with
-//! the area-only root-curve tier) and the engine ablation (GA vs SA vs the
-//! unoptimised initial layout) with thermal-aware and area-only objectives.
+//! memoised kernel), the placement evaluation both engines run per
+//! candidate (`PolishExpression::evaluate`) at growing module counts, and
+//! the engine ablation (GA vs SA vs the unoptimised initial layout) with
+//! thermal-aware and area-only objectives.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tats_floorplan::{
     testutil, CostEvaluator, CostWeights, Engine, Floorplanner, GaConfig, Module, Net, Placement,
-    PolishExpression, SaConfig, ShapeMode, SlicingTree,
+    PolishExpression, SaConfig,
 };
 use tats_thermal::ThermalConfig;
 
@@ -88,64 +88,23 @@ fn bench_cost_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The SA inner-loop placement tier at growing module counts: one move,
-/// one evaluation, accept half the time. `full` re-evaluates the whole
-/// expression; `incremental` updates the slicing tree's touched root path
-/// (same placements to the bit); `area_tier` additionally skips the
-/// placement walk and reads the root curve only (the area-only objective).
+/// The SA inner loop's placement step at growing module counts: one move,
+/// one `O(n)` evaluation, accept half the time.
 fn bench_placement_evaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("floorplanner_placement_evaluation");
     group.sample_size(20);
     for count in [8usize, 32, 64] {
         let modules = testutil::module_set(count, 0xBE7C);
-
-        group.bench_function(BenchmarkId::new("full", count), |b| {
+        group.bench_function(BenchmarkId::from_parameter(count), |b| {
             let mut expr = PolishExpression::initial(count).unwrap();
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| {
-                let (candidate, _mv) = expr.perturb_move(&mut rng);
+                let candidate = expr.perturb(&mut rng);
                 let placement = candidate.evaluate(&modules).unwrap();
                 if rng.gen_bool(0.5) {
                     expr = candidate;
                 }
                 placement.area()
-            })
-        });
-
-        group.bench_function(BenchmarkId::new("incremental", count), |b| {
-            let mut expr = PolishExpression::initial(count).unwrap();
-            let mut tree = SlicingTree::new(&expr, &modules, ShapeMode::Fixed).unwrap();
-            let mut rng = StdRng::seed_from_u64(1);
-            let mut placement = expr.evaluate(&modules).unwrap();
-            b.iter(|| {
-                let (candidate, mv) = expr.perturb_move(&mut rng);
-                tree.apply(&mv);
-                tree.placement_into(&mut placement);
-                if rng.gen_bool(0.5) {
-                    tree.commit();
-                    expr = candidate;
-                } else {
-                    tree.rollback();
-                }
-                placement.area()
-            })
-        });
-
-        group.bench_function(BenchmarkId::new("area_tier", count), |b| {
-            let mut expr = PolishExpression::initial(count).unwrap();
-            let mut tree = SlicingTree::new(&expr, &modules, ShapeMode::Fixed).unwrap();
-            let mut rng = StdRng::seed_from_u64(1);
-            b.iter(|| {
-                let (candidate, mv) = expr.perturb_move(&mut rng);
-                tree.apply(&mv);
-                let (width, height) = tree.min_area_shape();
-                if rng.gen_bool(0.5) {
-                    tree.commit();
-                    expr = candidate;
-                } else {
-                    tree.rollback();
-                }
-                width * height
             })
         });
     }

@@ -7,14 +7,12 @@
 //! cargo run --release -p tats_bench --bin reproduce -- floorplan # perf only
 //! ```
 //!
-//! The table output is the "measured" column of EXPERIMENTS.md; the
-//! `floorplan` section additionally writes `BENCH_floorplan.json`
-//! (evaluations/sec of the naive, cached and memoised cost paths, wall
-//! times, and speedups vs the naive per-candidate `ThermalModel` rebuild,
-//! plus the placement tier: full O(n) Polish re-evaluation vs the
-//! incremental Stockmeyer slicing tree at 32/64 modules, with the
-//! area-only root-curve tier) so future PRs have a machine-readable perf
-//! trajectory. The `grid` section
+//! The table output is the reproduction's measured counterpart of the
+//! paper's Tables 1–3. The `floorplan` section writes
+//! `BENCH_floorplan.json`: evaluations/sec of the naive, cached and
+//! memoised cost paths, their speedups vs the naive per-candidate
+//! `ThermalModel` rebuild, and wall times of end-to-end SA and GA runs, so
+//! future PRs have a machine-readable perf trajectory. The `grid` section
 //! writes `BENCH_grid.json`: per-solve times of the Gauss–Seidel reference
 //! vs the `tats_sparse` PCG and cached banded-Cholesky grid solvers at
 //! 32x32 (with speedups and cell-level agreement) plus the 64x64 and
@@ -35,8 +33,8 @@ use std::time::Instant;
 use tats_core::experiment::ExperimentConfig;
 use tats_engine::{table1, table2, table3, Campaign, Executor, FlowKind};
 use tats_floorplan::{
-    anneal, evolve, testutil, CostEvaluator, CostWeights, GaConfig, Module, Net, Placement,
-    PolishExpression, SaConfig, ShapeMode, SlicingTree,
+    anneal, evolve, CostEvaluator, CostWeights, GaConfig, Module, Net, Placement, PolishExpression,
+    SaConfig,
 };
 use tats_thermal::{
     Block, Floorplan, GridModel, GridSolver, GridTransientSolver, PowerPhase, ThermalConfig,
@@ -72,176 +70,6 @@ fn measure(placements: &[Placement], mut f: impl FnMut(&Placement)) -> Throughpu
         evaluations,
         wall_s: start.elapsed().as_secs_f64(),
     }
-}
-
-/// Times `f` in batches until ~`budget_s` of wall time has accumulated.
-fn measure_loop(budget_s: f64, mut f: impl FnMut()) -> Throughput {
-    let mut evaluations = 0usize;
-    let start = Instant::now();
-    loop {
-        for _ in 0..64 {
-            f();
-        }
-        evaluations += 64;
-        if start.elapsed().as_secs_f64() >= budget_s {
-            break;
-        }
-    }
-    Throughput {
-        evaluations,
-        wall_s: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// Full `O(n)` re-evaluation vs the incremental `O(depth)` slicing tree on
-/// the SA inner loop (one move, one evaluation, accept half the moves) at
-/// `count` modules, plus the area-only root-curve tier that skips the
-/// placement walk entirely.
-struct IncrementalComparison {
-    modules: usize,
-    full: Throughput,
-    incremental: Throughput,
-    area_tier: Throughput,
-}
-
-impl IncrementalComparison {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    \"modules_{}\": {{ \"full_evals_per_sec\": {:.1}, ",
-                "\"incremental_evals_per_sec\": {:.1}, ",
-                "\"area_tier_evals_per_sec\": {:.1}, ",
-                "\"speedup_incremental_vs_full\": {:.2}, ",
-                "\"speedup_area_tier_vs_full\": {:.2} }}"
-            ),
-            self.modules,
-            self.full.evals_per_sec(),
-            self.incremental.evals_per_sec(),
-            self.area_tier.evals_per_sec(),
-            self.incremental.evals_per_sec() / self.full.evals_per_sec(),
-            self.area_tier.evals_per_sec() / self.full.evals_per_sec(),
-        )
-    }
-}
-
-fn bench_incremental_tier(
-    count: usize,
-) -> Result<IncrementalComparison, Box<dyn std::error::Error>> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let modules = testutil::module_set(count, 0xA11C);
-
-    // Equivalence spot check before timing anything: the incremental state
-    // must reproduce the legacy placement after every accepted and rejected
-    // move (the proptest suite pins this exhaustively; this guards the bench
-    // itself against measuring a diverged path).
-    {
-        let mut rng = StdRng::seed_from_u64(0xC0);
-        let mut expr = PolishExpression::initial(count)?;
-        let mut tree = SlicingTree::new(&expr, &modules, ShapeMode::Fixed)?;
-        for step in 0..200 {
-            let (candidate, mv) = expr.perturb_move(&mut rng);
-            tree.apply(&mv);
-            if tree.placement() != candidate.evaluate(&modules)? {
-                return Err(format!("incremental/legacy divergence at move {step}").into());
-            }
-            if rng.gen_bool(0.5) {
-                tree.commit();
-                expr = candidate;
-            } else {
-                tree.rollback();
-            }
-        }
-    }
-
-    // Pre-generate one SA-like trajectory (candidate expression, move
-    // report, accept flag) so every measured path evaluates the *same*
-    // move sequence and the timing isolates the evaluation tier — move
-    // generation costs the same under either strategy in the real loop.
-    // Starting from a random expression (not the maximally deep initial
-    // chain) gives trees of representative depth, like a converged SA run.
-    let mut seed_rng = StdRng::seed_from_u64(7);
-    let start_expr = testutil::random_expression(count, &mut seed_rng);
-    let trajectory: Vec<(PolishExpression, tats_floorplan::Move, bool)> = {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut expr = start_expr.clone();
-        (0..4096)
-            .map(|_| {
-                let (candidate, mv) = expr.perturb_move(&mut rng);
-                let accept = rng.gen_bool(0.5);
-                if accept {
-                    expr = candidate.clone();
-                }
-                (candidate, mv, accept)
-            })
-            .collect()
-    };
-
-    let full = {
-        let mut index = 0usize;
-        measure_loop(0.3, || {
-            let (candidate, _, _) = &trajectory[index];
-            index = (index + 1) % trajectory.len();
-            let placement = candidate.evaluate(&modules).expect("valid expression");
-            std::hint::black_box(placement.area());
-        })
-    };
-
-    // The tree replays the trajectory in order; each full cycle ends back at
-    // the trajectory's final state, so replays restart from a clone of the
-    // start-state tree (amortised over the 4096-move cycle).
-    let incremental = {
-        let mut tree = SlicingTree::new(&start_expr, &modules, ShapeMode::Fixed)?;
-        let fresh = tree.clone();
-        let mut placement = start_expr.evaluate(&modules)?;
-        let mut index = 0usize;
-        measure_loop(0.3, || {
-            let (_, mv, accept) = &trajectory[index];
-            index += 1;
-            tree.apply(mv);
-            tree.placement_into(&mut placement);
-            std::hint::black_box(placement.area());
-            if *accept {
-                tree.commit();
-            } else {
-                tree.rollback();
-            }
-            if index == trajectory.len() {
-                index = 0;
-                tree.clone_from(&fresh);
-            }
-        })
-    };
-
-    let area_tier = {
-        let mut tree = SlicingTree::new(&start_expr, &modules, ShapeMode::Fixed)?;
-        let fresh = tree.clone();
-        let mut index = 0usize;
-        measure_loop(0.3, || {
-            let (_, mv, accept) = &trajectory[index];
-            index += 1;
-            tree.apply(mv);
-            let (width, height) = tree.min_area_shape();
-            std::hint::black_box(width * height);
-            if *accept {
-                tree.commit();
-            } else {
-                tree.rollback();
-            }
-            if index == trajectory.len() {
-                index = 0;
-                tree.clone_from(&fresh);
-            }
-        })
-    };
-
-    Ok(IncrementalComparison {
-        modules: count,
-        full,
-        incremental,
-        area_tier,
-    })
 }
 
 fn floorplan_modules() -> Vec<Module> {
@@ -306,11 +134,6 @@ fn bench_floorplan() -> Result<String, Box<dyn std::error::Error>> {
         evaluator.cost_with(p, &mut scratch).expect("memoised cost");
     });
 
-    // Placement tier: full O(n) vs incremental O(depth) at sizes where the
-    // depth gap is visible (the acceptance target is >= 32 modules).
-    let tier_32 = bench_incremental_tier(32)?;
-    let tier_64 = bench_incremental_tier(64)?;
-
     // End-to-end engine wall times through the cached kernel.
     let sa_start = Instant::now();
     let sa = anneal(&evaluator, SaConfig::default())?;
@@ -337,9 +160,6 @@ fn bench_floorplan() -> Result<String, Box<dyn std::error::Error>> {
             "  \"cached_kernel_memoised\": {{ \"evaluations\": {}, \"wall_s\": {:.6}, \"evals_per_sec\": {:.1} }},\n",
             "  \"speedup_cached_vs_naive\": {:.2},\n",
             "  \"speedup_memoised_vs_naive\": {:.2},\n",
-            "  \"incremental_placement_tier\": {{\n{},\n{}\n  }},\n",
-            "  \"speedup_incremental_area_tier_vs_full_32\": {:.2},\n",
-            "  \"speedup_incremental_area_tier_vs_full_64\": {:.2},\n",
             "  \"sa\": {{ \"wall_s\": {:.6}, \"evaluations\": {}, \"evals_per_sec\": {:.1}, \"best_weighted_cost\": {:.9} }},\n",
             "  \"ga\": {{ \"wall_s\": {:.6}, \"evaluations\": {}, \"evals_per_sec\": {:.1}, \"best_weighted_cost\": {:.9} }}\n",
             "}}\n"
@@ -357,10 +177,6 @@ fn bench_floorplan() -> Result<String, Box<dyn std::error::Error>> {
         memoised.evals_per_sec(),
         cached.evals_per_sec() / naive.evals_per_sec(),
         memoised.evals_per_sec() / naive.evals_per_sec(),
-        tier_32.to_json(),
-        tier_64.to_json(),
-        tier_32.area_tier.evals_per_sec() / tier_32.full.evals_per_sec(),
-        tier_64.area_tier.evals_per_sec() / tier_64.full.evals_per_sec(),
         sa_wall,
         sa.evaluations,
         sa.evaluations as f64 / sa_wall.max(1e-12),

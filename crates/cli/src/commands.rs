@@ -22,6 +22,10 @@ use crate::options::{
 /// experiment driver in `tats-core`).
 const TASK_TYPES: usize = 12;
 
+/// Largest `tats floorplan --modules`: far above the 64 modules the benches
+/// use, and small enough that a stray value cannot exhaust memory.
+const MAX_FLOORPLAN_MODULES: usize = 1024;
+
 fn execution_error(error: impl std::fmt::Display) -> CliError {
     CliError::Execution(error.to_string())
 }
@@ -52,10 +56,8 @@ COMMANDS:
                    --benchmark Bm1..Bm4 --policy ...  (default: Bm1, thermal)
     floorplan    Run the thermal-aware floorplanner standalone
                    --modules 8 --seed 7               deterministic module/net set
+                                                      (1 to 1024 modules)
                    --engine sa|ga|initial             (default: sa)
-                   --eval full|incremental            candidate evaluator (default:
-                                                      incremental Stockmeyer curves;
-                                                      results are identical)
                    --weights area|thermal             objective (default: area)
     grid         Fine-grained grid thermal validation of a schedule
                    --benchmark Bm1..Bm4 --policy ...  (default: Bm1, thermal)
@@ -394,8 +396,8 @@ pub fn grid(options: &Options) -> Result<String, CliError> {
     let benchmark = parse_benchmark(options.value_or("benchmark", "Bm1"))?;
     let policy = parse_policy(options.value_or("policy", "thermal"))?;
     let solver = parse_grid_solver(options.value_or("solver", "cholesky"))?;
-    let nx = options.number("nx", 32.0)? as usize;
-    let ny = options.number("ny", 32.0)? as usize;
+    let nx = options.integer("nx", 32, 0..=usize::MAX)?;
+    let ny = options.integer("ny", 32, 0..=usize::MAX)?;
 
     let library = profiles::standard_library(TASK_TYPES).map_err(execution_error)?;
     let graph = benchmark.task_graph().map_err(execution_error)?;
@@ -451,33 +453,12 @@ pub fn grid(options: &Options) -> Result<String, CliError> {
 }
 
 /// `tats floorplan` — run the thermal-aware floorplanner standalone over a
-/// deterministic module set, with selectable engine and candidate-evaluation
-/// strategy (`--eval full|incremental`; identical results, different speed).
+/// deterministic module set, with selectable engine and objective.
 pub fn floorplan(options: &Options) -> Result<String, CliError> {
-    use tats_floorplan::{
-        testutil, CostWeights, Engine, EvalStrategy, Floorplanner, GaConfig, SaConfig,
-    };
+    use tats_floorplan::{testutil, CostWeights, Engine, Floorplanner, GaConfig, SaConfig};
 
-    let count = options.number("modules", 8.0)? as usize;
-    if count == 0 {
-        return Err(CliError::InvalidValue {
-            option: "modules".to_string(),
-            value: "0".to_string(),
-            expected: "at least one module".to_string(),
-        });
-    }
-    let seed = options.number("seed", 7.0)? as u64;
-    let eval = match options.value_or("eval", "incremental") {
-        "full" => EvalStrategy::Full,
-        "incremental" => EvalStrategy::Incremental,
-        other => {
-            return Err(CliError::InvalidValue {
-                option: "eval".to_string(),
-                value: other.to_string(),
-                expected: "full or incremental".to_string(),
-            })
-        }
-    };
+    let count = options.integer("modules", 8, 1..=MAX_FLOORPLAN_MODULES)?;
+    let seed = options.integer("seed", 7, 0..=u64::MAX)?;
     let weights = match options.value_or("weights", "area") {
         "area" => CostWeights::area_only(),
         "thermal" => CostWeights::thermal_aware(),
@@ -494,7 +475,6 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
             "simulated annealing",
             Engine::Annealing(SaConfig {
                 seed,
-                eval,
                 ..SaConfig::default()
             }),
         ),
@@ -502,7 +482,6 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
             "genetic algorithm",
             Engine::Genetic(GaConfig {
                 seed,
-                eval,
                 ..GaConfig::default()
             }),
         ),
@@ -527,11 +506,7 @@ pub fn floorplan(options: &Options) -> Result<String, CliError> {
         .map_err(execution_error)?;
     let wall_s = start.elapsed().as_secs_f64();
 
-    let eval_name = match eval {
-        EvalStrategy::Full => "full O(n) re-evaluation",
-        EvalStrategy::Incremental => "incremental shape curves",
-    };
-    let mut out = format!("Floorplanned {count} modules with {engine_name} ({eval_name})\n\n");
+    let mut out = format!("Floorplanned {count} modules with {engine_name}\n\n");
     out.push_str(&format!(
         "chip area: {:.2} mm2, wirelength: {:.2} mm, peak temperature: {:.2} C\n",
         solution.cost.area_m2 * 1e6,
@@ -582,8 +557,8 @@ fn campaign_from_options(options: &Options) -> Result<Campaign, CliError> {
         None => vec![None],
         Some(name) => vec![Some(parse_grid_solver(name)?)],
     };
-    let nx = options.number("nx", 16.0)? as usize;
-    let ny = options.number("ny", 16.0)? as usize;
+    let nx = options.integer("nx", 16, 0..=usize::MAX)?;
+    let ny = options.integer("ny", 16, 0..=usize::MAX)?;
     let campaign = Campaign::new(config)
         .with_benchmarks(benchmarks)
         .with_flows(flows)
@@ -655,7 +630,7 @@ fn batch_dry_run(campaign: &Campaign, shard: Shard) -> String {
 /// running.
 pub fn batch(options: &Options) -> Result<String, CliError> {
     let shard = Shard::parse(options.value_or("shard", "0/1")).map_err(execution_error)?;
-    let threads = options.number("threads", 0.0)? as usize;
+    let threads = options.integer("threads", 0, 0..=usize::MAX)?;
     let campaign = campaign_from_options(options)?;
     if options.switch("dry-run") {
         return Ok(batch_dry_run(&campaign, shard));
@@ -820,12 +795,12 @@ pub fn batch(options: &Options) -> Result<String, CliError> {
 /// `TATS_LOG`) tees to disk with `--log-file`.
 pub fn serve(options: &Options) -> Result<String, CliError> {
     let host = options.value_or("host", "127.0.0.1");
-    let port = options.number("port", 7070.0)? as u16;
-    let lease_ttl_ms = options.number("lease-ttl-ms", 15_000.0)? as u64;
+    let port = options.integer("port", 7070, 0..=u16::MAX)?;
+    let lease_ttl_ms = options.integer("lease-ttl-ms", 15_000, 0..=u64::MAX)?;
     let journal = options.value("journal").map(std::path::PathBuf::from);
     let journaled = journal.is_some();
     let compact_every_events = match options.value("compact-every-events") {
-        Some(_) => Some(options.number("compact-every-events", 0.0)? as u64),
+        Some(_) => Some(options.integer("compact-every-events", 0, 0..=u64::MAX)?),
         None => None,
     };
     let mut config = tats_service::ServiceConfig {
@@ -835,11 +810,12 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
         trace_log: options.value("trace-log").map(std::path::PathBuf::from),
         log_file: options.value("log-file").map(std::path::PathBuf::from),
         compact_every_events,
-        client_quota: options.number("client-quota", 0.0)? as usize,
-        max_connections: options.number(
+        client_quota: options.integer("client-quota", 0, 0..=usize::MAX)?,
+        max_connections: options.integer(
             "max-connections",
-            tats_service::ServiceConfig::default().max_connections as f64,
-        )? as usize,
+            tats_service::ServiceConfig::default().max_connections,
+            0..=usize::MAX,
+        )?,
         ..tats_service::ServiceConfig::default()
     };
     if options.switch("no-keep-alive") {
@@ -882,8 +858,8 @@ pub fn worker(options: &Options) -> Result<String, CliError> {
         name: options
             .value_or("name", &tats_service::WorkerConfig::default().name)
             .to_string(),
-        threads: options.number("threads", 0.0)? as usize,
-        poll_ms: options.number("poll-ms", 200.0)? as u64,
+        threads: options.integer("threads", 0, 0..=usize::MAX)?,
+        poll_ms: options.integer("poll-ms", 200, 0..=u64::MAX)?,
         exit_when_drained: options.switch("exit-when-drained"),
         log: Some(sink),
         ..tats_service::WorkerConfig::default()
@@ -931,8 +907,8 @@ pub fn submit(options: &Options) -> Result<String, CliError> {
     let addr = options
         .value("connect")
         .ok_or_else(|| CliError::Execution("submit requires --connect host:port".to_string()))?;
-    let shards = options.number("shards", 4.0)? as usize;
-    let poll_ms = options.number("poll-ms", 200.0)? as u64;
+    let shards = options.integer("shards", 4, 0..=usize::MAX)?;
+    let poll_ms = options.integer("poll-ms", 200, 0..=u64::MAX)?;
     let campaign = campaign_from_options(options)?;
     let spec = tats_engine::CampaignSpec::from_campaign(&campaign).map_err(execution_error)?;
 
@@ -1380,7 +1356,7 @@ pub fn top(options: &Options) -> Result<String, CliError> {
     let addr = options
         .value("connect")
         .ok_or_else(|| CliError::Execution("top requires --connect host:port".to_string()))?;
-    let interval_ms = options.number("interval-ms", 1_000.0)? as u64;
+    let interval_ms = options.integer("interval-ms", 1_000, 0..=u64::MAX)?;
     let retry = tats_service::RetryPolicy::default();
     let mut connection = tats_service::client::Connection::new(addr);
     if options.switch("once") {
@@ -2395,56 +2371,50 @@ mod tests {
         assert!(error.to_string().contains("--out"));
     }
 
+    const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "weights"];
+
     #[test]
-    fn floorplan_runs_and_both_eval_strategies_agree() {
-        const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "eval", "weights"];
-        let run = |eval: &str| {
-            floorplan(&opts(
-                &["--modules", "6", "--engine", "sa", "--eval", eval],
-                FLOORPLAN_VALUES,
-                &[],
-            ))
-            .expect("floorplan")
-        };
-        let incremental = run("incremental");
-        assert!(incremental.contains("6 modules"), "{incremental}");
-        assert!(
-            incremental.contains("incremental shape curves"),
-            "{incremental}"
+    fn floorplan_output_is_pinned() {
+        // Everything but the wall clock is a pure function of the options.
+        let out = floorplan(&opts(
+            &["--modules", "6", "--engine", "sa"],
+            FLOORPLAN_VALUES,
+            &[],
+        ))
+        .expect("floorplan");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines[..4],
+            [
+                "Floorplanned 6 modules with simulated annealing",
+                "",
+                "chip area: 207.97 mm2, wirelength: 43.25 mm, peak temperature: 45.00 C",
+                "weighted cost: 0.686085943",
+            ],
+            "{out}"
         );
-        assert!(incremental.contains("weighted cost:"), "{incremental}");
-        let full = run("full");
-        // Identical solution either way: compare everything after the
-        // strategy banner — costs, dims and the candidate-evaluation count
-        // (trajectory length), dropping only the wall-clock portion.
-        let tail = |text: &str| {
-            text.lines()
-                .filter_map(|line| {
-                    if line.contains("chip area") || line.contains("weighted cost") {
-                        Some(line.to_string())
-                    } else {
-                        line.split_once(" candidate evaluation(s)")
-                            .map(|(count, _)| format!("{count} evaluations"))
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(tail(&incremental), tail(&full));
+        assert!(
+            lines[4].starts_with("2641 candidate evaluation(s) in "),
+            "{out}"
+        );
     }
 
     #[test]
     fn floorplan_rejects_bad_options() {
-        const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "eval", "weights"];
         for (option, value) in [
             ("--modules", "0"),
+            ("--modules", "inf"),
+            ("--modules", "1e10"),
+            ("--modules", "2.9"),
             ("--engine", "warp"),
-            ("--eval", "psychic"),
             ("--weights", "vibes"),
         ] {
             let error =
                 floorplan(&opts(&[option, value], FLOORPLAN_VALUES, &[])).expect_err("must reject");
-            assert!(matches!(error, CliError::InvalidValue { .. }), "{option}");
+            assert!(
+                matches!(error, CliError::InvalidValue { .. }),
+                "{option} {value}"
+            );
         }
     }
 

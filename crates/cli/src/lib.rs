@@ -9,7 +9,7 @@
 //! tats sweep --sizes 25,50,100
 //! tats reliability --benchmark Bm1
 //! tats dvs --benchmark Bm1 --policy thermal
-//! tats floorplan --modules 16 --engine sa --eval incremental
+//! tats floorplan --modules 16 --engine sa --weights thermal
 //! tats batch --benchmarks all --policies all --shard 0/2 --out results.jsonl
 //! tats serve --port 7070
 //! tats worker --connect 127.0.0.1:7070
@@ -44,7 +44,7 @@ fn command_options(command: &str) -> (&'static [&'static str], &'static [&'stati
         "reliability" => (&["benchmark"], &[]),
         "dvs" => (&["benchmark", "policy"], &[]),
         "grid" => (&["benchmark", "policy", "nx", "ny", "solver"], &[]),
-        "floorplan" => (&["modules", "seed", "engine", "eval", "weights"], &[]),
+        "floorplan" => (&["modules", "seed", "engine", "weights"], &[]),
         "batch" => (
             &[
                 "benchmarks",

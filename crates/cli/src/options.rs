@@ -7,6 +7,8 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 use tats_core::{Policy, PowerHeuristic};
 use tats_taskgraph::Benchmark;
@@ -154,18 +156,33 @@ impl Options {
         self.switches.iter().any(|switch| switch == name)
     }
 
-    /// Parses a numeric option.
+    /// Parses an integer option that must lie in `range`.
+    ///
+    /// Only plain decimal integers parse: a fraction (`2.9`), an exponent
+    /// (`1e10`), `inf` or a value outside `range` is an error, never a
+    /// truncated or saturated number.
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::InvalidValue`] when the value is not a number.
-    pub fn number(&self, name: &str, default: f64) -> Result<f64, CliError> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(text) => text.parse().map_err(|_| CliError::InvalidValue {
+    /// Returns [`CliError::InvalidValue`] naming the accepted range.
+    pub fn integer<T>(
+        &self,
+        name: &str,
+        default: T,
+        range: RangeInclusive<T>,
+    ) -> Result<T, CliError>
+    where
+        T: FromStr + PartialOrd + fmt::Display,
+    {
+        let Some(text) = self.value(name) else {
+            return Ok(default);
+        };
+        match text.parse::<T>() {
+            Ok(value) if range.contains(&value) => Ok(value),
+            _ => Err(CliError::InvalidValue {
                 option: name.to_string(),
                 value: text.to_string(),
-                expected: "a number".to_string(),
+                expected: format!("an integer from {} to {}", range.start(), range.end()),
             }),
         }
     }
@@ -372,13 +389,15 @@ mod tests {
     #[test]
     fn numeric_and_list_options_parse() {
         let options = Options::parse(
-            &args(&["--scale", "2.5", "--sizes", "10, 20,30", "--seeds", "0,4"]),
+            &args(&["--scale", "25", "--sizes", "10, 20,30", "--seeds", "0,4"]),
             &["scale", "sizes", "seeds"],
             &[],
         )
         .expect("parse");
-        assert!((options.number("scale", 1.0).expect("number") - 2.5).abs() < 1e-12);
-        assert!((options.number("missing", 7.0).expect("default") - 7.0).abs() < 1e-12);
+        assert_eq!(options.integer("scale", 1u16, 0..=u16::MAX), Ok(25));
+        assert_eq!(options.integer("missing", 7u64, 0..=u64::MAX), Ok(7));
+        // Out of range for the option, not just for the type.
+        assert!(options.integer("scale", 1usize, 1..=24).is_err());
         assert_eq!(
             options.usize_list("sizes", &[1]).expect("list"),
             vec![10, 20, 30]
@@ -389,8 +408,11 @@ mod tests {
         );
         assert_eq!(options.u64_list("seeds", &[0]).expect("seeds"), vec![0, 4]);
         assert_eq!(options.u64_list("missing", &[9]).expect("default"), vec![9]);
+        for text in ["fast", "2.9", "1e3", "inf", "-1", "70000"] {
+            let bad = Options::parse(&args(&["--scale", text]), &["scale"], &[]).expect("parse");
+            assert!(bad.integer("scale", 1u16, 0..=u16::MAX).is_err(), "{text}");
+        }
         let bad = Options::parse(&args(&["--scale", "fast"]), &["scale"], &[]).expect("parse");
-        assert!(bad.number("scale", 1.0).is_err());
         assert!(bad.u64_list("scale", &[0]).is_err());
     }
 

@@ -12,8 +12,6 @@ use rand::{Rng, SeedableRng};
 use crate::cost::{CostBreakdown, CostEvaluator};
 use crate::error::FloorplanError;
 use crate::polish::{Placement, PolishExpression};
-use crate::shapes::ShapeMode;
-use crate::slicing::{EvalStrategy, SlicingTree};
 
 /// Parameters of the simulated-annealing engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,9 +26,6 @@ pub struct SaConfig {
     pub final_temperature: f64,
     /// Seed of the pseudo-random generator.
     pub seed: u64,
-    /// Candidate evaluator: incremental shape curves (default) or the full
-    /// `O(n)` re-evaluation. Both produce bit-identical trajectories.
-    pub eval: EvalStrategy,
 }
 
 impl Default for SaConfig {
@@ -41,7 +36,6 @@ impl Default for SaConfig {
             moves_per_temperature: 40,
             final_temperature: 1e-3,
             seed: 0x5A5A,
-            eval: EvalStrategy::Incremental,
         }
     }
 }
@@ -87,12 +81,9 @@ pub struct OptimisedFloorplan {
 
 /// Runs simulated annealing over Polish expressions.
 ///
-/// With [`EvalStrategy::Incremental`] (the default) the annealer maintains
-/// one [`SlicingTree`] across the whole run: each move updates only the
-/// touched root path, a rejected move is a journaled rollback, and under an
-/// area-only objective acceptance is decided from the root shape curve alone
-/// — `O(depth)` per move with no placement walk. Trajectories (and results)
-/// are bit-identical to [`EvalStrategy::Full`].
+/// Every move evaluates the perturbed expression
+/// ([`PolishExpression::evaluate`], `O(n)` in the module count) and scores
+/// the placement through one cached cost kernel.
 ///
 /// # Errors
 ///
@@ -113,84 +104,32 @@ pub fn anneal(
     let mut scratch = evaluator.scratch()?;
 
     let mut current = PolishExpression::initial(module_count)?;
-    let mut current_placement = current.evaluate(evaluator.modules())?;
-    let mut current_cost = evaluator.cost_with(&current_placement, &mut scratch)?;
+    let mut best_placement = current.evaluate(evaluator.modules())?;
+    let mut current_cost = evaluator.cost_with(&best_placement, &mut scratch)?;
     let mut best = current.clone();
-    let mut best_placement = current_placement.clone();
     let mut best_cost = current_cost;
     let mut evaluations = 1usize;
-
-    // Incremental state: the slicing tree tracks `current`, the buffer
-    // receives candidate placements without reallocating. The shape tier
-    // (area-only weights) skips the placement walk entirely and only
-    // materialises the winning placement after the run.
-    let incremental = config.eval == EvalStrategy::Incremental;
-    let shape_tier = incremental && evaluator.is_area_only();
-    let mut tree = if incremental {
-        Some(SlicingTree::new(
-            &current,
-            evaluator.modules(),
-            ShapeMode::Fixed,
-        )?)
-    } else {
-        None
-    };
-    let mut candidate_placement = current_placement.clone();
 
     let mut temperature = config.initial_temperature;
     while temperature > config.final_temperature {
         for _ in 0..config.moves_per_temperature {
-            let (candidate, mv) = current.perturb_move(&mut rng);
-            let cost = match tree.as_mut() {
-                Some(tree) => {
-                    tree.apply(&mv);
-                    debug_assert_eq!(tree.elements(), candidate.elements());
-                    if shape_tier {
-                        let (width, height) = tree.min_area_shape();
-                        evaluator.cost_of_shape(width, height)
-                    } else {
-                        tree.placement_into(&mut candidate_placement);
-                        evaluator.cost_with(&candidate_placement, &mut scratch)?
-                    }
-                }
-                None => {
-                    candidate_placement = candidate.evaluate(evaluator.modules())?;
-                    evaluator.cost_with(&candidate_placement, &mut scratch)?
-                }
-            };
+            let candidate = current.perturb(&mut rng);
+            let placement = candidate.evaluate(evaluator.modules())?;
+            let cost = evaluator.cost_with(&placement, &mut scratch)?;
             evaluations += 1;
             let delta = cost.weighted - current_cost.weighted;
             let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp();
             if accept {
-                if let Some(tree) = tree.as_mut() {
-                    tree.commit();
+                if cost.weighted < best_cost.weighted {
+                    best = candidate.clone();
+                    best_placement = placement;
+                    best_cost = cost;
                 }
                 current = candidate;
                 current_cost = cost;
-                if !shape_tier {
-                    current_placement.clone_from(&candidate_placement);
-                }
-                if current_cost.weighted < best_cost.weighted {
-                    best = current.clone();
-                    best_cost = current_cost;
-                    if !shape_tier {
-                        best_placement.clone_from(&current_placement);
-                    }
-                }
-            } else if let Some(tree) = tree.as_mut() {
-                tree.rollback();
             }
         }
         temperature *= config.cooling_rate;
-    }
-
-    if shape_tier {
-        // Materialise the winning placement once; `cost_with` reproduces the
-        // exact breakdown the full path would have recorded at acceptance
-        // time (the zero-weight terms carry their actual values).
-        best_placement =
-            SlicingTree::new(&best, evaluator.modules(), ShapeMode::Fixed)?.placement();
-        best_cost = evaluator.cost_with(&best_placement, &mut scratch)?;
     }
 
     Ok(OptimisedFloorplan {
@@ -276,37 +215,41 @@ mod tests {
     }
 
     #[test]
-    fn full_and_incremental_evaluation_are_bit_identical() {
-        // The tentpole acceptance bar: swapping the evaluator must not move
-        // a single ulp of the trajectory — same expression, same placement,
-        // same cost bits — under both the placement path (thermal-aware
-        // weights) and the O(depth) shape tier (area-only weights).
-        for weights in [CostWeights::thermal_aware(), CostWeights::area_only()] {
-            let eval = testutil::evaluator(6, 0xB17, weights).unwrap();
-            let full = anneal(
-                &eval,
-                SaConfig {
-                    eval: EvalStrategy::Full,
-                    ..SaConfig::default()
-                },
-            )
-            .unwrap();
-            let incremental = anneal(
-                &eval,
-                SaConfig {
-                    eval: EvalStrategy::Incremental,
-                    ..SaConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(full.expression, incremental.expression);
-            assert_eq!(full.placement, incremental.placement);
-            assert_eq!(full.cost, incremental.cost);
+    fn trajectories_are_pinned() {
+        // Bit-exact results of default-config runs over the shared fixture:
+        // expression, cost bits, placement bits and evaluation count. Under
+        // area-only weights every acceptance rests on the bounding box
+        // alone, so the 32-module area-only case is the most sensitive to
+        // how placements are computed.
+        for (count, weights, expected) in [
+            (
+                6,
+                CostWeights::area_only(),
+                "1 4 0 H V 2 V 3 5 V V | cost 3f306b391136dfa9 3fb0e9c274f39fa9 4046800000000000 3fe2e64e379656d6 | placement 6f132971883b441a | 2641 evaluations",
+            ),
+            (
+                6,
+                CostWeights::thermal_aware(),
+                "5 1 V 2 0 H 4 H 3 V H | cost 3f30ea5ba7a5f436 3fa510cfbba96d92 4057883a77344b35 3ff7111091b1cf15 | placement 9d86b12d73bd33ff | 2641 evaluations",
+            ),
+            (
+                32,
+                CostWeights::area_only(),
+                "4 3 H 7 6 V 10 2 V H 9 15 V 0 H 1 V 23 5 V H V 11 12 H V V 18 16 28 H H 13 8 17 H H 27 20 22 H H V V 21 24 V 31 29 V 26 H V 25 30 V 14 V 19 V H V V | cost 3f527c7cfbc105e3 3fe3c8570df0ac13 4046800000000000 3fc714d43702373f | placement 5abcd1138f56b36d | 2641 evaluations",
+            ),
+            (
+                32,
+                CostWeights::thermal_aware(),
+                "9 1 H 2 7 V 4 H V 8 14 H 3 0 H V H 17 13 10 V 12 V H 6 11 5 H 20 H V V H 18 H 23 16 15 H V 21 V H 28 26 V 19 H 24 V 25 H 30 31 V 22 29 V 27 V H H H | cost 3f550b4f6b001a9f 3fe3c430c9f087ac 406de6d2a69b1a46 3ff464b87df763cb | placement 7a26dcf52b1587f5 | 2641 evaluations",
+            ),
+        ] {
+            let eval = testutil::evaluator(count, 0xB17, weights).unwrap();
+            let result = anneal(&eval, SaConfig::default()).unwrap();
             assert_eq!(
-                full.cost.weighted.to_bits(),
-                incremental.cost.weighted.to_bits()
+                testutil::digest(&result),
+                expected,
+                "{count} modules, {weights:?}"
             );
-            assert_eq!(full.evaluations, incremental.evaluations);
         }
     }
 

@@ -341,32 +341,6 @@ impl CostEvaluator {
         }
     }
 
-    /// Whether the weighted objective depends on the bounding box alone
-    /// (zero wirelength and temperature weights) — the gate for the
-    /// curve-backed shape tier below.
-    pub fn is_area_only(&self) -> bool {
-        self.weights.wirelength == 0.0 && self.weights.temperature == 0.0
-    }
-
-    /// The curve-backed evaluation tier: the weighted cost of a candidate
-    /// known only by its root shape, without materialising a placement.
-    ///
-    /// Only valid when [`CostEvaluator::is_area_only`] holds — the reported
-    /// wirelength is zero and the peak temperature is the ambient, but both
-    /// carry zero weight, so `weighted` is bit-identical to what
-    /// [`CostEvaluator::cost_with`] computes for any placement with this
-    /// bounding box. This is what makes SA moves `O(depth)` under
-    /// [`crate::EvalStrategy::Incremental`]: the root corner of an
-    /// incrementally maintained [`crate::SlicingTree`] is enough to decide
-    /// acceptance.
-    pub fn cost_of_shape(&self, width: f64, height: f64) -> CostBreakdown {
-        debug_assert!(
-            self.is_area_only(),
-            "cost_of_shape is only the full cost under area-only weights"
-        );
-        self.weighted_breakdown(width * height, 0.0, self.thermal_config.ambient_c)
-    }
-
     /// Evaluates the weighted cost of a placement by rebuilding the full
     /// thermal model from scratch.
     ///

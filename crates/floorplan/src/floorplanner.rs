@@ -107,21 +107,6 @@ impl Floorplanner {
         self
     }
 
-    /// Overrides the candidate-evaluation strategy of the selected engine
-    /// (incremental shape curves vs full re-evaluation; results are
-    /// bit-identical either way). Call after [`Floorplanner::with_engine`] —
-    /// selecting an engine later replaces its whole config, this override
-    /// included. No effect on [`Engine::InitialOnly`], which evaluates a
-    /// single placement.
-    pub fn with_eval(mut self, eval: crate::slicing::EvalStrategy) -> Self {
-        match &mut self.engine {
-            Engine::Genetic(config) => config.eval = eval,
-            Engine::Annealing(config) => config.eval = eval,
-            Engine::InitialOnly => {}
-        }
-        self
-    }
-
     /// Runs the floorplanner and returns the best solution found.
     ///
     /// # Errors

@@ -15,8 +15,6 @@ use crate::annealing::OptimisedFloorplan;
 use crate::cost::CostEvaluator;
 use crate::error::FloorplanError;
 use crate::polish::{Element, Placement, PolishExpression};
-use crate::shapes::ShapeMode;
-use crate::slicing::{EvalStrategy, SlicingTree};
 
 /// One evaluated chromosome.
 type Scored = (PolishExpression, crate::cost::CostBreakdown, Placement);
@@ -24,16 +22,9 @@ type Scored = (PolishExpression, crate::cost::CostBreakdown, Placement);
 /// Evaluates a batch of chromosomes in parallel, one cached thermal kernel
 /// per worker chunk. Evaluation is pure, so the result is independent of the
 /// thread count and identical to a serial evaluation.
-///
-/// Under [`EvalStrategy::Incremental`] each chunk reuses one curve-backed
-/// [`SlicingTree`] (crossover children share no move history, so the tree is
-/// rebuilt per chromosome, but every allocation — node arrays, curves,
-/// walk stack — is reused); placements are bit-identical to
-/// [`PolishExpression::evaluate`].
 fn score_population(
     evaluator: &CostEvaluator,
     population: Vec<PolishExpression>,
-    eval: EvalStrategy,
 ) -> Result<Vec<Scored>, FloorplanError> {
     let workers = rayon::current_num_threads().max(1);
     let chunk_size = population.len().div_ceil(workers).max(1);
@@ -41,29 +32,10 @@ fn score_population(
         .par_chunks(chunk_size)
         .map(|chunk| {
             let mut scratch = evaluator.scratch()?;
-            let mut tree: Option<SlicingTree> = None;
-            let mut buffer = Placement::zeroed(evaluator.modules().len());
             chunk
                 .iter()
                 .map(|expr| {
-                    let placement = match eval {
-                        EvalStrategy::Full => expr.evaluate(evaluator.modules())?,
-                        EvalStrategy::Incremental => {
-                            let tree = match tree.as_mut() {
-                                Some(tree) => {
-                                    tree.rebuild(expr)?;
-                                    tree
-                                }
-                                None => tree.insert(SlicingTree::new(
-                                    expr,
-                                    evaluator.modules(),
-                                    ShapeMode::Fixed,
-                                )?),
-                            };
-                            tree.placement_into(&mut buffer);
-                            buffer.clone()
-                        }
-                    };
+                    let placement = expr.evaluate(evaluator.modules())?;
                     let cost = evaluator.cost_with(&placement, &mut scratch)?;
                     Ok((expr.clone(), cost, placement))
                 })
@@ -91,10 +63,6 @@ pub struct GaConfig {
     pub elitism: usize,
     /// Seed of the pseudo-random generator.
     pub seed: u64,
-    /// Chromosome evaluator: curve-backed slicing trees with allocation
-    /// reuse (default) or the full per-chromosome re-evaluation. Both score
-    /// bit-identically, so the evolution trajectory is unchanged.
-    pub eval: EvalStrategy,
 }
 
 impl Default for GaConfig {
@@ -107,7 +75,6 @@ impl Default for GaConfig {
             tournament_size: 3,
             elitism: 2,
             seed: 0x6E6E,
-            eval: EvalStrategy::Incremental,
         }
     }
 }
@@ -203,7 +170,7 @@ pub fn evolve(
     // no randomness), then scored concurrently across worker threads, each
     // with its own cached thermal kernel.
     let mut evaluations = population.len();
-    let mut scored: Vec<Scored> = score_population(evaluator, population, config.eval)?;
+    let mut scored: Vec<Scored> = score_population(evaluator, population)?;
 
     for _generation in 0..config.generations {
         scored.sort_by(|a, b| a.1.weighted.total_cmp(&b.1.weighted));
@@ -236,7 +203,7 @@ pub fn evolve(
             children.push(child);
         }
         evaluations += children.len();
-        next.extend(score_population(evaluator, children, config.eval)?);
+        next.extend(score_population(evaluator, children)?);
         // Shuffle to avoid positional bias from elitism ordering.
         next.shuffle(&mut rng);
         scored = next;
@@ -307,30 +274,39 @@ mod tests {
     }
 
     #[test]
-    fn full_and_incremental_scoring_are_bit_identical() {
-        // Curve-backed chromosome scoring must not change the evolution
-        // trajectory by a single ulp.
-        let eval = evaluator(CostWeights::thermal_aware());
-        let full = evolve(
-            &eval,
-            GaConfig {
-                eval: EvalStrategy::Full,
-                ..quick_config()
-            },
-        )
-        .unwrap();
-        let incremental = evolve(
-            &eval,
-            GaConfig {
-                eval: EvalStrategy::Incremental,
-                ..quick_config()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.expression, incremental.expression);
-        assert_eq!(full.placement, incremental.placement);
-        assert_eq!(full.cost, incremental.cost);
-        assert_eq!(full.evaluations, incremental.evaluations);
+    fn trajectories_are_pinned() {
+        // Bit-exact results of default-config runs over the shared fixture:
+        // expression, cost bits, placement bits and evaluation count.
+        for (count, weights, expected) in [
+            (
+                6,
+                CostWeights::area_only(),
+                "2 0 1 H V 4 3 H V 5 H | cost 3f2a952d491ccfec 3fa5013bac3a1c38 4046800000000000 3fdbd94e9a7420c4 | placement 1b7dd0f51a3ba3c4 | 904 evaluations",
+            ),
+            (
+                6,
+                CostWeights::thermal_aware(),
+                "0 1 V 3 V 2 V 5 4 H V | cost 3f2bb89ec1cc2701 3fa06b5ef450c6bb 405dfaee238a33d8 3ff7aa9311def94c | placement a148dd837a5f823e | 904 evaluations",
+            ),
+            (
+                32,
+                CostWeights::area_only(),
+                "1 0 H 2 3 V H 6 7 H V 4 H 5 H 8 9 V H 11 10 V 13 V 12 H H 15 H 14 16 V H 17 19 V H 18 H 21 H 20 H 22 H 23 28 V H 25 H 24 H 26 H 27 H 31 29 H 30 V H | cost 3f578af6f3d2d672 3fed3fe5876d7015 4046800000000000 3fc9996698b2c3be | placement 4de5431939548210 | 904 evaluations",
+            ),
+            (
+                32,
+                CostWeights::thermal_aware(),
+                "0 1 H 3 2 H 4 6 V V H 5 H 8 7 H V 10 V 9 H 11 V 15 H 12 13 V H 14 17 V H 16 H 18 19 H 21 H 23 V H 22 20 V H 25 H 24 26 H 27 V 29 H 28 V 30 V H 31 V | cost 3f61321de3dd48fa 3fec0ade5d3b2b3e 40726023b0c5b5d6 3ff6766fe615d5b3 | placement 48b608d35e9ab79f | 904 evaluations",
+            ),
+        ] {
+            let eval = testutil::evaluator(count, 0x6A, weights).unwrap();
+            let result = evolve(&eval, GaConfig::default()).unwrap();
+            assert_eq!(
+                testutil::digest(&result),
+                expected,
+                "{count} modules, {weights:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,15 +8,8 @@
 //!
 //! * [`Module`] — rectangular blocks with estimated average power,
 //! * [`PolishExpression`] — slicing floorplans in postfix notation with the
-//!   classical perturbation moves (reported as [`Move`]s for incremental
-//!   evaluation),
-//! * [`shapes`]/[`slicing`] — Stockmeyer shape curves and the incremental
-//!   [`SlicingTree`] evaluator. Curves are monotone staircases (widths
-//!   strictly increase, heights strictly decrease, no dominated or
-//!   duplicate-width corners) and fixed-shape curve evaluation is
-//!   bit-identical to [`PolishExpression::evaluate`]; SA/GA moves update
-//!   only the touched root path ([`EvalStrategy::Incremental`], the
-//!   default), with journaled rollback for rejected moves,
+//!   classical perturbation moves; both engines place every candidate with
+//!   [`PolishExpression::evaluate`], two flat `O(n)` passes,
 //! * [`CostEvaluator`] / [`CostWeights`] — weighted area + wirelength +
 //!   peak-temperature objective (the temperature term runs the compact
 //!   thermal model of [`tats_thermal`]),
@@ -56,8 +49,6 @@ mod floorplanner;
 pub mod ga;
 mod module;
 mod polish;
-pub mod shapes;
-pub mod slicing;
 pub mod testutil;
 
 pub use annealing::{anneal, OptimisedFloorplan, SaConfig};
@@ -66,9 +57,7 @@ pub use error::FloorplanError;
 pub use floorplanner::{Engine, FloorplanSolution, Floorplanner};
 pub use ga::{evolve, GaConfig};
 pub use module::Module;
-pub use polish::{Element, Move, Placement, PolishExpression};
-pub use shapes::{CurvePoint, Cut, ShapeCurve, ShapeMode};
-pub use slicing::{EvalStrategy, SlicingTree};
+pub use polish::{Element, Placement, PolishExpression};
 
 #[cfg(test)]
 mod proptests {

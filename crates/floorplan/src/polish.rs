@@ -57,60 +57,7 @@ pub struct Placement {
     height: f64,
 }
 
-/// One applied perturbation, reported in terms of the postfix positions it
-/// touched so an incremental evaluator ([`crate::SlicingTree`]) can update
-/// only the affected root paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Move {
-    /// The perturbation could not be applied (too few candidates, or an M3
-    /// swap that would have produced an invalid expression); the expression
-    /// is unchanged.
-    Noop,
-    /// M1: the operands at postfix positions `a` and `b` swapped (`a < b`).
-    SwapOperands {
-        /// Position of the first swapped operand.
-        a: usize,
-        /// Position of the second swapped operand.
-        b: usize,
-    },
-    /// M2: every operator in `start..end` was complemented (H <-> V).
-    ComplementChain {
-        /// First complemented position.
-        start: usize,
-        /// One past the last complemented position.
-        end: usize,
-    },
-    /// M3: the adjacent operand/operator pair at `index`, `index + 1`
-    /// swapped (the only move that changes the slicing-tree structure).
-    SwapAdjacent {
-        /// Position of the first element of the swapped pair.
-        index: usize,
-    },
-}
-
 impl Placement {
-    /// An all-zero placement for `modules` modules (filled in by the
-    /// slicing-tree walker).
-    pub(crate) fn zeroed(modules: usize) -> Self {
-        Placement {
-            positions: vec![(0.0, 0.0); modules],
-            width: 0.0,
-            height: 0.0,
-        }
-    }
-
-    /// Resets the buffer for `modules` modules with the given bounding box.
-    pub(crate) fn reset(&mut self, modules: usize, width: f64, height: f64) {
-        self.positions.clear();
-        self.positions.resize(modules, (0.0, 0.0));
-        self.width = width;
-        self.height = height;
-    }
-
-    /// Writes one module's lower-left corner.
-    pub(crate) fn set_position(&mut self, module: usize, x: f64, y: f64) {
-        self.positions[module] = (x, y);
-    }
     /// Lower-left corner of every module, metres, indexed by module.
     pub fn positions(&self) -> &[(f64, f64)] {
         &self.positions
@@ -330,20 +277,11 @@ impl PolishExpression {
     ///
     /// M1 swaps two adjacent operands, M2 complements a chain of operators,
     /// M3 swaps an adjacent operand/operator pair when the result remains a
-    /// valid expression. Equivalent to [`PolishExpression::perturb_move`]
-    /// without the move report (both consume the identical random stream, so
-    /// swapping one for the other preserves optimiser trajectories).
+    /// valid expression. A move with no candidate position leaves the
+    /// expression unchanged.
     pub fn perturb<R: Rng>(&self, rng: &mut R) -> PolishExpression {
-        self.perturb_move(rng).0
-    }
-
-    /// Like [`PolishExpression::perturb`], but also reports *which* postfix
-    /// positions the move touched, so an incremental evaluator can recompute
-    /// only the affected root paths instead of the whole placement.
-    pub fn perturb_move<R: Rng>(&self, rng: &mut R) -> (PolishExpression, Move) {
         let mut elements = self.elements.clone();
-        let move_kind = rng.gen_range(0..3);
-        let applied = match move_kind {
+        match rng.gen_range(0..3) {
             0 => {
                 // M1: swap two adjacent operands (in operand order).
                 let operand_positions: Vec<usize> = elements
@@ -354,11 +292,7 @@ impl PolishExpression {
                     .collect();
                 if operand_positions.len() >= 2 {
                     let k = rng.gen_range(0..operand_positions.len() - 1);
-                    let (a, b) = (operand_positions[k], operand_positions[k + 1]);
-                    elements.swap(a, b);
-                    Move::SwapOperands { a, b }
-                } else {
-                    Move::Noop
+                    elements.swap(operand_positions[k], operand_positions[k + 1]);
                 }
             }
             1 => {
@@ -374,18 +308,13 @@ impl PolishExpression {
                     .collect();
                 if !chain_starts.is_empty() {
                     let start = chain_starts[rng.gen_range(0..chain_starts.len())];
-                    let mut i = start;
-                    while i < elements.len() {
-                        match elements[i] {
-                            Element::H => elements[i] = Element::V,
-                            Element::V => elements[i] = Element::H,
+                    for element in &mut elements[start..] {
+                        match element {
+                            Element::H => *element = Element::V,
+                            Element::V => *element = Element::H,
                             Element::Operand(_) => break,
                         }
-                        i += 1;
                     }
-                    Move::ComplementChain { start, end: i }
-                } else {
-                    Move::Noop
                 }
             }
             _ => {
@@ -404,22 +333,14 @@ impl PolishExpression {
                     elements.swap(i, i + 1);
                     if Self::validate(&elements, self.module_count).is_err() {
                         elements.swap(i, i + 1);
-                        Move::Noop
-                    } else {
-                        Move::SwapAdjacent { index: i }
                     }
-                } else {
-                    Move::Noop
                 }
             }
-        };
-        (
-            PolishExpression {
-                elements,
-                module_count: self.module_count,
-            },
-            applied,
-        )
+        }
+        PolishExpression {
+            elements,
+            module_count: self.module_count,
+        }
     }
 }
 
@@ -553,64 +474,17 @@ mod tests {
     }
 
     #[test]
-    fn perturb_move_reports_exactly_what_changed() {
-        let mut rng = StdRng::seed_from_u64(0x11);
-        let mut expr = PolishExpression::initial(6).unwrap();
-        for _ in 0..300 {
-            let before = expr.elements().to_vec();
-            let (candidate, mv) = expr.perturb_move(&mut rng);
-            let after = candidate.elements();
-            match mv {
-                Move::Noop => assert_eq!(after, &before[..]),
-                Move::SwapOperands { a, b } => {
-                    assert!(a < b);
-                    assert_eq!(after[a], before[b]);
-                    assert_eq!(after[b], before[a]);
-                    assert!(matches!(after[a], Element::Operand(_)));
-                    assert!(matches!(after[b], Element::Operand(_)));
-                    for i in (0..before.len()).filter(|&i| i != a && i != b) {
-                        assert_eq!(after[i], before[i]);
-                    }
-                }
-                Move::ComplementChain { start, end } => {
-                    assert!(start < end);
-                    for i in start..end {
-                        match before[i] {
-                            Element::H => assert_eq!(after[i], Element::V),
-                            Element::V => assert_eq!(after[i], Element::H),
-                            Element::Operand(_) => panic!("chain covered an operand"),
-                        }
-                    }
-                    for i in (0..before.len()).filter(|&i| !(start..end).contains(&i)) {
-                        assert_eq!(after[i], before[i]);
-                    }
-                }
-                Move::SwapAdjacent { index } => {
-                    assert_eq!(after[index], before[index + 1]);
-                    assert_eq!(after[index + 1], before[index]);
-                    for i in (0..before.len()).filter(|&i| i != index && i != index + 1) {
-                        assert_eq!(after[i], before[i]);
-                    }
-                }
-            }
-            expr = candidate;
+    fn perturb_stream_is_pinned() {
+        // The optimisers' trajectories hang on the exact order of
+        // `perturb`'s random draws: pin the expression after 200 moves and
+        // the generator's next output, which fixes how many draws they used.
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut expr = PolishExpression::initial(7).unwrap();
+        for _ in 0..200 {
+            expr = expr.perturb(&mut rng);
         }
-    }
-
-    #[test]
-    fn perturb_and_perturb_move_share_one_random_stream() {
-        // Swapping `perturb` for `perturb_move` must not shift the RNG, so
-        // optimiser trajectories are identical whichever entry point is used.
-        let expr = PolishExpression::initial(7).unwrap();
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
-        let mut via_perturb = expr.clone();
-        let mut via_move = expr;
-        for _ in 0..120 {
-            via_perturb = via_perturb.perturb(&mut a);
-            via_move = via_move.perturb_move(&mut b).0;
-            assert_eq!(via_perturb, via_move);
-        }
+        assert_eq!(crate::testutil::postfix(&expr), "3 4 H 6 5 V H 2 0 V 1 V H");
+        assert_eq!(rng.gen::<u64>(), 0x8D5A_CE6F_D508_B09D);
     }
 
     #[test]

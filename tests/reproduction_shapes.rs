@@ -3,7 +3,7 @@
 //!
 //! These tests do not compare absolute numbers against the paper (our
 //! technology library and thermal package are synthetic); they check the
-//! *qualitative* claims that EXPERIMENTS.md reports quantitatively:
+//! *qualitative* claims behind the paper's quantitative tables:
 //!
 //! * every policy meets the real-time deadline on both flows;
 //! * on the platform, the thermal-aware ASP never has a higher peak
@@ -37,8 +37,7 @@ fn table3_shape_thermal_aware_is_not_hotter_than_power_aware() {
         );
     }
     // On average the reduction is positive (the paper reports 9.75 C with its
-    // library; our synthetic platform leaves less headroom, see
-    // EXPERIMENTS.md).
+    // library; our synthetic platform leaves less headroom).
     assert!(table.mean_max_temp_reduction() >= 0.0);
 }
 
