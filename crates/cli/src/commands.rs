@@ -940,23 +940,11 @@ pub fn submit(options: &Options) -> Result<String, CliError> {
     let trace_hex = tats_trace::spans::id_hex(trace_id);
     // Admission identity: the server leases fairly across clients within a
     // priority tier, and a per-client quota (429 + retry-after, retried by
-    // the policy below) may apply. Both fields are optional on the wire.
-    let mut submit_fields = vec![
-        ("spec".to_string(), spec.to_json()),
-        ("shards".to_string(), JsonValue::from(shards)),
-    ];
-    if let Some(client) = options.value("client") {
-        submit_fields.push(("client".to_string(), JsonValue::from(client)));
-    }
-    if let Some(text) = options.value("priority") {
-        let priority = text.parse::<usize>().map_err(|_| CliError::InvalidValue {
-            option: "priority".to_string(),
-            value: text.to_string(),
-            expected: "an unsigned integer".to_string(),
-        })?;
-        submit_fields.push(("priority".to_string(), JsonValue::from(priority)));
-    }
-    let submit_body = JsonValue::object(submit_fields).to_json();
+    // the policy below) may apply.
+    let priority = options.integer("priority", 0, 0..=u64::MAX)?;
+    let submission = tats_service::Submission::new(spec, shards)
+        .for_client(options.value("client").unwrap_or("default"), priority);
+    let submit_body = JsonValue::object(submission.to_fields()).to_json();
     let submit_headers = [("x-trace-id", trace_hex.clone())];
     let response = client::request(addr, "POST", "/jobs", &submit_headers, Some(&submit_body))
         .and_then(client::expect_ok)
@@ -979,11 +967,11 @@ pub fn submit(options: &Options) -> Result<String, CliError> {
         .get("fingerprint")
         .and_then(JsonValue::as_str)
         .unwrap_or_default();
-    if fingerprint != spec.fingerprint() {
+    if fingerprint != submission.spec.fingerprint() {
         return Err(CliError::Execution(format!(
             "campaign fingerprint mismatch: server derived {fingerprint}, \
              this build derives {} — refusing to trust the job",
-            spec.fingerprint()
+            submission.spec.fingerprint()
         )));
     }
 

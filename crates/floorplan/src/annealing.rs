@@ -4,7 +4,7 @@
 //! expression, accept improving moves always and worsening moves with
 //! probability `exp(-delta / T)`, and geometrically cool the temperature.
 //! It serves as the baseline engine against which the genetic floorplanner
-//! (the paper's reference [3]) is compared in the ablation benches.
+//! (the paper's reference \[3\]) is compared in the ablation benches.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -12,7 +12,7 @@ use crate::polish::PolishExpression;
 /// Optimisation engine used by the [`Floorplanner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Engine {
-    /// Genetic algorithm (the paper's thermal-aware floorplanner, ref [3]).
+    /// Genetic algorithm (the paper's thermal-aware floorplanner, ref \[3\]).
     Genetic(GaConfig),
     /// Simulated annealing (classical Wong–Liu baseline).
     Annealing(SaConfig),

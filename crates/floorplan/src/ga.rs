@@ -1,4 +1,4 @@
-//! Genetic-algorithm floorplanner (the engine of the paper's reference [3]).
+//! Genetic-algorithm floorplanner (the engine of the paper's reference \[3\]).
 //!
 //! Chromosomes are Polish expressions. Crossover builds a child from the
 //! operator *skeleton* of one parent (the positions and kinds of H/V cuts)

@@ -2,7 +2,7 @@
 //!
 //! The co-synthesis flow of *Hung et al., DATE 2005* (Figure 1.a) invokes a
 //! thermal-aware floorplanner — the genetic floorplanner of their reference
-//! [3] — whenever the allocation and scheduling procedure considers assigning
+//! \[3\] — whenever the allocation and scheduling procedure considers assigning
 //! a task to a specific PE of a customised architecture. This crate
 //! implements that floorplanner from scratch:
 //!

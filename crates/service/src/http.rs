@@ -15,7 +15,7 @@
 //! [`Response::allows_reuse`]); the server also closes on its per-
 //! connection request bound, on idle timeout, and on shutdown.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use crate::error::ServiceError;
 
@@ -280,21 +280,27 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<Response, ServiceError
     let body = if headers.iter().any(|(name, _)| name == "content-length") {
         read_body(reader, &headers)?
     } else {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        if bytes.len() > MAX_BODY {
-            return Err(ServiceError::Protocol(
-                "response body too large".to_string(),
-            ));
-        }
-        String::from_utf8(bytes)
-            .map_err(|_| ServiceError::Protocol("non-UTF-8 body".to_string()))?
+        read_to_close(reader, MAX_BODY)?
     };
     Ok(Response {
         status,
         headers,
         body,
     })
+}
+
+/// Reads a body framed by connection close, refusing more than `limit`
+/// bytes. At most `limit + 1` bytes are read, so a peer that never stops
+/// sending cannot grow the buffer without bound.
+fn read_to_close(reader: &mut impl BufRead, limit: usize) -> Result<String, ServiceError> {
+    let mut bytes = Vec::new();
+    reader.take(limit as u64 + 1).read_to_end(&mut bytes)?;
+    if bytes.len() > limit {
+        return Err(ServiceError::Protocol(
+            "response body too large".to_string(),
+        ));
+    }
+    String::from_utf8(bytes).map_err(|_| ServiceError::Protocol("non-UTF-8 body".to_string()))
 }
 
 #[cfg(test)]
@@ -404,6 +410,31 @@ mod tests {
         // Without content-length framing the stream was consumed: no reuse,
         // whatever the connection header claims.
         assert!(!response.allows_reuse());
+    }
+
+    #[test]
+    fn close_framed_bodies_stop_one_byte_past_the_limit() {
+        /// A peer that never stops sending.
+        struct Endless {
+            served: usize,
+        }
+        impl Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                buf.fill(b'x');
+                self.served += buf.len();
+                Ok(buf.len())
+            }
+        }
+        const LIMIT: usize = 4_096;
+        let mut reader = BufReader::new(Endless { served: 0 });
+        let error = read_to_close(&mut reader, LIMIT).expect_err("an endless body is refused");
+        assert!(matches!(error, ServiceError::Protocol(_)), "{error}");
+        // The read stopped at the limit (plus what one buffer fill held).
+        assert!(reader.get_ref().served <= LIMIT + 1 + reader.capacity());
+        // A body within the limit reads to EOF as before.
+        let body = "x".repeat(LIMIT);
+        let read = read_to_close(&mut BufReader::new(body.as_bytes()), LIMIT).expect("fits");
+        assert_eq!(read, body);
     }
 
     #[test]

@@ -52,10 +52,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tats_engine::CampaignSpec;
 use tats_trace::log::LogFilter;
 use tats_trace::metrics::Histogram;
-use tats_trace::spans::{id_hex, parse_id};
+use tats_trace::spans::{id_hex_or_empty, parse_id};
 use tats_trace::{jsonl, JsonValue};
 
 use crate::error::ServiceError;
@@ -102,18 +101,12 @@ fn protocol(message: String) -> ServiceError {
     ServiceError::Protocol(format!("journal: {message}"))
 }
 
-fn field_u64(event: &JsonValue, name: &str) -> Result<u64, ServiceError> {
-    event
-        .get(name)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| protocol(format!("event missing numeric field '{name}'")))
-}
-
-fn field_str<'e>(event: &'e JsonValue, name: &str) -> Result<&'e str, ServiceError> {
-    event
-        .get(name)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| protocol(format!("event missing string field '{name}'")))
+/// The job and shard index a lease response granted, `None` for an idle
+/// poll — what a `lease` event records and replay must reproduce.
+fn granted(response: &JsonValue) -> Option<(&str, u64)> {
+    let lease = response.get("lease")?;
+    let shard = lease.get("shard")?.as_str()?.split('/').next()?;
+    Some((lease.get("job")?.as_str()?, shard.parse().ok()?))
 }
 
 /// Replays a journal into a fresh [`Registry`] with the given lease TTL.
@@ -173,19 +166,11 @@ fn apply(
     event: &JsonValue,
     report: &mut ReplayReport,
 ) -> Result<(), ServiceError> {
-    match field_str(event, "event")? {
+    match event.field_str("event").map_err(protocol)? {
         "submit" => {
-            let spec = CampaignSpec::from_json(
-                event
-                    .get("spec")
-                    .ok_or_else(|| protocol("submit event missing 'spec'".to_string()))?,
-            )
-            .map_err(|e| protocol(format!("submit spec: {e}")))?;
-            let shards = field_u64(event, "shards")? as usize;
-            let now_ms = field_u64(event, "now_ms")?;
-            let journaled_job = field_str(event, "job")?;
-            // Trace fields are absent from pre-tracing journals; those
-            // replay as untraced jobs, exactly as they ran.
+            // Admission fields are absent from pre-quota journals, trace
+            // fields from pre-tracing ones; those replay under the shared
+            // default client, untraced — exactly as they ran.
             let trace_id = event
                 .get("trace_id")
                 .and_then(JsonValue::as_str)
@@ -195,20 +180,11 @@ fn apply(
                 .get("trace_us")
                 .and_then(JsonValue::as_u64)
                 .unwrap_or(0);
-            // Admission fields are absent from pre-quota journals; those
-            // replay under the shared default client at priority 0 — the
-            // FIFO those journals actually ran under.
-            let client = event
-                .get("client")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("default");
-            let priority = event
-                .get("priority")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0);
-            let submission = Submission::new(spec, shards)
-                .for_client(client, priority)
+            let submission = Submission::from_json(event)
+                .map_err(|e| protocol(format!("submit event: {e}")))?
                 .traced(trace_id, trace_us);
+            let now_ms = event.field_u64("now_ms").map_err(protocol)?;
+            let journaled_job = event.field_str("job").map_err(protocol)?;
             let status = registry
                 .submit(submission, now_ms)
                 .map_err(|e| protocol(format!("submit refused on replay: {e}")))?;
@@ -221,49 +197,35 @@ fn apply(
             report.jobs += 1;
         }
         "lease" => {
-            let worker = field_str(event, "worker")?;
-            let now_ms = field_u64(event, "now_ms")?;
-            let journaled_job = field_str(event, "job")?;
-            let journaled_shard = field_u64(event, "shard")?;
+            let worker = event.field_str("worker").map_err(protocol)?;
+            let now_ms = event.field_u64("now_ms").map_err(protocol)?;
+            let journaled_job = event.field_str("job").map_err(protocol)?;
+            let journaled_shard = event.field_u64("shard").map_err(protocol)?;
             let response = registry.lease(worker, now_ms);
-            let granted = response
-                .get("lease")
-                .ok_or_else(|| {
-                    protocol(format!(
-                        "lease for '{worker}' granted nothing on replay but the journal \
-                         says shard {journaled_shard} of '{journaled_job}'"
-                    ))
-                })?
-                .clone();
-            let job = granted.get("job").and_then(JsonValue::as_str).unwrap_or("");
-            let shard = granted
-                .get("shard")
-                .and_then(JsonValue::as_str)
-                .and_then(|s| s.split('/').next())
-                .and_then(|index| index.parse::<u64>().ok());
-            if job != journaled_job || shard != Some(journaled_shard) {
+            let replayed = granted(&response);
+            if replayed != Some((journaled_job, journaled_shard)) {
                 return Err(protocol(format!(
-                    "lease for '{worker}' replayed as {job}:{shard:?} but the journal \
+                    "lease for '{worker}' replayed as {replayed:?} but the journal \
                      says shard {journaled_shard} of '{journaled_job}'"
                 )));
             }
         }
         "ingest" => {
-            let job = field_str(event, "job")?;
-            let shard = field_u64(event, "shard")? as usize;
-            let worker = field_str(event, "worker")?;
-            let body = field_str(event, "body")?;
-            let now_ms = field_u64(event, "now_ms")?;
+            let job = event.field_str("job").map_err(protocol)?;
+            let shard = event.field_u64("shard").map_err(protocol)? as usize;
+            let worker = event.field_str("worker").map_err(protocol)?;
+            let body = event.field_str("body").map_err(protocol)?;
+            let now_ms = event.field_u64("now_ms").map_err(protocol)?;
             let ingested = registry
                 .ingest(job, shard, worker, body, now_ms)
                 .map_err(|e| protocol(format!("ingest refused on replay: {e}")))?;
             report.records += ingested.accepted;
         }
         "done" => {
-            let job = field_str(event, "job")?;
-            let shard = field_u64(event, "shard")? as usize;
-            let worker = field_str(event, "worker")?;
-            let now_ms = field_u64(event, "now_ms")?;
+            let job = event.field_str("job").map_err(protocol)?;
+            let shard = event.field_u64("shard").map_err(protocol)? as usize;
+            let worker = event.field_str("worker").map_err(protocol)?;
+            let now_ms = event.field_u64("now_ms").map_err(protocol)?;
             registry
                 .shard_done(job, shard, worker, now_ms)
                 .map_err(|e| protocol(format!("done refused on replay: {e}")))?;
@@ -535,33 +497,21 @@ impl JournaledRegistry {
         now_ms: u64,
     ) -> Result<JsonValue, ServiceError> {
         self.check_sealed()?;
-        let spec_json = submission.spec.to_json();
-        let shards = submission.shards;
-        let client = submission.client.clone();
-        let priority = submission.priority;
-        let trace_us = submission.trace_us;
-        let trace_hex = if submission.trace_id == 0 {
-            String::new()
-        } else {
-            id_hex(submission.trace_id)
-        };
+        let mut event = submission.to_fields();
+        event.push((
+            "trace_id".to_string(),
+            JsonValue::from(id_hex_or_empty(submission.trace_id).as_str()),
+        ));
+        event.push((
+            "trace_us".to_string(),
+            JsonValue::from(submission.trace_us as usize),
+        ));
         let status = self.registry.submit(submission, now_ms)?;
-        let job = status
-            .get("job")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("")
-            .to_string();
-        self.append(JsonValue::object(vec![
-            ("event".to_string(), JsonValue::from("submit")),
-            ("now_ms".to_string(), JsonValue::from(now_ms as usize)),
-            ("job".to_string(), JsonValue::from(job.as_str())),
-            ("shards".to_string(), JsonValue::from(shards)),
-            ("client".to_string(), JsonValue::from(client.as_str())),
-            ("priority".to_string(), JsonValue::from(priority as usize)),
-            ("trace_id".to_string(), JsonValue::from(trace_hex.as_str())),
-            ("trace_us".to_string(), JsonValue::from(trace_us as usize)),
-            ("spec".to_string(), spec_json),
-        ]))?;
+        let job = status.get("job").and_then(JsonValue::as_str).unwrap_or("");
+        event.push(("event".to_string(), JsonValue::from("submit")));
+        event.push(("now_ms".to_string(), JsonValue::from(now_ms as usize)));
+        event.push(("job".to_string(), JsonValue::from(job)));
+        self.append(JsonValue::object(event))?;
         Ok(status)
     }
 
@@ -575,23 +525,12 @@ impl JournaledRegistry {
     pub fn lease(&mut self, worker: &str, now_ms: u64) -> Result<JsonValue, ServiceError> {
         self.check_sealed()?;
         let response = self.registry.lease(worker, now_ms);
-        if let Some(lease) = response.get("lease") {
-            let job = lease
-                .get("job")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string();
-            let shard = lease
-                .get("shard")
-                .and_then(JsonValue::as_str)
-                .and_then(|s| s.split('/').next())
-                .and_then(|index| index.parse::<u64>().ok())
-                .unwrap_or(0);
+        if let Some((job, shard)) = granted(&response) {
             self.append(JsonValue::object(vec![
                 ("event".to_string(), JsonValue::from("lease")),
                 ("now_ms".to_string(), JsonValue::from(now_ms as usize)),
                 ("worker".to_string(), JsonValue::from(worker)),
-                ("job".to_string(), JsonValue::from(job.as_str())),
+                ("job".to_string(), JsonValue::from(job)),
                 ("shard".to_string(), JsonValue::from(shard as usize)),
             ]))?;
         }

@@ -162,13 +162,13 @@
 //! # Talking to a (restarted) server with curl
 //!
 //! ```text
-//! $ tats serve --addr 127.0.0.1:7070 --journal state.jsonl &
+//! $ tats serve --host 127.0.0.1 --port 7070 --journal state.jsonl &
 //! $ curl -s 127.0.0.1:7070/readyz
 //! {"ready":true,"replayed_events":0,...}
 //! $ curl -s -X POST 127.0.0.1:7070/jobs \
 //!     -d '{"spec":{"benchmarks":["Bm1"],...},"shards":4}'
 //! {"job":"j000001","state":"queued",...}
-//! $ kill -9 %1; tats serve --addr 127.0.0.1:7070 --journal state.jsonl &
+//! $ kill -9 %1; tats serve --host 127.0.0.1 --port 7070 --journal state.jsonl &
 //! $ curl -s 127.0.0.1:7070/readyz        # the job survived the kill
 //! {"ready":true,"replayed_events":1,"replayed_jobs":1,...}
 //! $ curl -s '127.0.0.1:7070/jobs/j000001/records?from=0' -D- | grep x-next-from

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use tats_engine::{CampaignSpec, ScenarioRecord, Shard, ShardBoard, ShardState, Summary};
 use tats_trace::log::{LogEvent, LogFilter, LogLevel};
-use tats_trace::spans::{id_hex, parse_id, SpanEvent, SpanIdGen, SpanKind};
+use tats_trace::spans::{id_hex, id_hex_or_empty, parse_id, SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::{jsonl, JsonValue};
 
 use crate::error::ServiceError;
@@ -61,11 +61,14 @@ fn build_log(
 /// The inputs of one job submission: the campaign plus the admission
 /// metadata (`client`, `priority`) and trace context that ride along.
 ///
-/// `POST /jobs` deserialises into this; the journal records it verbatim,
-/// so replay reconstructs the same admission state. The defaults
-/// ([`Submission::new`]) are what an old client that sends neither field
-/// gets: everyone shares one `"default"` client at priority 0, which
-/// degenerates the fair-admission lease scan to the pre-quota FIFO.
+/// [`Submission::to_fields`] and [`Submission::from_json`] are the one
+/// encoding of `{spec, shards, client, priority}`: `tats submit` sends it
+/// as the `POST /jobs` body, the server decodes it, and the journal's
+/// `submit` event carries the same fields, so replay reconstructs the same
+/// admission state. The defaults ([`Submission::new`]) are what an old
+/// client that sends neither field gets: everyone shares one `"default"`
+/// client at priority 0, which degenerates the fair-admission lease scan
+/// to the pre-quota FIFO.
 #[derive(Debug, Clone)]
 pub struct Submission {
     /// The campaign to run.
@@ -111,6 +114,48 @@ impl Submission {
         self.trace_id = trace_id;
         self.trace_us = trace_us;
         self
+    }
+
+    /// The `spec`, `shards`, `client` and `priority` fields of a
+    /// `POST /jobs` body and of a journaled `submit` event. The trace
+    /// context is not among them: a submitter sends it as the `x-trace-id`
+    /// header, and the journal adds its own `trace_id` and `trace_us`.
+    pub fn to_fields(&self) -> Vec<(String, JsonValue)> {
+        vec![
+            ("spec".to_string(), self.spec.to_json()),
+            ("shards".to_string(), JsonValue::from(self.shards)),
+            ("client".to_string(), JsonValue::from(self.client.as_str())),
+            (
+                "priority".to_string(),
+                JsonValue::from(self.priority as usize),
+            ),
+        ]
+    }
+
+    /// Decodes the fields [`Submission::to_fields`] writes into an
+    /// untraced submission. Only `spec` is required: `shards` defaults to
+    /// 1, and `client` and `priority` to the [`Submission::new`] defaults,
+    /// so bodies from old clients and events from old journals decode as
+    /// they ran.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing or malformed field.
+    pub fn from_json(value: &JsonValue) -> Result<Submission, String> {
+        let spec = CampaignSpec::from_json(value.field("spec")?).map_err(|e| e.to_string())?;
+        let integer = |name: &str, default: u64| match value.get(name) {
+            None => Ok(default),
+            Some(number) => number
+                .as_u64()
+                .ok_or_else(|| format!("'{name}' must be a non-negative integer")),
+        };
+        let client = match value.get("client") {
+            None => "default",
+            Some(JsonValue::String(name)) if !name.is_empty() => name.as_str(),
+            Some(_) => return Err("'client' must be a non-empty string".to_string()),
+        };
+        Ok(Submission::new(spec, integer("shards", 1)? as usize)
+            .for_client(client, integer("priority", 0)?))
     }
 }
 
@@ -178,6 +223,17 @@ impl Job {
             .copied()
             .filter(|&id| shard.owns(id))
             .collect()
+    }
+
+    /// Shard `index` of the job's board.
+    fn shard(&self, index: usize) -> Result<Shard, ServiceError> {
+        let count = self.board.count();
+        if index >= count {
+            return Err(ServiceError::BadRequest(format!(
+                "shard {index} out of range (job has {count} shards)"
+            )));
+        }
+        Ok(Shard { index, count })
     }
 
     /// The number of scenario ids one shard owns in total.
@@ -307,14 +363,7 @@ impl Job {
             ),
             (
                 "trace_id".to_string(),
-                JsonValue::from(
-                    if self.trace_id == 0 {
-                        String::new()
-                    } else {
-                        id_hex(self.trace_id)
-                    }
-                    .as_str(),
-                ),
+                JsonValue::from(id_hex_or_empty(self.trace_id).as_str()),
             ),
             ("spans".to_string(), JsonValue::from(self.spans.len())),
         ])
@@ -635,8 +684,9 @@ impl Registry {
     }
 
     /// Leases the next available shard to `worker`. Job order is the fair
-    /// scan of [`Registry::lease_order`]; within a job the board hands out
-    /// the lowest-indexed pending-or-expired shard. The response is
+    /// scan of `Registry::lease_order` (priority tiers, then round-robin
+    /// across clients); within a job the board hands out the
+    /// lowest-indexed pending-or-expired shard. The response is
     /// self-contained — spec, fingerprint, shard, completed ids — so a
     /// worker needs no other state to run (and resume) the shard.
     pub fn lease(&mut self, worker: &str, now_ms: u64) -> JsonValue {
@@ -769,16 +819,7 @@ impl Registry {
         let filter = Arc::clone(&self.log_filter);
         self.touch_worker(worker, now_ms);
         let job = self.job_mut(job_id)?;
-        let count = job.board.count();
-        if shard_index >= count {
-            return Err(ServiceError::BadRequest(format!(
-                "shard {shard_index} out of range (job has {count} shards)"
-            )));
-        }
-        let shard = Shard {
-            index: shard_index,
-            count,
-        };
+        let shard = job.shard(shard_index)?;
         // Validate the whole batch before mutating anything — including the
         // lease renewal: an ingest that errors must not leave records
         // half-applied or the lease extended (the journal only records
@@ -823,11 +864,7 @@ impl Registry {
                     return Err(ServiceError::BadRequest(format!(
                         "span line for trace '{}' but job {job_id} traces '{}'",
                         id_hex(trace_id),
-                        if job.trace_id == 0 {
-                            String::new()
-                        } else {
-                            id_hex(job.trace_id)
-                        }
+                        id_hex_or_empty(job.trace_id)
                     )));
                 }
                 // The verbatim line is what gets stored: the scan above is
@@ -945,16 +982,7 @@ impl Registry {
         let filter = Arc::clone(&self.log_filter);
         self.touch_worker(worker, now_ms);
         let job = self.job_mut(job_id)?;
-        let count = job.board.count();
-        if shard_index >= count {
-            return Err(ServiceError::BadRequest(format!(
-                "shard {shard_index} out of range (job has {count} shards)"
-            )));
-        }
-        let shard = Shard {
-            index: shard_index,
-            count,
-        };
+        let shard = job.shard(shard_index)?;
         let have = job.completed_in_shard(shard).len();
         let want = job.shard_size(shard);
         if have != want {
@@ -1069,14 +1097,7 @@ impl Registry {
     ///
     /// Returns [`ServiceError::NotFound`] for unknown jobs.
     pub fn records_from(&self, job_id: &str, from: usize) -> Result<(String, usize), ServiceError> {
-        let job = self.job(job_id)?;
-        let start = from.min(job.records.len());
-        let mut body = String::new();
-        for line in &job.records[start..] {
-            body.push_str(line);
-            body.push('\n');
-        }
-        Ok((body, job.records.len()))
+        Ok(jsonl::page(&self.job(job_id)?.records, 0, from))
     }
 
     /// The job's merged span stream — server transition spans and worker
@@ -1089,14 +1110,7 @@ impl Registry {
     ///
     /// Returns [`ServiceError::NotFound`] for unknown jobs.
     pub fn spans_from(&self, job_id: &str, from: usize) -> Result<(String, usize), ServiceError> {
-        let job = self.job(job_id)?;
-        let start = from.min(job.spans.len());
-        let mut body = String::new();
-        for line in &job.spans[start..] {
-            body.push_str(line);
-            body.push('\n');
-        }
-        Ok((body, job.spans.len()))
+        Ok(jsonl::page(&self.job(job_id)?.spans, 0, from))
     }
 
     /// The job's aggregated summary (partial while the job runs).
@@ -1127,106 +1141,15 @@ impl Registry {
             .sum()
     }
 
-    /// A deterministic, clock-free description of every piece of replayable
-    /// state: jobs with their full shard boards, record streams and running
-    /// summaries. Worker statistics are deliberately *excluded* — idle lease
-    /// polls touch them on a live server but are not journaled (they change
-    /// no replayable state), so they are exactly the part of the registry
-    /// that replay does not reconstruct. The journal tests pin
-    /// `snapshot(replay(journal)) == snapshot(live)` on this value.
+    /// The replay-test oracle: [`Registry::dump`] plus each job's running
+    /// `summary`, which [`Registry::restore`] re-folds from the records
+    /// rather than storing. Deterministic and clock-free; worker
+    /// statistics stay out like in `dump` — idle lease polls touch them on
+    /// a live server but are not journaled, so they are exactly the part
+    /// of the registry that replay does not reconstruct. The journal tests
+    /// pin `snapshot(replay(journal)) == snapshot(live)` on this value.
     pub fn snapshot(&self) -> JsonValue {
-        let jobs = self
-            .jobs
-            .values()
-            .map(|job| {
-                let shards: Vec<JsonValue> = (0..job.board.count())
-                    .map(|index| match job.board.state(index) {
-                        ShardState::Pending => JsonValue::from("pending"),
-                        ShardState::Done => JsonValue::from("done"),
-                        ShardState::Leased {
-                            worker,
-                            deadline_ms,
-                        } => JsonValue::object(vec![
-                            ("worker".to_string(), JsonValue::from(worker.as_str())),
-                            (
-                                "deadline_ms".to_string(),
-                                JsonValue::from(*deadline_ms as usize),
-                            ),
-                        ]),
-                    })
-                    .collect();
-                JsonValue::object(vec![
-                    ("job".to_string(), JsonValue::from(job.id.as_str())),
-                    (
-                        "fingerprint".to_string(),
-                        JsonValue::from(job.fingerprint.as_str()),
-                    ),
-                    ("client".to_string(), JsonValue::from(job.client.as_str())),
-                    (
-                        "priority".to_string(),
-                        JsonValue::from(job.priority as usize),
-                    ),
-                    (
-                        "created_ms".to_string(),
-                        JsonValue::from(job.created_ms as usize),
-                    ),
-                    ("shards".to_string(), JsonValue::Array(shards)),
-                    (
-                        "first_record_ms".to_string(),
-                        job.first_record_ms
-                            .map_or(JsonValue::Null, |ms| JsonValue::from(ms as usize)),
-                    ),
-                    (
-                        "last_record_ms".to_string(),
-                        job.last_record_ms
-                            .map_or(JsonValue::Null, |ms| JsonValue::from(ms as usize)),
-                    ),
-                    (
-                        "records".to_string(),
-                        JsonValue::Array(
-                            job.records
-                                .iter()
-                                .map(|line| JsonValue::from(line.as_str()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "trace_id".to_string(),
-                        JsonValue::from(
-                            if job.trace_id == 0 {
-                                String::new()
-                            } else {
-                                id_hex(job.trace_id)
-                            }
-                            .as_str(),
-                        ),
-                    ),
-                    (
-                        "spans".to_string(),
-                        JsonValue::Array(
-                            job.spans
-                                .iter()
-                                .map(|line| JsonValue::from(line.as_str()))
-                                .collect(),
-                        ),
-                    ),
-                    ("summary".to_string(), job.summary.to_json()),
-                ])
-            })
-            .collect();
-        JsonValue::object(vec![
-            (
-                "next_job".to_string(),
-                JsonValue::from(self.next_job as usize),
-            ),
-            (
-                "lease_cursor".to_string(),
-                JsonValue::object(self.lease_cursor.iter().map(|(priority, client)| {
-                    (priority.to_string(), JsonValue::from(client.as_str()))
-                })),
-            ),
-            ("jobs".to_string(), JsonValue::Array(jobs)),
-        ])
+        self.state_json(true)
     }
 
     /// Serialises the full replayable state for a compaction snapshot:
@@ -1234,10 +1157,15 @@ impl Registry {
     /// exactly — jobs with specs, shard boards (live leases included),
     /// record streams, completed ids, span streams, trace context,
     /// admission metadata, the job counter and the lease cursor. Worker
-    /// statistics stay out, matching [`Registry::snapshot`]'s definition
-    /// of replayable state. Trace ids are stored as hex strings — JSON
-    /// numbers lose u64 precision past 2^53.
+    /// statistics stay out: they are not replayable state. Trace ids are
+    /// stored as hex strings — JSON numbers lose u64 precision past 2^53.
     pub fn dump(&self) -> JsonValue {
+        self.state_json(false)
+    }
+
+    /// The one walk over the registry state behind [`Registry::dump`] and
+    /// [`Registry::snapshot`]; `summaries` adds each job's summary.
+    fn state_json(&self, summaries: bool) -> JsonValue {
         let jobs = self
             .jobs
             .values()
@@ -1258,7 +1186,7 @@ impl Registry {
                         ]),
                     })
                     .collect();
-                JsonValue::object(vec![
+                let mut fields = vec![
                     ("job".to_string(), JsonValue::from(job.id.as_str())),
                     ("spec".to_string(), job.spec.to_json()),
                     (
@@ -1286,14 +1214,7 @@ impl Registry {
                     ),
                     (
                         "trace_id".to_string(),
-                        JsonValue::from(
-                            if job.trace_id == 0 {
-                                String::new()
-                            } else {
-                                id_hex(job.trace_id)
-                            }
-                            .as_str(),
-                        ),
+                        JsonValue::from(id_hex_or_empty(job.trace_id).as_str()),
                     ),
                     (
                         "trace_us".to_string(),
@@ -1327,7 +1248,11 @@ impl Registry {
                                 .collect(),
                         ),
                     ),
-                ])
+                ];
+                if summaries {
+                    fields.push(("summary".to_string(), job.summary.to_json()));
+                }
+                JsonValue::object(fields)
             })
             .collect();
         JsonValue::object(vec![
@@ -1362,10 +1287,7 @@ impl Registry {
     /// boot instead of silently diverging).
     pub fn restore(&mut self, state: &JsonValue) -> Result<(usize, usize), ServiceError> {
         let bad = |message: String| ServiceError::Protocol(format!("snapshot: {message}"));
-        let next_job = state
-            .get("next_job")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| bad("missing 'next_job'".to_string()))?;
+        let next_job = state.field_u64("next_job").map_err(bad)?;
         let mut lease_cursor = BTreeMap::new();
         if let Some(JsonValue::Object(entries)) = state.get("lease_cursor") {
             for (priority, client) in entries {
@@ -1380,28 +1302,14 @@ impl Registry {
         }
         let mut jobs = BTreeMap::new();
         let mut records_restored = 0;
-        for entry in state
-            .get("jobs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing 'jobs' array".to_string()))?
-        {
-            let field = |name: &str| {
-                entry
-                    .get(name)
-                    .ok_or_else(|| bad(format!("job missing '{name}'")))
-            };
-            let id = field("job")?
-                .as_str()
-                .ok_or_else(|| bad("non-string job id".to_string()))?
-                .to_string();
-            let spec = CampaignSpec::from_json(field("spec")?)
-                .map_err(|e| bad(format!("job {id} spec: {e}")))?;
-            let fingerprint = field("fingerprint")?
-                .as_str()
-                .ok_or_else(|| bad("non-string fingerprint".to_string()))?
-                .to_string();
+        for entry in state.field_array("jobs").map_err(bad)? {
+            let id = entry.field_str("job").map_err(bad)?.to_string();
+            let bad = |message: String| bad(format!("job {id}: {message}"));
+            let spec = CampaignSpec::from_json(entry.field("spec").map_err(bad)?)
+                .map_err(|e| bad(format!("spec: {e}")))?;
+            let fingerprint = entry.field_str("fingerprint").map_err(bad)?.to_string();
             if fingerprint != spec.fingerprint() {
-                return Err(bad(format!("job {id} fingerprint does not match its spec")));
+                return Err(bad("fingerprint does not match its spec".to_string()));
             }
             let expected: HashMap<u64, String> = spec
                 .to_campaign()
@@ -1409,57 +1317,54 @@ impl Registry {
                 .iter()
                 .map(|s| (s.id, s.key()))
                 .collect();
-            let states = field("shards")?
-                .as_array()
-                .ok_or_else(|| bad("non-array shards".to_string()))?
+            let states = entry
+                .field_array("shards")
+                .map_err(bad)?
                 .iter()
                 .map(|shard| match shard {
                     JsonValue::String(s) if s == "pending" => Ok(ShardState::Pending),
                     JsonValue::String(s) if s == "done" => Ok(ShardState::Done),
-                    other => {
-                        let worker = other
-                            .get("worker")
-                            .and_then(JsonValue::as_str)
-                            .ok_or_else(|| bad(format!("job {id}: bad shard state")))?;
-                        let deadline_ms = other
-                            .get("deadline_ms")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| bad(format!("job {id}: bad lease deadline")))?;
-                        Ok(ShardState::Leased {
-                            worker: worker.to_string(),
-                            deadline_ms,
-                        })
-                    }
+                    leased => Ok(ShardState::Leased {
+                        worker: leased.field_str("worker")?.to_string(),
+                        deadline_ms: leased.field_u64("deadline_ms")?,
+                    }),
                 })
-                .collect::<Result<Vec<ShardState>, ServiceError>>()?;
-            let completed: BTreeSet<u64> = field("completed")?
-                .as_array()
-                .ok_or_else(|| bad("non-array completed".to_string()))?
+                .collect::<Result<Vec<ShardState>, String>>()
+                .map_err(bad)?;
+            let completed = entry
+                .field_array("completed")
+                .map_err(bad)?
                 .iter()
-                .filter_map(JsonValue::as_u64)
-                .collect();
+                .map(|value| {
+                    value
+                        .as_u64()
+                        .ok_or_else(|| bad("non-integer completed id".to_string()))
+                })
+                .collect::<Result<BTreeSet<u64>, ServiceError>>()?;
             let mut summary = Summary::new();
             let mut records = Vec::new();
-            for line in field("records")?
-                .as_array()
-                .ok_or_else(|| bad("non-array records".to_string()))?
-            {
+            let mut record_ids = BTreeSet::new();
+            for line in entry.field_array("records").map_err(bad)? {
                 let line = line
                     .as_str()
                     .ok_or_else(|| bad("non-string record line".to_string()))?;
-                let value = JsonValue::parse(line)
-                    .map_err(|e| bad(format!("job {id} record line: {e}")))?;
+                let value = JsonValue::parse(line).map_err(|e| bad(format!("record line: {e}")))?;
                 let record = ScenarioRecord::from_json(&value)
-                    .map_err(|e| bad(format!("job {id} record line: {e}")))?;
+                    .map_err(|e| bad(format!("record line: {e}")))?;
+                if !record_ids.insert(record.id) {
+                    return Err(bad(format!("record id {} repeats", record.id)));
+                }
                 summary.record(&record);
                 records.push(line.to_string());
             }
+            // Ingest dedups on `completed`: a set that disagrees with the
+            // records would let a re-streamed record in twice.
+            if completed != record_ids {
+                return Err(bad("completed ids do not match its record ids".to_string()));
+            }
             let mut spans = Vec::new();
             let mut span_ids = HashSet::new();
-            for line in field("spans")?
-                .as_array()
-                .ok_or_else(|| bad("non-array spans".to_string()))?
-            {
+            for line in entry.field_array("spans").map_err(bad)? {
                 let line = line
                     .as_str()
                     .ok_or_else(|| bad("non-string span line".to_string()))?;
@@ -1467,7 +1372,7 @@ impl Registry {
                     Some(ids) => ids,
                     None => SpanEvent::parse_line(line)
                         .map(|span| (span.trace_id, span.span_id))
-                        .map_err(|e| bad(format!("job {id} span line: {e}")))?,
+                        .map_err(|e| bad(format!("span line: {e}")))?,
                 };
                 span_ids.insert(span_id);
                 spans.push(line.to_string());
@@ -1482,16 +1387,9 @@ impl Registry {
                 records,
                 completed,
                 summary,
-                client: field("client")?
-                    .as_str()
-                    .ok_or_else(|| bad("non-string client".to_string()))?
-                    .to_string(),
-                priority: field("priority")?
-                    .as_u64()
-                    .ok_or_else(|| bad("non-numeric priority".to_string()))?,
-                created_ms: field("created_ms")?
-                    .as_u64()
-                    .ok_or_else(|| bad("non-numeric created_ms".to_string()))?,
+                client: entry.field_str("client").map_err(bad)?.to_string(),
+                priority: entry.field_u64("priority").map_err(bad)?,
+                created_ms: entry.field_u64("created_ms").map_err(bad)?,
                 first_record_ms: entry.get("first_record_ms").and_then(JsonValue::as_u64),
                 last_record_ms: entry.get("last_record_ms").and_then(JsonValue::as_u64),
                 trace_id: entry
@@ -2036,6 +1934,24 @@ mod tests {
             Registry::new(TTL).restore(&tampered),
             Err(ServiceError::Protocol(_))
         ));
+
+        // So is one whose completed ids are not exactly its record ids, or
+        // whose records repeat an id: ingest dedups on `completed`, so
+        // either would let a re-streamed record in twice.
+        let dump = registry.dump().to_json();
+        let quoted = |line: &str| JsonValue::from(line).to_json();
+        let repeated = dump.replace(&quoted(&lines[2]), &quoted(&lines[0]));
+        for tampered in [
+            dump.replace("\"completed\":[0,2]", "\"completed\":[\"x\"]"),
+            dump.replace("\"completed\":[0,2]", "\"completed\":[0]"),
+            dump.replace("\"completed\":[0,2]", "\"completed\":[0,1,2]"),
+            repeated.replace("\"completed\":[0,2]", "\"completed\":[0]"),
+        ] {
+            assert_ne!(tampered, dump);
+            let tampered = JsonValue::parse(&tampered).expect("parse");
+            let error = Registry::new(TTL).restore(&tampered).expect_err("refused");
+            assert!(matches!(error, ServiceError::Protocol(_)), "{error}");
+        }
     }
 
     #[test]

@@ -14,10 +14,16 @@
 //! to a JSONL journal ([`crate::journal`]) and a restart on the same file
 //! replays it — synchronously, inside [`Service::bind`], so a corrupt
 //! journal fails the boot instead of serving garbage. Until the replayed
-//! server declares itself ready, every endpoint except the probes answers
-//! `503` (transient — clients retry with [`crate::retry`]).
+//! server declares itself ready, every endpoint except the probes,
+//! `/metrics`, `/logs` and `/dashboard` answers `503` (transient — clients
+//! retry with [`crate::retry`]).
 //!
 //! # Endpoints
+//!
+//! One route table in this file — method, path template, whether the
+//! endpoint answers before ready, handler — drives dispatch, the ready gate
+//! and the endpoint labels of `GET /metrics` (the method and template, e.g.
+//! `GET /jobs/{id}/records`, plus `other` for anything else).
 //!
 //! | method & path | body | purpose |
 //! |---|---|---|
@@ -42,18 +48,24 @@
 //! # Observability
 //!
 //! The server keeps a [`MetricsRegistry`] ([`tats_trace::metrics`]): one
-//! latency histogram and per-status-class request counters per endpoint,
-//! connection/accept-backoff counters, lease request/grant counters, the
-//! journal append+flush latency, and gauges describing what boot-time
-//! replay reconstructed. Workers piggyback a snapshot of their own
+//! latency histogram and per-status-class request counters per endpoint
+//! label, connection/accept-backoff counters, lease request/grant
+//! counters, the journal append+flush latency, and gauges describing what
+//! boot-time replay reconstructed. Workers piggyback a snapshot of their own
 //! registry (lease-wait time, retry counts, engine phase spans, thermal
 //! cache hits) on every `POST /lease`; `GET /metrics` merges the latest
 //! snapshot per worker — labelled `worker="name"` — into one Prometheus
 //! text page. `/metrics` bypasses the ready gate, so a replaying server
 //! can be scraped. With [`ServiceConfig::access_log`] set, every request
-//! is also appended to a JSONL access log (crash-repaired on reopen, like
-//! the journal); each access-log line carries the request's `x-trace-id`
-//! (empty string when the client sent none).
+//! is also appended to a JSONL access log; each access-log line carries
+//! the request's `x-trace-id` (empty string when the client sent none).
+//!
+//! The access log, the trace log and the log file are written like the
+//! journal: through [`jsonl::JsonlWriter`], opened with
+//! [`jsonl::append_repaired`] so a line torn by a crash is dropped on
+//! reopen. Each request's lines go out in one batched write after the
+//! registry lock is released and before the response is sent, so a client
+//! that has its answer finds its lines on disk.
 //!
 //! # Distributed tracing
 //!
@@ -65,7 +77,9 @@
 //! `x-trace-id`. Job-owned spans are deterministic — derived ids plus a
 //! synthetic clock anchored at the submit instant make them pure functions
 //! of journaled events, so a restart replays the identical stream (served
-//! by `GET /jobs/{id}/spans`, analysed by `tats trace`).
+//! by `GET /jobs/{id}/spans`, analysed by `tats trace`). The trace log gets
+//! each span once: the spans replay regenerates at boot were written by
+//! the previous incarnation and are not appended again.
 //!
 //! # Structured logging
 //!
@@ -79,24 +93,24 @@
 //! lifecycle events (target `server`: listening, journal replayed,
 //! unparsable requests — wall-clock stamped, not replayed). With
 //! [`ServiceConfig::log_file`] set, every *live-emitted* line is also
-//! appended to a crash-repaired JSONL file; replay-regenerated lines are
-//! restored to the ring only, never re-appended to the file (the previous
-//! incarnation already wrote them). [`ServiceConfig::log_filter`] (or the
-//! `TATS_LOG` environment variable) picks levels per target; filtering
-//! happens before a line is built, so disabled call sites cost one branch.
+//! appended to that file; replay-regenerated lines are restored to the
+//! ring only, never re-appended to the file (the previous incarnation
+//! already wrote them). [`ServiceConfig::log_filter`] (or the `TATS_LOG`
+//! environment variable) picks levels per target; filtering happens
+//! before a line is built, so disabled call sites cost one branch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use tats_engine::CampaignSpec;
-use tats_trace::log::{log_channel, LogDrain, LogEvent, LogFilter, LogLevel, LogRing, LogSink};
+use tats_trace::log::{LogEvent, LogFilter, LogLevel, LogRing};
 use tats_trace::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
-use tats_trace::spans::{self, SpanDrain, SpanEvent, SpanIdGen, SpanKind, SpanSink};
+use tats_trace::spans::{self, SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::{jsonl, JsonValue};
 
 use crate::error::ServiceError;
@@ -195,29 +209,135 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Every endpoint label `GET /metrics` reports. Pre-registered at bind so
-/// the hot path is a `HashMap` lookup plus relaxed atomics — no lock, no
-/// allocation.
-const ENDPOINTS: [&str; 18] = [
-    "GET /healthz",
-    "GET /readyz",
-    "GET /metrics",
-    "GET /logs",
-    "GET /dashboard",
-    "POST /jobs",
-    "GET /jobs",
-    "GET /jobs/{id}",
-    "GET /jobs/{id}/records",
-    "GET /jobs/{id}/spans",
-    "GET /jobs/{id}/progress",
-    "GET /jobs/{id}/summary",
-    "GET /workers",
-    "POST /lease",
-    "POST /jobs/{id}/shards/{i}/records",
-    "POST /jobs/{id}/shards/{i}/done",
-    "POST /compact",
-    "other",
+/// A route handler: answers one request whose path matched its row.
+type Handler = fn(&Call<'_>) -> Result<Reply, ServiceError>;
+
+/// The route table, one row per endpoint: method, path template (each
+/// `{…}` segment matches any one segment, handed to the handler in
+/// [`Call::params`]), whether the endpoint answers before the server is
+/// ready, and the handler. It drives dispatch, the readiness gate and the
+/// endpoint labels of `GET /metrics` — `"{method} {path}"`, plus `other`
+/// for requests no row matches, so the label set stays bounded whatever
+/// clients send.
+const ROUTES: [(&str, &str, bool, Handler); 17] = [
+    // The probes bypass the registry lock: /healthz means "the process
+    // accepts connections", /readyz means "the journal is replayed and
+    // requests will be served". /metrics, /logs and /dashboard answer
+    // before ready too, so a server replaying a large journal can be
+    // watched while it does.
+    ("GET", "/healthz", true, |_| {
+        Ok(Reply::json(&JsonValue::object(vec![(
+            "ok".to_string(),
+            JsonValue::from(true),
+        )])))
+    }),
+    ("GET", "/readyz", true, readyz),
+    ("GET", "/metrics", true, metrics),
+    ("GET", "/logs", true, |call| {
+        let from = call.paged_from()?;
+        let ring = call
+            .shared
+            .logs
+            .ring
+            .lock()
+            .map_err(|_| poisoned("log ring"))?;
+        Ok(Reply::page(ring.page(from)))
+    }),
+    ("GET", "/dashboard", true, |call| {
+        Ok(Reply {
+            status: 200,
+            content_type: "text/html; charset=utf-8",
+            extra: Vec::new(),
+            body: render_dashboard(call.shared, call.epoch)?,
+        })
+    }),
+    ("POST", "/jobs", false, submit),
+    ("GET", "/jobs", false, |call| {
+        let (state, now) = call.lock()?;
+        Ok(Reply::json(&state.registry().jobs_status(now)))
+    }),
+    ("GET", "/jobs/{id}", false, |call| {
+        let (state, now) = call.lock()?;
+        Ok(Reply::json(
+            &state.registry().job_status(call.params[0], now)?,
+        ))
+    }),
+    ("GET", "/jobs/{id}/records", false, |call| {
+        let from = call.paged_from()?;
+        let (state, _) = call.lock()?;
+        Ok(Reply::page(
+            state.registry().records_from(call.params[0], from)?,
+        ))
+    }),
+    ("GET", "/jobs/{id}/spans", false, |call| {
+        let from = call.paged_from()?;
+        let (state, _) = call.lock()?;
+        Ok(Reply::page(
+            state.registry().spans_from(call.params[0], from)?,
+        ))
+    }),
+    ("GET", "/jobs/{id}/progress", false, progress),
+    ("GET", "/jobs/{id}/summary", false, |call| {
+        let (state, now) = call.lock()?;
+        Ok(Reply::json(&state.registry().summary(call.params[0], now)?))
+    }),
+    ("GET", "/workers", false, |call| {
+        let (state, now) = call.lock()?;
+        Ok(Reply::json(&state.registry().workers_status(now)))
+    }),
+    ("POST", "/lease", false, lease),
+    ("POST", "/jobs/{id}/shards/{i}/records", false, ingest),
+    ("POST", "/jobs/{id}/shards/{i}/done", false, |call| {
+        let worker = worker_header(call.request)?;
+        let index = parse_shard_index(call.params[1])?;
+        let (mut state, now) = call.lock()?;
+        Ok(Reply::json(&state.shard_done(
+            call.params[0],
+            index,
+            worker,
+            now,
+        )?))
+    }),
+    ("POST", "/compact", false, |call| {
+        // On-demand journal compaction: fold the whole journal into one
+        // snapshot event right now (400 without a journal).
+        let report = call.lock()?.0.compact()?;
+        Ok(Reply::json(&JsonValue::object(vec![
+            (
+                "bytes_before".to_string(),
+                JsonValue::from(report.bytes_before as usize),
+            ),
+            (
+                "bytes_after".to_string(),
+                JsonValue::from(report.bytes_after as usize),
+            ),
+        ])))
+    }),
 ];
+
+/// The [`ROUTES`] row a request matches, with the path segments its
+/// `{…}` templates captured.
+fn find_route(request: &Request) -> Option<(usize, Vec<&str>)> {
+    let segments = request.segments();
+    ROUTES
+        .iter()
+        .enumerate()
+        .find_map(|(index, (method, path, _, _))| {
+            if *method != request.method {
+                return None;
+            }
+            let mut template = path.split('/').skip(1);
+            let mut params = Vec::new();
+            for segment in &segments {
+                match template.next()? {
+                    part if part.starts_with('{') => params.push(*segment),
+                    part if part == *segment => {}
+                    _ => return None,
+                }
+            }
+            template.next().is_none().then_some((index, params))
+        })
+}
 
 /// Status classes `http_requests_total` is partitioned into.
 const STATUS_CLASSES: [&str; 4] = ["2xx", "4xx", "5xx", "other"];
@@ -231,33 +351,9 @@ fn status_class_index(status: u16) -> usize {
     }
 }
 
-/// The template label a request routes to (path parameters collapsed, so
-/// the label set stays bounded no matter what clients send).
-fn endpoint_label(method: &str, segments: &[&str]) -> &'static str {
-    match (method, segments) {
-        ("GET", ["healthz"]) => "GET /healthz",
-        ("GET", ["readyz"]) => "GET /readyz",
-        ("GET", ["metrics"]) => "GET /metrics",
-        ("GET", ["logs"]) => "GET /logs",
-        ("GET", ["dashboard"]) => "GET /dashboard",
-        ("POST", ["jobs"]) => "POST /jobs",
-        ("GET", ["jobs"]) => "GET /jobs",
-        ("GET", ["jobs", _]) => "GET /jobs/{id}",
-        ("GET", ["jobs", _, "records"]) => "GET /jobs/{id}/records",
-        ("GET", ["jobs", _, "spans"]) => "GET /jobs/{id}/spans",
-        ("GET", ["jobs", _, "progress"]) => "GET /jobs/{id}/progress",
-        ("GET", ["jobs", _, "summary"]) => "GET /jobs/{id}/summary",
-        ("GET", ["workers"]) => "GET /workers",
-        ("POST", ["lease"]) => "POST /lease",
-        ("POST", ["jobs", _, "shards", _, "records"]) => "POST /jobs/{id}/shards/{i}/records",
-        ("POST", ["jobs", _, "shards", _, "done"]) => "POST /jobs/{id}/shards/{i}/done",
-        ("POST", ["compact"]) => "POST /compact",
-        _ => "other",
-    }
-}
-
 /// Per-endpoint handles into the server's [`MetricsRegistry`].
 struct EndpointMetrics {
+    label: String,
     latency: Arc<Histogram>,
     classes: [Arc<Counter>; 4],
 }
@@ -266,7 +362,10 @@ struct EndpointMetrics {
 /// counts per endpoint, connection and accept-loop health, lease traffic.
 struct ServerMetrics {
     registry: MetricsRegistry,
-    endpoints: HashMap<&'static str, EndpointMetrics>,
+    /// One entry per [`ROUTES`] row, then `other`. Registered at bind, so
+    /// the hot path is an index plus relaxed atomics — no lock, no
+    /// allocation.
+    endpoints: Vec<EndpointMetrics>,
     connections: Arc<Counter>,
     connections_rejected: Arc<Counter>,
     accept_backoff: Arc<Counter>,
@@ -277,21 +376,21 @@ struct ServerMetrics {
 impl ServerMetrics {
     fn new() -> Self {
         let registry = MetricsRegistry::new();
-        let mut endpoints = HashMap::new();
-        for endpoint in ENDPOINTS {
-            endpoints.insert(
-                endpoint,
-                EndpointMetrics {
-                    latency: registry.histogram("http_request_seconds", &[("endpoint", endpoint)]),
-                    classes: STATUS_CLASSES.map(|class| {
-                        registry.counter(
-                            "http_requests_total",
-                            &[("class", class), ("endpoint", endpoint)],
-                        )
-                    }),
-                },
-            );
-        }
+        let endpoints = ROUTES
+            .iter()
+            .map(|(method, path, _, _)| format!("{method} {path}"))
+            .chain(["other".to_string()])
+            .map(|label| EndpointMetrics {
+                latency: registry.histogram("http_request_seconds", &[("endpoint", &label)]),
+                classes: STATUS_CLASSES.map(|class| {
+                    registry.counter(
+                        "http_requests_total",
+                        &[("class", class), ("endpoint", &label)],
+                    )
+                }),
+                label,
+            })
+            .collect();
         ServerMetrics {
             connections: registry.counter("http_connections_total", &[]),
             connections_rejected: registry.counter("http_connections_rejected_total", &[]),
@@ -303,22 +402,25 @@ impl ServerMetrics {
         }
     }
 
-    /// Records one served request under its endpoint template.
-    fn request(&self, endpoint: &'static str, status: u16, elapsed: Duration) {
-        if let Some(metrics) = self.endpoints.get(endpoint) {
-            metrics.latency.record_duration(elapsed);
-            metrics.classes[status_class_index(status)].inc();
-        }
+    /// Records one served request under its endpoint (a [`ROUTES`] index,
+    /// or `ROUTES.len()` for `other`).
+    fn request(&self, endpoint: usize, status: u16, elapsed: Duration) {
+        let metrics = &self.endpoints[endpoint];
+        metrics.latency.record_duration(elapsed);
+        metrics.classes[status_class_index(status)].inc();
     }
 }
 
-/// The server's span-log plumbing ([`ServiceConfig::trace_log`]): one
-/// lock-free sink every connection handler records through, the drain
-/// that batches buffered lines into the crash-repaired file, and the id
+/// Opens one of the server's JSONL outputs for appending, dropping a
+/// partial final line a crash left behind (see [`jsonl::append_repaired`]).
+fn open_jsonl(path: &Path) -> Result<Mutex<jsonl::JsonlWriter<File>>, ServiceError> {
+    Ok(Mutex::new(jsonl::append_repaired(path)?.0))
+}
+
+/// The server's span log ([`ServiceConfig::trace_log`]) and the id
 /// generator for per-request spans.
 struct TraceLog {
-    sink: SpanSink,
-    drain: Mutex<SpanDrain>,
+    file: Mutex<jsonl::JsonlWriter<File>>,
     ids: Mutex<SpanIdGen>,
 }
 
@@ -327,60 +429,35 @@ struct TraceLog {
 /// the oldest retained index) but never stalls.
 pub const LOG_RING_CAPACITY: usize = 1_024;
 
-/// The server's structured-log plumbing: a lock-free sink the handlers
-/// and the registry feed, the drain that collects emitted lines, the
-/// bounded ring behind `GET /logs`, and the optional `--log-file`.
+/// The server's structured-log outputs: the bounded ring behind
+/// `GET /logs` and the optional `--log-file`, plus the filter the server's
+/// own events must pass (registry lines were checked when built).
 struct ServerLogs {
-    sink: LogSink,
-    drain: Mutex<LogDrain>,
+    filter: LogFilter,
     ring: Mutex<LogRing>,
-    file: Option<Mutex<std::fs::File>>,
+    file: Option<Mutex<jsonl::JsonlWriter<File>>>,
 }
 
 impl ServerLogs {
-    fn new(filter: LogFilter, file: Option<std::fs::File>) -> ServerLogs {
-        let (sink, drain) = log_channel(filter);
-        ServerLogs {
-            sink,
-            drain: Mutex::new(drain),
-            ring: Mutex::new(LogRing::new(LOG_RING_CAPACITY)),
-            file: file.map(Mutex::new),
-        }
-    }
-
-    /// Moves every line emitted since the last call into the ring and, when
-    /// configured, the `--log-file` (one batched write + flush). Logging is
-    /// best-effort: I/O errors and poisoned locks drop lines, never requests.
-    fn flush(&self) {
-        let lines = match self.drain.lock() {
-            Ok(mut drain) => drain.drain_lines(),
-            Err(_) => return,
-        };
+    /// Appends live lines to the `--log-file`, when configured, in one
+    /// batched write, then to the ring. Logging is best-effort: I/O errors
+    /// and poisoned locks drop lines, never requests.
+    fn publish(&self, lines: Vec<String>) {
         if lines.is_empty() {
             return;
         }
-        if let Some(file) = &self.file {
-            if let Ok(mut file) = file.lock() {
-                use std::io::Write as _;
-                let mut batch = String::new();
-                for line in &lines {
-                    batch.push_str(line);
-                    batch.push('\n');
-                }
-                let _ = file.write_all(batch.as_bytes());
-                let _ = file.flush();
-            }
+        if let Some(Ok(mut file)) = self.file.as_ref().map(Mutex::lock) {
+            let _ = file.write_lines(&lines);
         }
         if let Ok(mut ring) = self.ring.lock() {
             ring.extend(lines);
         }
     }
 
-    /// Restores replay-regenerated lines to the ring without touching the
-    /// `--log-file` — the previous incarnation already wrote them there.
-    fn restore(&self, lines: Vec<String>) {
-        if let Ok(mut ring) = self.ring.lock() {
-            ring.extend(lines);
+    /// Publishes one of the server's own events if the filter passes it.
+    fn log(&self, event: &LogEvent) {
+        if self.filter.enabled(event.level, &event.target) {
+            self.publish(vec![event.to_line()]);
         }
     }
 }
@@ -405,15 +482,16 @@ struct Shared {
     /// every `/metrics` scrape — accumulating them here would double-count.
     worker_metrics: Mutex<BTreeMap<String, MetricsSnapshot>>,
     /// JSONL access log ([`ServiceConfig::access_log`]).
-    access_log: Option<Mutex<jsonl::JsonlWriter<std::fs::File>>>,
+    access_log: Option<Mutex<jsonl::JsonlWriter<File>>>,
     /// JSONL span log ([`ServiceConfig::trace_log`]).
     trace: Option<TraceLog>,
-    /// Structured-log ring, sink and optional `--log-file`.
+    /// Structured-log ring and optional `--log-file`.
     logs: ServerLogs,
     /// `(now_ms, total records)` samples taken on each `GET /dashboard`
     /// render — the fleet-throughput sparkline's data.
     throughput: Mutex<Vec<(u64, u64)>>,
-    /// Readiness gate: until set, every endpoint except the probes is 503.
+    /// Readiness gate: until set, every route not marked to answer before
+    /// ready is 503.
     ready: AtomicBool,
     /// Graceful-shutdown flag: the accept loop exits, in-flight responses
     /// carry `connection: close`.
@@ -549,7 +627,8 @@ impl Service {
         // Replay-regenerated log lines restore `GET /logs` continuity, but
         // only through the ring: the previous incarnation already appended
         // them to any `--log-file`.
-        let replayed_log_lines = state.take_log_lines();
+        let mut ring = LogRing::new(LOG_RING_CAPACITY);
+        ring.extend(state.take_log_lines());
         let metrics = ServerMetrics::new();
         // What boot-time replay reconstructed, as gauges: the post-restart
         // scrape target of the crash-recovery smoke test.
@@ -573,22 +652,12 @@ impl Service {
             .gauge("journal_leases_reset", &[])
             .set(leases_reset as u64);
         state.set_append_latency(registry.histogram("journal_append_seconds", &[]));
-        let access_log = match &config.access_log {
-            Some(path) => {
-                let (writer, _) = jsonl::append_repaired(path)?;
-                Some(Mutex::new(writer))
-            }
-            None => None,
-        };
-        let trace = match &config.trace_log {
-            Some(path) => {
-                let (sink, drain, _) = spans::span_log(path)?;
-                Some(TraceLog {
-                    sink,
-                    drain: Mutex::new(drain),
-                    ids: Mutex::new(SpanIdGen::seeded(spans::now_us())),
-                })
-            }
+        let access_log = config.access_log.as_deref().map(open_jsonl).transpose()?;
+        let trace = match config.trace_log.as_deref() {
+            Some(path) => Some(TraceLog {
+                file: open_jsonl(path)?,
+                ids: Mutex::new(SpanIdGen::seeded(spans::now_us())),
+            }),
             None => None,
         };
         // Journal replay regenerated the transition spans of every replayed
@@ -598,22 +667,18 @@ impl Service {
         // trace log the feed stays off entirely — no per-span copies.
         let _ = state.take_trace_lines();
         state.set_trace_buffered(trace.is_some());
-        let log_output = match &config.log_file {
-            Some(path) => {
-                let (writer, _) = jsonl::append_repaired(path)?;
-                Some(writer.into_inner())
-            }
-            None => None,
+        let logs = ServerLogs {
+            filter: log_filter,
+            ring: Mutex::new(ring),
+            file: config.log_file.as_deref().map(open_jsonl).transpose()?,
         };
-        let logs = ServerLogs::new(log_filter, log_output);
-        logs.restore(replayed_log_lines);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        logs.sink.log(
+        logs.log(
             &LogEvent::new(LogLevel::Info, "server", "listening").attr("addr", addr.to_string()),
         );
         if replay.events > 0 || leases_reset > 0 {
-            logs.sink.log(
+            logs.log(
                 &LogEvent::new(LogLevel::Info, "server", "journal replayed")
                     .attr("events", replay.events.to_string())
                     .attr("jobs", replay.jobs.to_string())
@@ -621,7 +686,6 @@ impl Service {
                     .attr("leases_reset", leases_reset.to_string()),
             );
         }
-        logs.flush();
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
             replay,
@@ -784,11 +848,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig,
         let request = match read_request(&mut reader) {
             Ok(request) => request,
             Err(error) => {
-                shared.logs.sink.log(
+                shared.logs.log(
                     &LogEvent::new(LogLevel::Warn, "server", "unparsable request")
                         .attr("error", error.to_string()),
                 );
-                shared.logs.flush();
                 let _ = write_response(
                     &mut writer,
                     400,
@@ -805,34 +868,29 @@ fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig,
             && !request.wants_close()
             && !shared.stop.load(Ordering::SeqCst);
         let clock = Instant::now();
-        let endpoint = endpoint_label(&request.method, &request.segments());
-        let (status, content_type, extra, body) = route(&request, shared, epoch);
+        let route = find_route(&request);
+        let endpoint = route.as_ref().map_or(ROUTES.len(), |(index, _)| *index);
+        let reply = respond(route, &request, shared, epoch);
         if shared.dead.load(Ordering::SeqCst) {
             // An aborted (pseudo-killed) server does not answer; the client
             // sees a dropped connection, exactly like a real crash.
             return;
         }
-        shared.metrics.request(endpoint, status, clock.elapsed());
-        // Registry transitions buffer the span lines they emit; drain them
-        // after every state-mutating request so the trace log trails the
-        // journal by at most one request. Drained even with no trace log
-        // configured, so the buffer never grows unbounded.
-        if request.method == "POST" {
-            if let Ok(mut state) = shared.state.lock() {
-                let lines = state.take_trace_lines();
-                if let Some(trace) = &shared.trace {
-                    for line in &lines {
-                        trace.sink.record_line(line);
-                    }
-                }
-                // Registry log lines were filter-checked when built; they
-                // re-enter the server stream verbatim.
-                for line in state.take_log_lines() {
-                    shared.logs.sink.log_line(&line);
-                }
-            }
-        }
-        shared.logs.flush();
+        shared
+            .metrics
+            .request(endpoint, reply.status, clock.elapsed());
+        // Registry transitions buffer the span and log lines they emit.
+        // Every state-mutating request takes them under the registry lock,
+        // so the buffers never grow, and writes them once the lock is
+        // released, before the response: the trace log and the log file
+        // trail the journal by at most one request. Registry log lines were
+        // filter-checked when built.
+        let (mut span_lines, log_lines) =
+            match (request.method == "POST").then(|| shared.state.lock()) {
+                Some(Ok(mut state)) => (state.take_trace_lines(), state.take_log_lines()),
+                _ => (Vec::new(), Vec::new()),
+            };
+        shared.logs.publish(log_lines);
         if let Some(trace) = &shared.trace {
             // Any request carrying a valid x-trace-id gets a request span
             // in the trace log (not in per-job streams: request spans are
@@ -845,18 +903,18 @@ fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig,
                     trace_id,
                     span_id,
                     Some(SpanIdGen::derive(trace_id, "campaign")),
-                    endpoint,
+                    &shared.metrics.endpoints[endpoint].label,
                     SpanKind::Server,
                     start_us,
                     end_us,
                 )
                 .attr("method", request.method.as_str())
                 .attr("path", request.path.as_str())
-                .attr("status", status.to_string());
-                trace.sink.record(&span);
+                .attr("status", reply.status.to_string());
+                span_lines.push(span.to_line());
             }
-            if let Ok(mut drain) = trace.drain.lock() {
-                let _ = drain.flush();
+            if let Ok(mut file) = trace.file.lock() {
+                let _ = file.write_lines(&span_lines);
             }
         }
         if let Some(log) = &shared.access_log {
@@ -868,13 +926,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig,
                         JsonValue::from(request.method.as_str()),
                     ),
                     ("path".to_string(), JsonValue::from(request.path.as_str())),
-                    ("status".to_string(), JsonValue::from(status as usize)),
+                    ("status".to_string(), JsonValue::from(reply.status as usize)),
                     (
                         "duration_us".to_string(),
                         JsonValue::from(clock.elapsed().as_micros() as usize),
                     ),
                     ("bytes_in".to_string(), JsonValue::from(request.body.len())),
-                    ("bytes_out".to_string(), JsonValue::from(body.len())),
+                    ("bytes_out".to_string(), JsonValue::from(reply.body.len())),
                     ("keep_alive".to_string(), JsonValue::from(keep_alive)),
                     (
                         "trace_id".to_string(),
@@ -883,10 +941,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig,
                 ]));
             }
         }
-        let extra: Vec<(&str, String)> = extra
-            .iter()
-            .map(|(name, value)| (name.as_str(), value.clone()))
-            .collect();
+        let Reply {
+            status,
+            content_type,
+            extra,
+            body,
+        } = reply;
         if write_response(&mut writer, status, content_type, &extra, &body, keep_alive).is_err()
             || !keep_alive
         {
@@ -895,44 +955,86 @@ fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig,
     }
 }
 
-/// Routes one request. Returns `(status, content-type, extra headers,
-/// body)`; errors become plain-text bodies with the error's status code.
-fn route(
+/// Answers one request: through the handler of its [`ROUTES`] row when
+/// the row matched and may answer now; otherwise `503` before the server
+/// is ready and `404` after. Errors become plain-text bodies with the
+/// error's status code.
+fn respond(
+    route: Option<(usize, Vec<&str>)>,
     request: &Request,
     shared: &Shared,
     epoch: Instant,
-) -> (u16, &'static str, Vec<(String, String)>, String) {
-    match dispatch(request, shared, epoch) {
-        Ok(Reply {
-            status,
-            content_type,
+) -> Reply {
+    let ready = shared.ready.load(Ordering::SeqCst);
+    let result = match route {
+        Some((index, params)) if ready || ROUTES[index].2 => (ROUTES[index].3)(&Call {
+            request,
+            params,
+            shared,
+            epoch,
+        }),
+        _ if !ready => Err(ServiceError::Unavailable(
+            "starting up (journal replay not yet served); retry shortly".to_string(),
+        )),
+        _ => Err(ServiceError::NotFound(format!(
+            "{} {}",
+            request.method, request.path
+        ))),
+    };
+    result.unwrap_or_else(|error| {
+        // Quota refusals carry their wait hint as a header too, so plain
+        // HTTP clients see it without parsing the body.
+        let extra = match &error {
+            ServiceError::RateLimited { retry_after_s, .. } => {
+                vec![("retry-after", retry_after_s.to_string())]
+            }
+            _ => Vec::new(),
+        };
+        Reply {
+            status: error.status_code(),
+            content_type: "text/plain",
             extra,
-            body,
-        }) => (status, content_type, extra, body),
-        Err(error) => {
-            // Quota refusals carry their wait hint as a header too, so
-            // plain HTTP clients see it without parsing the body.
-            let extra = match &error {
-                ServiceError::RateLimited { retry_after_s, .. } => {
-                    vec![("retry-after".to_string(), retry_after_s.to_string())]
-                }
-                _ => Vec::new(),
-            };
-            (
-                error.status_code(),
-                "text/plain",
-                extra,
-                format!("{error}\n"),
-            )
+            body: format!("{error}\n"),
         }
+    })
+}
+
+/// What a route handler is given.
+struct Call<'r> {
+    request: &'r Request,
+    /// The path segments the row's `{…}` templates matched, in order.
+    params: Vec<&'r str>,
+    shared: &'r Shared,
+    epoch: Instant,
+}
+
+impl Call<'_> {
+    /// Takes the registry lock, then reads the server clock, so the
+    /// timestamps transitions are journaled with follow the lock order.
+    fn lock(&self) -> Result<(MutexGuard<'_, JournaledRegistry>, u64), ServiceError> {
+        let state = self.shared.state.lock().map_err(|_| poisoned("registry"))?;
+        Ok((state, now_ms(self.epoch)))
+    }
+
+    /// The `?from=k` index of a paged endpoint (0 when absent).
+    fn paged_from(&self) -> Result<usize, ServiceError> {
+        self.request.query_param("from").map_or(Ok(0), |value| {
+            value
+                .parse()
+                .map_err(|_| ServiceError::BadRequest(format!("bad 'from' value '{value}'")))
+        })
     }
 }
 
-/// A successful route result.
+fn poisoned(what: &str) -> ServiceError {
+    ServiceError::Protocol(format!("{what} mutex poisoned"))
+}
+
+/// A response before it is written.
 struct Reply {
     status: u16,
     content_type: &'static str,
-    extra: Vec<(String, String)>,
+    extra: Vec<(&'static str, String)>,
     body: String,
 }
 
@@ -943,6 +1045,17 @@ impl Reply {
             content_type: "application/json",
             extra: Vec::new(),
             body: value.to_json(),
+        }
+    }
+
+    /// One page of a `?from=k` JSONL stream, with the index to poll from
+    /// next in the `x-next-from` header.
+    fn page((body, next): (String, usize)) -> Reply {
+        Reply {
+            status: 200,
+            content_type: "application/jsonl",
+            extra: vec![("x-next-from", next.to_string())],
+            body,
         }
     }
 }
@@ -960,354 +1073,200 @@ fn parse_body_json(request: &Request) -> Result<JsonValue, ServiceError> {
         .map_err(|e| ServiceError::BadRequest(format!("request body: {e}")))
 }
 
-fn dispatch(request: &Request, shared: &Shared, epoch: Instant) -> Result<Reply, ServiceError> {
-    let segments = request.segments();
-    // The probes bypass both the readiness gate and the registry lock:
-    // /healthz means "the process accepts connections", /readyz means "the
-    // journal is replayed and requests will be served".
-    let ready = shared.ready.load(Ordering::SeqCst);
-    match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => {
-            return Ok(Reply::json(&JsonValue::object(vec![(
-                "ok".to_string(),
-                JsonValue::from(true),
-            )])))
-        }
-        ("GET", ["readyz"]) => {
-            let body = JsonValue::object(vec![
-                ("ready".to_string(), JsonValue::from(ready)),
-                (
-                    "replayed_events".to_string(),
-                    JsonValue::from(shared.replay.events),
-                ),
-                (
-                    "replayed_jobs".to_string(),
-                    JsonValue::from(shared.replay.jobs),
-                ),
-                (
-                    "replayed_records".to_string(),
-                    JsonValue::from(shared.replay.records),
-                ),
-                (
-                    "replayed_snapshots".to_string(),
-                    JsonValue::from(shared.replay.snapshots),
-                ),
-                (
-                    "repaired_bytes".to_string(),
-                    JsonValue::from(shared.replay.repaired_bytes as usize),
-                ),
-                (
-                    "leases_reset".to_string(),
-                    JsonValue::from(shared.leases_reset),
-                ),
-            ]);
-            return Ok(Reply {
-                status: if ready { 200 } else { 503 },
-                content_type: "application/json",
-                extra: Vec::new(),
-                body: body.to_json(),
-            });
-        }
-        ("GET", ["metrics"]) => {
-            // Scrapeable before the ready gate, like the probes: a server
-            // replaying a large journal should be observable while it does.
-            // Compactions are pulled from the journal at scrape time —
-            // auto-compactions happen inside `append`, far from any
-            // counter handle.
-            if let Ok(state) = shared.state.lock() {
-                shared
-                    .metrics
-                    .registry
-                    .gauge("journal_compactions_total", &[])
-                    .set(state.compactions());
-            }
-            let mut snapshot = shared.metrics.registry.snapshot();
-            let workers = shared
-                .worker_metrics
-                .lock()
-                .map_err(|_| ServiceError::Protocol("worker metrics mutex poisoned".to_string()))?;
-            for (worker, worker_snapshot) in workers.iter() {
-                snapshot.merge(&worker_snapshot.clone().with_label("worker", worker));
-            }
-            return Ok(Reply {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                extra: Vec::new(),
-                body: snapshot.render_prometheus(),
-            });
-        }
-        ("GET", ["logs"]) => {
-            // Pre-ready like /metrics: a replaying server's logs are
-            // exactly what an operator wants to watch.
-            let from = request
-                .query_param("from")
-                .map(|value| {
-                    value.parse::<usize>().map_err(|_| {
-                        ServiceError::BadRequest(format!("bad 'from' value '{value}'"))
-                    })
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let (body, next) = shared
-                .logs
-                .ring
-                .lock()
-                .map_err(|_| ServiceError::Protocol("log ring mutex poisoned".to_string()))?
-                .page(from);
-            return Ok(Reply {
-                status: 200,
-                content_type: "application/jsonl",
-                extra: vec![("x-next-from".to_string(), next.to_string())],
-                body,
-            });
-        }
-        ("GET", ["dashboard"]) => {
-            return Ok(Reply {
-                status: 200,
-                content_type: "text/html; charset=utf-8",
-                extra: Vec::new(),
-                body: render_dashboard(shared, epoch)?,
-            });
-        }
-        _ => {}
-    }
-    if !ready {
-        return Err(ServiceError::Unavailable(
-            "starting up (journal replay not yet served); retry shortly".to_string(),
-        ));
-    }
-    // Parse JSON bodies (and the campaign spec) *before* taking the
-    // registry lock: a large or malformed body must never stall the
-    // endpoints every worker depends on (lease renewal, ingest).
-    let body_json = match (request.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"] | ["lease"]) => Some(parse_body_json(request)?),
-        _ => None,
-    };
-    let mut state = shared.state.lock().map_err(|_| {
-        ServiceError::Protocol("registry mutex poisoned (a handler panicked)".to_string())
-    })?;
-    let now = now_ms(epoch);
-    match (request.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => {
-            let body = body_json.as_ref().expect("parsed above");
-            let spec =
-                CampaignSpec::from_json(body.field("spec").map_err(ServiceError::BadRequest)?)
-                    .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-            let shards = body
-                .get("shards")
-                .map(|value| {
-                    value.as_u64().map(|n| n as usize).ok_or_else(|| {
-                        ServiceError::BadRequest(
-                            "'shards' must be a non-negative integer".to_string(),
-                        )
-                    })
-                })
-                .transpose()?
-                .unwrap_or(1);
-            let client = match body.get("client") {
-                None => "default",
-                Some(JsonValue::String(name)) if !name.is_empty() => name.as_str(),
-                Some(_) => {
-                    return Err(ServiceError::BadRequest(
-                        "'client' must be a non-empty string".to_string(),
-                    ))
-                }
-            };
-            let priority = body
-                .get("priority")
-                .map(|value| {
-                    value.as_u64().ok_or_else(|| {
-                        ServiceError::BadRequest(
-                            "'priority' must be a non-negative integer".to_string(),
-                        )
-                    })
-                })
-                .transpose()?
-                .unwrap_or(0);
-            // Admission control, *before* the submit reaches the journal:
-            // a refused submit is never journaled, so quota changes across
-            // restarts can never make an old journal refuse to replay.
-            if shared.client_quota > 0 {
-                let pending = state.registry().client_pending_shards(client);
-                if pending >= shared.client_quota {
-                    return Err(ServiceError::RateLimited {
-                        message: format!(
-                            "client '{client}' has {pending} pending shard(s), quota {}",
-                            shared.client_quota
-                        ),
-                        retry_after_s: (shared.lease_ttl_ms / 1_000).max(1),
-                    });
-                }
-            }
-            // A submitter that wants the campaign traced sends x-trace-id;
-            // the submit instant (Unix µs) anchors the job's synthetic span
-            // clock, so every later transition span is a pure function of
-            // journaled events (see `Registry::submit`).
-            let trace_id = request
-                .header("x-trace-id")
-                .and_then(spans::parse_id)
-                .unwrap_or(0);
-            let trace_us = if trace_id == 0 { 0 } else { spans::now_us() };
-            let submission = Submission::new(spec, shards)
-                .for_client(client, priority)
-                .traced(trace_id, trace_us);
-            let status = state.submit(submission, now)?;
-            Ok(Reply {
-                status: 201,
-                content_type: "application/json",
-                extra: Vec::new(),
-                body: status.to_json(),
-            })
-        }
-        ("GET", ["jobs"]) => Ok(Reply::json(&state.registry().jobs_status(now))),
-        ("GET", ["jobs", job]) => Ok(Reply::json(&state.registry().job_status(job, now)?)),
-        ("GET", ["jobs", job, "records"]) => {
-            let from = request
-                .query_param("from")
-                .map(|value| {
-                    value.parse::<usize>().map_err(|_| {
-                        ServiceError::BadRequest(format!("bad 'from' value '{value}'"))
-                    })
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let (body, next) = state.registry().records_from(job, from)?;
-            Ok(Reply {
-                status: 200,
-                content_type: "application/jsonl",
-                extra: vec![("x-next-from".to_string(), next.to_string())],
-                body,
-            })
-        }
-        ("GET", ["jobs", job, "spans"]) => {
-            let from = request
-                .query_param("from")
-                .map(|value| {
-                    value.parse::<usize>().map_err(|_| {
-                        ServiceError::BadRequest(format!("bad 'from' value '{value}'"))
-                    })
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let (body, next) = state.registry().spans_from(job, from)?;
-            Ok(Reply {
-                status: 200,
-                content_type: "application/jsonl",
-                extra: vec![("x-next-from".to_string(), next.to_string())],
-                body,
-            })
-        }
-        ("GET", ["jobs", job, "progress"]) => {
-            let mut progress = state.registry().progress(job, now)?;
-            // Per-phase latency quantiles from the merged worker snapshots
-            // (the histograms record microseconds), so `submit --wait` can
-            // name the slowest engine phase without a /metrics scrape.
-            // Lock order state → worker_metrics, as in the lease handler.
-            let workers = shared
-                .worker_metrics
-                .lock()
-                .map_err(|_| ServiceError::Protocol("worker metrics mutex poisoned".to_string()))?;
-            let mut merged = MetricsSnapshot::default();
-            for snapshot in workers.values() {
-                merged.merge(snapshot);
-            }
-            drop(workers);
-            let phases: Vec<JsonValue> = ["scheduling", "thermal", "floorplan", "grid"]
-                .iter()
-                .filter_map(|phase| {
-                    let histogram =
-                        merged.histogram_value("engine_phase_seconds", &[("phase", phase)])?;
-                    (histogram.count() > 0).then(|| {
-                        JsonValue::object(vec![
-                            ("phase".to_string(), JsonValue::from(*phase)),
-                            (
-                                "count".to_string(),
-                                JsonValue::from(histogram.count() as usize),
-                            ),
-                            (
-                                "p50_us".to_string(),
-                                JsonValue::from(histogram.quantile(0.5) as usize),
-                            ),
-                            (
-                                "p99_us".to_string(),
-                                JsonValue::from(histogram.quantile(0.99) as usize),
-                            ),
-                        ])
-                    })
-                })
-                .collect();
-            if let JsonValue::Object(fields) = &mut progress {
-                fields.insert("phases".to_string(), JsonValue::Array(phases));
-            }
-            Ok(Reply::json(&progress))
-        }
-        ("GET", ["jobs", job, "summary"]) => Ok(Reply::json(&state.registry().summary(job, now)?)),
-        ("GET", ["workers"]) => Ok(Reply::json(&state.registry().workers_status(now))),
-        ("POST", ["lease"]) => {
-            let body = body_json.as_ref().expect("parsed above");
-            let worker = body.field_str("worker").map_err(ServiceError::BadRequest)?;
-            shared.metrics.lease_requests.inc();
-            // Workers piggyback their cumulative metrics snapshot on lease
-            // polls. Latest-wins storage; a malformed snapshot is dropped
-            // rather than failing the lease (metrics are best-effort, the
-            // lease is not).
-            if let Some(value) = body.get("metrics") {
-                if let Ok(snapshot) = MetricsSnapshot::from_json(value) {
-                    shared
-                        .worker_metrics
-                        .lock()
-                        .map_err(|_| {
-                            ServiceError::Protocol("worker metrics mutex poisoned".to_string())
-                        })?
-                        .insert(worker.to_string(), snapshot);
-                }
-            }
-            let response = state.lease(worker, now)?;
-            if response.get("lease").is_some() {
-                shared.metrics.leases_granted.inc();
-            }
-            Ok(Reply::json(&response))
-        }
-        ("POST", ["jobs", job, "shards", index, "records"]) => {
-            let worker = worker_header(request)?;
-            let index = parse_shard_index(index)?;
-            let report = state.ingest(job, index, worker, &request.body, now)?;
-            Ok(Reply::json(&JsonValue::object(vec![
-                ("accepted".to_string(), JsonValue::from(report.accepted)),
-                ("duplicates".to_string(), JsonValue::from(report.duplicates)),
-                ("ignored".to_string(), JsonValue::from(report.ignored)),
-            ])))
-        }
-        ("POST", ["jobs", job, "shards", index, "done"]) => {
-            let worker = worker_header(request)?;
-            let index = parse_shard_index(index)?;
-            Ok(Reply::json(&state.shard_done(job, index, worker, now)?))
-        }
-        ("POST", ["compact"]) => {
-            // On-demand journal compaction: fold the whole journal into
-            // one snapshot event right now (400 without a journal).
-            let report = state.compact()?;
-            Ok(Reply::json(&JsonValue::object(vec![
-                (
-                    "bytes_before".to_string(),
-                    JsonValue::from(report.bytes_before as usize),
-                ),
-                (
-                    "bytes_after".to_string(),
-                    JsonValue::from(report.bytes_after as usize),
-                ),
-            ])))
-        }
-        (_, _) => Err(ServiceError::NotFound(format!(
-            "{} {}",
-            request.method, request.path
-        ))),
-    }
-}
-
 fn parse_shard_index(text: &str) -> Result<usize, ServiceError> {
     text.parse::<usize>()
         .map_err(|_| ServiceError::BadRequest(format!("bad shard index '{text}'")))
+}
+
+fn readyz(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    let shared = call.shared;
+    let ready = shared.ready.load(Ordering::SeqCst);
+    let body = JsonValue::object(vec![
+        ("ready".to_string(), JsonValue::from(ready)),
+        (
+            "replayed_events".to_string(),
+            JsonValue::from(shared.replay.events),
+        ),
+        (
+            "replayed_jobs".to_string(),
+            JsonValue::from(shared.replay.jobs),
+        ),
+        (
+            "replayed_records".to_string(),
+            JsonValue::from(shared.replay.records),
+        ),
+        (
+            "replayed_snapshots".to_string(),
+            JsonValue::from(shared.replay.snapshots),
+        ),
+        (
+            "repaired_bytes".to_string(),
+            JsonValue::from(shared.replay.repaired_bytes as usize),
+        ),
+        (
+            "leases_reset".to_string(),
+            JsonValue::from(shared.leases_reset),
+        ),
+    ]);
+    Ok(Reply {
+        status: if ready { 200 } else { 503 },
+        content_type: "application/json",
+        extra: Vec::new(),
+        body: body.to_json(),
+    })
+}
+
+fn metrics(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    let shared = call.shared;
+    // Compactions are pulled from the journal at scrape time —
+    // auto-compactions happen inside `append`, far from any counter
+    // handle.
+    if let Ok(state) = shared.state.lock() {
+        shared
+            .metrics
+            .registry
+            .gauge("journal_compactions_total", &[])
+            .set(state.compactions());
+    }
+    let mut snapshot = shared.metrics.registry.snapshot();
+    let workers = shared
+        .worker_metrics
+        .lock()
+        .map_err(|_| poisoned("worker metrics"))?;
+    for (worker, worker_snapshot) in workers.iter() {
+        snapshot.merge(&worker_snapshot.clone().with_label("worker", worker));
+    }
+    Ok(Reply {
+        status: 200,
+        content_type: "text/plain; version=0.0.4",
+        extra: Vec::new(),
+        body: snapshot.render_prometheus(),
+    })
+}
+
+fn submit(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    // The body — campaign spec included — is decoded before the registry
+    // lock is taken: a large or malformed body must never stall the
+    // endpoints every worker depends on (lease renewal, ingest).
+    let submission =
+        Submission::from_json(&parse_body_json(call.request)?).map_err(ServiceError::BadRequest)?;
+    // A submitter that wants the campaign traced sends x-trace-id; the
+    // submit instant (Unix µs) anchors the job's synthetic span clock, so
+    // every later transition span is a pure function of journaled events
+    // (see `Registry::submit`).
+    let trace_id = call
+        .request
+        .header("x-trace-id")
+        .and_then(spans::parse_id)
+        .unwrap_or(0);
+    let trace_us = if trace_id == 0 { 0 } else { spans::now_us() };
+    let shared = call.shared;
+    let (mut state, now) = call.lock()?;
+    // Admission control, *before* the submit reaches the journal: a
+    // refused submit is never journaled, so quota changes across restarts
+    // can never make an old journal refuse to replay.
+    if shared.client_quota > 0 {
+        let client = submission.client.as_str();
+        let pending = state.registry().client_pending_shards(client);
+        if pending >= shared.client_quota {
+            return Err(ServiceError::RateLimited {
+                message: format!(
+                    "client '{client}' has {pending} pending shard(s), quota {}",
+                    shared.client_quota
+                ),
+                retry_after_s: (shared.lease_ttl_ms / 1_000).max(1),
+            });
+        }
+    }
+    let status = state.submit(submission.traced(trace_id, trace_us), now)?;
+    Ok(Reply {
+        status: 201,
+        content_type: "application/json",
+        extra: Vec::new(),
+        body: status.to_json(),
+    })
+}
+
+fn progress(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    let mut progress = {
+        let (state, now) = call.lock()?;
+        state.registry().progress(call.params[0], now)?
+    };
+    // Per-phase latency quantiles from the merged worker snapshots (the
+    // histograms record microseconds), so `submit --wait` can name the
+    // slowest engine phase without a /metrics scrape.
+    let mut merged = MetricsSnapshot::default();
+    for snapshot in call
+        .shared
+        .worker_metrics
+        .lock()
+        .map_err(|_| poisoned("worker metrics"))?
+        .values()
+    {
+        merged.merge(snapshot);
+    }
+    let phases: Vec<JsonValue> = ["scheduling", "thermal", "floorplan", "grid"]
+        .iter()
+        .filter_map(|phase| {
+            let histogram = merged.histogram_value("engine_phase_seconds", &[("phase", phase)])?;
+            (histogram.count() > 0).then(|| {
+                JsonValue::object(vec![
+                    ("phase".to_string(), JsonValue::from(*phase)),
+                    (
+                        "count".to_string(),
+                        JsonValue::from(histogram.count() as usize),
+                    ),
+                    (
+                        "p50_us".to_string(),
+                        JsonValue::from(histogram.quantile(0.5) as usize),
+                    ),
+                    (
+                        "p99_us".to_string(),
+                        JsonValue::from(histogram.quantile(0.99) as usize),
+                    ),
+                ])
+            })
+        })
+        .collect();
+    if let JsonValue::Object(fields) = &mut progress {
+        fields.insert("phases".to_string(), JsonValue::Array(phases));
+    }
+    Ok(Reply::json(&progress))
+}
+
+fn lease(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    let shared = call.shared;
+    let body = parse_body_json(call.request)?;
+    let worker = body.field_str("worker").map_err(ServiceError::BadRequest)?;
+    shared.metrics.lease_requests.inc();
+    // Workers piggyback their cumulative metrics snapshot on lease polls.
+    // Latest-wins storage; a malformed snapshot is dropped rather than
+    // failing the lease (metrics are best-effort, the lease is not).
+    if let Some(Ok(snapshot)) = body.get("metrics").map(MetricsSnapshot::from_json) {
+        shared
+            .worker_metrics
+            .lock()
+            .map_err(|_| poisoned("worker metrics"))?
+            .insert(worker.to_string(), snapshot);
+    }
+    let (mut state, now) = call.lock()?;
+    let response = state.lease(worker, now)?;
+    if response.get("lease").is_some() {
+        shared.metrics.leases_granted.inc();
+    }
+    Ok(Reply::json(&response))
+}
+
+fn ingest(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    let worker = worker_header(call.request)?;
+    let index = parse_shard_index(call.params[1])?;
+    let (mut state, now) = call.lock()?;
+    let report = state.ingest(call.params[0], index, worker, &call.request.body, now)?;
+    Ok(Reply::json(&JsonValue::object(vec![
+        ("accepted".to_string(), JsonValue::from(report.accepted)),
+        ("duplicates".to_string(), JsonValue::from(report.duplicates)),
+        ("ignored".to_string(), JsonValue::from(report.ignored)),
+    ])))
 }
 
 /// Throughput samples retained for the dashboard sparkline (one per
@@ -1373,9 +1332,7 @@ fn render_dashboard(shared: &Shared, epoch: Instant) -> Result<String, ServiceEr
     use std::fmt::Write as _;
     let now = now_ms(epoch);
     let (jobs, workers) = {
-        let state = shared.state.lock().map_err(|_| {
-            ServiceError::Protocol("registry mutex poisoned (a handler panicked)".to_string())
-        })?;
+        let state = shared.state.lock().map_err(|_| poisoned("registry"))?;
         (
             state.registry().jobs_status(now),
             state.registry().workers_status(now),
@@ -1397,7 +1354,7 @@ fn render_dashboard(shared: &Shared, epoch: Instant) -> Result<String, ServiceEr
         let mut samples = shared
             .throughput
             .lock()
-            .map_err(|_| ServiceError::Protocol("throughput mutex poisoned".to_string()))?;
+            .map_err(|_| poisoned("throughput"))?;
         samples.push((now, total_records));
         let excess = samples.len().saturating_sub(SPARKLINE_SAMPLES);
         if excess > 0 {
@@ -1409,7 +1366,7 @@ fn render_dashboard(shared: &Shared, epoch: Instant) -> Result<String, ServiceEr
         .logs
         .ring
         .lock()
-        .map_err(|_| ServiceError::Protocol("log ring mutex poisoned".to_string()))?
+        .map_err(|_| poisoned("log ring"))?
         .tail(20)
         .map(str::to_string)
         .collect();

@@ -68,8 +68,8 @@ pub struct WorkerConfig {
     /// throughput, transient-vs-fatal retry counts, plus everything the
     /// embedded executor records (per-scenario phase spans, thermal cache
     /// hits). A cumulative snapshot is piggybacked on `POST /lease` polls —
-    /// throttled to one per [`METRICS_PIGGYBACK_MS`] while work is flowing,
-    /// with a forced final flush before a drained exit so the server's
+    /// throttled to one per `METRICS_PIGGYBACK_MS` (500 ms) while work is
+    /// flowing, with a forced final flush before a drained exit so the server's
     /// `GET /metrics` always ends exact. `None` disables all
     /// instrumentation (the no-op baseline the bench compares against).
     pub metrics: Option<Arc<MetricsRegistry>>,

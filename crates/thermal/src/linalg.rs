@@ -4,7 +4,7 @@
 //! per block plus a handful of package nodes), so a straightforward
 //! LU decomposition with partial pivoting is both sufficient and dependency
 //! free. The grid model uses the iterative Gauss–Seidel solver in
-//! [`crate::grid`] instead.
+//! the `grid` module instead.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};

@@ -1,14 +1,18 @@
-//! Streaming JSON-Lines output for batch campaign results.
+//! Streaming JSON-Lines output for batch campaign results and the
+//! campaign service's files and paged streams.
 //!
 //! The batch engine completes scenarios out of order and wants each result
 //! on disk the moment it exists (so an interrupted run loses nothing and a
 //! `--resume` can pick up where it stopped). JSON Lines is the natural
 //! format: one self-contained [`JsonValue`] object per line, appendable,
-//! mergeable with `cat`.
+//! mergeable with `cat`. The service writes its journal, access log, span
+//! log and log file through the same crash-repaired [`JsonlWriter`]
+//! ([`append_repaired`]), and serves every `?from=k` stream through
+//! [`page`].
 //!
-//! The workspace deliberately carries no JSON *parser*; resuming only needs
-//! the numeric `id` field of each line, so [`completed_ids`] recovers those
-//! with a targeted scan that is exact for lines produced by
+//! Resuming only needs the numeric `id` field of each line, so
+//! [`completed_ids`] recovers those with a targeted scan instead of the full
+//! [`JsonValue::parse`]; the scan is exact for lines produced by
 //! [`JsonlWriter`] (keys are emitted sorted and escaped, so the literal
 //! `"id":` substring appears exactly once, at the top level).
 
@@ -51,11 +55,27 @@ impl<W: Write> JsonlWriter<W> {
     ///
     /// Propagates I/O errors from the underlying writer.
     pub fn write(&mut self, value: &JsonValue) -> io::Result<()> {
-        let mut line = value.to_json();
-        line.push('\n');
-        self.inner.write_all(line.as_bytes())?;
+        self.write_lines(&[value.to_json()])
+    }
+
+    /// Appends pre-serialised lines, each trimmed and newline-terminated,
+    /// in one write and one flush. An empty batch writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the underlying writer.
+    pub fn write_lines<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<()> {
+        if lines.is_empty() {
+            return Ok(());
+        }
+        let mut batch = String::new();
+        for line in lines {
+            batch.push_str(line.as_ref().trim());
+            batch.push('\n');
+        }
+        self.inner.write_all(batch.as_bytes())?;
         self.inner.flush()?;
-        self.records += 1;
+        self.records += lines.len();
         Ok(())
     }
 
@@ -154,6 +174,26 @@ pub fn line_str_field<'l>(line: &'l str, field: &str) -> Option<&'l str> {
     let rest = &line[start..];
     let end = rest.find('"')?;
     Some(&rest[..end])
+}
+
+/// One page of a line stream whose retained lines start at index `first`:
+/// the lines at indices `>= from`, each newline-terminated, plus the index
+/// to pass as the next `from`. A `from` below `first` is served from the
+/// oldest retained line; one at or past the end yields an empty page. This
+/// is the body and `x-next-from` header of every `?from=k` endpoint.
+pub fn page<'l, I>(lines: I, first: usize, from: usize) -> (String, usize)
+where
+    I: IntoIterator<Item = &'l String>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let lines = lines.into_iter();
+    let next = first + lines.len();
+    let mut body = String::new();
+    for line in lines.skip(from.clamp(first, next) - first) {
+        body.push_str(line);
+        body.push('\n');
+    }
+    (body, next)
 }
 
 /// Scans an existing JSONL stream and collects the scenario ids already
@@ -276,6 +316,30 @@ mod tests {
         drop(writer);
         let ids = completed_ids(std::fs::read(&path).unwrap().as_slice()).unwrap();
         assert_eq!(ids.into_iter().collect::<Vec<_>>(), vec![0, 1]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn write_lines_batches_through_the_crash_repaired_log() {
+        let path = std::env::temp_dir().join("tats_trace_write_lines_test.jsonl");
+        let _ = std::fs::remove_file(&path);
+        // A kill -9 mid-write left a partial line after a complete one.
+        std::fs::write(&path, "{\"id\":0}\n{\"id\":1,\"ke").unwrap();
+        let (mut writer, repaired) = append_repaired(&path).unwrap();
+        assert_eq!(repaired, 11);
+        writer
+            .write_lines(&["{\"id\":1}", " {\"id\":2}\r"])
+            .unwrap();
+        writer.write_lines::<String>(&[]).unwrap();
+        writer.write(&record(3, 50.0)).unwrap();
+        assert_eq!(writer.records(), 3);
+        drop(writer);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[..3], ["{\"id\":0}", "{\"id\":1}", "{\"id\":2}"]);
+        assert!(text.ends_with('\n'));
+        let ids = completed_ids(text.as_bytes()).unwrap();
+        assert_eq!(ids.into_iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,8 +8,10 @@
 //! * [`csv`] — CSV export of schedules, evaluations and thermal traces;
 //! * [`json`] — a minimal JSON writer plus exports of schedules and the
 //!   paper's comparison tables;
-//! * [`jsonl`] — streaming JSON-Lines output (one record per line, flushed
-//!   eagerly) used by the batch campaign engine, plus the resume-id scanner;
+//! * [`jsonl`] — streaming JSON-Lines output (one record or one batch of
+//!   lines per flush, crash-repaired on reopen) used by the batch campaign
+//!   engine and every file the campaign service writes, plus the resume-id
+//!   scanner and the `?from=k` pager;
 //! * [`log`] — structured, leveled log events (`TATS_LOG`-style filtering,
 //!   sorted-key JSONL schema, a lock-free-on-the-send-path [`log::LogSink`]
 //!   and a bounded monotonic-index [`log::LogRing`]) — the third
@@ -19,9 +21,9 @@
 //!   gauges, log-linear latency histograms, scoped spans) with Prometheus
 //!   text rendering and snapshot-based cross-worker merging;
 //! * [`spans`] — distributed-tracing span events (trace/span/parent ids,
-//!   µs intervals, attributes) with deterministic id generation, a buffered
-//!   [`spans::SpanSink`], span-forest reconstruction with critical-path
-//!   analysis, and Chrome trace-event export.
+//!   µs intervals, attributes) with deterministic id generation,
+//!   span-forest reconstruction with critical-path analysis, and Chrome
+//!   trace-event export.
 //!
 //! # Examples
 //!

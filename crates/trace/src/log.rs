@@ -31,12 +31,14 @@
 //! # Hot path
 //!
 //! [`LogSink::log`] serialises on the caller and enqueues on an unbounded
-//! channel — the same lock-free-on-the-send-path shape as
-//! [`crate::spans::SpanSink`] — so emitting never touches the output file
-//! or any shared buffer; a [`LogDrain`] on the owning thread batches the
-//! writes. Servers additionally retain recent lines in a bounded
-//! [`LogRing`] whose indices are monotonic, so pagers can resume with
-//! `from=k` even after old lines have been overwritten.
+//! channel, so emitting threads (engine workers, retry loops) never touch
+//! an output or any shared buffer; the owning thread takes the lines with
+//! [`LogDrain::drain_lines`] and prints or forwards them. The campaign
+//! server logs on its request threads and needs no channel: it appends
+//! each request's lines to a bounded [`LogRing`] whose indices are
+//! monotonic, so pagers can resume with `from=k` even after old lines have
+//! been overwritten, and to its `--log-file` through
+//! [`crate::jsonl::JsonlWriter`].
 //!
 //! # Examples
 //!
@@ -57,14 +59,12 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Write};
-use std::path::Path;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use crate::json::{self, JsonValue};
 use crate::jsonl;
-use crate::spans::{id_hex, now_us, parse_id, Scan};
+use crate::spans::{attrs_from_json, id_hex, now_us, parse_id, write_attrs, Scan};
 
 /// Event severity, most severe first. The declaration order is the filter
 /// order: a level is enabled when it is `<=` the configured maximum, so
@@ -203,16 +203,8 @@ impl LogEvent {
     pub fn to_line(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(96 + self.message.len() + 24 * self.attrs.len());
-        out.push_str("{\"attrs\":{");
-        for (index, (key, value)) in self.attrs.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            json::write_json_string(&mut out, key);
-            out.push(':');
-            json::write_json_string(&mut out, value);
-        }
-        out.push_str("},\"level\":\"");
+        write_attrs(&mut out, &self.attrs);
+        out.push_str(",\"level\":\"");
         out.push_str(self.level.as_str());
         out.push_str("\",\"message\":");
         json::write_json_string(&mut out, &self.message);
@@ -247,25 +239,13 @@ impl LogEvent {
                     .ok_or_else(|| "field 'trace_id' must be a hex id or empty".to_string())?,
             )
         };
-        let mut attrs = BTreeMap::new();
-        match value.field("attrs")? {
-            JsonValue::Object(map) => {
-                for (key, item) in map {
-                    let text = item
-                        .as_str()
-                        .ok_or_else(|| format!("attr '{key}' must be a string"))?;
-                    attrs.insert(key.clone(), text.to_string());
-                }
-            }
-            _ => return Err("field 'attrs' must be an object".to_string()),
-        }
         Ok(LogEvent {
             ts_us: value.field_u64("ts_us")?,
             level,
             target: value.field_str("target")?.to_string(),
             message: value.field_str("message")?.to_string(),
             trace_id,
-            attrs,
+            attrs: attrs_from_json(value)?,
         })
     }
 
@@ -293,20 +273,9 @@ impl LogEvent {
     fn parse_canonical(line: &str) -> Option<LogEvent> {
         let mut scan = Scan::new(line);
         let mut attrs = BTreeMap::new();
-        scan.expect(b"{\"attrs\":{")?;
-        if scan.expect(b"}").is_none() {
-            loop {
-                let key = scan.plain_string()?;
-                scan.expect(b":")?;
-                let value = scan.plain_string()?;
-                attrs.insert(key.to_string(), value.to_string());
-                if scan.expect(b",").is_some() {
-                    continue;
-                }
-                scan.expect(b"}")?;
-                break;
-            }
-        }
+        scan.attrs(|key, value| {
+            attrs.insert(key.to_string(), value.to_string());
+        })?;
         scan.expect(b",\"level\":")?;
         let level = LogLevel::parse(scan.plain_string()?)?;
         scan.expect(b",\"message\":")?;
@@ -429,9 +398,8 @@ impl LogFilter {
 
 /// The recording half of a log stream: cheap, clonable, shareable across
 /// threads. [`LogSink::log`] checks the filter, serialises on the caller
-/// and enqueues on an unbounded channel (lock-free on the send path), so
-/// the hot path never touches the output file; a [`LogDrain`] on the
-/// owning thread batches the writes.
+/// and enqueues on an unbounded channel (lock-free on the send path); a
+/// [`LogDrain`] on the owning thread takes the lines.
 #[derive(Debug, Clone)]
 pub struct LogSink {
     tx: Sender<String>,
@@ -453,52 +421,16 @@ impl LogSink {
             let _ = self.tx.send(event.to_line());
         }
     }
-
-    /// Records a pre-serialised log line verbatim, bypassing the filter
-    /// (how regenerated registry lines re-enter a stream without
-    /// re-encoding). Structurally incomplete lines are dropped.
-    pub fn log_line(&self, line: &str) {
-        if jsonl::is_complete_record(line) {
-            let _ = self.tx.send(line.trim().to_string());
-        }
-    }
 }
 
-/// The draining half of a log stream: owns the buffered lines and,
-/// optionally, the crash-repaired JSONL file they flush to.
+/// The draining half of a log stream: owns the buffered lines.
 #[derive(Debug)]
 pub struct LogDrain {
     rx: Receiver<String>,
-    out: Option<std::fs::File>,
 }
 
 impl LogDrain {
-    /// Writes every buffered line to the log file in one batched write
-    /// (one flush per call, not per event) and returns how many were
-    /// written. A drain with no file just discards the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the log file.
-    pub fn flush(&mut self) -> io::Result<usize> {
-        let lines = self.drain_lines();
-        if lines.is_empty() {
-            return Ok(0);
-        }
-        if let Some(file) = self.out.as_mut() {
-            let mut batch = String::new();
-            for line in &lines {
-                batch.push_str(line);
-                batch.push('\n');
-            }
-            file.write_all(batch.as_bytes())?;
-            file.flush()?;
-        }
-        Ok(lines.len())
-    }
-
-    /// Takes every buffered line without writing anywhere — for consumers
-    /// that retain lines in a [`LogRing`] or forward them over the wire.
+    /// Takes every buffered line, oldest first.
     pub fn drain_lines(&mut self) -> Vec<String> {
         let mut lines = Vec::new();
         while let Ok(line) = self.rx.try_recv() {
@@ -508,7 +440,7 @@ impl LogDrain {
     }
 }
 
-/// An in-memory log stream: sink plus drain, no file.
+/// A log stream: sink plus drain.
 pub fn log_channel(filter: LogFilter) -> (LogSink, LogDrain) {
     let (tx, rx) = std::sync::mpsc::channel();
     (
@@ -516,32 +448,8 @@ pub fn log_channel(filter: LogFilter) -> (LogSink, LogDrain) {
             tx,
             filter: Arc::new(filter),
         },
-        LogDrain { rx, out: None },
+        LogDrain { rx },
     )
-}
-
-/// A log stream backed by a crash-repaired JSONL file at `path` (see
-/// [`jsonl::append_repaired`]): a partial line left by a kill -9 mid-write
-/// is dropped before appending resumes. Returns the sink, the drain and
-/// the number of repaired bytes.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the repair and the open.
-pub fn log_file(path: &Path, filter: LogFilter) -> io::Result<(LogSink, LogDrain, u64)> {
-    let (writer, repaired) = jsonl::append_repaired(path)?;
-    let (tx, rx) = std::sync::mpsc::channel();
-    Ok((
-        LogSink {
-            tx,
-            filter: Arc::new(filter),
-        },
-        LogDrain {
-            rx,
-            out: Some(writer.into_inner()),
-        },
-        repaired,
-    ))
 }
 
 /// A bounded in-memory buffer of recent log lines with **monotonic**
@@ -620,14 +528,7 @@ impl LogRing {
     /// overwritten); a `from` beyond the end returns an empty body and the
     /// current end.
     pub fn page(&self, from: usize) -> (String, usize) {
-        let next = self.next_index();
-        let effective = from.clamp(self.start, next);
-        let mut body = String::new();
-        for line in self.lines.iter().skip(effective - self.start) {
-            body.push_str(line);
-            body.push('\n');
-        }
-        (body, next)
+        jsonl::page(&self.lines, self.start, from)
     }
 }
 
@@ -737,15 +638,17 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // A partial line left by a simulated kill -9 mid-write...
         std::fs::write(&path, "{\"attrs\":{},\"level\":\"info\",\"mess").unwrap();
-        let (sink, mut drain, repaired) =
-            log_file(&path, LogFilter::parse("info,server=debug").unwrap()).unwrap();
+        let (mut file, repaired) = jsonl::append_repaired(&path).unwrap();
         assert!(repaired > 0, "partial tail must be repaired away");
+        let (sink, mut drain) = log_channel(LogFilter::parse("info,server=debug").unwrap());
 
         sink.log(&LogEvent::new(LogLevel::Info, "worker", "kept").at(1));
         sink.log(&LogEvent::new(LogLevel::Debug, "worker", "filtered").at(2));
         sink.log(&LogEvent::new(LogLevel::Debug, "server", "kept by override").at(3));
-        assert_eq!(drain.flush().unwrap(), 2);
-        assert_eq!(drain.flush().unwrap(), 0);
+        let lines = drain.drain_lines();
+        assert_eq!(lines.len(), 2);
+        assert!(drain.drain_lines().is_empty());
+        file.write_lines(&lines).unwrap();
 
         let text = std::fs::read_to_string(&path).unwrap();
         let events: Vec<LogEvent> = text

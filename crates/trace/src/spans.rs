@@ -53,9 +53,6 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
-use std::path::Path;
-use std::sync::mpsc::{Receiver, Sender};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::{self, JsonValue};
@@ -100,6 +97,16 @@ impl SpanKind {
 /// Formats a span or trace id as the 16-hex-digit wire string.
 pub fn id_hex(id: u64) -> String {
     format!("{id:016x}")
+}
+
+/// The wire form of an id that may be absent: [`id_hex`], or the empty
+/// string for `0`, which [`parse_id`] reads back as absent.
+pub fn id_hex_or_empty(id: u64) -> String {
+    if id == 0 {
+        String::new()
+    } else {
+        id_hex(id)
+    }
 }
 
 /// Parses a 16-hex-digit wire id. Returns `None` for the empty string
@@ -221,16 +228,8 @@ impl SpanEvent {
     pub fn to_line(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(192 + 24 * self.attrs.len());
-        out.push_str("{\"attrs\":{");
-        for (index, (key, value)) in self.attrs.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            json::write_json_string(&mut out, key);
-            out.push(':');
-            json::write_json_string(&mut out, value);
-        }
-        let _ = write!(out, "}},\"end_us\":{}", self.end_us);
+        write_attrs(&mut out, &self.attrs);
+        let _ = write!(out, ",\"end_us\":{}", self.end_us);
         out.push_str(",\"kind\":\"");
         out.push_str(self.kind.as_str());
         out.push_str("\",\"name\":");
@@ -277,18 +276,6 @@ impl SpanEvent {
         if end_us < start_us {
             return Err("field 'end_us' must be >= 'start_us'".to_string());
         }
-        let mut attrs = BTreeMap::new();
-        match value.field("attrs")? {
-            JsonValue::Object(map) => {
-                for (key, item) in map {
-                    let text = item
-                        .as_str()
-                        .ok_or_else(|| format!("attr '{key}' must be a string"))?;
-                    attrs.insert(key.clone(), text.to_string());
-                }
-            }
-            _ => return Err("field 'attrs' must be an object".to_string()),
-        }
         Ok(SpanEvent {
             trace_id,
             span_id,
@@ -297,7 +284,7 @@ impl SpanEvent {
             kind,
             start_us,
             end_us,
-            attrs,
+            attrs: attrs_from_json(value)?,
         })
     }
 
@@ -358,6 +345,35 @@ impl SpanEvent {
     }
 }
 
+/// Opens a canonical span or log line with its `{"attrs":{…}` object:
+/// string attributes in key order, escaped as [`JsonValue::to_json`] does.
+pub(crate) fn write_attrs(out: &mut String, attrs: &BTreeMap<String, String>) {
+    out.push_str("{\"attrs\":{");
+    for (index, (key, value)) in attrs.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        json::write_json_string(out, key);
+        out.push(':');
+        json::write_json_string(out, value);
+    }
+    out.push('}');
+}
+
+/// Decodes the `attrs` field of a span or log object: string values only.
+pub(crate) fn attrs_from_json(value: &JsonValue) -> Result<BTreeMap<String, String>, String> {
+    match value.field("attrs")? {
+        JsonValue::Object(map) => map
+            .iter()
+            .map(|(key, item)| match item.as_str() {
+                Some(text) => Ok((key.clone(), text.to_string())),
+                None => Err(format!("attr '{key}' must be a string")),
+            })
+            .collect(),
+        _ => Err("field 'attrs' must be an object".to_string()),
+    }
+}
+
 /// A canonical span line's fields, borrowed from the line (attrs are
 /// streamed to the `scan_canonical` caller instead).
 struct RawSpan<'t> {
@@ -380,20 +396,7 @@ fn scan_canonical<'t>(
     mut on_attr: impl FnMut(&'t str, &'t str),
 ) -> Option<RawSpan<'t>> {
     let mut scan = Scan::new(line);
-    scan.expect(b"{\"attrs\":{")?;
-    if scan.expect(b"}").is_none() {
-        loop {
-            let key = scan.plain_string()?;
-            scan.expect(b":")?;
-            let value = scan.plain_string()?;
-            on_attr(key, value);
-            if scan.expect(b",").is_some() {
-                continue;
-            }
-            scan.expect(b"}")?;
-            break;
-        }
-    }
+    scan.attrs(&mut on_attr)?;
     scan.expect(b",\"end_us\":")?;
     let end_us = scan.number()?;
     scan.expect(b",\"kind\":")?;
@@ -483,6 +486,23 @@ impl<'t> Scan<'t> {
         None
     }
 
+    /// The leading `{"attrs":{…}` object of a canonical span or log line,
+    /// handing each key-value pair to `on_attr`.
+    pub(crate) fn attrs(&mut self, mut on_attr: impl FnMut(&'t str, &'t str)) -> Option<()> {
+        self.expect(b"{\"attrs\":{")?;
+        if self.expect(b"}").is_some() {
+            return Some(());
+        }
+        loop {
+            let key = self.plain_string()?;
+            self.expect(b":")?;
+            on_attr(key, self.plain_string()?);
+            if self.expect(b",").is_none() {
+                return self.expect(b"}");
+            }
+        }
+    }
+
     /// A plain unsigned decimal (the only number shape `to_line` emits).
     pub(crate) fn number(&mut self) -> Option<u64> {
         let start = self.pos;
@@ -546,103 +566,6 @@ impl SpanIdGen {
             mixed
         }
     }
-}
-
-/// The recording half of a span stream: cheap, clonable, shareable across
-/// threads. `record` serialises on the caller and enqueues on an unbounded
-/// channel (lock-free on the send path), so the hot path never touches the
-/// output file; a [`SpanDrain`] on the owning thread batches the writes.
-#[derive(Debug, Clone)]
-pub struct SpanSink {
-    tx: Sender<String>,
-}
-
-impl SpanSink {
-    /// Records a completed span. Never fails: if the drain is gone the
-    /// span is dropped (tracing must not take down the traced system).
-    pub fn record(&self, span: &SpanEvent) {
-        let _ = self.tx.send(span.to_line());
-    }
-
-    /// Records a pre-serialised span line verbatim (how the server merges
-    /// worker-produced spans into its trace log without re-encoding).
-    /// Structurally incomplete lines are dropped.
-    pub fn record_line(&self, line: &str) {
-        if jsonl::is_complete_record(line) {
-            let _ = self.tx.send(line.trim().to_string());
-        }
-    }
-}
-
-/// The draining half of a span stream: owns the buffered lines and,
-/// optionally, the crash-repaired JSONL file they flush to.
-#[derive(Debug)]
-pub struct SpanDrain {
-    rx: Receiver<String>,
-    out: Option<std::fs::File>,
-}
-
-impl SpanDrain {
-    /// Writes every buffered line to the log file in one batched write
-    /// (one flush per call, not per span) and returns how many were
-    /// written. A drain with no file just discards the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the log file.
-    pub fn flush(&mut self) -> io::Result<usize> {
-        let lines = self.drain_lines();
-        if lines.is_empty() {
-            return Ok(0);
-        }
-        if let Some(file) = self.out.as_mut() {
-            let mut batch = String::new();
-            for line in &lines {
-                batch.push_str(line);
-                batch.push('\n');
-            }
-            file.write_all(batch.as_bytes())?;
-            file.flush()?;
-        }
-        Ok(lines.len())
-    }
-
-    /// Takes every buffered line without writing anywhere — for consumers
-    /// that forward spans over the wire instead of to a file.
-    pub fn drain_lines(&mut self) -> Vec<String> {
-        let mut lines = Vec::new();
-        while let Ok(line) = self.rx.try_recv() {
-            lines.push(line);
-        }
-        lines
-    }
-}
-
-/// An in-memory span stream: sink plus drain, no file.
-pub fn span_channel() -> (SpanSink, SpanDrain) {
-    let (tx, rx) = std::sync::mpsc::channel();
-    (SpanSink { tx }, SpanDrain { rx, out: None })
-}
-
-/// A span stream backed by a crash-repaired JSONL log at `path` (see
-/// [`jsonl::append_repaired`]): a partial line left by a kill -9 mid-write
-/// is dropped before appending resumes. Returns the sink, the drain and
-/// the number of repaired bytes.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the repair and the open.
-pub fn span_log(path: &Path) -> io::Result<(SpanSink, SpanDrain, u64)> {
-    let (writer, repaired) = jsonl::append_repaired(path)?;
-    let (tx, rx) = std::sync::mpsc::channel();
-    Ok((
-        SpanSink { tx },
-        SpanDrain {
-            rx,
-            out: Some(writer.into_inner()),
-        },
-        repaired,
-    ))
 }
 
 /// A parsed span stream reassembled into parent/child trees, ready for
@@ -959,37 +882,6 @@ mod tests {
         assert!(SpanEvent::parse_line(&swapped).is_err());
         assert!(SpanEvent::parse_line("not json").is_err());
         assert!(!SpanEvent::is_span_line("{\"id\":3}"));
-    }
-
-    #[test]
-    fn sink_buffers_and_flushes_through_the_crash_repaired_log() {
-        let path = std::env::temp_dir().join("tats_spans_sink_test.jsonl");
-        let _ = std::fs::remove_file(&path);
-        // Simulate a crash mid-write: a partial record on the tail.
-        std::fs::write(
-            &path,
-            format!("{}\n{{\"trace_id\":\"00", span(1, 2, None, 0, 5).to_line()),
-        )
-        .unwrap();
-        let (sink, mut drain, repaired) = span_log(&path).expect("open");
-        assert!(repaired > 0);
-        let worker = std::thread::spawn({
-            let sink = sink.clone();
-            move || sink.record(&span(1, 3, Some(2), 1, 4))
-        });
-        worker.join().unwrap();
-        sink.record_line(&span(1, 4, Some(2), 2, 3).to_line());
-        sink.record_line("{\"trace_id\":\"partial"); // dropped, not written
-        assert_eq!(drain.flush().unwrap(), 2);
-        assert_eq!(drain.flush().unwrap(), 0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let spans: Vec<SpanEvent> = text
-            .lines()
-            .map(|line| SpanEvent::parse_line(line).expect(line))
-            .collect();
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[2].span_id, 4);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -148,16 +148,15 @@ proptest! {
         let path = std::env::temp_dir().join(format!("tats_span_tree_prop_{seed}.jsonl"));
         let _ = std::fs::remove_file(&path);
         // Write the stream, then simulate a kill -9 mid-write of one more.
-        let (sink, mut drain, _) = tats_trace::spans::span_log(&path).expect("open");
-        for span in &spans {
-            sink.record(span);
-        }
-        drain.flush().expect("flush");
+        let (mut writer, _) = tats_trace::jsonl::append_repaired(&path).expect("open");
+        let lines: Vec<String> = spans.iter().map(SpanEvent::to_line).collect();
+        writer.write_lines(&lines).expect("write");
+        drop(writer);
         let mut bytes = std::fs::read(&path).expect("read");
         bytes.extend_from_slice(b"{\"trace_id\":\"00000000");
         std::fs::write(&path, &bytes).expect("tear");
         // Reopening repairs the tail; the surviving lines parse exactly.
-        let (_, _, repaired) = tats_trace::spans::span_log(&path).expect("reopen");
+        let (_, repaired) = tats_trace::jsonl::append_repaired(&path).expect("reopen");
         prop_assert!(repaired > 0);
         let text = std::fs::read_to_string(&path).expect("reread");
         let recovered: Vec<SpanEvent> = text
