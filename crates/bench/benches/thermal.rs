@@ -103,6 +103,11 @@ fn bench_per_candidate_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
+/// One steady-state solve on the cached banded Cholesky factor per
+/// iteration; `GridModel::new` factorises outside the timed loop. Results
+/// recorded before the factor became the only grid solver timed the
+/// Gauss–Seidel sweep `GridModel::new` used to default to, so they are
+/// not comparable with these.
 fn bench_grid_steady_state(c: &mut Criterion) {
     let plan = floorplan(4);
     let p = power(4);

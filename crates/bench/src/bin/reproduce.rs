@@ -13,18 +13,18 @@
 //! memoised cost paths, their speedups vs the naive per-candidate
 //! `ThermalModel` rebuild, and wall times of end-to-end SA and GA runs, so
 //! future PRs have a machine-readable perf trajectory. The `grid` section
-//! writes `BENCH_grid.json`: per-solve times of the Gauss–Seidel reference
-//! vs the `tats_sparse` PCG and cached banded-Cholesky grid solvers at
-//! 32x32 (with speedups and cell-level agreement) plus the 64x64 and
-//! 128x128 resolutions the sparse paths make feasible, and an implicit
-//! transient sweep on the cached factor. The `batch` section writes
-//! `BENCH_batch.json`: campaign throughput (scenarios/sec) of the
-//! `tats_engine` executor at 1/2/4/8 worker threads over a 120-scenario
-//! two-flow campaign, with per-worker cache hit rates and a determinism
-//! cross-check between thread counts. The `service` section writes
-//! `BENCH_service.json`: the same campaign as an end-to-end `tats_service`
-//! job (1 server + 1/2/4 local pull workers over loopback HTTP) vs the
-//! in-process executor, with a byte-identical record-set cross-check.
+//! writes `BENCH_grid.json`: setup (factorisation) and per-solve times of
+//! the grid model's one solver, the cached banded Cholesky factor, at
+//! 32x32, 64x64 and 128x128 (the largest resolution a grid model
+//! accepts), and an implicit transient sweep on the cached factor. The
+//! `batch` section writes `BENCH_batch.json`: campaign throughput
+//! (scenarios/sec) of the `tats_engine` executor at 1/2/4/8 worker threads
+//! over a 120-scenario two-flow campaign, with per-worker cache hit rates
+//! and a determinism cross-check between thread counts. The `service`
+//! section writes `BENCH_service.json`: the same campaign as an end-to-end
+//! `tats_service` job (1 server + 1/2/4 local pull workers over loopback
+//! HTTP) vs the in-process executor, with a byte-identical record-set
+//! cross-check.
 
 use std::env;
 use std::process::ExitCode;
@@ -36,9 +36,7 @@ use tats_floorplan::{
     anneal, evolve, CostEvaluator, CostWeights, GaConfig, Module, Net, Placement, PolishExpression,
     SaConfig,
 };
-use tats_thermal::{
-    Block, Floorplan, GridModel, GridSolver, GridTransientSolver, PowerPhase, ThermalConfig,
-};
+use tats_thermal::{Block, Floorplan, GridModel, GridTransientSolver, PowerPhase, ThermalConfig};
 
 /// Evaluations/sec plus the raw numbers behind it.
 struct Throughput {
@@ -189,68 +187,6 @@ fn bench_floorplan() -> Result<String, Box<dyn std::error::Error>> {
     Ok(json)
 }
 
-/// One timed grid-solver measurement.
-struct GridTiming {
-    solves: usize,
-    wall_s: f64,
-    /// Largest |cell difference| against the Gauss–Seidel reference, °C
-    /// (NaN when no reference was computed at this resolution).
-    max_diff_vs_reference: f64,
-}
-
-impl GridTiming {
-    fn ms_per_solve(&self) -> f64 {
-        self.wall_s * 1e3 / self.solves.max(1) as f64
-    }
-}
-
-/// Times steady-state solves of `model` over a cycle of *distinct* power
-/// vectors, reusing one workspace the way sweeps and ablations do. Cycling
-/// the powers keeps the measurement honest: a warm-started iterative solver
-/// re-solving an identical right-hand side would converge instantly.
-fn measure_grid(
-    model: &GridModel,
-    powers: &[Vec<f64>],
-    reference: Option<&[f64]>,
-    budget_s: f64,
-) -> Result<GridTiming, Box<dyn std::error::Error>> {
-    let mut workspace = model.workspace();
-    let first = model.steady_state_with(&powers[0], &mut workspace)?;
-    let max_diff_vs_reference = reference.map_or(f64::NAN, |cells| {
-        first
-            .cells()
-            .iter()
-            .zip(cells)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max)
-    });
-    let mut solves = 0usize;
-    let start = Instant::now();
-    let mut first_pass = true;
-    'timing: loop {
-        // The first pass skips powers[0]: the workspace already holds its
-        // solution from the verification solve above.
-        for power in powers.iter().skip(usize::from(first_pass)) {
-            model.steady_state_with(power, &mut workspace)?;
-            solves += 1;
-            if start.elapsed().as_secs_f64() >= budget_s {
-                break 'timing;
-            }
-        }
-        first_pass = false;
-        // Guard against an empty inner pass (single-entry power cycles).
-        if start.elapsed().as_secs_f64() >= budget_s {
-            break;
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    Ok(GridTiming {
-        solves,
-        wall_s,
-        max_diff_vs_reference,
-    })
-}
-
 /// A deterministic cycle of power assignments sweeping the hot spot across
 /// the four PEs at varying intensity (the shape of a validation sweep).
 fn sweep_powers() -> Vec<Vec<f64>> {
@@ -266,25 +202,9 @@ fn sweep_powers() -> Vec<Vec<f64>> {
     powers
 }
 
-fn grid_timing_json(label: &str, timing: &GridTiming, setup_ms: f64) -> String {
-    format!(
-        "    \"{label}\": {{ \"solves\": {}, \"wall_s\": {:.6}, \"ms_per_solve\": {:.4}, \
-         \"setup_ms\": {:.3}, \"max_diff_vs_gauss_seidel_c\": {} }}",
-        timing.solves,
-        timing.wall_s,
-        timing.ms_per_solve(),
-        setup_ms,
-        if timing.max_diff_vs_reference.is_nan() {
-            "null".to_string()
-        } else {
-            format!("{:.3e}", timing.max_diff_vs_reference)
-        },
-    )
-}
-
-/// Runs the grid-solver benchmark (Gauss–Seidel reference vs the
-/// `tats_sparse`-backed PCG and cached banded-Cholesky paths) and returns
-/// the JSON report.
+/// Runs the grid benchmark (factorisation and per-solve cost of the cached
+/// banded Cholesky factor, plus implicit transient stepping on it) and
+/// returns the JSON report.
 fn bench_grid() -> Result<String, Box<dyn std::error::Error>> {
     // The platform architecture's four 7x7 mm PEs in a 2x2 arrangement,
     // with a representative thermal-aware power split.
@@ -298,48 +218,33 @@ fn bench_grid() -> Result<String, Box<dyn std::error::Error>> {
     let config = ThermalConfig::default();
 
     let mut sections: Vec<String> = Vec::new();
-    let mut speedup_pcg_32 = f64::NAN;
-    let mut speedup_cholesky_32 = f64::NAN;
     for resolution in [32usize, 64, 128] {
-        let mut lines: Vec<String> = Vec::new();
-        // Gauss–Seidel is the reference path; above 32x32 it is the
-        // bottleneck this subsystem removes, so only time it there.
-        let mut reference_cells: Option<Vec<f64>> = None;
-        let mut gs_ms = f64::NAN;
-        if resolution == 32 {
-            let model = GridModel::new(&plan, config, resolution, resolution)?;
-            let timing = measure_grid(&model, &powers, None, 0.5)?;
-            gs_ms = timing.ms_per_solve();
-            reference_cells = Some(model.steady_state(&powers[0])?.cells().to_vec());
-            lines.push(grid_timing_json("gauss_seidel", &timing, 0.0));
-        }
-        for (label, solver) in [
-            ("pcg_ic0", GridSolver::Pcg),
-            ("pcg_jacobi", GridSolver::PcgJacobi),
-            ("cholesky", GridSolver::BandedCholesky),
-        ] {
-            let setup_start = Instant::now();
-            let model =
-                GridModel::new(&plan, config, resolution, resolution)?.with_solver(solver)?;
-            let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
-            let timing = measure_grid(&model, &powers, reference_cells.as_deref(), 0.3)?;
-            if resolution == 32 {
-                if solver == GridSolver::Pcg {
-                    speedup_pcg_32 = gs_ms / timing.ms_per_solve();
-                } else if solver == GridSolver::BandedCholesky {
-                    speedup_cholesky_32 = gs_ms / timing.ms_per_solve();
+        let setup_start = Instant::now();
+        let model = GridModel::new(&plan, config, resolution, resolution)?;
+        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
+        // Cycle the powers through one workspace for ~0.3 s, the way
+        // sweeps and ablations reuse it.
+        let mut workspace = model.workspace();
+        let mut solves = 0usize;
+        let start = Instant::now();
+        'timing: loop {
+            for power in &powers {
+                model.steady_state_with(power, &mut workspace)?;
+                solves += 1;
+                if start.elapsed().as_secs_f64() >= 0.3 {
+                    break 'timing;
                 }
             }
-            lines.push(grid_timing_json(label, &timing, setup_ms));
         }
+        let wall_s = start.elapsed().as_secs_f64();
         sections.push(format!(
-            "  \"grid_{resolution}x{resolution}\": {{\n{}\n  }}",
-            lines.join(",\n")
+            "  \"grid_{resolution}x{resolution}\": {{\n    \"cholesky\": {{ \"solves\": {solves}, \
+             \"wall_s\": {wall_s:.6}, \"ms_per_solve\": {:.4}, \"setup_ms\": {setup_ms:.3} }}\n  }}",
+            wall_s * 1e3 / solves as f64,
         ));
     }
 
-    // Implicit transient stepping on the cached banded factor: the workload
-    // the Gauss–Seidel path made impractical.
+    // Implicit transient stepping on a cached banded factor of `C/dt + G`.
     let model = GridModel::new(&plan, config, 32, 32)?;
     let transient = GridTransientSolver::new(&model, 0.05)?;
     let transient_start = Instant::now();
@@ -358,15 +263,11 @@ fn bench_grid() -> Result<String, Box<dyn std::error::Error>> {
             "  \"bench\": \"grid_steady_state\",\n",
             "  \"blocks\": 4,\n",
             "{},\n",
-            "  \"speedup_pcg_vs_gauss_seidel_32\": {:.1},\n",
-            "  \"speedup_cholesky_vs_gauss_seidel_32\": {:.1},\n",
             "  \"transient_32x32\": {{ \"steps\": {}, \"wall_s\": {:.6}, ",
             "\"steps_per_sec\": {:.1}, \"peak_c\": {:.2} }}\n",
             "}}\n"
         ),
         sections.join(",\n"),
-        speedup_pcg_32,
-        speedup_cholesky_32,
         result.steps,
         transient_s,
         result.steps as f64 / transient_s.max(1e-12),

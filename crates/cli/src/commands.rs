@@ -10,7 +10,8 @@ use tats_power::{simulate_schedule, DvfsTable, PowerProfile, ScheduleSimulator, 
 use tats_reliability::ReliabilityAnalyzer;
 use tats_taskgraph::{dot, extended, tgff};
 use tats_techlib::profiles;
-use tats_thermal::{GridModel, ThermalConfig, ThermalModel};
+use tats_thermal::{GridModel, GridSolver, ThermalConfig, ThermalModel, MAX_GRID_SIDE};
+use tats_trace::json::MAX_EXACT_INTEGER;
 use tats_trace::{csv, json, markdown, GanttChart};
 
 use crate::options::{
@@ -25,6 +26,11 @@ const TASK_TYPES: usize = 12;
 /// Largest `tats floorplan --modules`: far above the 64 modules the benches
 /// use, and small enough that a stray value cannot exhaust memory.
 const MAX_FLOORPLAN_MODULES: usize = 1024;
+
+/// Largest task count of one `tats sweep --sizes` entry: ten times the
+/// default family's largest graph, about 4 s of scheduling. Unbounded,
+/// 10^8 tasks aborted on a multi-gigabyte allocation.
+const MAX_SWEEP_TASKS: usize = 4000;
 
 fn execution_error(error: impl std::fmt::Display) -> CliError {
     CliError::Execution(error.to_string())
@@ -48,7 +54,8 @@ COMMANDS:
                    --arch platform|cosynthesis        (default: platform)
                    --gantt --csv --json               extra artefacts
     sweep        Scalability sweep over the extended benchmark family
-                   --sizes 25,50,100                  (default: 25,50,100)
+                   --sizes 25,50,100                  task counts, 2 to 4000 each
+                                                      (default: 25,50,100)
                    --policy ...                       (default: thermal)
     reliability  Lifetime comparison of power-aware vs thermal-aware mapping
                    --benchmark Bm1..Bm4               (default: Bm1)
@@ -61,15 +68,17 @@ COMMANDS:
                    --weights area|thermal             objective (default: area)
     grid         Fine-grained grid thermal validation of a schedule
                    --benchmark Bm1..Bm4 --policy ...  (default: Bm1, thermal)
-                   --nx 32 --ny 32                    grid resolution
-                   --solver gauss-seidel|pcg|pcg-jacobi|cholesky (default: cholesky)
+                   --nx 32 --ny 32                    grid resolution (1 to 128 per side;
+                                                      solved by a cached banded Cholesky factor)
     batch        Run a scenario campaign through the sharded batch engine
                    --benchmarks Bm1,Bm3|all           (default: all)
                    --flows platform,cosynthesis|all   (default: platform)
                    --policies baseline,power1..3,thermal|all (default: all)
-                   --seeds 0,1,2                      seed grid (0 = canonical graphs)
-                   --grid-solver cholesky|pcg|...     add fine-grid validation axis
-                   --nx 16 --ny 16                    grid resolution for that axis
+                   --seeds 0,1,2                      seed grid (0 = canonical graphs,
+                                                      at most 2^53)
+                   --grid-solver cholesky             add fine-grid validation axis
+                                                      (cholesky is the only grid solver)
+                   --nx 16 --ny 16                    grid resolution for that axis (1 to 128)
                    --shard 0/4                        run only this shard of the campaign
                    --threads 4                        worker threads (0 = all cores)
                    --out results.jsonl                stream results to a JSONL file
@@ -257,7 +266,7 @@ pub fn schedule(options: &Options) -> Result<String, CliError> {
 
 /// `tats sweep` — scalability sweep over the extended benchmark family.
 pub fn sweep(options: &Options) -> Result<String, CliError> {
-    let sizes = options.usize_list("sizes", &[25, 50, 100])?;
+    let sizes = options.integer_list("sizes", &[25, 50, 100], 2..=MAX_SWEEP_TASKS)?;
     let policy = parse_policy(options.value_or("policy", "thermal"))?;
     let library = profiles::standard_library(TASK_TYPES).map_err(execution_error)?;
     let graphs = extended::suite_with_sizes(&sizes, 11).map_err(execution_error)?;
@@ -390,14 +399,14 @@ pub fn dvs(options: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `tats grid` — validate a schedule's steady state on the fine grid model,
-/// with selectable sparse solver (see `tats_thermal::GridSolver`).
+/// `tats grid` — validate a schedule's steady state on the fine grid model
+/// (see `tats_thermal::GridModel`).
 pub fn grid(options: &Options) -> Result<String, CliError> {
     let benchmark = parse_benchmark(options.value_or("benchmark", "Bm1"))?;
     let policy = parse_policy(options.value_or("policy", "thermal"))?;
-    let solver = parse_grid_solver(options.value_or("solver", "cholesky"))?;
-    let nx = options.integer("nx", 32, 0..=usize::MAX)?;
-    let ny = options.integer("ny", 32, 0..=usize::MAX)?;
+    let solver = GridSolver::BandedCholesky;
+    let nx = options.integer("nx", 32, 1..=MAX_GRID_SIDE)?;
+    let ny = options.integer("ny", 32, 1..=MAX_GRID_SIDE)?;
 
     let library = profiles::standard_library(TASK_TYPES).map_err(execution_error)?;
     let graph = benchmark.task_graph().map_err(execution_error)?;
@@ -408,8 +417,6 @@ pub fn grid(options: &Options) -> Result<String, CliError> {
 
     let build_start = std::time::Instant::now();
     let model = GridModel::new(&result.floorplan, ThermalConfig::default(), nx, ny)
-        .map_err(execution_error)?
-        .with_solver(solver)
         .map_err(execution_error)?;
     let build_s = build_start.elapsed().as_secs_f64();
     let solve_start = std::time::Instant::now();
@@ -552,13 +559,13 @@ fn campaign_from_options(options: &Options) -> Result<Campaign, CliError> {
     let benchmarks = parse_benchmark_list(options.value_or("benchmarks", "all"))?;
     let flows = parse_flows(options.value_or("flows", "platform"))?;
     let policies = parse_policy_list(options.value_or("policies", "all"))?;
-    let seeds = options.u64_list("seeds", &[0])?;
+    let seeds = options.integer_list("seeds", &[0], 0..=MAX_EXACT_INTEGER)?;
     let solvers = match options.value("grid-solver") {
         None => vec![None],
         Some(name) => vec![Some(parse_grid_solver(name)?)],
     };
-    let nx = options.integer("nx", 16, 0..=usize::MAX)?;
-    let ny = options.integer("ny", 16, 0..=usize::MAX)?;
+    let nx = options.integer("nx", 16, 1..=MAX_GRID_SIDE)?;
+    let ny = options.integer("ny", 16, 1..=MAX_GRID_SIDE)?;
     let campaign = Campaign::new(config)
         .with_benchmarks(benchmarks)
         .with_flows(flows)
@@ -1700,34 +1707,50 @@ mod tests {
         assert!(out.contains("energy saving"));
     }
 
+    const GRID_VALUES: &[&str] = &["benchmark", "policy", "nx", "ny"];
+
     #[test]
     fn grid_reports_per_pe_temperatures_for_every_solver() {
-        for solver in ["gauss-seidel", "pcg", "pcg-jacobi", "cholesky"] {
-            let options = opts(
-                &[
-                    "--benchmark",
-                    "Bm1",
-                    "--nx",
-                    "16",
-                    "--ny",
-                    "16",
-                    "--solver",
-                    solver,
-                ],
-                &["benchmark", "policy", "nx", "ny", "solver"],
-                &[],
-            );
-            let out = grid(&options).expect("grid");
-            assert!(out.contains("PE0"), "{solver}");
-            assert!(out.contains("hottest grid cell"), "{solver}");
-            assert!(out.contains(solver), "{solver}");
-        }
+        let options = opts(
+            &["--benchmark", "Bm1", "--nx", "16", "--ny", "16"],
+            GRID_VALUES,
+            &[],
+        );
+        let out = grid(&options).expect("grid");
+        assert!(out.contains("PE0"), "{out}");
+        assert!(out.contains("hottest grid cell"), "{out}");
+        assert!(out.contains("(16x16 cells, cholesky solver)"), "{out}");
+        // The largest resolution still runs.
+        let options = opts(&["--nx", "128", "--ny", "1"], GRID_VALUES, &[]);
+        assert!(grid(&options).expect("128 cells").contains("128x1 cells"));
     }
 
     #[test]
     fn grid_rejects_unknown_solver() {
-        let options = opts(&["--solver", "multigrid"], &["solver"], &[]);
-        assert!(matches!(grid(&options), Err(CliError::InvalidValue { .. })));
+        // `--solver` is gone: cholesky is the only grid solver.
+        let error = crate::run(&["grid", "--solver", "pcg"].map(String::from))
+            .expect_err("--solver is no longer an option");
+        assert!(
+            matches!(&error, CliError::UnknownOption { accepted, .. }
+                if accepted == &["--benchmark", "--nx", "--ny", "--policy"]),
+            "{error:?}"
+        );
+        // Each side lies in 1..=MAX_GRID_SIDE; 2^32 used to wrap the cell
+        // count to zero and panic, 10^5 to abort on an 80 GB allocation.
+        for (option, value) in [
+            ("--nx", "0"),
+            ("--nx", "129"),
+            ("--ny", "129"),
+            ("--nx", "100000"),
+            ("--nx", "4294967296"),
+        ] {
+            let error = grid(&opts(&[option, value], GRID_VALUES, &[])).expect_err(value);
+            assert!(
+                matches!(&error, CliError::InvalidValue { expected, .. }
+                    if expected == "an integer from 1 to 128"),
+                "{option} {value}: {error:?}"
+            );
+        }
     }
 
     #[test]
@@ -2357,6 +2380,30 @@ mod tests {
         let resume = opts(&["--resume"], BATCH_VALUES, &["resume", "full"]);
         let error = batch(&resume).expect_err("resume without out");
         assert!(error.to_string().contains("--out"));
+        // Removed grid solvers, out-of-range grid sides and seeds a JSON
+        // number cannot carry are refused by batch and submit alike, before
+        // submit ever connects.
+        for (option, value) in [
+            ("--grid-solver", "pcg"),
+            ("--grid-solver", "gauss-seidel"),
+            ("--nx", "129"),
+            ("--ny", "4294967296"),
+            ("--seeds", "9007199254740993"),
+        ] {
+            let local = batch(&opts(&[option, value], BATCH_VALUES, BATCH_SWITCHES));
+            let remote = submit(&opts(
+                &["--connect", "127.0.0.1:9", option, value],
+                &["connect", "grid-solver", "nx", "ny", "seeds"],
+                &[],
+            ));
+            for result in [local, remote] {
+                let error = result.expect_err(value);
+                assert!(
+                    matches!(&error, CliError::InvalidValue { value: got, .. } if got == value),
+                    "{option} {value}: {error:?}"
+                );
+            }
+        }
     }
 
     const FLOORPLAN_VALUES: &[&str] = &["modules", "seed", "engine", "weights"];

@@ -43,7 +43,7 @@ fn command_options(command: &str) -> (&'static [&'static str], &'static [&'stati
         "sweep" => (&["sizes", "policy"], &[]),
         "reliability" => (&["benchmark"], &[]),
         "dvs" => (&["benchmark", "policy"], &[]),
-        "grid" => (&["benchmark", "policy", "nx", "ny", "solver"], &[]),
+        "grid" => (&["benchmark", "policy", "nx", "ny"], &[]),
         "floorplan" => (&["modules", "seed", "engine", "weights"], &[]),
         "batch" => (
             &[

@@ -187,51 +187,39 @@ impl Options {
         }
     }
 
-    /// Parses a comma-separated list of unsigned 64-bit integers (the batch
-    /// command's seed grid).
+    /// Parses a comma-separated list of integers that must each lie in
+    /// `range`, under the same rules as [`Options::integer`].
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::InvalidValue`] for malformed entries.
-    pub fn u64_list(&self, name: &str, default: &[u64]) -> Result<Vec<u64>, CliError> {
-        match self.value(name) {
-            None => Ok(default.to_vec()),
-            Some(text) => text
-                .split(',')
-                .map(|item| {
-                    item.trim()
-                        .parse::<u64>()
-                        .map_err(|_| CliError::InvalidValue {
-                            option: name.to_string(),
-                            value: item.to_string(),
-                            expected: "a comma-separated list of integers".to_string(),
-                        })
-                })
-                .collect(),
-        }
-    }
-
-    /// Parses a comma-separated list of positive integers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError::InvalidValue`] for malformed entries.
-    pub fn usize_list(&self, name: &str, default: &[usize]) -> Result<Vec<usize>, CliError> {
-        match self.value(name) {
-            None => Ok(default.to_vec()),
-            Some(text) => text
-                .split(',')
-                .map(|item| {
-                    item.trim()
-                        .parse::<usize>()
-                        .map_err(|_| CliError::InvalidValue {
-                            option: name.to_string(),
-                            value: item.to_string(),
-                            expected: "a comma-separated list of integers".to_string(),
-                        })
-                })
-                .collect(),
-        }
+    /// Returns [`CliError::InvalidValue`] naming the first bad entry and the
+    /// accepted range.
+    pub fn integer_list<T>(
+        &self,
+        name: &str,
+        default: &[T],
+        range: RangeInclusive<T>,
+    ) -> Result<Vec<T>, CliError>
+    where
+        T: FromStr + PartialOrd + fmt::Display + Clone,
+    {
+        let Some(text) = self.value(name) else {
+            return Ok(default.to_vec());
+        };
+        text.split(',')
+            .map(|item| match item.trim().parse::<T>() {
+                Ok(value) if range.contains(&value) => Ok(value),
+                _ => Err(CliError::InvalidValue {
+                    option: name.to_string(),
+                    value: item.to_string(),
+                    expected: format!(
+                        "a comma-separated list of integers from {} to {}",
+                        range.start(),
+                        range.end()
+                    ),
+                }),
+            })
+            .collect()
     }
 }
 
@@ -254,24 +242,18 @@ pub fn parse_benchmark(name: &str) -> Result<Benchmark, CliError> {
     }
 }
 
-/// Parses a grid-solver name (`gauss-seidel`, `pcg`, `pcg-jacobi`,
-/// `cholesky`).
+/// Parses a grid-solver name through [`GridSolver::parse`]: `cholesky` is
+/// the only grid solver, and the names of removed ones are refused.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::InvalidValue`] for unknown names.
+/// Returns [`CliError::InvalidValue`] for any other name.
 pub fn parse_grid_solver(name: &str) -> Result<GridSolver, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "gauss-seidel" | "gs" => Ok(GridSolver::GaussSeidel),
-        "pcg" => Ok(GridSolver::Pcg),
-        "pcg-jacobi" => Ok(GridSolver::PcgJacobi),
-        "cholesky" | "banded-cholesky" => Ok(GridSolver::BandedCholesky),
-        _ => Err(CliError::InvalidValue {
-            option: "solver".to_string(),
-            value: name.to_string(),
-            expected: "gauss-seidel, pcg, pcg-jacobi or cholesky".to_string(),
-        }),
-    }
+    GridSolver::parse(name).map_err(|_| CliError::InvalidValue {
+        option: "grid-solver".to_string(),
+        value: name.to_string(),
+        expected: "cholesky, the only grid solver".to_string(),
+    })
 }
 
 /// Parses a comma-separated benchmark list; `all` selects every benchmark.
@@ -399,21 +381,49 @@ mod tests {
         // Out of range for the option, not just for the type.
         assert!(options.integer("scale", 1usize, 1..=24).is_err());
         assert_eq!(
-            options.usize_list("sizes", &[1]).expect("list"),
-            vec![10, 20, 30]
+            options.integer_list("sizes", &[1usize], 2..=4000),
+            Ok(vec![10, 20, 30])
         );
         assert_eq!(
-            options.usize_list("missing", &[5]).expect("default"),
-            vec![5]
+            options.integer_list("missing", &[5usize], 2..=4000),
+            Ok(vec![5])
         );
-        assert_eq!(options.u64_list("seeds", &[0]).expect("seeds"), vec![0, 4]);
-        assert_eq!(options.u64_list("missing", &[9]).expect("default"), vec![9]);
+        assert_eq!(
+            options.integer_list("seeds", &[0u64], 0..=1 << 53),
+            Ok(vec![0, 4])
+        );
+        assert_eq!(
+            options.integer_list("missing", &[9u64], 0..=1 << 53),
+            Ok(vec![9])
+        );
         for text in ["fast", "2.9", "1e3", "inf", "-1", "70000"] {
             let bad = Options::parse(&args(&["--scale", text]), &["scale"], &[]).expect("parse");
             assert!(bad.integer("scale", 1u16, 0..=u16::MAX).is_err(), "{text}");
+            assert!(
+                bad.integer_list("scale", &[1u16], 0..=u16::MAX).is_err(),
+                "{text}"
+            );
         }
-        let bad = Options::parse(&args(&["--scale", "fast"]), &["scale"], &[]).expect("parse");
-        assert!(bad.u64_list("scale", &[0]).is_err());
+        // Every entry is range-checked, not just the first: 2^53 + 1 would
+        // round to 2^53 in a JSON number, and 1e8 tasks would exhaust memory.
+        for (name, text, range) in [
+            ("seeds", "0,9007199254740993", 0..=1u64 << 53),
+            ("sizes", "10,100000000", 2..=4000),
+            ("sizes", "1", 2..=4000),
+        ] {
+            let option = format!("--{name}");
+            let bad = Options::parse(&args(&[&option, text]), &[name], &[]).expect("parse");
+            let max = *range.end();
+            match bad.integer_list(name, &[0u64], range) {
+                Err(CliError::InvalidValue {
+                    value, expected, ..
+                }) => {
+                    assert!(text.ends_with(&value), "{value}");
+                    assert!(expected.contains(&max.to_string()), "{expected}");
+                }
+                other => panic!("{name} {text}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -435,23 +445,31 @@ mod tests {
     #[test]
     fn grid_solver_names_parse() {
         assert_eq!(
-            parse_grid_solver("gauss-seidel").expect("ok"),
-            GridSolver::GaussSeidel
-        );
-        assert_eq!(
-            parse_grid_solver("gs").expect("ok"),
-            GridSolver::GaussSeidel
-        );
-        assert_eq!(parse_grid_solver("PCG").expect("ok"), GridSolver::Pcg);
-        assert_eq!(
-            parse_grid_solver("pcg-jacobi").expect("ok"),
-            GridSolver::PcgJacobi
-        );
-        assert_eq!(
             parse_grid_solver("cholesky").expect("ok"),
             GridSolver::BandedCholesky
         );
-        assert!(parse_grid_solver("multigrid").is_err());
+        assert_eq!(
+            parse_grid_solver(GridSolver::BandedCholesky.name()).expect("round trip"),
+            GridSolver::BandedCholesky
+        );
+        // The removed solvers are refused with the value named, never
+        // mapped onto Cholesky.
+        for removed in [
+            "gauss-seidel",
+            "gs",
+            "pcg",
+            "pcg-jacobi",
+            "PCG",
+            "multigrid",
+        ] {
+            let error = parse_grid_solver(removed).expect_err(removed);
+            assert!(
+                matches!(&error, CliError::InvalidValue { value, .. } if value == removed),
+                "{error:?}"
+            );
+            let text = error.to_string();
+            assert!(text.contains("cholesky, the only grid solver"), "{text}");
+        }
     }
 
     #[test]

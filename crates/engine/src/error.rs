@@ -15,7 +15,7 @@ pub enum EngineError {
     Core(CoreError),
     /// A task-graph generation error (seeded scenario variants).
     Graph(GraphError),
-    /// A thermal-model error (grid validation backends).
+    /// A thermal-model error (grid validation, grid solver names).
     Thermal(ThermalError),
     /// An I/O error from the streaming result sink.
     Io(std::io::Error),

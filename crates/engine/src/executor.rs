@@ -5,7 +5,7 @@
 //! (shard's) scenario list: idle workers grab the next index, heavy
 //! scenarios never block light ones behind a static partition. Every worker
 //! owns its caches — a [`ThermalModelCache`] for block-model factorisations
-//! and a grid-model cache for the fine-grid validation backends — keyed by
+//! and a grid-model cache for fine-grid validation — keyed by
 //! floorplan geometry, so thermal sessions and Cholesky factors are *reused
 //! across scenarios* instead of rebuilt per run. Completed records flow
 //! through a channel to the caller's sink as they finish (streaming JSONL),
@@ -26,9 +26,9 @@ use tats_core::{
     CacheStats, CoSynthesis, FifoCache, FlowPhases, PlatformFlow, ScheduleEvaluation,
     ThermalModelCache,
 };
-use tats_thermal::{Floorplan, GridModel, GridSolver};
+use tats_thermal::{Floorplan, GridModel};
 use tats_trace::log::{LogEvent, LogLevel, LogSink};
-use tats_trace::metrics::{Counter, Gauge, Histogram};
+use tats_trace::metrics::{Counter, Histogram};
 use tats_trace::spans::{self, SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::{JsonValue, MetricsRegistry};
 
@@ -50,7 +50,7 @@ pub struct ScenarioRecord {
     pub policy: String,
     /// Seed axis value.
     pub seed: u64,
-    /// Grid-validation backend name, when that axis is set.
+    /// Grid-validation solver name, when that axis is set.
     pub solver: Option<String>,
     /// "Total Pow." — sum of per-PE sustained powers, watts.
     pub total_power: f64,
@@ -183,29 +183,13 @@ struct WorkerCaches {
 /// Distinct grid models per worker kept alive at once.
 const GRID_CACHE_CAPACITY: usize = 16;
 
+/// A grid model's cache key: the floorplan geometry and thermal
+/// configuration bits, then the resolution.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct GridKey {
     geometry: Vec<u64>,
     nx: usize,
     ny: usize,
-    solver: &'static str,
-}
-
-impl GridKey {
-    fn new(
-        floorplan: &Floorplan,
-        config: &tats_thermal::ThermalConfig,
-        nx: usize,
-        ny: usize,
-        solver: GridSolver,
-    ) -> Self {
-        GridKey {
-            geometry: tats_core::geometry_config_bits(floorplan, config),
-            nx,
-            ny,
-            solver: solver.name(),
-        }
-    }
 }
 
 impl WorkerCaches {
@@ -216,20 +200,23 @@ impl WorkerCaches {
         }
     }
 
-    /// The grid model for this geometry/resolution/backend, built on miss
-    /// (evicting the oldest entry when the bound is hit).
+    /// The factorised grid model for this geometry and resolution, built on
+    /// miss (evicting the oldest entry when the bound is hit).
     fn grid_model(
         &mut self,
         floorplan: &Floorplan,
         campaign: &Campaign,
-        solver: GridSolver,
     ) -> Result<&GridModel, EngineError> {
         let (nx, ny) = campaign.grid_resolution();
         let config = campaign.experiment().thermal_config;
-        let key = GridKey::new(floorplan, &config, nx, ny, solver);
-        self.grid.get_or_try_insert_with(key, || {
-            Ok::<_, EngineError>(GridModel::new(floorplan, config, nx, ny)?.with_solver(solver)?)
-        })
+        let key = GridKey {
+            geometry: tats_core::geometry_config_bits(floorplan, &config),
+            nx,
+            ny,
+        };
+        self.grid
+            .get_or_try_insert_with(key, || GridModel::new(floorplan, config, nx, ny))
+            .map_err(EngineError::from)
     }
 
     fn stats(&self) -> CacheStats {
@@ -253,15 +240,8 @@ struct EngineMetrics {
     failed: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    /// Iterations per grid solve (Gauss–Seidel sweeps or PCG iterations;
-    /// the direct Cholesky path records 0). Raw counts, not seconds.
-    pcg_iterations: Arc<Histogram>,
-    /// Residual of the most recent grid solve, in 1e-12 units (gauges are
-    /// integers; the span attribute carries the exact float).
-    solver_residual: Arc<Gauge>,
-    /// Banded-Cholesky factorisations: one per grid-model cache miss with
-    /// the direct backend — the expensive rebuild a diverging cache
-    /// hit-rate turns into.
+    /// Banded-Cholesky factorisations: one per grid-model cache miss — the
+    /// expensive rebuild a diverging cache hit-rate turns into.
     cholesky_refactors: Arc<Counter>,
 }
 
@@ -278,8 +258,6 @@ impl EngineMetrics {
             failed: registry.counter("engine_scenarios_failed_total", &[]),
             cache_hits: registry.counter("engine_cache_hits_total", &[]),
             cache_misses: registry.counter("engine_cache_misses_total", &[]),
-            pcg_iterations: registry.histogram("engine_pcg_iterations", &[]),
-            solver_residual: registry.gauge("engine_solver_residual", &[]),
             cholesky_refactors: registry.counter("engine_cholesky_refactors_total", &[]),
         }
     }
@@ -360,21 +338,20 @@ fn run_scenario(
         };
 
     let grid_clock = Instant::now();
-    let mut solver_telemetry: Option<(usize, f64)> = None;
     let grid_max_temp_c = match scenario.solver {
         None => None,
         Some(solver) => {
             let misses_before = caches.grid.stats().misses;
             let len_before = caches.grid.len();
             let max_c = {
-                let model = caches.grid_model(&floorplan, campaign, solver)?;
+                let model = caches.grid_model(&floorplan, campaign)?;
                 let mut workspace = model.workspace();
-                let temps = model.steady_state_with(&evaluation.per_pe_power, &mut workspace)?;
-                solver_telemetry = Some((workspace.last_iterations(), workspace.last_residual()));
-                temps.max_c()
+                model
+                    .steady_state_with(&evaluation.per_pe_power, &mut workspace)?
+                    .max_c()
             };
             let missed = caches.grid.stats().misses > misses_before;
-            if solver == GridSolver::BandedCholesky && missed {
+            if missed {
                 if let Some(metrics) = metrics {
                     metrics.cholesky_refactors.inc();
                 }
@@ -402,10 +379,6 @@ fn run_scenario(
         }
         if scenario.solver.is_some() {
             metrics.grid_seconds.record_duration(grid_clock.elapsed());
-        }
-        if let Some((iterations, residual)) = solver_telemetry {
-            metrics.pcg_iterations.record(iterations as u64);
-            metrics.solver_residual.set((residual * 1e12) as u64);
         }
         metrics
             .scenario_seconds
@@ -446,15 +419,11 @@ fn run_scenario(
         if scenario.flow == FlowKind::CoSynthesis {
             named_phases.push(("floorplan", phases.floorplan.as_micros() as u64, vec![]));
         }
-        if let (Some(solver), Some((iterations, residual))) = (scenario.solver, solver_telemetry) {
+        if let Some(solver) = scenario.solver {
             named_phases.push((
                 "grid",
                 grid_clock.elapsed().as_micros() as u64,
-                vec![
-                    ("solver", solver.name().to_string()),
-                    ("iterations", iterations.to_string()),
-                    ("residual", format!("{residual:e}")),
-                ],
+                vec![("solver", solver.name().to_string())],
             ));
         }
         for (name, duration_us, attrs) in named_phases {
@@ -733,6 +702,7 @@ mod tests {
     use crate::scenario::Shard;
     use tats_core::Policy;
     use tats_taskgraph::Benchmark;
+    use tats_thermal::GridSolver;
 
     fn tiny_campaign() -> Campaign {
         Campaign::default()
@@ -887,10 +857,7 @@ mod tests {
 
     #[test]
     fn grid_scenarios_record_solver_telemetry() {
-        let campaign = tiny_campaign().with_solvers(vec![
-            Some(GridSolver::Pcg),
-            Some(GridSolver::BandedCholesky),
-        ]);
+        let campaign = tiny_campaign().with_solvers(vec![None, Some(GridSolver::BandedCholesky)]);
         let scenarios = campaign.scenarios();
         let registry = Arc::new(MetricsRegistry::new());
         let trace = TraceContext {
@@ -908,28 +875,21 @@ mod tests {
             })
             .unwrap();
         let snapshot = registry.snapshot();
-        // One iteration sample per grid solve; the PCG ones are nonzero.
-        let iterations = snapshot
-            .histogram_value("engine_pcg_iterations", &[])
-            .unwrap();
-        assert_eq!(iterations.count(), scenarios.len() as u64);
-        assert!(iterations.max() > 0);
         // One Cholesky refactor per worker for the shared geometry.
         assert_eq!(
             snapshot.counter_value("engine_cholesky_refactors_total", &[]),
             Some(1)
         );
-        // The grid phase spans carry the solver telemetry as attributes.
-        assert_eq!(grid_spans.len(), scenarios.len());
+        // Only the grid-validated half of the scenarios has a grid phase,
+        // and each such span names its solver and nothing else.
+        assert_eq!(grid_spans.len(), scenarios.len() / 2);
         for span in &grid_spans {
-            assert!(span.attrs.contains_key("solver"));
-            assert!(span.attrs.contains_key("iterations"));
-            assert!(span.attrs.contains_key("residual"));
+            assert_eq!(
+                span.attrs.get("solver").map(String::as_str),
+                Some("cholesky")
+            );
+            assert_eq!(span.attrs.keys().collect::<Vec<_>>(), ["solver", "worker"]);
         }
-        assert!(grid_spans
-            .iter()
-            .any(|s| s.attrs.get("solver").map(String::as_str) == Some("pcg")
-                && s.attrs.get("iterations").unwrap() != "0"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation is a fixed grid of scenarios (benchmark ×
 //! architecture flow × policy × thermal backend × seed). Earlier PRs made a
-//! *single* evaluation fast (cached thermal sessions, sparse grid solvers);
+//! *single* evaluation fast (cached thermal sessions, a cached grid factor);
 //! this crate is the layer that keeps thousands of them fed:
 //!
 //! * [`Campaign`] enumerates a scenario space into a **stable, totally

@@ -1,7 +1,7 @@
 //! Scenario spaces: the deterministic grid a campaign enumerates.
 //!
 //! A [`Campaign`] is the cartesian product of its axes — benchmarks ×
-//! design flows × scheduling policies × grid-validation backends × seeds —
+//! design flows × scheduling policies × grid validation × seeds —
 //! flattened into a **stable, totally ordered** scenario list: axis order is
 //! fixed (benchmark outermost, seed innermost) and the scenario id is the
 //! index in that enumeration. Everything downstream (sharding, resume,
@@ -74,7 +74,7 @@ pub struct Scenario {
     pub policy: Policy,
     /// The grid-validation axis value: `None` evaluates on the block model
     /// only, `Some(solver)` additionally validates the steady state on the
-    /// fine grid model with that backend.
+    /// fine grid model with that solver.
     pub solver: Option<GridSolver>,
     /// The seed axis value: `0` is the canonical published benchmark graph;
     /// any other value regenerates a graph with the same task/edge/deadline

@@ -18,7 +18,8 @@ use std::fmt;
 use tats_core::experiment::ExperimentConfig;
 use tats_core::Policy;
 use tats_taskgraph::Benchmark;
-use tats_thermal::GridSolver;
+use tats_thermal::{GridSolver, MAX_GRID_SIDE};
+use tats_trace::json::MAX_EXACT_INTEGER;
 use tats_trace::JsonValue;
 
 use crate::error::EngineError;
@@ -128,21 +129,21 @@ fn parse_policy(slug: &str) -> Result<Policy, EngineError> {
         .ok_or_else(|| EngineError::InvalidParameter(format!("unknown policy '{slug}'")))
 }
 
-fn parse_solver(name: &str) -> Result<GridSolver, EngineError> {
-    [
-        GridSolver::GaussSeidel,
-        GridSolver::Pcg,
-        GridSolver::PcgJacobi,
-        GridSolver::BandedCholesky,
-    ]
-    .into_iter()
-    .find(|s| s.name() == name)
-    .ok_or_else(|| EngineError::InvalidParameter(format!("unknown grid solver '{name}'")))
-}
-
 /// Wraps a field-accessor message (`JsonValue::field_*`) as a spec error.
 fn spec_error(message: String) -> EngineError {
     EngineError::InvalidParameter(format!("campaign spec: {message}"))
+}
+
+/// Checks one side of the grid resolution against `1..=MAX_GRID_SIDE`.
+fn grid_side(name: &str, side: u64) -> Result<usize, EngineError> {
+    usize::try_from(side)
+        .ok()
+        .filter(|side| (1..=MAX_GRID_SIDE).contains(side))
+        .ok_or_else(|| {
+            spec_error(format!(
+                "field '{name}' must be an integer from 1 to {MAX_GRID_SIDE}, got {side}"
+            ))
+        })
 }
 
 /// Interprets a field as an array of strings mapped through `parse`.
@@ -180,9 +181,11 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidParameter`] when the campaign's
-    /// experiment configuration is neither of the two named efforts — such a
-    /// campaign has no faithful wire form, and shipping an *approximate*
-    /// spec would silently change what remote workers compute.
+    /// experiment configuration is neither of the two named efforts, when a
+    /// seed exceeds [`MAX_EXACT_INTEGER`] (2^53) or when a grid side lies
+    /// outside `1..=`[`MAX_GRID_SIDE`]. Such a campaign has no faithful wire
+    /// form, and shipping an *approximate* spec would silently change what
+    /// remote workers compute.
     pub fn from_campaign(campaign: &Campaign) -> Result<Self, EngineError> {
         let effort = if *campaign.experiment() == ExperimentConfig::fast() {
             Effort::Fast
@@ -195,6 +198,14 @@ impl CampaignSpec {
                     .to_string(),
             ));
         };
+        if let Some(seed) = campaign.seeds().iter().find(|&&s| s > MAX_EXACT_INTEGER) {
+            return Err(EngineError::InvalidParameter(format!(
+                "seed {seed} is above 2^53, the largest integer a JSON number carries exactly"
+            )));
+        }
+        let (nx, ny) = campaign.grid_resolution();
+        grid_side("nx", nx as u64)?;
+        grid_side("ny", ny as u64)?;
         Ok(CampaignSpec {
             benchmarks: campaign.benchmarks().to_vec(),
             flows: campaign.flows().to_vec(),
@@ -269,7 +280,9 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidParameter`] naming the offending field
-    /// for missing fields, wrong shapes and unknown axis names.
+    /// for missing fields, wrong shapes, unknown axis names and a grid side
+    /// outside `1..=`[`MAX_GRID_SIDE`], and [`EngineError::Thermal`] naming
+    /// any grid solver but `cholesky`.
     pub fn from_json(value: &JsonValue) -> Result<Self, EngineError> {
         let solvers = value
             .field_array("solvers")
@@ -283,8 +296,9 @@ impl CampaignSpec {
                         .ok_or_else(|| {
                             spec_error("field 'solvers' must contain strings or null".to_string())
                         })
-                        .and_then(parse_solver)
-                        .map(Some)
+                        .and_then(|name| {
+                            GridSolver::parse(name).map(Some).map_err(EngineError::from)
+                        })
                 }
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -306,8 +320,8 @@ impl CampaignSpec {
             solvers,
             seeds,
             grid_resolution: (
-                value.field_u64("nx").map_err(spec_error)? as usize,
-                value.field_u64("ny").map_err(spec_error)? as usize,
+                grid_side("nx", value.field_u64("nx").map_err(spec_error)?)?,
+                grid_side("ny", value.field_u64("ny").map_err(spec_error)?)?,
             ),
             effort,
         })
@@ -373,6 +387,17 @@ mod tests {
         assert_eq!(back, spec);
         // The derived campaign enumerates the product of the axes.
         assert_eq!(campaign.len(), 2 * 2 * 5 * 2 * 3);
+        // Seeds up to 2^53 survive the JSON number; the next one would not,
+        // so it has no spec.
+        let largest = campaign.clone().with_seeds(vec![MAX_EXACT_INTEGER]);
+        let spec = CampaignSpec::from_campaign(&largest).expect("2^53 is exact");
+        assert_eq!(
+            CampaignSpec::parse(&spec.to_json().to_json()).unwrap(),
+            spec
+        );
+        let error = CampaignSpec::from_campaign(&campaign.with_seeds(vec![MAX_EXACT_INTEGER + 1]))
+            .expect_err("2^53 + 1 is not exact");
+        assert!(error.to_string().contains("9007199254740993"), "{error}");
     }
 
     #[test]
@@ -413,6 +438,23 @@ mod tests {
         .unwrap();
         let error = CampaignSpec::from_json(&bad).expect_err("unknown benchmark");
         assert!(error.to_string().contains("Bm9"), "{error}");
+        // Each grid side lies in 1..=MAX_GRID_SIDE; 2^32 used to pass
+        // unchecked and wrap `nx * ny` to zero in the grid model.
+        let good = bad.to_json().replace("Bm9", "Bm1");
+        assert!(CampaignSpec::parse(&good).is_ok());
+        for (field, side) in [
+            ("nx", "0"),
+            ("nx", "129"),
+            ("nx", "4294967296"),
+            ("ny", "0"),
+            ("ny", "129"),
+            ("ny", "4294967296"),
+        ] {
+            let text = good.replace(&format!("\"{field}\":16"), &format!("\"{field}\":{side}"));
+            let error = CampaignSpec::parse(&text).expect_err(&text).to_string();
+            assert!(error.contains(&format!("'{field}'")), "{error}");
+            assert!(error.contains("from 1 to 128"), "{error}");
+        }
         assert!(CampaignSpec::parse("not json").is_err());
         assert!(Effort::parse("medium").is_err());
         assert_eq!(Effort::parse("full").unwrap(), Effort::Full);
@@ -421,14 +463,23 @@ mod tests {
 
     #[test]
     fn solver_names_round_trip() {
-        for solver in [
-            GridSolver::GaussSeidel,
-            GridSolver::Pcg,
-            GridSolver::PcgJacobi,
-            GridSolver::BandedCholesky,
-        ] {
-            assert_eq!(parse_solver(solver.name()).unwrap(), solver);
+        let text = multi_axis_spec().to_json().to_json();
+        assert!(text.contains("\"solvers\":[null,\"cholesky\"]"), "{text}");
+        assert_eq!(
+            GridSolver::parse(GridSolver::BandedCholesky.name()).unwrap(),
+            GridSolver::BandedCholesky
+        );
+        // Removed solvers are refused, never mapped onto Cholesky.
+        for removed in ["gauss-seidel", "gs", "pcg", "pcg-jacobi", "multigrid"] {
+            let renamed = text.replace("\"cholesky\"", &format!("\"{removed}\""));
+            let error = CampaignSpec::parse(&renamed)
+                .expect_err(removed)
+                .to_string();
+            assert!(error.contains(&format!("'{removed}'")), "{error}");
+            assert!(
+                error.contains("cholesky is the only grid solver"),
+                "{error}"
+            );
         }
-        assert!(parse_solver("multigrid").is_err());
     }
 }

@@ -16,7 +16,10 @@
 //!   `tats serve --journal state.jsonl` survives a hard kill, and a restart
 //!   on the same path replays the journal — repairing a partial trailing
 //!   line, reconstructing jobs/records/shard states, and resetting stale
-//!   leases so the work re-issues;
+//!   leases so the work re-issues. A journal whose job spec names a
+//!   removed grid solver (`gauss-seidel`, `gs`, `pcg`, `pcg-jacobi`)
+//!   refuses to replay with [`ServiceError::Protocol`] naming it, rather
+//!   than recompute the job with a solver its spec does not name;
 //! * [`retry`] is the shared transient-vs-fatal classification and capped
 //!   exponential backoff (deterministic jitter) that the worker loop,
 //!   record streaming and `tats submit --wait` all apply, so a fleet rides

@@ -1802,6 +1802,33 @@ mod tests {
     }
 
     #[test]
+    fn removed_solvers_and_oversized_grids_are_refused_before_admission() {
+        let handle = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+        let addr = handle.addr_string();
+        let mut spec = tats_engine::CampaignSpec::default();
+        spec.benchmarks.truncate(1);
+        let spec = spec.to_json().to_json();
+        for (from, to, named) in [
+            ("\"solvers\":[null]", "\"solvers\":[\"pcg\"]", "'pcg'"),
+            ("\"nx\":16", "\"nx\":4294967296", "'nx'"),
+        ] {
+            assert!(spec.contains(from), "{spec}");
+            let body = format!("{{\"spec\":{}}}", spec.replace(from, to));
+            let response = client::request(&addr, "POST", "/jobs", &[], Some(&body)).expect("post");
+            assert_eq!(response.status, 400, "{}", response.body);
+            assert!(response.body.contains(named), "{}", response.body);
+        }
+        // Nothing was admitted, so no worker can lease it.
+        let lease = client::request(&addr, "POST", "/lease", &[], Some("{\"worker\":\"w\"}"))
+            .expect("lease");
+        assert_eq!(lease.status, 200, "{}", lease.body);
+        assert!(!lease.body.contains("\"lease\""), "{}", lease.body);
+        let jobs = client::get(&addr, "/jobs").expect("jobs");
+        assert!(!jobs.body.contains("\"job\":"), "{}", jobs.body);
+        handle.stop();
+    }
+
+    #[test]
     fn connection_gate_sheds_with_503_and_counts_rejections() {
         let config = ServiceConfig {
             max_connections: 1,

@@ -8,8 +8,9 @@
 //! pins that equivalence:
 //!
 //! * unit cases for the full lifecycle, the crash-truncated final line,
-//!   the journaled lease reset (the double-crash scenario) and the sealed
-//!   (aborted) registry;
+//!   the journaled lease reset (the double-crash scenario), the sealed
+//!   (aborted) registry and journals that must refuse to replay (a
+//!   tampered lease grant, a removed grid solver);
 //! * a property test driving randomised interleavings — including invalid
 //!   requests, expired leases and zombie writers — and checking
 //!   `snapshot(replay(journal)) == snapshot(live)` after every run, with
@@ -384,6 +385,31 @@ fn corrupted_lease_grants_refuse_to_replay() {
     let error = journal::replay(&path, TTL).expect_err("tampered journal");
     assert!(
         matches!(&error, ServiceError::Protocol(message) if message.contains("lease")),
+        "{error}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn journals_naming_a_removed_grid_solver_refuse_to_replay() {
+    let path = journal_path("removed_solver");
+    let (mut live, _) = JournaledRegistry::open(&path, TTL).expect("open");
+    live.submit(Submission::new(tiny_spec(), 1), 0)
+        .expect("submit");
+    drop(live);
+    // A journal written while `pcg` was a grid solver: replay refuses it
+    // rather than recompute the job with a solver its spec does not name.
+    let text = std::fs::read_to_string(&path).expect("read");
+    assert!(text.contains("\"solvers\":[null]"), "{text}");
+    std::fs::write(
+        &path,
+        text.replace("\"solvers\":[null]", "\"solvers\":[\"pcg\"]"),
+    )
+    .expect("rewrite");
+    let error = journal::replay(&path, TTL).expect_err("removed solver");
+    assert!(
+        matches!(&error, ServiceError::Protocol(message)
+            if message.contains("'pcg'") && message.contains("cholesky is the only grid solver")),
         "{error}"
     );
     let _ = std::fs::remove_file(&path);

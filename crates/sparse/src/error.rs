@@ -2,12 +2,12 @@
 
 use std::fmt;
 
-/// Errors produced while assembling or solving sparse systems.
+/// Errors produced while assembling, factorising or solving banded systems.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SparseError {
     /// A dimension did not match (vector length, matrix size, bandwidth).
     DimensionMismatch {
-        /// What was being matched (e.g. "spmv input").
+        /// What was being matched (e.g. "banded solve").
         context: &'static str,
         /// The dimension the operation required.
         expected: usize,
@@ -23,15 +23,6 @@ pub enum SparseError {
         /// Matrix dimension.
         n: usize,
     },
-    /// The assembled matrix is not symmetric within tolerance.
-    NotSymmetric {
-        /// Row of the offending entry.
-        row: usize,
-        /// Column of the offending entry.
-        col: usize,
-        /// `|a_ij - a_ji|` at that position.
-        asymmetry: f64,
-    },
     /// A pivot required by a Cholesky-type factorisation was not positive:
     /// the matrix is not (numerically) positive definite.
     NotPositiveDefinite {
@@ -40,18 +31,9 @@ pub enum SparseError {
         /// The offending pivot value.
         value: f64,
     },
-    /// An iterative solver exhausted its iteration budget.
-    NoConvergence {
-        /// Iterations performed before giving up.
-        iterations: usize,
-        /// Relative residual norm `||b - Ax|| / ||b||` at the last iteration.
-        residual: f64,
-        /// Relative residual the solver was asked to reach.
-        tolerance: f64,
-    },
     /// A value that must be finite (and possibly positive) was not.
     InvalidValue {
-        /// What the value was (e.g. "matrix entry", "tolerance").
+        /// What the value was (e.g. "banded entry").
         context: &'static str,
         /// The offending value.
         value: f64,
@@ -69,26 +51,9 @@ impl fmt::Display for SparseError {
             SparseError::IndexOutOfBounds { row, col, n } => {
                 write!(f, "entry ({row}, {col}) outside {n} x {n} matrix")
             }
-            SparseError::NotSymmetric {
-                row,
-                col,
-                asymmetry,
-            } => write!(
-                f,
-                "matrix is not symmetric: |a[{row},{col}] - a[{col},{row}]| = {asymmetry:.3e}"
-            ),
             SparseError::NotPositiveDefinite { pivot, value } => write!(
                 f,
                 "matrix is not positive definite: pivot {pivot} is {value:.3e}"
-            ),
-            SparseError::NoConvergence {
-                iterations,
-                residual,
-                tolerance,
-            } => write!(
-                f,
-                "solver did not converge after {iterations} iterations: \
-                 relative residual {residual:.3e} vs requested {tolerance:.3e}"
             ),
             SparseError::InvalidValue { context, value } => {
                 write!(f, "{context} must be finite, got {value}")
@@ -107,7 +72,7 @@ mod tests {
     fn all_variants_have_nonempty_messages() {
         let errors = [
             SparseError::DimensionMismatch {
-                context: "spmv input",
+                context: "banded solve",
                 expected: 4,
                 actual: 3,
             },
@@ -116,41 +81,18 @@ mod tests {
                 col: 0,
                 n: 4,
             },
-            SparseError::NotSymmetric {
-                row: 1,
-                col: 2,
-                asymmetry: 0.5,
-            },
             SparseError::NotPositiveDefinite {
                 pivot: 3,
                 value: -1.0,
             },
-            SparseError::NoConvergence {
-                iterations: 100,
-                residual: 1e-3,
-                tolerance: 1e-9,
-            },
             SparseError::InvalidValue {
-                context: "matrix entry",
+                context: "banded entry",
                 value: f64::NAN,
             },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn no_convergence_reports_achieved_vs_requested() {
-        let message = SparseError::NoConvergence {
-            iterations: 7,
-            residual: 2e-3,
-            tolerance: 1e-10,
-        }
-        .to_string();
-        assert!(message.contains('7'));
-        assert!(message.contains("2.000e-3"));
-        assert!(message.contains("1.000e-10"));
     }
 
     #[test]

@@ -3,49 +3,43 @@
 //! The block-level compact model solves tiny dense systems (one node per
 //! PE), but the validation-grade [`GridModel`] discretises the die into
 //! `nx x ny` cells and its Laplacian is far too large for dense methods.
-//! This crate provides the three tools that workload needs, dependency
-//! free:
+//! This crate provides the one direct solver that workload needs,
+//! dependency free:
 //!
-//! * [`CsrMatrix`] / [`SpdBuilder`] — compressed sparse row storage with
-//!   allocation-free [`CsrMatrix::spmv_into`] and a symmetric
-//!   positive-definite assembly builder with stamp semantics,
-//! * [`PcgSolver`] — preconditioned conjugate gradients
-//!   ([`Preconditioner::Identity`] / [`Preconditioner::jacobi`] /
-//!   [`Preconditioner::ic0`]) with a reusable [`CgWorkspace`] so repeated
-//!   solves allocate nothing,
-//! * [`BandedCholesky`] and [`BorderedBandedCholesky`] — cached direct
-//!   factorisations for banded SPD systems (the grid Laplacian has
-//!   bandwidth `nx`) and for banded systems with a few dense coupling rows
-//!   (spreader/sink nodes), each with in-place
-//!   `solve_into` for repeated right-hand sides.
+//! * [`BandedMatrix`] / [`BandedCholesky`] — symmetric banded storage and
+//!   its cached `L L^T` factor (the grid Laplacian has bandwidth `nx`),
+//! * [`BorderedBandedCholesky`] — the same for banded systems with a few
+//!   dense coupling rows (the spreader/sink nodes), by block elimination.
+//!
+//! Both factors solve in place with `solve_into`, so repeated right-hand
+//! sides allocate nothing.
 //!
 //! [`GridModel`]: https://docs.rs/tats_thermal
 //!
 //! # Examples
 //!
 //! ```
-//! use tats_sparse::{CgWorkspace, PcgSolver, Preconditioner, SpdBuilder};
+//! use tats_sparse::{BandedCholesky, BandedMatrix};
 //!
 //! # fn main() -> Result<(), tats_sparse::SparseError> {
 //! // Assemble a 1-D conductance chain with a ground leak per node.
 //! let n = 32;
-//! let mut builder = SpdBuilder::new(n);
+//! let mut a = BandedMatrix::zeros(n, 1);
 //! for i in 0..n {
-//!     builder.add_diagonal(i, 0.05)?;
+//!     a.add(i, i, 0.05)?;
 //! }
 //! for i in 1..n {
-//!     builder.add_branch(i - 1, i, 1.0)?;
+//!     a.add(i - 1, i - 1, 1.0)?;
+//!     a.add(i, i, 1.0)?;
+//!     a.add(i, i - 1, -1.0)?;
 //! }
-//! let a = builder.build()?;
 //!
-//! // Solve with IC(0)-preconditioned CG.
-//! let preconditioner = Preconditioner::ic0(&a)?;
-//! let b = vec![1.0; n];
-//! let mut x = vec![0.0; n];
-//! let mut workspace = CgWorkspace::new(n);
-//! let summary =
-//!     PcgSolver::new(1000, 1e-10).solve_into(&a, &preconditioner, &b, &mut x, &mut workspace)?;
-//! assert!(summary.residual <= 1e-10);
+//! // Factor once, then solve in place for each right-hand side.
+//! let factor = BandedCholesky::new(&a)?;
+//! let mut x = vec![1.0; n];
+//! factor.solve_into(&mut x)?;
+//! // Uniform injection into a uniform leak: every node sits at 1 / 0.05.
+//! assert!(x.iter().all(|t| (t - 20.0).abs() < 1e-9));
 //! # Ok(())
 //! # }
 //! ```
@@ -55,15 +49,11 @@
 
 mod banded;
 mod bordered;
-mod csr;
 mod error;
-mod pcg;
 
 pub use banded::{BandedCholesky, BandedMatrix};
 pub use bordered::BorderedBandedCholesky;
-pub use csr::{CsrMatrix, SpdBuilder};
 pub use error::SparseError;
-pub use pcg::{CgSummary, CgWorkspace, PcgSolver, Preconditioner};
 
 #[cfg(test)]
 mod proptests {
@@ -71,90 +61,32 @@ mod proptests {
     use proptest::prelude::*;
 
     /// Assembles a random 2-D grid conductance system (5-point stencil with
-    /// per-node ground leak) both as CSR and as a banded matrix.
-    fn grid_pair(nx: usize, ny: usize, leak: f64, coupling: f64) -> (CsrMatrix, BandedMatrix) {
+    /// per-node ground leak) as a banded matrix.
+    fn grid_matrix(nx: usize, ny: usize, leak: f64, coupling: f64) -> BandedMatrix {
         let n = nx * ny;
-        let mut builder = SpdBuilder::new(n);
         let mut banded = BandedMatrix::zeros(n, nx);
         for i in 0..n {
-            builder.add_diagonal(i, leak).unwrap();
             banded.add(i, i, leak).unwrap();
         }
         for y in 0..ny {
             for x in 0..nx {
                 let i = y * nx + x;
                 if x + 1 < nx {
-                    builder.add_branch(i, i + 1, coupling).unwrap();
                     banded.add(i, i, coupling).unwrap();
                     banded.add(i + 1, i + 1, coupling).unwrap();
                     banded.add(i + 1, i, -coupling).unwrap();
                 }
                 if y + 1 < ny {
-                    builder.add_branch(i, i + nx, coupling).unwrap();
                     banded.add(i, i, coupling).unwrap();
                     banded.add(i + nx, i + nx, coupling).unwrap();
                     banded.add(i + nx, i, -coupling).unwrap();
                 }
             }
         }
-        (builder.build().unwrap(), banded)
+        banded
     }
 
     proptest! {
-        /// PCG (all preconditioners) and banded Cholesky agree with each
-        /// other on random grid conductance systems.
-        #[test]
-        fn pcg_and_banded_cholesky_agree(
-            nx in 2usize..7,
-            ny in 2usize..7,
-            leak in 0.01f64..2.0,
-            coupling in 0.1f64..5.0,
-            rhs in proptest::collection::vec(-10.0f64..10.0, 36),
-        ) {
-            let (csr, banded) = grid_pair(nx, ny, leak, coupling);
-            let n = csr.n();
-            let b = &rhs[..n];
-
-            let mut direct = b.to_vec();
-            BandedCholesky::new(&banded).unwrap().solve_into(&mut direct).unwrap();
-
-            let solver = PcgSolver::new(10_000, 1e-13);
-            for preconditioner in [
-                Preconditioner::Identity,
-                Preconditioner::jacobi(&csr).unwrap(),
-                Preconditioner::ic0(&csr).unwrap(),
-            ] {
-                let mut x = vec![0.0; n];
-                let mut workspace = CgWorkspace::new(n);
-                solver
-                    .solve_into(&csr, &preconditioner, b, &mut x, &mut workspace)
-                    .unwrap();
-                for (xi, di) in x.iter().zip(&direct) {
-                    prop_assert!((xi - di).abs() < 1e-6, "{xi} vs {di}");
-                }
-            }
-        }
-
-        /// The assembly builder always produces symmetric, diagonally
-        /// dominant matrices from branch/diagonal stamps.
-        #[test]
-        fn assembled_systems_are_symmetric_dominant(
-            nx in 1usize..6,
-            ny in 1usize..6,
-            leak in 0.001f64..1.0,
-            coupling in 0.01f64..10.0,
-        ) {
-            let (csr, banded) = grid_pair(nx, ny, leak, coupling);
-            prop_assert_eq!(csr.max_asymmetry(), 0.0);
-            prop_assert!(csr.is_diagonally_dominant(1e-9));
-            // The two assemblies describe the same matrix.
-            for i in 0..csr.n() {
-                for (j, value) in csr.row(i) {
-                    prop_assert!((value - banded.get(i, j)).abs() < 1e-12);
-                }
-            }
-        }
-
         /// Solving then multiplying round-trips the right-hand side.
         #[test]
         fn solve_spmv_round_trips(
@@ -163,15 +95,14 @@ mod proptests {
             leak in 0.05f64..1.0,
             rhs in proptest::collection::vec(-5.0f64..5.0, 25),
         ) {
-            let (csr, banded) = grid_pair(nx, ny, leak, 1.0);
-            let n = csr.n();
+            let banded = grid_matrix(nx, ny, leak, 1.0);
+            let n = banded.n();
             let b = &rhs[..n];
             let mut x = b.to_vec();
             BandedCholesky::new(&banded).unwrap().solve_into(&mut x).unwrap();
-            let mut back = vec![0.0; n];
-            csr.spmv_into(&x, &mut back).unwrap();
-            for (bi, backi) in b.iter().zip(&back) {
-                prop_assert!((bi - backi).abs() < 1e-8);
+            for (i, bi) in b.iter().enumerate() {
+                let back: f64 = (0..n).map(|j| banded.get(i, j) * x[j]).sum();
+                prop_assert!((bi - back).abs() < 1e-8);
             }
         }
     }

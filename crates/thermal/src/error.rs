@@ -31,17 +31,6 @@ pub enum ThermalError {
     InvalidPower(usize, f64),
     /// The linear system was singular or numerically unsolvable.
     SingularSystem,
-    /// An iterative solver did not converge within its iteration budget.
-    /// Carries the achieved residual so callers can tell "nearly there"
-    /// from "diverging" and retry with a bigger budget or looser tolerance.
-    NoConvergence {
-        /// Iterations performed before giving up.
-        iterations: usize,
-        /// Residual norm at the last iteration.
-        residual: f64,
-        /// The residual the solver was asked to reach.
-        tolerance: f64,
-    },
     /// A configuration or solver parameter was out of its valid range.
     InvalidParameter(String),
 }
@@ -72,15 +61,6 @@ impl fmt::Display for ThermalError {
                 )
             }
             ThermalError::SingularSystem => write!(f, "thermal network is singular"),
-            ThermalError::NoConvergence {
-                iterations,
-                residual,
-                tolerance,
-            } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations: \
-                 achieved residual {residual:.3e} vs requested {tolerance:.3e}"
-            ),
             ThermalError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }
@@ -109,29 +89,11 @@ mod tests {
             },
             ThermalError::InvalidPower(3, f64::NAN),
             ThermalError::SingularSystem,
-            ThermalError::NoConvergence {
-                iterations: 100,
-                residual: 1e-3,
-                tolerance: 1e-7,
-            },
             ThermalError::InvalidParameter("bad".into()),
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn no_convergence_reports_achieved_and_requested_residual() {
-        let message = ThermalError::NoConvergence {
-            iterations: 42,
-            residual: 3.5e-4,
-            tolerance: 1e-9,
-        }
-        .to_string();
-        assert!(message.contains("42"));
-        assert!(message.contains("3.500e-4"));
-        assert!(message.contains("1.000e-9"));
     }
 
     #[test]

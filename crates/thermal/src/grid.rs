@@ -5,28 +5,29 @@
 //! and for the ablation benches this module also provides a finer grid model:
 //! the floorplan bounding box is discretised into `nx × ny` cells, block
 //! power is distributed over the cells it covers, and the resulting sparse
-//! system is solved with one of three interchangeable solvers (see
-//! [`GridSolver`]).
+//! system is solved directly.
 //!
-//! # Solver selection
+//! # Solver
 //!
-//! | solver | per-query cost | when it wins |
-//! |---|---|---|
-//! | [`GridSolver::GaussSeidel`] | `O(iterations · cells)`, thousands of sweeps | reference path; tiny grids; no extra setup |
-//! | [`GridSolver::Pcg`] (IC(0)) | tens of sparse sweeps | single queries on large grids; lowest setup cost |
-//! | [`GridSolver::PcgJacobi`] | hundreds of sparse sweeps | diagnostics; preconditioner ablations |
-//! | [`GridSolver::BandedCholesky`] | one banded sweep (`O(cells · nx)`) after an `O(cells · nx²)` factorisation cached at construction | repeated right-hand sides: sweeps, ablations, transient stepping |
-//!
-//! The three paths agree to solver tolerance; the equivalence tests in this
-//! module pin them together within `1e-6`.
+//! [`GridSolver::BandedCholesky`] is the one solver: [`GridModel::new`]
+//! factorises the system once, in `O(cells · nx²)`, and every query is one
+//! banded sweep, `O(cells · nx)`. The cell Laplacian has bandwidth `nx`; the
+//! spreader and sink nodes couple to every cell, so they form a dense
+//! border that [`tats_sparse::BorderedBandedCholesky`] eliminates through a
+//! Schur complement. The tests check the factor against a Gauss–Seidel
+//! sweep of the same system within `1e-6`. Each side holds at most
+//! [`MAX_GRID_SIDE`] cells.
 
 use crate::error::ThermalError;
 use crate::floorplan::Floorplan;
 use crate::materials::ThermalConfig;
-use tats_sparse::{
-    BandedMatrix, BorderedBandedCholesky, CgWorkspace, CsrMatrix, PcgSolver, Preconditioner,
-    SparseError, SpdBuilder,
-};
+use tats_sparse::{BandedMatrix, BorderedBandedCholesky, SparseError};
+
+/// Largest grid resolution per side, in cells. At 128×128 one cached
+/// factor holds about 17 MB (`cells · (nx + 1)` band entries), and the
+/// band grows with `nx³`, so larger grids would let one request claim
+/// gigabytes.
+pub const MAX_GRID_SIDE: usize = 128;
 
 /// Banded cell core, dense border columns and corner block of the grid
 /// system in the form [`BorderedBandedCholesky`] consumes.
@@ -35,15 +36,6 @@ pub(crate) type BorderedSystem = (BandedMatrix, Vec<Vec<f64>>, Vec<Vec<f64>>);
 /// Converts a sparse-subsystem failure into the thermal error vocabulary.
 pub(crate) fn from_sparse(error: SparseError) -> ThermalError {
     match error {
-        SparseError::NoConvergence {
-            iterations,
-            residual,
-            tolerance,
-        } => ThermalError::NoConvergence {
-            iterations,
-            residual,
-            tolerance,
-        },
         SparseError::NotPositiveDefinite { .. } => ThermalError::SingularSystem,
         other => ThermalError::InvalidParameter(other.to_string()),
     }
@@ -104,33 +96,42 @@ impl GridTemperatures {
     }
 }
 
-/// Steady-state solution strategy of a [`GridModel`].
+/// Steady-state solver of a [`GridModel`]: the value of the campaign axis
+/// that turns on grid validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GridSolver {
-    /// Point-wise Gauss–Seidel relaxation — the reference implementation.
-    #[default]
-    GaussSeidel,
-    /// Conjugate gradients with a zero-fill incomplete Cholesky (IC(0))
-    /// preconditioner over the assembled sparse system.
-    Pcg,
-    /// Conjugate gradients with the cheaper Jacobi (diagonal)
-    /// preconditioner.
-    PcgJacobi,
     /// Direct banded Cholesky factorisation of the cell Laplacian
     /// (bandwidth `nx`) with the dense spreader/sink rows handled by block
-    /// elimination; the factor is computed once at selection time and
-    /// cached for every subsequent right-hand side.
+    /// elimination; [`GridModel::new`] computes the factor once and caches
+    /// it for every later right-hand side.
+    #[default]
     BandedCholesky,
 }
 
 impl GridSolver {
-    /// Stable textual name (accepted back by the CLI's `--solver` option).
+    /// Stable textual name, the one [`GridSolver::parse`] accepts.
     pub fn name(&self) -> &'static str {
         match self {
-            GridSolver::GaussSeidel => "gauss-seidel",
-            GridSolver::Pcg => "pcg",
-            GridSolver::PcgJacobi => "pcg-jacobi",
             GridSolver::BandedCholesky => "cholesky",
+        }
+    }
+
+    /// Parses a stable solver name; `cholesky` is the only grid solver.
+    ///
+    /// The names of solvers earlier builds offered (`gauss-seidel`, `gs`,
+    /// `pcg`, `pcg-jacobi`) are refused like any other name rather than
+    /// mapped onto Cholesky: a journaled job that names one must not be
+    /// recomputed with a solver its spec does not name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::InvalidParameter`] naming `name`.
+    pub fn parse(name: &str) -> Result<Self, ThermalError> {
+        match name {
+            "cholesky" => Ok(GridSolver::BandedCholesky),
+            other => Err(ThermalError::InvalidParameter(format!(
+                "grid solver '{other}' is not available: cholesky is the only grid solver"
+            ))),
         }
     }
 }
@@ -141,49 +142,79 @@ impl std::fmt::Display for GridSolver {
     }
 }
 
-/// Solver-specific cached artefacts, built once per [`GridModel`].
-#[derive(Debug, Clone)]
-enum SolverEngine {
-    GaussSeidel,
-    Pcg {
-        matrix: CsrMatrix,
-        preconditioner: Preconditioner,
-    },
-    Cholesky {
-        factor: BorderedBandedCholesky,
-    },
-}
-
-/// Reusable buffers for repeated [`GridModel::steady_state_with`] queries:
-/// the node temperature vector doubles as the warm start of iterative
-/// solves, so parameter sweeps converge in a handful of iterations.
+/// Reusable buffer for repeated [`GridModel::steady_state_with`] queries.
 #[derive(Debug, Clone)]
 pub struct GridWorkspace {
-    /// Node temperatures: cells, then spreader, then sink.
+    /// Heat input per node (cells, then spreader, then sink), overwritten
+    /// in place by the node temperatures.
     t: Vec<f64>,
-    /// Heat input per node.
-    q: Vec<f64>,
-    cg: CgWorkspace,
-    /// Iterations of the most recent solve (0 for the direct Cholesky
-    /// path, which has no iteration count).
-    last_iterations: usize,
-    /// Residual the most recent solve achieved (0.0 for the direct path).
-    last_residual: f64,
 }
 
-impl GridWorkspace {
-    /// Iterations the most recent [`GridModel::steady_state_with`] call
-    /// took: Gauss–Seidel sweeps or PCG iterations. Zero before the first
-    /// solve and for the direct banded-Cholesky path.
-    pub fn last_iterations(&self) -> usize {
-        self.last_iterations
-    }
+/// The grid's resolution and branch conductances, W/K: everything the
+/// system matrix is assembled from.
+#[derive(Debug, Clone, Copy)]
+struct Stencil {
+    nx: usize,
+    ny: usize,
+    /// Between horizontally adjacent cells.
+    lateral_x: f64,
+    /// Between vertically adjacent cells.
+    lateral_y: f64,
+    /// From one cell to the spreader.
+    vertical: f64,
+    /// From the spreader to the sink.
+    spreader_sink: f64,
+    /// From the sink to the (grounded) ambient.
+    convection: f64,
+}
 
-    /// Residual the most recent solve achieved (max temperature change
-    /// for Gauss–Seidel, relative residual for PCG). Zero before the
-    /// first solve and for the direct banded-Cholesky path.
-    pub fn last_residual(&self) -> f64 {
-        self.last_residual
+impl Stencil {
+    /// Assembles the bordered-banded form of the system: the banded cell
+    /// Laplacian (bandwidth `nx`), the dense spreader/sink border and the
+    /// 2×2 corner. The `*_shift` arguments add to the respective diagonals,
+    /// which is how the implicit transient stepper injects `C/dt`.
+    fn assemble_bordered(
+        &self,
+        cell_diagonal_shift: f64,
+        spreader_shift: f64,
+        sink_shift: f64,
+    ) -> Result<BorderedSystem, ThermalError> {
+        let (nx, ny) = (self.nx, self.ny);
+        let cells = nx * ny;
+        let mut core = BandedMatrix::zeros(cells, nx.min(cells.saturating_sub(1)).max(1));
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let idx = iy * nx + ix;
+                core.add(idx, idx, self.vertical + cell_diagonal_shift)
+                    .map_err(from_sparse)?;
+                if ix + 1 < nx {
+                    core.add(idx, idx, self.lateral_x).map_err(from_sparse)?;
+                    core.add(idx + 1, idx + 1, self.lateral_x)
+                        .map_err(from_sparse)?;
+                    core.add(idx + 1, idx, -self.lateral_x)
+                        .map_err(from_sparse)?;
+                }
+                if iy + 1 < ny {
+                    core.add(idx, idx, self.lateral_y).map_err(from_sparse)?;
+                    core.add(idx + nx, idx + nx, self.lateral_y)
+                        .map_err(from_sparse)?;
+                    core.add(idx + nx, idx, -self.lateral_y)
+                        .map_err(from_sparse)?;
+                }
+            }
+        }
+        let border = vec![vec![-self.vertical; cells], vec![0.0; cells]];
+        let corner = vec![
+            vec![
+                cells as f64 * self.vertical + self.spreader_sink + spreader_shift,
+                -self.spreader_sink,
+            ],
+            vec![
+                -self.spreader_sink,
+                self.spreader_sink + self.convection + sink_shift,
+            ],
+        ];
+        Ok((core, border, corner))
     }
 }
 
@@ -192,15 +223,14 @@ impl GridWorkspace {
 /// # Examples
 ///
 /// ```
-/// use tats_thermal::{Block, Floorplan, GridModel, GridSolver, ThermalConfig};
+/// use tats_thermal::{Block, Floorplan, GridModel, ThermalConfig};
 ///
 /// # fn main() -> Result<(), tats_thermal::ThermalError> {
 /// let plan = Floorplan::new(vec![
 ///     Block::from_mm("hot", 0.0, 0.0, 7.0, 7.0),
 ///     Block::from_mm("cold", 7.0, 0.0, 7.0, 7.0),
 /// ])?;
-/// let grid = GridModel::new(&plan, ThermalConfig::default(), 16, 8)?
-///     .with_solver(GridSolver::BandedCholesky)?;
+/// let grid = GridModel::new(&plan, ThermalConfig::default(), 16, 8)?;
 /// let temps = grid.steady_state(&[8.0, 0.5])?;
 /// assert!(temps.block_average_c()[0] > temps.block_average_c()[1]);
 /// # Ok(())
@@ -209,31 +239,24 @@ impl GridWorkspace {
 #[derive(Debug, Clone)]
 pub struct GridModel {
     config: ThermalConfig,
-    nx: usize,
-    ny: usize,
+    stencil: Stencil,
     cell_area: f64,
     /// Fraction of each cell covered by each block: `coverage[block][cell]`.
     coverage: Vec<Vec<f64>>,
-    /// Lateral conductance between horizontally adjacent cells, W/K.
-    g_lateral_x: f64,
-    /// Lateral conductance between vertically adjacent cells, W/K.
-    g_lateral_y: f64,
-    /// Vertical conductance of one cell towards the spreader, W/K.
-    g_vertical: f64,
-    solver: GridSolver,
-    engine: SolverEngine,
-    max_iterations: usize,
-    tolerance: f64,
+    /// Cached factor of the steady-state system.
+    factor: BorderedBandedCholesky,
 }
 
 impl GridModel {
-    /// Builds a grid model over the floorplan bounding box, defaulting to
-    /// the Gauss–Seidel reference solver (see [`GridModel::with_solver`]).
+    /// Builds a grid model over the floorplan bounding box and factorises
+    /// its steady-state system.
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::InvalidParameter`] for a zero-sized grid and
-    /// propagates configuration validation errors.
+    /// Returns [`ThermalError::InvalidParameter`] for a side outside
+    /// `1..=`[`MAX_GRID_SIDE`], propagates configuration validation errors,
+    /// and returns [`ThermalError::SingularSystem`] if the system is not
+    /// positive definite (cannot happen for validated configurations).
     pub fn new(
         floorplan: &Floorplan,
         config: ThermalConfig,
@@ -241,10 +264,11 @@ impl GridModel {
         ny: usize,
     ) -> Result<Self, ThermalError> {
         config.validate()?;
-        if nx == 0 || ny == 0 {
-            return Err(ThermalError::InvalidParameter(
-                "grid resolution must be at least 1x1".to_string(),
-            ));
+        let sides = 1..=MAX_GRID_SIDE;
+        if !sides.contains(&nx) || !sides.contains(&ny) {
+            return Err(ThermalError::InvalidParameter(format!(
+                "grid resolution {nx}x{ny} outside 1x1 to {MAX_GRID_SIDE}x{MAX_GRID_SIDE}"
+            )));
         }
         let (width, height) = floorplan.bounding_box();
         let min_x = floorplan
@@ -279,78 +303,42 @@ impl GridModel {
             }
         }
 
-        let g_lateral_x = config.lateral_conductance(cell_w, cell_h);
-        let g_lateral_y = config.lateral_conductance(cell_h, cell_w);
-        let g_vertical = config.vertical_conductance(cell_area);
-
-        Ok(GridModel {
-            config,
+        let stencil = Stencil {
             nx,
             ny,
+            lateral_x: config.lateral_conductance(cell_w, cell_h),
+            lateral_y: config.lateral_conductance(cell_h, cell_w),
+            vertical: config.vertical_conductance(cell_area),
+            spreader_sink: 1.0 / config.spreader_to_sink_resistance,
+            convection: 1.0 / config.convection_resistance,
+        };
+        let (core, border, corner) = stencil.assemble_bordered(0.0, 0.0, 0.0)?;
+        let factor = BorderedBandedCholesky::new(&core, &border, &corner).map_err(from_sparse)?;
+        Ok(GridModel {
+            config,
+            stencil,
             cell_area,
             coverage,
-            g_lateral_x,
-            g_lateral_y,
-            g_vertical,
-            solver: GridSolver::GaussSeidel,
-            engine: SolverEngine::GaussSeidel,
-            max_iterations: 20_000,
-            tolerance: 1e-7,
+            factor,
         })
     }
 
-    /// Selects the steady-state solver, building and caching its artefacts
-    /// (assembled sparse system, preconditioner or banded factorisation).
+    /// Selects the steady-state solver. [`GridSolver::BandedCholesky`] is
+    /// the only one and [`GridModel::new`] already factorised it, so this
+    /// returns the model unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::SingularSystem`] if the assembled system is
-    /// not positive definite (cannot happen for validated configurations).
-    pub fn with_solver(mut self, solver: GridSolver) -> Result<Self, ThermalError> {
-        self.engine = match solver {
-            GridSolver::GaussSeidel => SolverEngine::GaussSeidel,
-            GridSolver::Pcg | GridSolver::PcgJacobi => {
-                let matrix = self.assemble_csr()?;
-                let preconditioner = if solver == GridSolver::Pcg {
-                    Preconditioner::ic0(&matrix)
-                } else {
-                    Preconditioner::jacobi(&matrix)
-                }
-                .map_err(from_sparse)?;
-                SolverEngine::Pcg {
-                    matrix,
-                    preconditioner,
-                }
-            }
-            GridSolver::BandedCholesky => {
-                let (core, border, corner) = self.assemble_bordered(0.0, 0.0, 0.0)?;
-                let factor =
-                    BorderedBandedCholesky::new(&core, &border, &corner).map_err(from_sparse)?;
-                SolverEngine::Cholesky { factor }
-            }
-        };
-        self.solver = solver;
-        Ok(self)
-    }
-
-    /// The selected steady-state solver.
-    pub fn solver(&self) -> GridSolver {
-        self.solver
-    }
-
-    /// Overrides the iteration budget and tolerance of the iterative
-    /// solvers (Gauss–Seidel: maximum per-sweep temperature change; PCG:
-    /// relative residual). The banded Cholesky path is direct and ignores
-    /// both.
-    pub fn with_solver_limits(mut self, max_iterations: usize, tolerance: f64) -> Self {
-        self.max_iterations = max_iterations;
-        self.tolerance = tolerance;
-        self
+    /// Never fails; the `Result` keeps campaign-axis call sites uniform.
+    pub fn with_solver(self, solver: GridSolver) -> Result<Self, ThermalError> {
+        match solver {
+            GridSolver::BandedCholesky => Ok(self),
+        }
     }
 
     /// Grid resolution `(nx, ny)`.
     pub fn resolution(&self) -> (usize, usize) {
-        (self.nx, self.ny)
+        (self.stencil.nx, self.stencil.ny)
     }
 
     /// Area of one grid cell, m².
@@ -360,103 +348,19 @@ impl GridModel {
 
     /// Number of unknowns of the assembled system (cells + spreader + sink).
     pub fn node_count(&self) -> usize {
-        self.nx * self.ny + 2
+        self.stencil.nx * self.stencil.ny + 2
     }
 
-    /// Assembles the full steady-state conductance matrix (cells, then
-    /// spreader, then sink) as a CSR matrix — the system the PCG path
-    /// solves and the object the symmetry/diagonal-dominance validation
-    /// tests inspect.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly failures from the sparse builder.
-    pub fn system_matrix(&self) -> Result<CsrMatrix, ThermalError> {
-        self.assemble_csr()
-    }
-
-    fn assemble_csr(&self) -> Result<CsrMatrix, ThermalError> {
-        let cells = self.nx * self.ny;
-        let spreader = cells;
-        let sink = cells + 1;
-        let mut builder = SpdBuilder::new(cells + 2);
-        for iy in 0..self.ny {
-            for ix in 0..self.nx {
-                let idx = iy * self.nx + ix;
-                builder
-                    .add_branch(idx, spreader, self.g_vertical)
-                    .map_err(from_sparse)?;
-                if ix + 1 < self.nx {
-                    builder
-                        .add_branch(idx, idx + 1, self.g_lateral_x)
-                        .map_err(from_sparse)?;
-                }
-                if iy + 1 < self.ny {
-                    builder
-                        .add_branch(idx, idx + self.nx, self.g_lateral_y)
-                        .map_err(from_sparse)?;
-                }
-            }
-        }
-        builder
-            .add_branch(
-                spreader,
-                sink,
-                1.0 / self.config.spreader_to_sink_resistance,
-            )
-            .map_err(from_sparse)?;
-        // The convection branch to the (grounded) ambient only touches the
-        // sink diagonal; the ambient temperature enters through the rhs.
-        builder
-            .add_diagonal(sink, 1.0 / self.config.convection_resistance)
-            .map_err(from_sparse)?;
-        builder.build().map_err(from_sparse)
-    }
-
-    /// Assembles the bordered-banded form of the system: the banded cell
-    /// Laplacian (bandwidth `nx`), the dense spreader/sink border and the
-    /// 2×2 corner. The `*_shift` arguments add to the respective diagonals,
-    /// which is how the implicit transient stepper injects `C/dt`.
+    /// The bordered-banded system with the given diagonal shifts (see
+    /// [`GridTransientSolver`](crate::GridTransientSolver)).
     pub(crate) fn assemble_bordered(
         &self,
         cell_diagonal_shift: f64,
         spreader_shift: f64,
         sink_shift: f64,
     ) -> Result<BorderedSystem, ThermalError> {
-        let cells = self.nx * self.ny;
-        let g_sp_sink = 1.0 / self.config.spreader_to_sink_resistance;
-        let g_conv = 1.0 / self.config.convection_resistance;
-        let mut core = BandedMatrix::zeros(cells, self.nx.min(cells.saturating_sub(1)).max(1));
-        for iy in 0..self.ny {
-            for ix in 0..self.nx {
-                let idx = iy * self.nx + ix;
-                core.add(idx, idx, self.g_vertical + cell_diagonal_shift)
-                    .map_err(from_sparse)?;
-                if ix + 1 < self.nx {
-                    core.add(idx, idx, self.g_lateral_x).map_err(from_sparse)?;
-                    core.add(idx + 1, idx + 1, self.g_lateral_x)
-                        .map_err(from_sparse)?;
-                    core.add(idx + 1, idx, -self.g_lateral_x)
-                        .map_err(from_sparse)?;
-                }
-                if iy + 1 < self.ny {
-                    core.add(idx, idx, self.g_lateral_y).map_err(from_sparse)?;
-                    core.add(idx + self.nx, idx + self.nx, self.g_lateral_y)
-                        .map_err(from_sparse)?;
-                    core.add(idx + self.nx, idx, -self.g_lateral_y)
-                        .map_err(from_sparse)?;
-                }
-            }
-        }
-        let border = vec![vec![-self.g_vertical; cells], vec![0.0; cells]];
-        let corner = vec![
-            vec![
-                cells as f64 * self.g_vertical + g_sp_sink + spreader_shift,
-                -g_sp_sink,
-            ],
-            vec![-g_sp_sink, g_sp_sink + g_conv + sink_shift],
-        ];
-        Ok((core, border, corner))
+        self.stencil
+            .assemble_bordered(cell_diagonal_shift, spreader_shift, sink_shift)
     }
 
     pub(crate) fn validate_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
@@ -480,7 +384,7 @@ impl GridModel {
     /// Distributes block power over covered cells proportionally to the
     /// covered area and fills the spreader/sink right-hand-side entries.
     pub(crate) fn heat_input_into(&self, block_power: &[f64], q: &mut [f64]) {
-        let cells = self.nx * self.ny;
+        let cells = self.node_count() - 2;
         q.fill(0.0);
         for (b, &p) in block_power.iter().enumerate() {
             let covered: f64 = self.coverage[b].iter().sum();
@@ -495,16 +399,10 @@ impl GridModel {
         q[cells + 1] = self.config.ambient_c / self.config.convection_resistance;
     }
 
-    /// Creates a workspace sized for this model, with every node at the
-    /// ambient temperature (the iterative solvers' initial guess).
+    /// Creates a workspace sized for this model.
     pub fn workspace(&self) -> GridWorkspace {
-        let n = self.node_count();
         GridWorkspace {
-            t: vec![self.config.ambient_c; n],
-            q: vec![0.0; n],
-            cg: CgWorkspace::new(n),
-            last_iterations: 0,
-            last_residual: 0.0,
+            t: vec![0.0; self.node_count()],
         }
     }
 
@@ -516,17 +414,15 @@ impl GridModel {
     /// # Errors
     ///
     /// Returns [`ThermalError::PowerLengthMismatch`] /
-    /// [`ThermalError::InvalidPower`] for malformed input and
-    /// [`ThermalError::NoConvergence`] (carrying the achieved residual and
-    /// iteration count) if an iterative solver stalls.
+    /// [`ThermalError::InvalidPower`] for malformed input.
     pub fn steady_state(&self, block_power: &[f64]) -> Result<GridTemperatures, ThermalError> {
         self.steady_state_with(block_power, &mut self.workspace())
     }
 
-    /// Solves the steady-state grid system reusing caller-owned buffers.
-    /// After the first call no heap allocation occurs on the solve path
-    /// (the returned [`GridTemperatures`] owns fresh statistics vectors);
-    /// iterative solvers warm-start from the workspace's previous solution.
+    /// Solves the steady-state grid system on the cached factor, reusing
+    /// caller-owned buffers: after the first call no heap allocation occurs
+    /// on the solve path (the returned [`GridTemperatures`] owns fresh
+    /// statistics vectors). A workspace sized for another model is resized.
     ///
     /// # Errors
     ///
@@ -537,51 +433,18 @@ impl GridModel {
         workspace: &mut GridWorkspace,
     ) -> Result<GridTemperatures, ThermalError> {
         self.validate_power(block_power)?;
-        let n = self.node_count();
-        if workspace.t.len() != n {
-            workspace.t = vec![self.config.ambient_c; n];
-            workspace.q = vec![0.0; n];
-            workspace.cg = CgWorkspace::new(n);
-        }
-        self.heat_input_into(block_power, &mut workspace.q);
-
-        match &self.engine {
-            SolverEngine::GaussSeidel => {
-                let (iterations, residual) = self.gauss_seidel(&workspace.q, &mut workspace.t)?;
-                workspace.last_iterations = iterations;
-                workspace.last_residual = residual;
-            }
-            SolverEngine::Pcg {
-                matrix,
-                preconditioner,
-            } => {
-                let summary = PcgSolver::new(self.max_iterations, self.tolerance)
-                    .solve_into(
-                        matrix,
-                        preconditioner,
-                        &workspace.q,
-                        &mut workspace.t,
-                        &mut workspace.cg,
-                    )
-                    .map_err(from_sparse)?;
-                workspace.last_iterations = summary.iterations;
-                workspace.last_residual = summary.residual;
-            }
-            SolverEngine::Cholesky { factor } => {
-                workspace.t.copy_from_slice(&workspace.q);
-                factor.solve_into(&mut workspace.t).map_err(from_sparse)?;
-                workspace.last_iterations = 0;
-                workspace.last_residual = 0.0;
-            }
-        }
-
+        workspace.t.resize(self.node_count(), 0.0);
+        self.heat_input_into(block_power, &mut workspace.t);
+        self.factor
+            .solve_into(&mut workspace.t)
+            .map_err(from_sparse)?;
         Ok(self.temperatures_from_cells(&workspace.t))
     }
 
     /// Builds the per-block statistics from a node temperature vector
     /// (cells first; trailing spreader/sink entries are ignored).
     pub(crate) fn temperatures_from_cells(&self, t: &[f64]) -> GridTemperatures {
-        let cells = self.nx * self.ny;
+        let (nx, ny) = self.resolution();
         let block_count = self.coverage.len();
         let mut block_avg = vec![0.0; block_count];
         let mut block_max = vec![f64::NEG_INFINITY; block_count];
@@ -606,83 +469,12 @@ impl GridModel {
         }
 
         GridTemperatures {
-            nx: self.nx,
-            ny: self.ny,
-            cell_c: t[..cells].to_vec(),
+            nx,
+            ny,
+            cell_c: t[..nx * ny].to_vec(),
             block_avg_c: block_avg,
             block_max_c: block_max,
         }
-    }
-
-    /// The Gauss–Seidel reference sweep over cells + spreader + sink.
-    /// Returns the iteration count and achieved residual on convergence.
-    fn gauss_seidel(&self, q: &[f64], t: &mut [f64]) -> Result<(usize, f64), ThermalError> {
-        let cells = self.nx * self.ny;
-        let spreader = cells;
-        let sink = cells + 1;
-        let g_sp_sink = 1.0 / self.config.spreader_to_sink_resistance;
-        let g_conv = 1.0 / self.config.convection_resistance;
-
-        let mut iterations = 0;
-        let mut residual = f64::INFINITY;
-        while iterations < self.max_iterations {
-            iterations += 1;
-            let mut max_change: f64 = 0.0;
-
-            for iy in 0..self.ny {
-                for ix in 0..self.nx {
-                    let idx = iy * self.nx + ix;
-                    let mut num = q[idx] + self.g_vertical * t[spreader];
-                    let mut den = self.g_vertical;
-                    if ix > 0 {
-                        num += self.g_lateral_x * t[idx - 1];
-                        den += self.g_lateral_x;
-                    }
-                    if ix + 1 < self.nx {
-                        num += self.g_lateral_x * t[idx + 1];
-                        den += self.g_lateral_x;
-                    }
-                    if iy > 0 {
-                        num += self.g_lateral_y * t[idx - self.nx];
-                        den += self.g_lateral_y;
-                    }
-                    if iy + 1 < self.ny {
-                        num += self.g_lateral_y * t[idx + self.nx];
-                        den += self.g_lateral_y;
-                    }
-                    let new_t = num / den;
-                    max_change = max_change.max((new_t - t[idx]).abs());
-                    t[idx] = new_t;
-                }
-            }
-
-            // Spreader node: connected to every cell and to the sink.
-            let mut num = g_sp_sink * t[sink];
-            let mut den = g_sp_sink;
-            for temp in t.iter().take(cells) {
-                num += self.g_vertical * temp;
-                den += self.g_vertical;
-            }
-            let new_spreader = num / den;
-            max_change = max_change.max((new_spreader - t[spreader]).abs());
-            t[spreader] = new_spreader;
-
-            // Sink node: spreader on one side, ambient on the other.
-            let new_sink =
-                (g_sp_sink * t[spreader] + g_conv * self.config.ambient_c) / (g_sp_sink + g_conv);
-            max_change = max_change.max((new_sink - t[sink]).abs());
-            t[sink] = new_sink;
-
-            residual = max_change;
-            if residual < self.tolerance {
-                return Ok((iterations, residual));
-            }
-        }
-        Err(ThermalError::NoConvergence {
-            iterations,
-            residual,
-            tolerance: self.tolerance,
-        })
     }
 
     /// Thermal configuration the model was built with.
@@ -693,6 +485,82 @@ impl GridModel {
     /// Number of floorplan blocks the model distributes power over.
     pub fn block_count(&self) -> usize {
         self.coverage.len()
+    }
+}
+
+#[cfg(test)]
+impl GridModel {
+    /// Point-wise Gauss–Seidel relaxation of the same system, swept from
+    /// ambient until no node moves by more than `tolerance`: the
+    /// independent reference the Cholesky answers are checked against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_sweeps` sweeps do not reach `tolerance`.
+    fn gauss_seidel(&self, block_power: &[f64], tolerance: f64, max_sweeps: usize) -> Vec<f64> {
+        let Stencil {
+            nx,
+            ny,
+            lateral_x,
+            lateral_y,
+            vertical,
+            spreader_sink,
+            convection,
+        } = self.stencil;
+        let cells = nx * ny;
+        let (spreader, sink) = (cells, cells + 1);
+        let ambient = self.config.ambient_c;
+        let mut q = vec![0.0; cells + 2];
+        self.heat_input_into(block_power, &mut q);
+        let mut t = vec![ambient; cells + 2];
+        for _ in 0..max_sweeps {
+            let mut max_change: f64 = 0.0;
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let idx = iy * nx + ix;
+                    let mut num = q[idx] + vertical * t[spreader];
+                    let mut den = vertical;
+                    if ix > 0 {
+                        num += lateral_x * t[idx - 1];
+                        den += lateral_x;
+                    }
+                    if ix + 1 < nx {
+                        num += lateral_x * t[idx + 1];
+                        den += lateral_x;
+                    }
+                    if iy > 0 {
+                        num += lateral_y * t[idx - nx];
+                        den += lateral_y;
+                    }
+                    if iy + 1 < ny {
+                        num += lateral_y * t[idx + nx];
+                        den += lateral_y;
+                    }
+                    let new_t = num / den;
+                    max_change = max_change.max((new_t - t[idx]).abs());
+                    t[idx] = new_t;
+                }
+            }
+            // Spreader node: connected to every cell and to the sink.
+            let mut num = spreader_sink * t[sink];
+            let mut den = spreader_sink;
+            for temp in t.iter().take(cells) {
+                num += vertical * temp;
+                den += vertical;
+            }
+            let new_spreader = num / den;
+            max_change = max_change.max((new_spreader - t[spreader]).abs());
+            t[spreader] = new_spreader;
+            // Sink node: spreader on one side, ambient on the other.
+            let new_sink =
+                (spreader_sink * t[spreader] + convection * ambient) / (spreader_sink + convection);
+            max_change = max_change.max((new_sink - t[sink]).abs());
+            t[sink] = new_sink;
+            if max_change < tolerance {
+                return t;
+            }
+        }
+        panic!("Gauss-Seidel did not reach {tolerance:e} in {max_sweeps} sweeps");
     }
 }
 
@@ -710,60 +578,17 @@ mod tests {
         .unwrap()
     }
 
-    const ALL_SOLVERS: [GridSolver; 4] = [
-        GridSolver::GaussSeidel,
-        GridSolver::Pcg,
-        GridSolver::PcgJacobi,
-        GridSolver::BandedCholesky,
-    ];
-
     #[test]
     fn hot_block_cells_are_hotter_with_every_solver() {
-        for solver in ALL_SOLVERS {
-            let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 14, 7)
-                .unwrap()
-                .with_solver(solver)
-                .unwrap();
-            assert_eq!(grid.solver(), solver);
-            let temps = grid.steady_state(&[8.0, 0.5]).unwrap();
-            assert!(
-                temps.block_average_c()[0] > temps.block_average_c()[1],
-                "{solver}"
-            );
-            assert!(temps.block_max_c()[0] >= temps.block_average_c()[0]);
-            assert_eq!(temps.resolution(), (14, 7));
-            assert_eq!(temps.cells().len(), 14 * 7);
-        }
-    }
-
-    #[test]
-    fn workspace_reports_solver_telemetry() {
-        for solver in ALL_SOLVERS {
-            let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 14, 7)
-                .unwrap()
-                .with_solver(solver)
-                .unwrap();
-            let mut workspace = grid.workspace();
-            assert_eq!(workspace.last_iterations(), 0);
-            assert_eq!(workspace.last_residual(), 0.0);
-            grid.steady_state_with(&[8.0, 0.5], &mut workspace).unwrap();
-            if solver == GridSolver::BandedCholesky {
-                // Direct solve: no iteration count, exact residual.
-                assert_eq!(workspace.last_iterations(), 0);
-                assert_eq!(workspace.last_residual(), 0.0);
-            } else {
-                assert!(workspace.last_iterations() > 0, "{solver}");
-                assert!(
-                    workspace.last_residual().is_finite() && workspace.last_residual() >= 0.0,
-                    "{solver}: {}",
-                    workspace.last_residual()
-                );
-            }
-            // A warm restart of the same solve converges at least as fast.
-            let cold = workspace.last_iterations();
-            grid.steady_state_with(&[8.0, 0.5], &mut workspace).unwrap();
-            assert!(workspace.last_iterations() <= cold, "{solver}");
-        }
+        let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 14, 7)
+            .unwrap()
+            .with_solver(GridSolver::BandedCholesky)
+            .unwrap();
+        let temps = grid.steady_state(&[8.0, 0.5]).unwrap();
+        assert!(temps.block_average_c()[0] > temps.block_average_c()[1]);
+        assert!(temps.block_max_c()[0] >= temps.block_average_c()[0]);
+        assert_eq!(temps.resolution(), (14, 7));
+        assert_eq!(temps.cells().len(), 14 * 7);
     }
 
     #[test]
@@ -785,17 +610,12 @@ mod tests {
 
     #[test]
     fn zero_power_settles_at_ambient_everywhere() {
-        for solver in ALL_SOLVERS {
-            let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 8, 4)
-                .unwrap()
-                .with_solver(solver)
-                .unwrap();
-            let temps = grid.steady_state(&[0.0, 0.0]).unwrap();
-            for &c in temps.cells() {
-                assert!((c - 45.0).abs() < 1e-3, "{solver}: {c}");
-            }
-            assert!((temps.max_c() - 45.0).abs() < 1e-3);
+        let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 8, 4).unwrap();
+        let temps = grid.steady_state(&[0.0, 0.0]).unwrap();
+        for &c in temps.cells() {
+            assert!((c - 45.0).abs() < 1e-3, "{c}");
         }
+        assert!((temps.max_c() - 45.0).abs() < 1e-3);
     }
 
     #[test]
@@ -826,31 +646,26 @@ mod tests {
         let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 8, 4).unwrap();
         assert!(grid.steady_state(&[1.0]).is_err());
         assert!(grid.steady_state(&[1.0, -1.0]).is_err());
-        assert!(GridModel::new(&two_block_plan(), ThermalConfig::default(), 0, 4).is_err());
         let temps = grid.steady_state(&[1.0, 1.0]).unwrap();
         assert!(temps.cell(99, 0).is_err());
-    }
-
-    #[test]
-    fn starved_solvers_report_achieved_residual() {
-        for solver in [GridSolver::GaussSeidel, GridSolver::PcgJacobi] {
-            let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 16, 8)
-                .unwrap()
-                .with_solver(solver)
-                .unwrap()
-                .with_solver_limits(2, 1e-12);
-            match grid.steady_state(&[5.0, 5.0]) {
-                Err(ThermalError::NoConvergence {
-                    iterations,
-                    residual,
-                    tolerance,
-                }) => {
-                    assert_eq!(iterations, 2, "{solver}");
-                    assert!(residual > tolerance);
+        // Each side must lie in 1..=MAX_GRID_SIDE; a side of 2^32 used to
+        // wrap `nx * ny` to zero on 64-bit targets.
+        let huge = usize::try_from(1u64 << 32).unwrap_or(usize::MAX);
+        for (nx, ny) in [
+            (0, 4),
+            (4, 0),
+            (MAX_GRID_SIDE + 1, 4),
+            (4, MAX_GRID_SIDE + 1),
+            (huge, huge),
+        ] {
+            match GridModel::new(&two_block_plan(), ThermalConfig::default(), nx, ny) {
+                Err(ThermalError::InvalidParameter(message)) => {
+                    assert!(message.contains("128x128"), "{message}")
                 }
-                other => panic!("{solver}: expected NoConvergence, got {other:?}"),
+                other => panic!("{nx}x{ny}: expected InvalidParameter, got {other:?}"),
             }
         }
+        assert!(GridModel::new(&two_block_plan(), ThermalConfig::default(), 1, 1).is_ok());
     }
 
     #[test]
@@ -867,17 +682,59 @@ mod tests {
                 assert!((a - b).abs() < 1e-9);
             }
         }
+        // A workspace sized for another resolution is resized, not misread.
+        let coarse = GridModel::new(&two_block_plan(), ThermalConfig::default(), 4, 2).unwrap();
+        let mut foreign = coarse.workspace();
+        let reused = grid.steady_state_with(&[3.0, 1.0], &mut foreign).unwrap();
+        assert_eq!(reused, grid.steady_state(&[3.0, 1.0]).unwrap());
+    }
+
+    /// FNV-1a over the bit patterns of every cell temperature.
+    fn cell_bits_digest(temps: &GridTemperatures) -> u64 {
+        temps
+            .cells()
+            .iter()
+            .flat_map(|cell| cell.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
     }
 
     #[test]
-    fn system_matrix_shape_matches_node_count() {
-        let grid = GridModel::new(&two_block_plan(), ThermalConfig::default(), 6, 3).unwrap();
-        let matrix = grid.system_matrix().unwrap();
-        assert_eq!(matrix.n(), grid.node_count());
-        assert_eq!(matrix.n(), 6 * 3 + 2);
-        // 5-point stencil + spreader coupling per cell, spreader-sink
-        // branch, convection diagonal.
-        assert!(matrix.nnz() > 5 * 18);
+    fn cholesky_cells_are_pinned_bit_exact() {
+        let quad = Floorplan::new(vec![
+            Block::from_mm("pe0", 0.0, 0.0, 7.0, 7.0),
+            Block::from_mm("pe1", 7.0, 0.0, 7.0, 7.0),
+            Block::from_mm("pe2", 0.0, 7.0, 7.0, 7.0),
+            Block::from_mm("pe3", 7.0, 7.0, 7.0, 7.0),
+        ])
+        .unwrap();
+        for (plan, (nx, ny), power, digest, max_bits) in [
+            (
+                two_block_plan(),
+                (14, 7),
+                vec![8.0, 0.5],
+                0x4382_e1b9_d407_0ed8,
+                0x4055_577a_aa40_60fd,
+            ),
+            (
+                quad,
+                (32, 32),
+                vec![9.0, 3.5, 1.0, 1.0],
+                0x47b7_e678_7890_4e9e,
+                0x4057_cda1_6406_88ba,
+            ),
+        ] {
+            let temps = GridModel::new(&plan, ThermalConfig::default(), nx, ny)
+                .unwrap()
+                .with_solver(GridSolver::BandedCholesky)
+                .unwrap()
+                .steady_state(&power)
+                .unwrap();
+            assert_eq!(temps.cells().len(), nx * ny);
+            assert_eq!(cell_bits_digest(&temps), digest, "{nx}x{ny}");
+            assert_eq!(temps.max_c().to_bits(), max_bits, "{nx}x{ny}");
+        }
     }
 }
 
@@ -900,9 +757,9 @@ mod proptests {
     }
 
     proptest! {
-        /// PCG (both preconditioners) and banded Cholesky match the
-        /// tight-tolerance Gauss–Seidel reference within 1e-6 on randomized
-        /// floorplans and power assignments.
+        /// Banded Cholesky matches the tight-tolerance Gauss–Seidel
+        /// reference within 1e-6 on randomized floorplans and power
+        /// assignments.
         #[test]
         fn sparse_solvers_match_gauss_seidel(
             widths in proptest::collection::vec(2.0f64..8.0, 2..5),
@@ -913,42 +770,19 @@ mod proptests {
         ) {
             let plan = strip_plan(&widths, height);
             let power = &powers[..widths.len()];
-            let config = ThermalConfig::default();
-            let reference = GridModel::new(&plan, config, nx, ny)
-                .unwrap()
-                .with_solver_limits(500_000, 1e-11)
-                .steady_state(power)
-                .unwrap();
-            for solver in [
-                GridSolver::Pcg,
-                GridSolver::PcgJacobi,
-                GridSolver::BandedCholesky,
-            ] {
-                let temps = GridModel::new(&plan, config, nx, ny)
-                    .unwrap()
-                    .with_solver(solver)
-                    .unwrap()
-                    .with_solver_limits(100_000, 1e-12)
-                    .steady_state(power)
-                    .unwrap();
-                for (cell, (a, b)) in temps.cells().iter().zip(reference.cells()).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() < 1e-6,
-                        "{solver} cell {cell}: {a} vs {b}"
-                    );
-                }
-                for (a, b) in temps
-                    .block_average_c()
-                    .iter()
-                    .zip(reference.block_average_c())
-                {
-                    prop_assert!((a - b).abs() < 1e-6, "{solver} block avg {a} vs {b}");
-                }
+            let model = GridModel::new(&plan, ThermalConfig::default(), nx, ny).unwrap();
+            let reference = model.temperatures_from_cells(&model.gauss_seidel(power, 1e-11, 500_000));
+            let temps = model.steady_state(power).unwrap();
+            for (cell, (a, b)) in temps.cells().iter().zip(reference.cells()).enumerate() {
+                prop_assert!((a - b).abs() < 1e-6, "cell {cell}: {a} vs {b}");
+            }
+            for (a, b) in temps.block_average_c().iter().zip(reference.block_average_c()) {
+                prop_assert!((a - b).abs() < 1e-6, "block avg {a} vs {b}");
             }
         }
 
         /// Every assembled grid system is symmetric and diagonally dominant
-        /// (the structural properties PCG and Cholesky rely on).
+        /// with a positive diagonal (the structure Cholesky relies on).
         #[test]
         fn assembled_grid_matrices_are_symmetric_diagonally_dominant(
             widths in proptest::collection::vec(2.0f64..8.0, 2..5),
@@ -957,15 +791,24 @@ mod proptests {
             ny in 1usize..9,
         ) {
             let plan = strip_plan(&widths, height);
-            let matrix = GridModel::new(&plan, ThermalConfig::default(), nx, ny)
-                .unwrap()
-                .system_matrix()
-                .unwrap();
-            prop_assert_eq!(matrix.n(), nx * ny + 2);
-            prop_assert_eq!(matrix.max_asymmetry(), 0.0);
-            prop_assert!(matrix.is_diagonally_dominant(1e-9 * matrix.n() as f64));
-            for (i, d) in matrix.diagonal().into_iter().enumerate() {
-                prop_assert!(d > 0.0, "diagonal {i} is {d}");
+            let model = GridModel::new(&plan, ThermalConfig::default(), nx, ny).unwrap();
+            let (core, border, corner) = model.assemble_bordered(0.0, 0.0, 0.0).unwrap();
+            let cells = nx * ny;
+            prop_assert_eq!(core.n(), cells);
+            prop_assert_eq!(border.len(), 2);
+            // The core stores one triangle of a symmetric band; the border
+            // columns double as the border rows, so only the corner can be
+            // asymmetric.
+            prop_assert_eq!(corner[0][1], corner[1][0]);
+            let dominated = |diagonal: f64, off: f64| diagonal > 0.0 && diagonal >= off * (1.0 - 1e-9);
+            for i in 0..cells {
+                let off = (0..cells).filter(|&j| j != i).map(|j| core.get(i, j).abs()).sum::<f64>()
+                    + border.iter().map(|column| column[i].abs()).sum::<f64>();
+                prop_assert!(dominated(core.get(i, i), off), "cell row {i}");
+            }
+            for (k, row) in corner.iter().enumerate() {
+                let off = border[k].iter().map(|b| b.abs()).sum::<f64>() + row[1 - k].abs();
+                prop_assert!(dominated(row[k], off), "border row {k}");
             }
         }
     }

@@ -187,7 +187,6 @@ impl<'a> GridTransientSolver<'a> {
 mod tests {
     use super::*;
     use crate::floorplan::{Block, Floorplan};
-    use crate::grid::GridSolver;
     use crate::materials::ThermalConfig;
 
     fn grid() -> (Floorplan, ThermalConfig) {
@@ -202,10 +201,7 @@ mod tests {
     #[test]
     fn long_constant_power_approaches_grid_steady_state() {
         let (plan, config) = grid();
-        let model = GridModel::new(&plan, config, 10, 5)
-            .unwrap()
-            .with_solver(GridSolver::BandedCholesky)
-            .unwrap();
+        let model = GridModel::new(&plan, config, 10, 5).unwrap();
         let steady = model.steady_state(&[6.0, 1.0]).unwrap();
         let solver = GridTransientSolver::new(&model, 0.5).unwrap();
         // 100 000 time units at 10 ms = 1000 s >> the package time constant.

@@ -14,15 +14,12 @@
 //!   spreader/sink/ambient stack),
 //! * [`TransientSolver`] — time-domain integration of piecewise-constant
 //!   power traces (backward Euler or RK4),
-//! * [`GridModel`] — finer grid-refined steady-state solver used for
-//!   validation and ablations, with a selectable [`GridSolver`] backend:
-//!   the Gauss–Seidel reference sweep, IC(0)- or Jacobi-preconditioned
-//!   conjugate gradients over the assembled `tats_sparse` CSR system, or a
-//!   cached banded Cholesky factorisation (bandwidth `nx`, with the dense
-//!   spreader/sink rows handled by block elimination). Gauss–Seidel is the
-//!   reference; PCG wins for one-off queries on large grids; the cached
-//!   Cholesky factor wins whenever many right-hand sides hit one model —
-//!   sweeps, ablations and the implicit [`GridTransientSolver`] steps,
+//! * [`GridModel`] — finer grid-refined steady-state model used for
+//!   validation and ablations. Its one [`GridSolver`] is a banded Cholesky
+//!   factorisation (bandwidth `nx`, with the dense spreader/sink rows
+//!   handled by block elimination), computed once per model and cached for
+//!   every right-hand side, including the implicit [`GridTransientSolver`]
+//!   steps. Each side holds at most [`MAX_GRID_SIDE`] cells,
 //! * [`linalg`] — the small dense LU solver behind the block model.
 //!
 //! # Examples
@@ -62,7 +59,7 @@ mod transient;
 
 pub use error::ThermalError;
 pub use floorplan::{Block, Floorplan};
-pub use grid::{GridModel, GridSolver, GridTemperatures, GridWorkspace};
+pub use grid::{GridModel, GridSolver, GridTemperatures, GridWorkspace, MAX_GRID_SIDE};
 pub use grid_transient::{GridTransientResult, GridTransientSolver};
 pub use materials::ThermalConfig;
 pub use model::{Temperatures, ThermalModel};

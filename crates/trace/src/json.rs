@@ -16,6 +16,11 @@ use tats_core::experiment::ComparisonTable;
 use tats_core::{Schedule, ScheduleEvaluation};
 use tats_taskgraph::TaskGraph;
 
+/// 2^53: every integer from 0 up to this one survives the round trip
+/// through a JSON number (an `f64`) exactly, and 2^53 + 1 does not.
+/// Integers a wire form carries, such as campaign seeds, must not exceed it.
+pub const MAX_EXACT_INTEGER: u64 = 1 << 53;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -81,12 +86,12 @@ impl JsonValue {
         }
     }
 
-    /// The number as `u64`, if this is a non-negative integer that `f64`
-    /// represents exactly.
+    /// The number as `u64`, if this is a non-negative integer no larger
+    /// than [`MAX_EXACT_INTEGER`].
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Number(value)
-                if *value >= 0.0 && value.fract() == 0.0 && *value <= 2f64.powi(53) =>
+                if *value >= 0.0 && value.fract() == 0.0 && *value <= MAX_EXACT_INTEGER as f64 =>
             {
                 Some(*value as u64)
             }
