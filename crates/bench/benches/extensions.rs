@@ -1,11 +1,9 @@
 //! Cost of the power/reliability extensions on top of the paper's scheduler.
 //!
-//! Three pipelines are measured per benchmark:
+//! Two pipelines are measured per benchmark:
 //!
 //! * `profile+transient` — building the per-PE power profile of a finished
 //!   schedule and replaying it through the transient thermal solver;
-//! * `leakage-loop` — the leakage–temperature fixed point at the schedule's
-//!   sustained power;
 //! * `reliability` — transient replay followed by the full MTTF analysis
 //!   (Arrhenius mechanisms plus thermal-cycling rainflow).
 //!
@@ -15,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tats_bench::Fixture;
 use tats_core::Policy;
-use tats_power::{ArchitectureLeakage, LeakageFeedback, PowerProfile, ScheduleSimulator};
+use tats_power::{PowerProfile, ScheduleSimulator};
 use tats_reliability::ReliabilityAnalyzer;
 use tats_taskgraph::Benchmark;
 use tats_techlib::profiles;
@@ -35,9 +33,6 @@ fn bench_extensions(c: &mut Criterion) {
         let model = ThermalModel::new(&result.floorplan, ThermalConfig::default()).expect("model");
         let profile = PowerProfile::from_schedule(&result.schedule, &result.architecture, &library)
             .expect("profile");
-        let leakage = ArchitectureLeakage::from_architecture(&result.architecture, &library)
-            .expect("leakage");
-        let sustained = result.schedule.sustained_power_per_pe();
 
         group.bench_function(BenchmarkId::new("profile+transient", bm.name()), |b| {
             b.iter(|| {
@@ -48,15 +43,6 @@ fn bench_extensions(c: &mut Criterion) {
                     .simulate(&profile)
                     .expect("trace")
                     .peak_c()
-            })
-        });
-
-        group.bench_function(BenchmarkId::new("leakage-loop", bm.name()), |b| {
-            b.iter(|| {
-                LeakageFeedback::new(&model, &leakage)
-                    .solve(&sustained)
-                    .expect("converged")
-                    .total_leakage()
             })
         });
 

@@ -16,7 +16,7 @@
 //! writes `BENCH_grid.json`: setup (factorisation) and per-solve times of
 //! the grid model's one solver, the cached banded Cholesky factor, at
 //! 32x32, 64x64 and 128x128 (the largest resolution a grid model
-//! accepts), and an implicit transient sweep on the cached factor. The
+//! accepts). The
 //! `batch` section writes `BENCH_batch.json`: campaign throughput
 //! (scenarios/sec) of the `tats_engine` executor at 1/2/4/8 worker threads
 //! over a 120-scenario two-flow campaign, with per-worker cache hit rates
@@ -36,7 +36,7 @@ use tats_floorplan::{
     anneal, evolve, CostEvaluator, CostWeights, GaConfig, Module, Net, Placement, PolishExpression,
     SaConfig,
 };
-use tats_thermal::{Block, Floorplan, GridModel, GridTransientSolver, PowerPhase, ThermalConfig};
+use tats_thermal::{Block, Floorplan, GridModel, ThermalConfig};
 
 /// Evaluations/sec plus the raw numbers behind it.
 struct Throughput {
@@ -203,8 +203,7 @@ fn sweep_powers() -> Vec<Vec<f64>> {
 }
 
 /// Runs the grid benchmark (factorisation and per-solve cost of the cached
-/// banded Cholesky factor, plus implicit transient stepping on it) and
-/// returns the JSON report.
+/// banded Cholesky factor) and returns the JSON report.
 fn bench_grid() -> Result<String, Box<dyn std::error::Error>> {
     // The platform architecture's four 7x7 mm PEs in a 2x2 arrangement,
     // with a representative thermal-aware power split.
@@ -244,36 +243,10 @@ fn bench_grid() -> Result<String, Box<dyn std::error::Error>> {
         ));
     }
 
-    // Implicit transient stepping on a cached banded factor of `C/dt + G`.
-    let model = GridModel::new(&plan, config, 32, 32)?;
-    let transient = GridTransientSolver::new(&model, 0.05)?;
-    let transient_start = Instant::now();
-    let result = transient.run(
-        config.ambient_c,
-        &[
-            PowerPhase::new(1_000.0, vec![6.5, 5.5, 2.5, 2.0]),
-            PowerPhase::new(1_000.0, vec![0.5, 0.5, 6.0, 6.0]),
-        ],
-    )?;
-    let transient_s = transient_start.elapsed().as_secs_f64();
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"grid_steady_state\",\n",
-            "  \"blocks\": 4,\n",
-            "{},\n",
-            "  \"transient_32x32\": {{ \"steps\": {}, \"wall_s\": {:.6}, ",
-            "\"steps_per_sec\": {:.1}, \"peak_c\": {:.2} }}\n",
-            "}}\n"
-        ),
+    Ok(format!(
+        "{{\n  \"bench\": \"grid_steady_state\",\n  \"blocks\": 4,\n{}\n}}\n",
         sections.join(",\n"),
-        result.steps,
-        transient_s,
-        result.steps as f64 / transient_s.max(1e-12),
-        result.peak_c,
-    );
-    Ok(json)
+    ))
 }
 
 /// Runs the batch-engine campaign throughput baseline and returns the JSON

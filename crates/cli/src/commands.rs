@@ -6,7 +6,7 @@
 use tats_core::experiment::ExperimentConfig;
 use tats_core::{CoSynthesis, PlatformFlow, Policy, ScheduleEvaluation};
 use tats_engine::{table1, table2, table3, Campaign, Executor, FlowKind, Shard, Summary};
-use tats_power::{simulate_schedule, DvfsTable, PowerProfile, ScheduleSimulator, SlackReclaimer};
+use tats_power::{simulate_schedule, DvfsTable, SlackReclaimer};
 use tats_reliability::ReliabilityAnalyzer;
 use tats_taskgraph::{dot, extended, tgff};
 use tats_techlib::profiles;
@@ -364,14 +364,11 @@ pub fn dvs(options: &Options) -> Result<String, CliError> {
         .reclaim(&result.schedule)
         .map_err(execution_error)?;
 
-    // Temperature before and after, using the same thermal model.
+    // Steady-state peak before and after, from the same thermal model.
     let model =
         ThermalModel::new(&result.floorplan, ThermalConfig::default()).map_err(execution_error)?;
-    let before_profile =
-        PowerProfile::from_schedule(&result.schedule, &result.architecture, &library)
-            .map_err(execution_error)?;
-    let before = ScheduleSimulator::new(&model)
-        .simulate(&before_profile)
+    let before = model
+        .steady_state(&result.schedule.sustained_power_per_pe())
         .map_err(execution_error)?;
     let after_power = scaled.sustained_power_per_pe(result.schedule.pe_count());
     let after = model.steady_state(&after_power).map_err(execution_error)?;
@@ -392,8 +389,8 @@ pub fn dvs(options: &Options) -> Result<String, CliError> {
         100.0 * scaled.energy_saving_fraction()
     ));
     out.push_str(&format!(
-        "transient peak before: {:.2} C, steady peak after: {:.2} C\n",
-        before.peak_c(),
+        "steady peak before: {:.2} C, after: {:.2} C\n",
+        before.max_c(),
         after.max_c()
     ));
     Ok(out)
@@ -1687,7 +1684,7 @@ mod tests {
     #[test]
     fn sweep_produces_one_row_per_size() {
         let options = opts(
-            &["--sizes", "10,20", "--policy", "baseline"],
+            &["--sizes", "2,10,20", "--policy", "baseline"],
             &["sizes", "policy"],
             &[],
         );
@@ -1696,15 +1693,37 @@ mod tests {
             .lines()
             .filter(|line| line.starts_with("| 1") || line.starts_with("| 2"))
             .count();
-        assert_eq!(data_rows, 2);
+        assert_eq!(data_rows, 3);
+        // The smallest size holds the one edge a 2-task DAG can carry.
+        assert!(out.contains("\n| 2 | 1 | "), "{out}");
     }
 
     #[test]
     fn dvs_reports_an_operating_point() {
-        let options = opts(&["--benchmark", "Bm1"], &["benchmark", "policy"], &[]);
-        let out = dvs(&options).expect("dvs");
-        assert!(out.contains("selected operating point"));
-        assert!(out.contains("energy saving"));
+        // The steady peak before and after scaling, under the default thermal
+        // policy.
+        let peaks = |benchmark: &str| -> (f64, f64) {
+            let options = opts(&["--benchmark", benchmark], &["benchmark", "policy"], &[]);
+            let out = dvs(&options).expect("dvs");
+            assert!(out.contains("selected operating point"));
+            assert!(out.contains("energy saving"));
+            let line = out
+                .lines()
+                .find(|line| line.starts_with("steady peak before: "))
+                .expect("peak line");
+            let values: Vec<f64> = line
+                .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .filter_map(|token| token.parse().ok())
+                .collect();
+            assert_eq!(values.len(), 2, "{line}");
+            (values[0], values[1])
+        };
+        // Bm1 keeps the nominal point, so nothing changes.
+        let (before, after) = peaks("Bm1");
+        assert_eq!(before, after);
+        // Bm3 scales down to a slower point and runs cooler.
+        let (before, after) = peaks("Bm3");
+        assert!(after < before, "{before} -> {after}");
     }
 
     const GRID_VALUES: &[&str] = &["benchmark", "policy", "nx", "ny"];
@@ -1757,9 +1776,17 @@ mod tests {
     fn reliability_compares_two_policies() {
         let options = opts(&["--benchmark", "Bm1"], &["benchmark"], &[]);
         let out = reliability(&options).expect("reliability");
-        assert!(out.contains("Thermal-aware"));
-        assert!(out.contains("Heuristic 3"));
         assert!(out.contains("system MTTF"));
+        // Exact rows: the transient peak and both MTTFs come from the
+        // backward-Euler replay of each schedule.
+        let rows: Vec<&str> = out.lines().filter(|line| line.starts_with("| ")).collect();
+        assert_eq!(
+            rows[1..],
+            [
+                "| Heuristic 3 | 100.44 | 77.67 | 5266 | 1502 |",
+                "| Thermal-aware | 99.49 | 77.80 | 4603 | 1621 |",
+            ]
+        );
     }
 
     const BATCH_VALUES: &[&str] = &[

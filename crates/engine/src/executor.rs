@@ -27,7 +27,6 @@ use tats_core::{
     ThermalModelCache,
 };
 use tats_thermal::{Floorplan, GridModel};
-use tats_trace::log::{LogEvent, LogLevel, LogSink};
 use tats_trace::metrics::{Counter, Histogram};
 use tats_trace::spans::{self, SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::{JsonValue, MetricsRegistry};
@@ -291,17 +290,6 @@ impl TraceContext {
     }
 }
 
-/// Emits one `engine`-target event through the sink, if there is one. The
-/// filter is checked before `build` runs, so a disabled level costs one
-/// branch on the scenario hot path.
-fn engine_log(log: Option<&LogSink>, level: LogLevel, build: impl FnOnce() -> LogEvent) {
-    if let Some(sink) = log {
-        if sink.enabled(level, "engine") {
-            sink.log(&build());
-        }
-    }
-}
-
 /// Evaluates one scenario with this worker's caches, emitting its span
 /// tree when a trace context is set.
 fn run_scenario(
@@ -311,7 +299,6 @@ fn run_scenario(
     caches: &mut WorkerCaches,
     metrics: Option<&EngineMetrics>,
     trace: Option<&TraceContext>,
-    log: Option<&LogSink>,
 ) -> Result<(ScenarioRecord, Vec<SpanEvent>), EngineError> {
     let experiment = campaign.experiment();
     let scenario_clock = Instant::now();
@@ -340,9 +327,8 @@ fn run_scenario(
     let grid_clock = Instant::now();
     let grid_max_temp_c = match scenario.solver {
         None => None,
-        Some(solver) => {
+        Some(_) => {
             let misses_before = caches.grid.stats().misses;
-            let len_before = caches.grid.len();
             let max_c = {
                 let model = caches.grid_model(&floorplan, campaign)?;
                 let mut workspace = model.workspace();
@@ -350,20 +336,10 @@ fn run_scenario(
                     .steady_state_with(&evaluation.per_pe_power, &mut workspace)?
                     .max_c()
             };
-            let missed = caches.grid.stats().misses > misses_before;
-            if missed {
+            if caches.grid.stats().misses > misses_before {
                 if let Some(metrics) = metrics {
                     metrics.cholesky_refactors.inc();
                 }
-            }
-            // A miss while the FIFO is full evicted its oldest model — the
-            // churn signal behind a diverging cache hit-rate.
-            if missed && len_before == GRID_CACHE_CAPACITY {
-                engine_log(log, LogLevel::Debug, || {
-                    LogEvent::new(LogLevel::Debug, "engine", "grid cache eviction")
-                        .attr("scenario", scenario.key())
-                        .attr("solver", solver.name())
-                });
             }
             Some(max_c)
         }
@@ -478,7 +454,6 @@ pub struct Executor {
     threads: usize,
     metrics: Option<Arc<MetricsRegistry>>,
     trace: Option<TraceContext>,
-    log: Option<LogSink>,
 }
 
 impl Executor {
@@ -496,7 +471,6 @@ impl Executor {
             threads,
             metrics: None,
             trace: None,
-            log: None,
         }
     }
 
@@ -517,16 +491,6 @@ impl Executor {
     #[must_use]
     pub fn with_trace(mut self, trace: TraceContext) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Streams structured log events (target `engine`) into `sink`: scenario
-    /// failures at error, grid-cache evictions at debug. Filter checks cost
-    /// one branch per event site, so a sink whose filter rejects `engine`
-    /// leaves the scenario hot path unchanged.
-    #[must_use]
-    pub fn with_log(mut self, sink: LogSink) -> Self {
-        self.log = Some(sink);
         self
     }
 
@@ -595,7 +559,6 @@ impl Executor {
                 let todo = &todo;
                 let metrics = metrics.as_ref();
                 let trace = self.trace.as_ref();
-                let log = self.log.clone();
                 scope.spawn(move || {
                     let library = match campaign.experiment().library() {
                         Ok(library) => library,
@@ -618,7 +581,6 @@ impl Executor {
                             &mut caches,
                             metrics,
                             trace,
-                            log.as_ref(),
                         ) {
                             Ok(outcome) => {
                                 if let Some(metrics) = metrics {
@@ -630,12 +592,6 @@ impl Executor {
                                 if let Some(metrics) = metrics {
                                     metrics.failed.inc();
                                 }
-                                engine_log(log.as_ref(), LogLevel::Error, || {
-                                    LogEvent::new(LogLevel::Error, "engine", "scenario failed")
-                                        .trace(trace.map_or(0, |t| t.trace_id))
-                                        .attr("scenario", scenario.key())
-                                        .attr("error", error.to_string())
-                                });
                                 Message::Failed(Box::new(error.in_scenario(&scenario.key())))
                             }
                         };

@@ -89,7 +89,7 @@ impl ShardBoard {
             if available {
                 *state = ShardState::Leased {
                     worker: worker.to_string(),
-                    deadline_ms: now_ms + ttl_ms,
+                    deadline_ms: now_ms.saturating_add(ttl_ms),
                 };
                 return Some(Shard { index, count });
             }
@@ -117,7 +117,7 @@ impl ShardBoard {
         if may_hold {
             *state = ShardState::Leased {
                 worker: worker.to_string(),
-                deadline_ms: now_ms + ttl_ms,
+                deadline_ms: now_ms.saturating_add(ttl_ms),
             };
         }
         may_hold
@@ -241,6 +241,14 @@ mod tests {
         // validly holds.
         assert!(!board.renew(0, "dead", 150, TTL));
         assert!(board.renew(0, "next", 150, TTL));
+
+        // A TTL whose deadline overflows saturates instead of wrapping into
+        // the past: the held shard is not re-leased, and its holder renews.
+        let mut board = ShardBoard::new(1);
+        board.lease("a", 1_000, u64::MAX).expect("lease");
+        assert!(board.lease("b", 1_001, u64::MAX).is_none());
+        assert!(board.renew(0, "a", 2_000, u64::MAX));
+        assert!(!board.renew(0, "b", 2_001, u64::MAX));
     }
 
     #[test]

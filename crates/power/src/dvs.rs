@@ -147,38 +147,17 @@ impl fmt::Display for ScaledSchedule {
     }
 }
 
-/// Uniform-stretch slack reclamation.
+/// Uniform-stretch slack reclamation: the whole slack up to the deadline is
+/// reclaimed.
 #[derive(Debug, Clone)]
 pub struct SlackReclaimer {
     table: DvfsTable,
-    /// Fraction of the deadline reserved as guard band (not reclaimed).
-    guard_fraction: f64,
 }
 
 impl SlackReclaimer {
-    /// Creates a reclaimer over the given DVFS table with no guard band.
+    /// Creates a reclaimer over the given DVFS table.
     pub fn new(table: DvfsTable) -> Self {
-        SlackReclaimer {
-            table,
-            guard_fraction: 0.0,
-        }
-    }
-
-    /// Reserves a fraction of the deadline as guard band; the reclaimed
-    /// schedule targets `deadline · (1 − guard)` instead of the full deadline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::InvalidParameter`] for a fraction outside
-    /// `[0, 1)`.
-    pub fn with_guard_fraction(mut self, guard_fraction: f64) -> Result<Self, PowerError> {
-        if !(0.0..1.0).contains(&guard_fraction) {
-            return Err(PowerError::InvalidParameter(format!(
-                "guard fraction must be in [0, 1), got {guard_fraction}"
-            )));
-        }
-        self.guard_fraction = guard_fraction;
-        Ok(self)
+        SlackReclaimer { table }
     }
 
     /// The DVFS table used for reclamation.
@@ -187,7 +166,7 @@ impl SlackReclaimer {
     }
 
     /// Picks the most efficient operating point that still meets the
-    /// (guarded) deadline and rescales the schedule to it.
+    /// deadline and rescales the schedule to it.
     ///
     /// # Errors
     ///
@@ -225,8 +204,7 @@ impl SlackReclaimer {
                 "nominal schedule already misses its deadline ({nominal_makespan} > {deadline})"
             )));
         }
-        let target = deadline * (1.0 - self.guard_fraction);
-        let budget = (target / nominal_makespan).max(1.0);
+        let budget = (deadline / nominal_makespan).max(1.0);
         let point = self.table.slowest_within(budget).clone();
         let delay = point.delay_scale();
         let power_scale = point.dynamic_power_scale();
@@ -310,24 +288,6 @@ mod tests {
             .expect("reclaimed");
         assert!(scaled.operating_point().is_nominal());
         assert!((scaled.energy_saving_fraction()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn guard_band_reduces_the_usable_slack() {
-        let schedule = nominal_schedule();
-        let aggressive = SlackReclaimer::default()
-            .reclaim(&schedule)
-            .expect("aggressive");
-        let guarded = SlackReclaimer::default()
-            .with_guard_fraction(0.9)
-            .expect("valid guard")
-            .reclaim(&schedule)
-            .expect("guarded");
-        // A 90% guard band leaves almost no slack, so the guarded schedule
-        // cannot be slower than the aggressive one.
-        assert!(guarded.makespan() <= aggressive.makespan() + 1e-9);
-        assert!(SlackReclaimer::default().with_guard_fraction(1.0).is_err());
-        assert!(SlackReclaimer::default().with_guard_fraction(-0.1).is_err());
     }
 
     #[test]

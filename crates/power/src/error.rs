@@ -19,15 +19,6 @@ pub enum PowerError {
         /// Number of entries supplied.
         actual: usize,
     },
-    /// The leakage-temperature fixed-point iteration did not converge.
-    NoConvergence {
-        /// Number of iterations performed.
-        iterations: usize,
-        /// Largest per-block temperature change of the last iteration, °C.
-        residual_c: f64,
-    },
-    /// An operating point with the requested name does not exist.
-    UnknownOperatingPoint(String),
     /// Error propagated from the thermal model.
     Thermal(ThermalError),
     /// Error propagated from the technology library.
@@ -44,17 +35,6 @@ impl fmt::Display for PowerError {
             }
             PowerError::LengthMismatch { expected, actual } => {
                 write!(f, "expected {expected} entries, got {actual}")
-            }
-            PowerError::NoConvergence {
-                iterations,
-                residual_c,
-            } => write!(
-                f,
-                "leakage-temperature loop did not converge after {iterations} iterations \
-                 (residual {residual_c:.3} °C)"
-            ),
-            PowerError::UnknownOperatingPoint(name) => {
-                write!(f, "unknown operating point '{name}'")
             }
             PowerError::Thermal(source) => write!(f, "thermal model error: {source}"),
             PowerError::Library(source) => write!(f, "technology library error: {source}"),
@@ -110,15 +90,6 @@ mod tests {
         };
         let text = error.to_string();
         assert!(text.contains('4') && text.contains('2'));
-    }
-
-    #[test]
-    fn display_reports_convergence_failure() {
-        let error = PowerError::NoConvergence {
-            iterations: 50,
-            residual_c: 1.25,
-        };
-        assert!(error.to_string().contains("50"));
     }
 
     #[test]

@@ -6,10 +6,6 @@
 //!
 //! * [`OperatingPoint`] / [`DvfsTable`] — voltage/frequency operating points
 //!   and the classic DVFS scaling laws (`P ∝ V²f`, `t ∝ 1/f`);
-//! * [`LeakageModel`] / [`ArchitectureLeakage`] — exponential
-//!   temperature-dependent leakage per processing element;
-//! * [`LeakageFeedback`] — the leakage–temperature fixed point computed
-//!   against the compact thermal model;
 //! * [`PowerProfile`] — the piecewise-constant per-PE power timeline of a
 //!   finished schedule;
 //! * [`ScheduleSimulator`] / [`ThermalTrace`] — transient (time-domain)
@@ -46,16 +42,12 @@
 
 mod dvs;
 mod error;
-mod feedback;
-mod leakage;
 mod profile;
 mod simulate;
 mod vf;
 
 pub use dvs::{ScaledAssignment, ScaledSchedule, SlackReclaimer};
 pub use error::PowerError;
-pub use feedback::{ConvergedThermal, LeakageFeedback};
-pub use leakage::{ArchitectureLeakage, LeakageModel};
 pub use profile::{PowerProfile, ProfileSegment};
 pub use simulate::{simulate_schedule, ScheduleSimulator, ThermalTrace};
 pub use vf::{DvfsTable, OperatingPoint};
@@ -79,13 +71,6 @@ mod proptests {
         fn energy_scale_is_voltage_squared(v in 0.5f64..1.0, f in 0.1f64..1.0) {
             let point = OperatingPoint::new("p", v, f).expect("valid");
             prop_assert!((point.energy_scale() - v * v).abs() < 1e-9);
-        }
-
-        /// Leakage is monotone non-decreasing in temperature.
-        #[test]
-        fn leakage_monotone(base in 0.0f64..5.0, beta in 0.0f64..0.1, t in -20.0f64..120.0, dt in 0.0f64..50.0) {
-            let model = LeakageModel::new(45.0, base, beta).expect("valid");
-            prop_assert!(model.leakage_at(t + dt) + 1e-12 >= model.leakage_at(t));
         }
 
         /// A slack budget always yields a point that fits it (or nominal).

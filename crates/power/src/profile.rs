@@ -9,7 +9,6 @@
 
 use tats_core::Schedule;
 use tats_techlib::{Architecture, PeId, TechLibrary};
-use tats_thermal::PowerPhase;
 
 use crate::error::PowerError;
 
@@ -68,7 +67,7 @@ impl PowerProfile {
     /// let graph = Benchmark::Bm1.task_graph()?;
     /// let result = PlatformFlow::new(&library)?.run(&graph, Policy::Baseline)?;
     /// let profile = PowerProfile::from_schedule(&result.schedule, &result.architecture, &library)?;
-    /// assert!(profile.peak_total_power() >= profile.average_total_power());
+    /// assert_eq!(profile.horizon(), result.schedule.makespan());
     /// # Ok(())
     /// # }
     /// ```
@@ -186,28 +185,6 @@ impl PowerProfile {
         self.segments.last().map(|s| s.end).unwrap_or(0.0)
     }
 
-    /// Total duration covered by segments (schedule time units).
-    pub fn covered_duration(&self) -> f64 {
-        self.segments.iter().map(ProfileSegment::duration).sum()
-    }
-
-    /// Peak instantaneous total power across all PEs, watts.
-    pub fn peak_total_power(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(ProfileSegment::total_power)
-            .fold(0.0, f64::max)
-    }
-
-    /// Time-weighted average total power, watts.
-    pub fn average_total_power(&self) -> f64 {
-        let duration = self.covered_duration();
-        if duration <= 0.0 {
-            return 0.0;
-        }
-        self.energy() / duration
-    }
-
     /// Total energy over the profile, in watt × schedule-time-units.
     pub fn energy(&self) -> f64 {
         self.segments
@@ -234,32 +211,6 @@ impl PowerProfile {
             .map(|segment| segment.pe_power[pe.index()] * segment.duration())
             .sum())
     }
-
-    /// Time-weighted average per-PE power, watts.
-    pub fn average_pe_power(&self) -> Vec<f64> {
-        let duration = self.covered_duration();
-        let mut averages = vec![0.0; self.pe_count];
-        if duration <= 0.0 {
-            return averages;
-        }
-        for segment in &self.segments {
-            for (avg, power) in averages.iter_mut().zip(&segment.pe_power) {
-                *avg += power * segment.duration();
-            }
-        }
-        for avg in &mut averages {
-            *avg /= duration;
-        }
-        averages
-    }
-
-    /// Converts the profile into the transient solver's phase representation.
-    pub fn to_power_phases(&self) -> Vec<PowerPhase> {
-        self.segments
-            .iter()
-            .map(|segment| PowerPhase::new(segment.duration(), segment.pe_power.clone()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +236,6 @@ mod tests {
     fn profile_spans_the_makespan() {
         let (profile, schedule) = platform_profile();
         assert!((profile.horizon() - schedule.makespan()).abs() < 1e-6);
-        assert!((profile.covered_duration() - schedule.makespan()).abs() < 1e-6);
     }
 
     #[test]
@@ -295,13 +245,6 @@ mod tests {
             assert!(pair[0].end <= pair[1].start + 1e-9);
             assert!((pair[0].end - pair[1].start).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn peak_power_bounds_average_power() {
-        let (profile, _) = platform_profile();
-        assert!(profile.peak_total_power() >= profile.average_total_power());
-        assert!(profile.average_total_power() > 0.0);
     }
 
     #[test]
@@ -320,17 +263,6 @@ mod tests {
             .sum();
         assert!((per_pe - profile.energy()).abs() < 1e-6);
         assert!(profile.pe_energy(PeId(profile.pe_count())).is_err());
-    }
-
-    #[test]
-    fn power_phases_mirror_segments() {
-        let (profile, _) = platform_profile();
-        let phases = profile.to_power_phases();
-        assert_eq!(phases.len(), profile.segment_count());
-        for (phase, segment) in phases.iter().zip(profile.segments()) {
-            assert!((phase.duration_units - segment.duration()).abs() < 1e-12);
-            assert_eq!(phase.block_power, segment.pe_power);
-        }
     }
 
     #[test]
@@ -379,15 +311,5 @@ mod tests {
         ];
         assert!(PowerProfile::from_segments(inconsistent).is_err());
         assert!(PowerProfile::from_segments(vec![]).is_err());
-    }
-
-    #[test]
-    fn average_pe_power_matches_energy_division() {
-        let (profile, _) = platform_profile();
-        let averages = profile.average_pe_power();
-        for (pe, avg) in averages.iter().enumerate() {
-            let energy = profile.pe_energy(PeId(pe)).expect("valid PE");
-            assert!((avg - energy / profile.covered_duration()).abs() < 1e-9);
-        }
     }
 }

@@ -9,7 +9,7 @@
 
 use tats_core::Schedule;
 use tats_techlib::{Architecture, TechLibrary};
-use tats_thermal::{Temperatures, ThermalModel, TransientMethod, TransientSolver};
+use tats_thermal::{Temperatures, ThermalModel, TransientSolver};
 
 use crate::error::PowerError;
 use crate::profile::PowerProfile;
@@ -82,12 +82,6 @@ impl ThermalTrace {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Time-averaged mean block temperature, °C (unweighted across samples).
-    pub fn mean_average_c(&self) -> f64 {
-        let sum: f64 = self.samples.iter().map(Temperatures::average_c).sum();
-        sum / self.samples.len() as f64
-    }
-
     /// Temperature series of one block, °C.
     ///
     /// # Errors
@@ -104,62 +98,28 @@ impl ThermalTrace {
             })
             .collect()
     }
-
-    /// Largest peak-to-valley temperature swing seen by any single block, °C.
-    pub fn max_block_swing_c(&self) -> f64 {
-        let block_count = self
-            .samples
-            .first()
-            .map(Temperatures::block_count)
-            .unwrap_or(0);
-        (0..block_count)
-            .map(|block| {
-                let series = self.block_series(block).expect("block exists");
-                let max = series.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let min = series.iter().copied().fold(f64::INFINITY, f64::min);
-                max - min
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Transient simulator that replays a schedule against a thermal model.
 #[derive(Debug, Clone)]
 pub struct ScheduleSimulator<'a> {
     model: &'a ThermalModel,
-    method: TransientMethod,
     dt_seconds: f64,
-    sample_interval_units: Option<f64>,
 }
 
 impl<'a> ScheduleSimulator<'a> {
     /// Creates a simulator with the backward-Euler integrator, a 10 ms step
-    /// and one sample per profile segment.
+    /// and one sample at the end of each profile segment.
     pub fn new(model: &'a ThermalModel) -> Self {
         ScheduleSimulator {
             model,
-            method: TransientMethod::BackwardEuler,
             dt_seconds: 0.01,
-            sample_interval_units: None,
         }
-    }
-
-    /// Selects the integration scheme.
-    pub fn with_method(mut self, method: TransientMethod) -> Self {
-        self.method = method;
-        self
     }
 
     /// Overrides the integration step in seconds.
     pub fn with_step(mut self, dt_seconds: f64) -> Self {
         self.dt_seconds = dt_seconds;
-        self
-    }
-
-    /// Requests additional samples every `interval` schedule time units
-    /// (long segments are subdivided so slow thermal transients are visible).
-    pub fn with_sample_interval(mut self, interval_units: f64) -> Self {
-        self.sample_interval_units = Some(interval_units);
         self
     }
 
@@ -191,19 +151,6 @@ impl<'a> ScheduleSimulator<'a> {
     /// # }
     /// ```
     pub fn simulate(&self, profile: &PowerProfile) -> Result<ThermalTrace, PowerError> {
-        self.simulate_from(profile, &self.ambient())
-    }
-
-    /// Replays the power profile starting from an explicit initial field.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScheduleSimulator::simulate`].
-    pub fn simulate_from(
-        &self,
-        profile: &PowerProfile,
-        initial: &Temperatures,
-    ) -> Result<ThermalTrace, PowerError> {
         if profile.segment_count() == 0 {
             return Err(PowerError::InvalidParameter(
                 "cannot simulate an empty power profile".into(),
@@ -215,75 +162,21 @@ impl<'a> ScheduleSimulator<'a> {
                 actual: profile.pe_count(),
             });
         }
-        let solver = TransientSolver::new(self.model)
-            .with_method(self.method)
-            .with_step(self.dt_seconds);
+        let solver = TransientSolver::new(self.model).with_step(self.dt_seconds);
 
-        let mut state = initial.clone();
+        let mut state =
+            Temperatures::uniform(self.model.block_count(), self.model.config().ambient_c);
         let mut times = Vec::new();
         let mut samples = Vec::new();
 
         for segment in profile.segments() {
             let duration = segment.duration();
-            let chunks = match self.sample_interval_units {
-                Some(interval) if interval > 0.0 && duration > interval => {
-                    (duration / interval).ceil() as usize
-                }
-                _ => 1,
-            };
-            let chunk_duration = duration / chunks as f64;
-            for chunk in 0..chunks {
-                let phase = tats_thermal::PowerPhase::new(chunk_duration, segment.pe_power.clone());
-                state = solver.run(&state, &[phase])?;
-                times.push(segment.start + chunk_duration * (chunk + 1) as f64);
-                samples.push(state.clone());
-            }
+            let phase = tats_thermal::PowerPhase::new(duration, segment.pe_power.clone());
+            state = solver.run(&state, &[phase])?;
+            times.push(segment.start + duration);
+            samples.push(state.clone());
         }
         ThermalTrace::new(times, samples)
-    }
-
-    /// Runs the schedule repeatedly until the end-of-period temperature field
-    /// stabilises (periodic steady state), returning the trace of the final
-    /// period.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScheduleSimulator::simulate`], plus
-    /// [`PowerError::NoConvergence`] if the field does not stabilise within
-    /// `max_periods`.
-    pub fn periodic_steady_state(
-        &self,
-        profile: &PowerProfile,
-        max_periods: usize,
-        tolerance_c: f64,
-    ) -> Result<ThermalTrace, PowerError> {
-        let mut initial = self.ambient();
-        let mut last_trace = None;
-        for _ in 0..max_periods.max(1) {
-            let trace = self.simulate_from(profile, &initial)?;
-            let end = trace.last().clone();
-            let residual = end
-                .blocks()
-                .iter()
-                .zip(initial.blocks())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            initial = end;
-            let converged = residual <= tolerance_c;
-            last_trace = Some((trace, residual));
-            if converged {
-                return Ok(last_trace.expect("trace recorded").0);
-            }
-        }
-        let (_, residual) = last_trace.expect("at least one period simulated");
-        Err(PowerError::NoConvergence {
-            iterations: max_periods,
-            residual_c: residual,
-        })
-    }
-
-    fn ambient(&self) -> Temperatures {
-        Temperatures::uniform(self.model.block_count(), self.model.config().ambient_c)
     }
 }
 
@@ -368,39 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_interval_produces_more_samples() {
-        let fixture = fixture();
-        let coarse = ScheduleSimulator::new(&fixture.model)
-            .simulate(&fixture.profile)
-            .expect("coarse trace");
-        let fine = ScheduleSimulator::new(&fixture.model)
-            .with_sample_interval(5.0)
-            .simulate(&fixture.profile)
-            .expect("fine trace");
-        assert!(fine.len() >= coarse.len());
-        // Both end in (approximately) the same state.
-        let delta: f64 = fine
-            .last()
-            .blocks()
-            .iter()
-            .zip(coarse.last().blocks())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        assert!(delta < 0.5, "sampling must not change the final state much");
-    }
-
-    #[test]
-    fn periodic_steady_state_is_warmer_than_first_period() {
-        let fixture = fixture();
-        let simulator = ScheduleSimulator::new(&fixture.model);
-        let first = simulator.simulate(&fixture.profile).expect("first period");
-        let periodic = simulator
-            .periodic_steady_state(&fixture.profile, 50, 0.05)
-            .expect("periodic steady state");
-        assert!(periodic.peak_c() >= first.peak_c() - 1e-9);
-    }
-
-    #[test]
     fn mismatched_model_is_rejected() {
         let fixture = fixture();
         let library = profiles::standard_library(12).expect("library");
@@ -428,16 +288,13 @@ mod tests {
     }
 
     #[test]
-    fn block_series_and_swing_are_consistent() {
+    fn block_series_has_one_value_per_sample() {
         let fixture = fixture();
         let trace = ScheduleSimulator::new(&fixture.model)
-            .with_sample_interval(10.0)
             .simulate(&fixture.profile)
             .expect("trace");
         let series = trace.block_series(0).expect("block 0 exists");
         assert_eq!(series.len(), trace.len());
         assert!(trace.block_series(99).is_err());
-        assert!(trace.max_block_swing_c() >= 0.0);
-        assert!(trace.mean_average_c() > 0.0);
     }
 }

@@ -229,19 +229,6 @@ impl DvfsTable {
         self.points.last().expect("table is non-empty")
     }
 
-    /// Looks an operating point up by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::UnknownOperatingPoint`] if no point carries the
-    /// given name.
-    pub fn by_name(&self, name: &str) -> Result<&OperatingPoint, PowerError> {
-        self.points
-            .iter()
-            .find(|point| point.name() == name)
-            .ok_or_else(|| PowerError::UnknownOperatingPoint(name.to_string()))
-    }
-
     /// The slowest point whose delay scale does not exceed `max_delay_scale`,
     /// i.e. the most energy-efficient point that still fits inside the given
     /// slowdown budget.  Falls back to the fastest point when even it would
@@ -316,16 +303,6 @@ mod tests {
         assert_eq!(freqs, vec![1.0, 0.75, 0.5]);
         assert!(table.fastest().is_nominal());
         assert_eq!(table.slowest().name(), "eco");
-    }
-
-    #[test]
-    fn by_name_finds_points_and_reports_unknown() {
-        let table = DvfsTable::standard();
-        assert_eq!(table.by_name("eco").expect("exists").name(), "eco");
-        assert!(matches!(
-            table.by_name("does-not-exist"),
-            Err(PowerError::UnknownOperatingPoint(_))
-        ));
     }
 
     #[test]

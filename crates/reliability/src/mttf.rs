@@ -137,12 +137,6 @@ impl ReliabilityAnalyzer {
         self
     }
 
-    /// Replaces the thermal-cycling model.
-    pub fn with_cycling(mut self, cycling: CoffinManson) -> Self {
-        self.cycling = cycling;
-        self
-    }
-
     /// Sets how long one execution of the schedule takes in wall-clock hours
     /// (the schedule repeats back-to-back for the cycling-rate conversion).
     ///

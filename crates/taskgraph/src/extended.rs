@@ -9,9 +9,6 @@ use crate::error::GraphError;
 use crate::generator::GeneratorConfig;
 use crate::graph::TaskGraph;
 
-/// Default task counts of the scalability family.
-pub const DEFAULT_SCALABILITY_SIZES: [usize; 5] = [25, 50, 100, 200, 400];
-
 /// Ratio of edges to tasks used by the extended graphs (matches the paper's
 /// benchmarks, which carry roughly 1.1–1.2 edges per task).
 pub const EDGE_RATIO: f64 = 1.15;
@@ -23,7 +20,9 @@ pub const DEADLINE_PER_TASK: f64 = 42.0;
 /// Generates one extended benchmark with the given number of tasks.
 ///
 /// Edges and deadline are derived from the task count via [`EDGE_RATIO`] and
-/// [`DEADLINE_PER_TASK`]; the seed makes the graph reproducible.
+/// [`DEADLINE_PER_TASK`], with the edge count capped at the `n(n-1)/2` a
+/// simple DAG over `n` tasks can hold; the seed makes the graph
+/// reproducible.
 ///
 /// # Errors
 ///
@@ -48,24 +47,15 @@ pub fn graph_with_size(tasks: usize, seed: u64) -> Result<TaskGraph, GraphError>
             "extended benchmarks need at least 2 tasks, got {tasks}"
         )));
     }
-    let edges = ((tasks as f64) * EDGE_RATIO).round() as usize;
+    // For n >= 3 the ratio stays below the n(n-1)/2 cap, so the cap only
+    // changes n = 2.
+    let max_edges = tasks.saturating_mul(tasks - 1) / 2;
+    let edges = (((tasks as f64) * EDGE_RATIO).round() as usize).min(max_edges);
     let deadline = tasks as f64 * DEADLINE_PER_TASK;
     GeneratorConfig::new(format!("Ext{tasks}"), tasks, edges, deadline)
         .with_seed(seed ^ (tasks as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .with_type_count(10)
         .generate()
-}
-
-/// Generates the default scalability family (25–400 tasks).
-///
-/// # Errors
-///
-/// Propagates the first generation error, if any.
-pub fn scalability_suite(seed: u64) -> Result<Vec<TaskGraph>, GraphError> {
-    DEFAULT_SCALABILITY_SIZES
-        .iter()
-        .map(|&size| graph_with_size(size, seed))
-        .collect()
 }
 
 /// Generates a custom-size family.
@@ -87,9 +77,10 @@ mod tests {
 
     #[test]
     fn suite_produces_requested_sizes() {
-        let suite = scalability_suite(1).expect("suite");
-        assert_eq!(suite.len(), DEFAULT_SCALABILITY_SIZES.len());
-        for (graph, &size) in suite.iter().zip(DEFAULT_SCALABILITY_SIZES.iter()) {
+        let sizes = [25, 50, 100, 200, 400];
+        let suite = suite_with_sizes(&sizes, 1).expect("suite");
+        assert_eq!(suite.len(), sizes.len());
+        for (graph, &size) in suite.iter().zip(sizes.iter()) {
             assert_eq!(graph.task_count(), size);
             assert!(
                 graph.edge_count() >= size - 1,
@@ -115,7 +106,7 @@ mod tests {
 
     #[test]
     fn extended_graphs_are_valid_dags() {
-        for graph in scalability_suite(9).expect("suite") {
+        for graph in suite_with_sizes(&[25, 50, 100, 200, 400], 9).expect("suite") {
             // Topological order covers every task exactly once.
             assert_eq!(graph.topological_order().len(), graph.task_count());
             // The unit-weight analysis succeeds (acyclic, connected indices).

@@ -11,8 +11,8 @@
 //!   slack and critical paths,
 //! * [`GeneratorConfig`] — seeded TGFF-style layered graph generator,
 //! * [`Benchmark`] — the paper's four benchmarks (`Bm1`–`Bm4`),
-//! * [`extended`] — a deterministic scalability family (25–400 tasks),
-//! * [`tgff`] — a TGFF-inspired text interchange format,
+//! * [`extended`] — a deterministic scalability family of any size from 2,
+//! * [`tgff`] — a TGFF-inspired text export,
 //! * [`dot`] — Graphviz export.
 //!
 //! # Examples
@@ -121,26 +121,6 @@ mod proptests {
                 prop_assert!(
                     analysis.asap(t) + 1.0 <= analysis.makespan_lower_bound() + 1e-9
                 );
-            }
-        }
-
-        /// Every generated graph survives a TGFF round trip with its
-        /// structure, kinds, type ids and data volumes intact.
-        #[test]
-        fn tgff_round_trip_is_lossless(config in config_strategy()) {
-            let graph = config.generate().unwrap();
-            let back = tgff::from_tgff(&tgff::to_tgff(&graph)).unwrap();
-            prop_assert_eq!(back.task_count(), graph.task_count());
-            prop_assert_eq!(back.edge_count(), graph.edge_count());
-            prop_assert!((back.deadline() - graph.deadline()).abs() < 1e-9);
-            for (a, b) in graph.tasks().zip(back.tasks()) {
-                prop_assert_eq!(a.kind(), b.kind());
-                prop_assert_eq!(a.type_id(), b.type_id());
-            }
-            for (a, b) in graph.edges().zip(back.edges()) {
-                prop_assert_eq!(a.src(), b.src());
-                prop_assert_eq!(a.dst(), b.dst());
-                prop_assert!((a.data_volume() - b.data_volume()).abs() < 1e-9);
             }
         }
     }

@@ -1,9 +1,8 @@
-//! A TGFF-inspired plain-text interchange format for task graphs.
+//! A TGFF-inspired plain-text export of task graphs.
 //!
-//! The paper's benchmarks are TGFF-style pseudo-random graphs; real projects
-//! keep such graphs in small text files under version control.  This module
-//! provides a deliberately simple line-oriented format that round-trips
-//! every [`TaskGraph`] exactly:
+//! The paper's benchmarks are TGFF-style pseudo-random graphs; this module
+//! writes a [`TaskGraph`] in a deliberately simple line-oriented format
+//! (`tats export --format tgff`):
 //!
 //! ```text
 //! @GRAPH Bm1 deadline 790
@@ -13,63 +12,12 @@
 //! @END
 //! ```
 //!
-//! * `@TASK <index> <name> <kind> <type_id>` — tasks must appear in index
-//!   order; names may not contain whitespace.
+//! * `@TASK <index> <name> <kind> <type_id>` — tasks in index order; names
+//!   have their whitespace replaced by underscores.
 //! * `@EDGE <src_index> <dst_index> <data_volume>`.
-//! * Blank lines and lines starting with `#` are ignored.
 
-use std::error::Error;
-use std::fmt;
-
-use crate::builder::TaskGraphBuilder;
-use crate::error::GraphError;
 use crate::graph::TaskGraph;
-use crate::task::{TaskId, TaskKind};
-
-/// Errors produced while parsing the TGFF-like format.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TgffError {
-    /// A line could not be parsed; carries the 1-based line number and a
-    /// description.
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// Description of what was expected.
-        message: String,
-    },
-    /// The document did not contain a `@GRAPH` header.
-    MissingHeader,
-    /// The document ended without the `@END` terminator.
-    MissingTerminator,
-    /// The parsed structure violated a task-graph invariant.
-    Graph(GraphError),
-}
-
-impl fmt::Display for TgffError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TgffError::Parse { line, message } => write!(f, "line {line}: {message}"),
-            TgffError::MissingHeader => write!(f, "missing @GRAPH header"),
-            TgffError::MissingTerminator => write!(f, "missing @END terminator"),
-            TgffError::Graph(source) => write!(f, "invalid task graph: {source}"),
-        }
-    }
-}
-
-impl Error for TgffError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TgffError::Graph(source) => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl From<GraphError> for TgffError {
-    fn from(source: GraphError) -> Self {
-        TgffError::Graph(source)
-    }
-}
+use crate::task::TaskKind;
 
 fn kind_keyword(kind: TaskKind) -> &'static str {
     match kind {
@@ -77,19 +25,6 @@ fn kind_keyword(kind: TaskKind) -> &'static str {
         TaskKind::Dsp => "dsp",
         TaskKind::Memory => "memory",
         TaskKind::Compute => "compute",
-    }
-}
-
-fn parse_kind(keyword: &str, line: usize) -> Result<TaskKind, TgffError> {
-    match keyword {
-        "control" => Ok(TaskKind::Control),
-        "dsp" => Ok(TaskKind::Dsp),
-        "memory" => Ok(TaskKind::Memory),
-        "compute" => Ok(TaskKind::Compute),
-        other => Err(TgffError::Parse {
-            line,
-            message: format!("unknown task kind '{other}'"),
-        }),
     }
 }
 
@@ -107,8 +42,7 @@ fn parse_kind(keyword: &str, line: usize) -> Result<TaskKind, TgffError> {
 /// let graph = Benchmark::Bm1.task_graph()?;
 /// let text = tgff::to_tgff(&graph);
 /// assert!(text.starts_with("@GRAPH Bm1 deadline 790"));
-/// let back = tgff::from_tgff(&text)?;
-/// assert_eq!(back.task_count(), graph.task_count());
+/// assert_eq!(text.matches("@TASK ").count(), graph.task_count());
 /// # Ok(())
 /// # }
 /// ```
@@ -149,234 +83,12 @@ fn sanitise(name: &str) -> String {
     }
 }
 
-/// Parses a task graph from the TGFF-like text format.
-///
-/// # Errors
-///
-/// Returns [`TgffError::Parse`] with the offending line for malformed input,
-/// [`TgffError::MissingHeader`] / [`TgffError::MissingTerminator`] for
-/// truncated documents and [`TgffError::Graph`] when the parsed structure is
-/// not a valid DAG.
-pub fn from_tgff(text: &str) -> Result<TaskGraph, TgffError> {
-    let mut builder: Option<TaskGraphBuilder> = None;
-    let mut expected_task_index = 0usize;
-    let mut terminated = false;
-
-    for (offset, raw_line) in text.lines().enumerate() {
-        let line_number = offset + 1;
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if terminated {
-            return Err(TgffError::Parse {
-                line: line_number,
-                message: "content after @END".into(),
-            });
-        }
-        let mut fields = line.split_whitespace();
-        let keyword = fields.next().expect("non-empty line has a first token");
-        match keyword {
-            "@GRAPH" => {
-                let name = fields.next().ok_or_else(|| TgffError::Parse {
-                    line: line_number,
-                    message: "expected '@GRAPH <name> deadline <value>'".into(),
-                })?;
-                let deadline = match (fields.next(), fields.next()) {
-                    (Some("deadline"), Some(value)) => {
-                        value.parse::<f64>().map_err(|_| TgffError::Parse {
-                            line: line_number,
-                            message: format!("deadline '{value}' is not a number"),
-                        })?
-                    }
-                    _ => {
-                        return Err(TgffError::Parse {
-                            line: line_number,
-                            message: "expected 'deadline <value>' after the graph name".into(),
-                        })
-                    }
-                };
-                builder = Some(TaskGraphBuilder::new(name, deadline));
-            }
-            "@TASK" => {
-                let builder = builder.as_mut().ok_or(TgffError::MissingHeader)?;
-                let index: usize = next_parsed(&mut fields, line_number, "task index")?;
-                if index != expected_task_index {
-                    return Err(TgffError::Parse {
-                        line: line_number,
-                        message: format!(
-                            "task index {index} out of order (expected {expected_task_index})"
-                        ),
-                    });
-                }
-                expected_task_index += 1;
-                let name = fields.next().ok_or_else(|| TgffError::Parse {
-                    line: line_number,
-                    message: "missing task name".into(),
-                })?;
-                let kind_word = fields.next().ok_or_else(|| TgffError::Parse {
-                    line: line_number,
-                    message: "missing task kind".into(),
-                })?;
-                let kind = parse_kind(kind_word, line_number)?;
-                let type_id: usize = next_parsed(&mut fields, line_number, "task type id")?;
-                builder.add_task(name, kind, type_id);
-            }
-            "@EDGE" => {
-                let builder = builder.as_mut().ok_or(TgffError::MissingHeader)?;
-                let src: usize = next_parsed(&mut fields, line_number, "edge source")?;
-                let dst: usize = next_parsed(&mut fields, line_number, "edge destination")?;
-                let volume: f64 = next_parsed(&mut fields, line_number, "edge data volume")?;
-                builder.add_edge(TaskId(src), TaskId(dst), volume)?;
-            }
-            "@END" => {
-                terminated = true;
-            }
-            other => {
-                return Err(TgffError::Parse {
-                    line: line_number,
-                    message: format!("unknown directive '{other}'"),
-                });
-            }
-        }
-    }
-
-    if !terminated {
-        return Err(TgffError::MissingTerminator);
-    }
-    let builder = builder.ok_or(TgffError::MissingHeader)?;
-    Ok(builder.build()?)
-}
-
-fn next_parsed<'a, T, I>(fields: &mut I, line: usize, what: &str) -> Result<T, TgffError>
-where
-    T: std::str::FromStr,
-    I: Iterator<Item = &'a str>,
-{
-    let token = fields.next().ok_or_else(|| TgffError::Parse {
-        line,
-        message: format!("missing {what}"),
-    })?;
-    token.parse::<T>().map_err(|_| TgffError::Parse {
-        line,
-        message: format!("{what} '{token}' could not be parsed"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
+    use crate::builder::TaskGraphBuilder;
     use crate::generator::GeneratorConfig;
-
-    fn graphs_equivalent(a: &TaskGraph, b: &TaskGraph) -> bool {
-        if a.task_count() != b.task_count()
-            || a.edge_count() != b.edge_count()
-            || (a.deadline() - b.deadline()).abs() > 1e-12
-        {
-            return false;
-        }
-        for (ta, tb) in a.tasks().zip(b.tasks()) {
-            if ta.kind() != tb.kind() || ta.type_id() != tb.type_id() {
-                return false;
-            }
-        }
-        for (ea, eb) in a.edges().zip(b.edges()) {
-            if ea.src() != eb.src()
-                || ea.dst() != eb.dst()
-                || (ea.data_volume() - eb.data_volume()).abs() > 1e-9
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    #[test]
-    fn benchmark_round_trips_exactly() {
-        for benchmark in Benchmark::ALL {
-            let graph = benchmark.task_graph().expect("benchmark");
-            let text = to_tgff(&graph);
-            let back = from_tgff(&text).expect("parse");
-            assert!(graphs_equivalent(&graph, &back), "{benchmark:?} round trip");
-        }
-    }
-
-    #[test]
-    fn hand_written_document_parses() {
-        let text = "\
-# tiny pipeline
-@GRAPH demo deadline 100
-
-@TASK 0 source control 0
-@TASK 1 filter dsp 1
-@TASK 2 sink memory 2
-@EDGE 0 1 16
-@EDGE 1 2 8
-@END
-";
-        let graph = from_tgff(text).expect("parse");
-        assert_eq!(graph.task_count(), 3);
-        assert_eq!(graph.edge_count(), 2);
-        assert_eq!(graph.deadline(), 100.0);
-        assert_eq!(graph.task(TaskId(1)).kind(), TaskKind::Dsp);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let missing_deadline = "@GRAPH demo\n@END\n";
-        match from_tgff(missing_deadline) {
-            Err(TgffError::Parse { line, .. }) => assert_eq!(line, 1),
-            other => panic!("expected a parse error, got {other:?}"),
-        }
-
-        let bad_kind = "@GRAPH demo deadline 10\n@TASK 0 a robot 0\n@END\n";
-        match from_tgff(bad_kind) {
-            Err(TgffError::Parse { line, message }) => {
-                assert_eq!(line, 2);
-                assert!(message.contains("robot"));
-            }
-            other => panic!("expected a parse error, got {other:?}"),
-        }
-
-        let out_of_order = "@GRAPH demo deadline 10\n@TASK 1 a control 0\n@END\n";
-        assert!(matches!(
-            from_tgff(out_of_order),
-            Err(TgffError::Parse { line: 2, .. })
-        ));
-    }
-
-    #[test]
-    fn structural_errors_surface_as_graph_errors() {
-        let cyclic = "\
-@GRAPH demo deadline 10
-@TASK 0 a control 0
-@TASK 1 b control 0
-@EDGE 0 1 1
-@EDGE 1 0 1
-@END
-";
-        assert!(matches!(from_tgff(cyclic), Err(TgffError::Graph(_))));
-
-        let dangling = "@GRAPH demo deadline 10\n@TASK 0 a control 0\n@EDGE 0 5 1\n@END\n";
-        assert!(matches!(from_tgff(dangling), Err(TgffError::Graph(_))));
-    }
-
-    #[test]
-    fn missing_header_and_terminator_are_reported() {
-        assert!(matches!(
-            from_tgff("@TASK 0 a control 0\n@END\n"),
-            Err(TgffError::MissingHeader)
-        ));
-        assert!(matches!(
-            from_tgff("@GRAPH demo deadline 10\n@TASK 0 a control 0\n"),
-            Err(TgffError::MissingTerminator)
-        ));
-        assert!(matches!(
-            from_tgff("@GRAPH d deadline 10\n@TASK 0 a control 0\n@END\nextra\n"),
-            Err(TgffError::Parse { .. })
-        ));
-    }
 
     #[test]
     fn names_with_whitespace_are_sanitised() {
@@ -386,16 +98,44 @@ mod tests {
         let text = to_tgff(&graph);
         assert!(text.contains("@GRAPH two_words"));
         assert!(text.contains("task_one"));
-        assert!(from_tgff(&text).is_ok());
+    }
+
+    /// FNV-1a over the document's bytes.
+    fn text_digest(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 
     #[test]
-    fn generated_graphs_round_trip() {
-        let graph = GeneratorConfig::new("random", 40, 55, 1200.0)
-            .with_seed(7)
-            .generate()
-            .expect("generated");
-        let back = from_tgff(&to_tgff(&graph)).expect("parse");
-        assert!(graphs_equivalent(&graph, &back));
+    fn writer_output_is_pinned() {
+        let mut graphs: Vec<TaskGraph> = Benchmark::ALL
+            .iter()
+            .map(|benchmark| benchmark.task_graph().expect("benchmark"))
+            .collect();
+        graphs.push(
+            GeneratorConfig::new("random", 40, 55, 1200.0)
+                .with_seed(7)
+                .generate()
+                .expect("generated"),
+        );
+        let digests: Vec<(usize, u64)> = graphs
+            .iter()
+            .map(|graph| {
+                let text = to_tgff(graph);
+                (text.len(), text_digest(&text))
+            })
+            .collect();
+        // Byte length and digest of Bm1..Bm4 and the 40-task generated graph.
+        assert_eq!(
+            digests,
+            [
+                (1032, 0x99fa_35d2_d32e_c44e),
+                (2075, 0x7f80_0e43_ad22_a161),
+                (2287, 0xe31f_f74f_7efc_e864),
+                (3101, 0x2efb_9d84_7788_8f9a),
+                (2810, 0x7177_cc5a_e555_cb5f),
+            ]
+        );
     }
 }

@@ -31,10 +31,10 @@ pub const MAX_GRID_SIDE: usize = 128;
 
 /// Banded cell core, dense border columns and corner block of the grid
 /// system in the form [`BorderedBandedCholesky`] consumes.
-pub(crate) type BorderedSystem = (BandedMatrix, Vec<Vec<f64>>, Vec<Vec<f64>>);
+type BorderedSystem = (BandedMatrix, Vec<Vec<f64>>, Vec<Vec<f64>>);
 
 /// Converts a sparse-subsystem failure into the thermal error vocabulary.
-pub(crate) fn from_sparse(error: SparseError) -> ThermalError {
+fn from_sparse(error: SparseError) -> ThermalError {
     match error {
         SparseError::NotPositiveDefinite { .. } => ThermalError::SingularSystem,
         other => ThermalError::InvalidParameter(other.to_string()),
@@ -171,22 +171,15 @@ struct Stencil {
 impl Stencil {
     /// Assembles the bordered-banded form of the system: the banded cell
     /// Laplacian (bandwidth `nx`), the dense spreader/sink border and the
-    /// 2×2 corner. The `*_shift` arguments add to the respective diagonals,
-    /// which is how the implicit transient stepper injects `C/dt`.
-    fn assemble_bordered(
-        &self,
-        cell_diagonal_shift: f64,
-        spreader_shift: f64,
-        sink_shift: f64,
-    ) -> Result<BorderedSystem, ThermalError> {
+    /// 2×2 corner.
+    fn assemble_bordered(&self) -> Result<BorderedSystem, ThermalError> {
         let (nx, ny) = (self.nx, self.ny);
         let cells = nx * ny;
         let mut core = BandedMatrix::zeros(cells, nx.min(cells.saturating_sub(1)).max(1));
         for iy in 0..ny {
             for ix in 0..nx {
                 let idx = iy * nx + ix;
-                core.add(idx, idx, self.vertical + cell_diagonal_shift)
-                    .map_err(from_sparse)?;
+                core.add(idx, idx, self.vertical).map_err(from_sparse)?;
                 if ix + 1 < nx {
                     core.add(idx, idx, self.lateral_x).map_err(from_sparse)?;
                     core.add(idx + 1, idx + 1, self.lateral_x)
@@ -206,13 +199,10 @@ impl Stencil {
         let border = vec![vec![-self.vertical; cells], vec![0.0; cells]];
         let corner = vec![
             vec![
-                cells as f64 * self.vertical + self.spreader_sink + spreader_shift,
+                cells as f64 * self.vertical + self.spreader_sink,
                 -self.spreader_sink,
             ],
-            vec![
-                -self.spreader_sink,
-                self.spreader_sink + self.convection + sink_shift,
-            ],
+            vec![-self.spreader_sink, self.spreader_sink + self.convection],
         ];
         Ok((core, border, corner))
     }
@@ -240,7 +230,6 @@ impl Stencil {
 pub struct GridModel {
     config: ThermalConfig,
     stencil: Stencil,
-    cell_area: f64,
     /// Fraction of each cell covered by each block: `coverage[block][cell]`.
     coverage: Vec<Vec<f64>>,
     /// Cached factor of the steady-state system.
@@ -312,12 +301,11 @@ impl GridModel {
             spreader_sink: 1.0 / config.spreader_to_sink_resistance,
             convection: 1.0 / config.convection_resistance,
         };
-        let (core, border, corner) = stencil.assemble_bordered(0.0, 0.0, 0.0)?;
+        let (core, border, corner) = stencil.assemble_bordered()?;
         let factor = BorderedBandedCholesky::new(&core, &border, &corner).map_err(from_sparse)?;
         Ok(GridModel {
             config,
             stencil,
-            cell_area,
             coverage,
             factor,
         })
@@ -341,29 +329,12 @@ impl GridModel {
         (self.stencil.nx, self.stencil.ny)
     }
 
-    /// Area of one grid cell, m².
-    pub fn cell_area(&self) -> f64 {
-        self.cell_area
-    }
-
     /// Number of unknowns of the assembled system (cells + spreader + sink).
     pub fn node_count(&self) -> usize {
         self.stencil.nx * self.stencil.ny + 2
     }
 
-    /// The bordered-banded system with the given diagonal shifts (see
-    /// [`GridTransientSolver`](crate::GridTransientSolver)).
-    pub(crate) fn assemble_bordered(
-        &self,
-        cell_diagonal_shift: f64,
-        spreader_shift: f64,
-        sink_shift: f64,
-    ) -> Result<BorderedSystem, ThermalError> {
-        self.stencil
-            .assemble_bordered(cell_diagonal_shift, spreader_shift, sink_shift)
-    }
-
-    pub(crate) fn validate_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
+    fn validate_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
         let block_count = self.coverage.len();
         if block_power.len() != block_count {
             return Err(ThermalError::PowerLengthMismatch {
@@ -383,7 +354,7 @@ impl GridModel {
 
     /// Distributes block power over covered cells proportionally to the
     /// covered area and fills the spreader/sink right-hand-side entries.
-    pub(crate) fn heat_input_into(&self, block_power: &[f64], q: &mut [f64]) {
+    fn heat_input_into(&self, block_power: &[f64], q: &mut [f64]) {
         let cells = self.node_count() - 2;
         q.fill(0.0);
         for (b, &p) in block_power.iter().enumerate() {
@@ -443,7 +414,7 @@ impl GridModel {
 
     /// Builds the per-block statistics from a node temperature vector
     /// (cells first; trailing spreader/sink entries are ignored).
-    pub(crate) fn temperatures_from_cells(&self, t: &[f64]) -> GridTemperatures {
+    fn temperatures_from_cells(&self, t: &[f64]) -> GridTemperatures {
         let (nx, ny) = self.resolution();
         let block_count = self.coverage.len();
         let mut block_avg = vec![0.0; block_count];
@@ -475,11 +446,6 @@ impl GridModel {
             block_avg_c: block_avg,
             block_max_c: block_max,
         }
-    }
-
-    /// Thermal configuration the model was built with.
-    pub fn config(&self) -> &ThermalConfig {
-        &self.config
     }
 
     /// Number of floorplan blocks the model distributes power over.
@@ -792,7 +758,7 @@ mod proptests {
         ) {
             let plan = strip_plan(&widths, height);
             let model = GridModel::new(&plan, ThermalConfig::default(), nx, ny).unwrap();
-            let (core, border, corner) = model.assemble_bordered(0.0, 0.0, 0.0).unwrap();
+            let (core, border, corner) = model.stencil.assemble_bordered().unwrap();
             let cells = nx * ny;
             prop_assert_eq!(core.n(), cells);
             prop_assert_eq!(border.len(), 2);

@@ -13,13 +13,12 @@
 //!   conductance per block, lateral conductances between abutting blocks,
 //!   spreader/sink/ambient stack),
 //! * [`TransientSolver`] — time-domain integration of piecewise-constant
-//!   power traces (backward Euler or RK4),
+//!   power traces (backward Euler),
 //! * [`GridModel`] — finer grid-refined steady-state model used for
 //!   validation and ablations. Its one [`GridSolver`] is a banded Cholesky
 //!   factorisation (bandwidth `nx`, with the dense spreader/sink rows
 //!   handled by block elimination), computed once per model and cached for
-//!   every right-hand side, including the implicit [`GridTransientSolver`]
-//!   steps. Each side holds at most [`MAX_GRID_SIDE`] cells,
+//!   every right-hand side. Each side holds at most [`MAX_GRID_SIDE`] cells,
 //! * [`linalg`] — the small dense LU solver behind the block model.
 //!
 //! # Examples
@@ -49,7 +48,6 @@
 mod error;
 mod floorplan;
 mod grid;
-mod grid_transient;
 pub mod linalg;
 mod materials;
 mod model;
@@ -60,12 +58,11 @@ mod transient;
 pub use error::ThermalError;
 pub use floorplan::{Block, Floorplan};
 pub use grid::{GridModel, GridSolver, GridTemperatures, GridWorkspace, MAX_GRID_SIDE};
-pub use grid_transient::{GridTransientResult, GridTransientSolver};
 pub use materials::ThermalConfig;
 pub use model::{Temperatures, ThermalModel};
 pub use network::RcNetwork;
 pub use session::{Rect, ThermalSession};
-pub use transient::{PowerPhase, TransientMethod, TransientSolver};
+pub use transient::{PowerPhase, TransientSolver};
 
 #[cfg(test)]
 mod proptests {

@@ -206,45 +206,6 @@ impl ThermalModel {
             self.config.ambient_c,
         ))
     }
-
-    /// Steady-state node temperatures into a caller-provided buffer (blocks
-    /// in floorplan order, then spreader, then sink), reusing its allocation
-    /// across calls. Iterative clients (e.g. the leakage-temperature
-    /// feedback loop) use this to avoid a `Vec` per solve; package the final
-    /// iterate with [`ThermalModel::temperatures_from_nodes`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThermalModel::steady_state`].
-    pub fn steady_state_nodes_into(
-        &self,
-        block_power: &[f64],
-        nodes: &mut Vec<f64>,
-    ) -> Result<(), ThermalError> {
-        self.network.steady_state_into(block_power, nodes)
-    }
-
-    /// Packages a raw node-temperature vector (as produced by
-    /// [`ThermalModel::steady_state_nodes_into`]) into [`Temperatures`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::InvalidParameter`] when `nodes` does not have
-    /// one entry per network node.
-    pub fn temperatures_from_nodes(&self, nodes: &[f64]) -> Result<Temperatures, ThermalError> {
-        if nodes.len() != self.network.node_count() {
-            return Err(ThermalError::InvalidParameter(format!(
-                "expected {} node temperatures, got {}",
-                self.network.node_count(),
-                nodes.len()
-            )));
-        }
-        Ok(Temperatures::from_nodes(
-            nodes,
-            self.network.block_count(),
-            self.config.ambient_c,
-        ))
-    }
 }
 
 #[cfg(test)]

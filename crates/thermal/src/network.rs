@@ -156,41 +156,9 @@ impl RcNetwork {
         self.lu.solve(&q)
     }
 
-    /// Solves the steady-state system into a caller-provided buffer, reusing
-    /// its allocation across calls (the buffer is resized to the node count).
-    /// This is the path iterative clients — the leakage-temperature feedback
-    /// loop, the schedule simulator — should use in their inner loops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RcNetwork::heat_input`] validation errors.
-    pub fn steady_state_into(
-        &self,
-        block_power: &[f64],
-        nodes: &mut Vec<f64>,
-    ) -> Result<(), ThermalError> {
-        if block_power.len() != self.block_count {
-            return Err(ThermalError::PowerLengthMismatch {
-                expected: self.block_count,
-                actual: block_power.len(),
-            });
-        }
-        if let Some((i, &p)) = block_power
-            .iter()
-            .enumerate()
-            .find(|(_, p)| !p.is_finite() || **p < 0.0)
-        {
-            return Err(ThermalError::InvalidPower(i, p));
-        }
-        nodes.clear();
-        nodes.resize(self.node_count(), 0.0);
-        nodes[..self.block_count].copy_from_slice(block_power);
-        nodes[self.block_count + 1] = self.ambient_conductance * self.ambient_c;
-        self.lu.solve_into(nodes)
-    }
-
-    /// Computes `dT/dt` for the transient solvers:
+    /// Computes `dT/dt` for the RK4 test reference of the transient solver:
     /// `C dT/dt = Q - G T` (the ambient injection is already part of `Q`).
+    #[cfg(test)]
     pub(crate) fn derivative(&self, temperatures: &[f64], heat_input: &[f64]) -> Vec<f64> {
         let flow = self
             .conductance

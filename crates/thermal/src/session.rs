@@ -15,7 +15,6 @@
 //! allocations.
 
 use crate::error::ThermalError;
-use crate::floorplan::Floorplan;
 use crate::linalg::{LuDecomposition, Matrix};
 use crate::materials::ThermalConfig;
 
@@ -150,7 +149,8 @@ pub(crate) fn assemble_conductance(g: &mut Matrix, rects: &[Rect], config: &Ther
 ///
 /// The geometry is **not** validated against overlaps (slicing-tree
 /// placements are non-overlapping by construction); callers handing over
-/// arbitrary geometry should validate it with [`Floorplan::new`] first.
+/// arbitrary geometry should validate it with
+/// [`Floorplan::new`](crate::Floorplan::new) first.
 ///
 /// # Examples
 ///
@@ -235,27 +235,6 @@ impl ThermalSession {
         Ok(())
     }
 
-    /// Loads the geometry of a validated [`Floorplan`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThermalSession::load_geometry`].
-    pub fn load_floorplan(&mut self, floorplan: &Floorplan) -> Result<(), ThermalError> {
-        if floorplan.block_count() != self.block_count {
-            return Err(ThermalError::InvalidParameter(format!(
-                "session sized for {} blocks, floorplan has {}",
-                self.block_count,
-                floorplan.block_count()
-            )));
-        }
-        self.geometry_loaded = false;
-        let rects: Vec<Rect> = floorplan.blocks().iter().map(crate::Block::rect).collect();
-        assemble_conductance(&mut self.g, &rects, &self.config);
-        self.lu.refactor(&self.g)?;
-        self.geometry_loaded = true;
-        Ok(())
-    }
-
     /// Steady-state node temperatures (°C) for the loaded geometry: blocks in
     /// index order, then spreader, then sink. The returned slice borrows the
     /// session's internal buffer; the whole query performs zero heap
@@ -319,7 +298,7 @@ impl ThermalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::floorplan::Block;
+    use crate::floorplan::{Block, Floorplan};
     use crate::model::ThermalModel;
 
     fn quad_rects() -> Vec<Rect> {
@@ -367,18 +346,6 @@ mod tests {
         }
         assert_eq!(nodes[4], reference.spreader_c());
         assert_eq!(nodes[5], reference.sink_c());
-    }
-
-    #[test]
-    fn load_floorplan_matches_load_geometry() {
-        let config = ThermalConfig::default();
-        let power = [3.0, 5.0, 2.0, 6.0];
-        let mut by_rects = ThermalSession::new(4, config).unwrap();
-        by_rects.load_geometry(&quad_rects()).unwrap();
-        let expected = by_rects.solve(&power).unwrap().to_vec();
-        let mut by_plan = ThermalSession::new(4, config).unwrap();
-        by_plan.load_floorplan(&quad_plan()).unwrap();
-        assert_eq!(by_plan.solve(&power).unwrap(), &expected[..]);
     }
 
     #[test]

@@ -5,24 +5,14 @@
 //! benches — also need the time-domain response: given a piecewise-constant
 //! power trace per block, integrate `C dT/dt = Q - G T` over time.
 //!
-//! Two integrators are provided: an unconditionally stable implicit
-//! (backward Euler) stepper used by default, and an explicit fourth-order
-//! Runge–Kutta stepper useful for cross-checking accuracy on short horizons.
+//! The integrator is implicit backward Euler: unconditionally stable and
+//! first-order accurate. The tests cross-check it on short horizons against
+//! an explicit fourth-order Runge–Kutta reference.
 
 use crate::error::ThermalError;
 use crate::linalg::{LuDecomposition, Matrix};
 use crate::model::{Temperatures, ThermalModel};
-
-/// Integration scheme of the transient solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransientMethod {
-    /// Implicit backward Euler; unconditionally stable, first-order accurate.
-    #[default]
-    BackwardEuler,
-    /// Explicit classical Runge–Kutta; fourth-order accurate but requires
-    /// time steps small compared to the fastest thermal time constant.
-    RungeKutta4,
-}
+use crate::network::RcNetwork;
 
 /// One segment of a piecewise-constant power trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,30 +34,21 @@ impl PowerPhase {
     }
 }
 
-/// Transient solver bound to a [`ThermalModel`].
+/// Backward-Euler transient solver bound to a [`ThermalModel`].
 #[derive(Debug, Clone)]
 pub struct TransientSolver<'a> {
     model: &'a ThermalModel,
-    method: TransientMethod,
     /// Integration step in seconds.
     dt_seconds: f64,
 }
 
 impl<'a> TransientSolver<'a> {
-    /// Creates a solver with the default method (backward Euler) and a 10 ms
-    /// step.
+    /// Creates a solver with a 10 ms step.
     pub fn new(model: &'a ThermalModel) -> Self {
         TransientSolver {
             model,
-            method: TransientMethod::default(),
             dt_seconds: 0.01,
         }
-    }
-
-    /// Selects the integration scheme.
-    pub fn with_method(mut self, method: TransientMethod) -> Self {
-        self.method = method;
-        self
     }
 
     /// Overrides the integration step (seconds).
@@ -104,22 +85,9 @@ impl<'a> TransientSolver<'a> {
         let time_unit = self.model.config().time_unit_seconds;
         let mut state = initial.to_nodes();
 
-        // Pre-factorise (C/dt + G) for backward Euler once; the matrix does
-        // not change between phases.
-        let implicit_lu = match self.method {
-            TransientMethod::BackwardEuler => {
-                let n = network.node_count();
-                let mut m = Matrix::zeros(n, n);
-                for i in 0..n {
-                    for j in 0..n {
-                        m[(i, j)] = network.conductance(i, j);
-                    }
-                    m.add_to(i, i, network.capacitances()[i] / self.dt_seconds);
-                }
-                Some(LuDecomposition::new(&m)?)
-            }
-            TransientMethod::RungeKutta4 => None,
-        };
+        // Pre-factorise (C/dt + G) once; the matrix does not change between
+        // phases.
+        let implicit_lu = LuDecomposition::new(&implicit_matrix(network, self.dt_seconds))?;
 
         for (phase_index, phase) in trace.iter().enumerate() {
             if phase.duration_units < 0.0 || !phase.duration_units.is_finite() {
@@ -132,57 +100,19 @@ impl<'a> TransientSolver<'a> {
             let mut remaining = phase.duration_units * time_unit;
             while remaining > 1e-12 {
                 let dt = remaining.min(self.dt_seconds);
-                match self.method {
-                    TransientMethod::BackwardEuler => {
-                        // (C/dt + G) T' = C/dt * T + Q.  The pre-factorised
-                        // matrix uses the nominal dt; for the final partial
-                        // step fall back to an ad-hoc factorisation.
-                        if (dt - self.dt_seconds).abs() < 1e-15 {
-                            let lu = implicit_lu.as_ref().expect("factorised above");
-                            let rhs: Vec<f64> = state
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &t)| network.capacitances()[i] / dt * t + q[i])
-                                .collect();
-                            state = lu.solve(&rhs)?;
-                        } else {
-                            let n = network.node_count();
-                            let mut m = Matrix::zeros(n, n);
-                            for i in 0..n {
-                                for j in 0..n {
-                                    m[(i, j)] = network.conductance(i, j);
-                                }
-                                m.add_to(i, i, network.capacitances()[i] / dt);
-                            }
-                            let rhs: Vec<f64> = state
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &t)| network.capacitances()[i] / dt * t + q[i])
-                                .collect();
-                            state = m.solve(&rhs)?;
-                        }
-                    }
-                    TransientMethod::RungeKutta4 => {
-                        let k1 = network.derivative(&state, &q);
-                        let s2: Vec<f64> = state
-                            .iter()
-                            .zip(&k1)
-                            .map(|(t, k)| t + 0.5 * dt * k)
-                            .collect();
-                        let k2 = network.derivative(&s2, &q);
-                        let s3: Vec<f64> = state
-                            .iter()
-                            .zip(&k2)
-                            .map(|(t, k)| t + 0.5 * dt * k)
-                            .collect();
-                        let k3 = network.derivative(&s3, &q);
-                        let s4: Vec<f64> = state.iter().zip(&k3).map(|(t, k)| t + dt * k).collect();
-                        let k4 = network.derivative(&s4, &q);
-                        for i in 0..state.len() {
-                            state[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-                        }
-                    }
-                }
+                // (C/dt + G) T' = C/dt * T + Q.  The pre-factorised matrix
+                // uses the nominal dt; for the final partial step fall back
+                // to an ad-hoc factorisation.
+                let rhs: Vec<f64> = state
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| network.capacitances()[i] / dt * t + q[i])
+                    .collect();
+                state = if (dt - self.dt_seconds).abs() < 1e-15 {
+                    implicit_lu.solve(&rhs)?
+                } else {
+                    implicit_matrix(network, dt).solve(&rhs)?
+                };
                 remaining -= dt;
             }
         }
@@ -195,12 +125,67 @@ impl<'a> TransientSolver<'a> {
     }
 }
 
+/// `C/dt + G`, the backward-Euler system matrix for a step of `dt` seconds.
+fn implicit_matrix(network: &RcNetwork, dt: f64) -> Matrix {
+    let n = network.node_count();
+    let mut m = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            m[(i, j)] = network.conductance(i, j);
+        }
+        m.add_to(i, i, network.capacitances()[i] / dt);
+    }
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::floorplan::{Block, Floorplan};
     use crate::materials::ThermalConfig;
     use crate::model::ThermalModel;
+
+    /// Explicit classical Runge–Kutta integration of the same trace: fourth
+    /// order accurate, but only stable for steps small against the fastest
+    /// thermal time constant. The reference the backward-Euler solver is
+    /// checked against on short horizons.
+    fn rk4_reference(
+        model: &ThermalModel,
+        initial: &Temperatures,
+        trace: &[PowerPhase],
+        dt_seconds: f64,
+    ) -> Temperatures {
+        let network = model.network();
+        let time_unit = model.config().time_unit_seconds;
+        let mut state = initial.to_nodes();
+        for phase in trace {
+            let q = network.heat_input(&phase.block_power).unwrap();
+            let mut remaining = phase.duration_units * time_unit;
+            while remaining > 1e-12 {
+                let dt = remaining.min(dt_seconds);
+                let k1 = network.derivative(&state, &q);
+                let s2: Vec<f64> = state
+                    .iter()
+                    .zip(&k1)
+                    .map(|(t, k)| t + 0.5 * dt * k)
+                    .collect();
+                let k2 = network.derivative(&s2, &q);
+                let s3: Vec<f64> = state
+                    .iter()
+                    .zip(&k2)
+                    .map(|(t, k)| t + 0.5 * dt * k)
+                    .collect();
+                let k3 = network.derivative(&s3, &q);
+                let s4: Vec<f64> = state.iter().zip(&k3).map(|(t, k)| t + dt * k).collect();
+                let k4 = network.derivative(&s4, &q);
+                for i in 0..state.len() {
+                    state[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+                }
+                remaining -= dt;
+            }
+        }
+        Temperatures::from_nodes(&state, model.block_count(), model.config().ambient_c)
+    }
 
     fn model() -> ThermalModel {
         let plan = Floorplan::new(vec![
@@ -266,11 +251,7 @@ mod tests {
             .with_step(0.002)
             .run(&start, &trace)
             .unwrap();
-        let rk = TransientSolver::new(&model)
-            .with_method(TransientMethod::RungeKutta4)
-            .with_step(0.002)
-            .run(&start, &trace)
-            .unwrap();
+        let rk = rk4_reference(&model, &start, &trace, 0.002);
         assert!((be.block(0).unwrap() - rk.block(0).unwrap()).abs() < 0.2);
         assert!((be.block(1).unwrap() - rk.block(1).unwrap()).abs() < 0.2);
     }

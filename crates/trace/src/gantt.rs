@@ -11,23 +11,17 @@ use tats_techlib::PeId;
 
 use crate::error::TraceError;
 
-/// Configurable ASCII Gantt renderer.
+/// ASCII Gantt renderer: a timeline per PE with its utilisation, then a
+/// deadline marker row.
 #[derive(Debug, Clone)]
 pub struct GanttChart {
     width: usize,
-    show_deadline: bool,
-    show_utilisation: bool,
 }
 
 impl GanttChart {
-    /// Creates a renderer with an 80-column timeline, deadline marker and
-    /// per-PE utilisation summary.
+    /// Creates a renderer with an 80-column timeline.
     pub fn new() -> Self {
-        GanttChart {
-            width: 80,
-            show_deadline: true,
-            show_utilisation: true,
-        }
+        GanttChart { width: 80 }
     }
 
     /// Sets the number of character cells of the timeline.
@@ -43,18 +37,6 @@ impl GanttChart {
         }
         self.width = width;
         Ok(self)
-    }
-
-    /// Enables or disables the deadline marker row.
-    pub fn with_deadline_marker(mut self, show: bool) -> Self {
-        self.show_deadline = show;
-        self
-    }
-
-    /// Enables or disables the per-PE utilisation summary column.
-    pub fn with_utilisation(mut self, show: bool) -> Self {
-        self.show_utilisation = show;
-        self
     }
 
     /// Renders the schedule as a multi-line string.
@@ -144,32 +126,25 @@ impl GanttChart {
                     row[start_cell + 1 + offset] = byte;
                 }
             }
-            let mut line = format!(
-                "PE{:<3} |{}|",
+            let utilisation = 100.0 * schedule.busy_time(pe) / horizon;
+            out.push_str(&format!(
+                "PE{:<3} |{}| {utilisation:5.1}%\n",
                 pe_index,
                 String::from_utf8(row).expect("rendered row is ASCII")
-            );
-            if self.show_utilisation {
-                let utilisation = 100.0 * schedule.busy_time(pe) / horizon;
-                line.push_str(&format!(" {utilisation:5.1}%"));
-            }
-            out.push_str(&line);
-            out.push('\n');
-        }
-
-        if self.show_deadline {
-            let deadline_cell = ((schedule.deadline() * scale).round() as usize).min(self.width);
-            let mut marker = vec![b' '; self.width];
-            if deadline_cell > 0 {
-                marker[deadline_cell - 1] = b'^';
-            }
-            out.push_str(&format!(
-                "      |{}| deadline {:.0} / makespan {:.1}\n",
-                String::from_utf8(marker).expect("marker row is ASCII"),
-                schedule.deadline(),
-                schedule.makespan()
             ));
         }
+
+        let deadline_cell = ((schedule.deadline() * scale).round() as usize).min(self.width);
+        let mut marker = vec![b' '; self.width];
+        if deadline_cell > 0 {
+            marker[deadline_cell - 1] = b'^';
+        }
+        out.push_str(&format!(
+            "      |{}| deadline {:.0} / makespan {:.1}\n",
+            String::from_utf8(marker).expect("marker row is ASCII"),
+            schedule.deadline(),
+            schedule.makespan()
+        ));
         Ok(out)
     }
 }
@@ -204,11 +179,17 @@ mod tests {
         let chart = GanttChart::new()
             .render(&schedule, Some(&graph))
             .expect("chart");
-        for pe in 0..schedule.pe_count() {
-            assert!(chart.contains(&format!("PE{pe}")));
-        }
-        assert!(chart.contains("deadline"));
-        assert!(chart.contains('%'));
+        // The full default chart of Bm1's baseline schedule: the time axis,
+        // one row per PE with its utilisation, then the deadline marker.
+        let expected = [
+            "time 0 ------------------------------------------------------------------------------ 790",
+            "PE0   |[Bm1_t0#]....[Bm1_t6####[Bm1_t10#[Bm1_t9#####[Bm1_t18######]....................|  67.5%",
+            "PE1   |[Bm1_t1######[Bm1_t3#######[Bm1_t4####[Bm1_t16####[Bm1_t14######]...............|  80.2%",
+            "PE2   |........[Bm1_t5#######[Bm1_t13##[Bm1_t7#####[Bm1_t15##].........................|  57.0%",
+            "PE3   |........[Bm1_t2#######[Bm1_t12[Bm1_t8#####[Bm1_t11#[Bm1_t17#####]...............|  70.5%",
+            "      |                                                                               ^| deadline 790 / makespan 641.4",
+        ];
+        assert_eq!(chart, expected.join("\n") + "\n");
     }
 
     #[test]
@@ -217,12 +198,8 @@ mod tests {
         let chart = GanttChart::new()
             .with_width(40)
             .expect("valid width")
-            .with_deadline_marker(false)
-            .with_utilisation(false)
             .render(&schedule, None)
             .expect("chart");
-        assert!(!chart.contains("deadline"));
-        assert!(!chart.contains('%'));
         // Every busy PE must show at least one box.
         for pe in 0..schedule.pe_count() {
             let busy = schedule.busy_time(tats_techlib::PeId(pe)) > 0.0;

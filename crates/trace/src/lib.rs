@@ -1,13 +1,12 @@
 //! Reporting and export for thermal-aware schedules.
 //!
-//! The scheduling, thermal and power crates produce rich result objects;
-//! this crate turns them into artefacts a person (or an external tool) can
-//! consume:
+//! The scheduling core produces rich result objects; this crate turns them
+//! into artefacts a person (or an external tool) can consume, and carries
+//! the campaign engine's and service's observability planes:
 //!
 //! * [`GanttChart`] — ASCII Gantt rendering of a [`tats_core::Schedule`];
-//! * [`csv`] — CSV export of schedules, evaluations and thermal traces;
-//! * [`json`] — a minimal JSON writer plus exports of schedules and the
-//!   paper's comparison tables;
+//! * [`csv`] — CSV export of schedules;
+//! * [`json`] — a minimal JSON writer and parser, plus the schedule export;
 //! * [`jsonl`] — streaming JSON-Lines output (one record or one batch of
 //!   lines per flush, crash-repaired on reopen) used by the batch campaign
 //!   engine and every file the campaign service writes, plus the resume-id

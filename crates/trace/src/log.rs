@@ -15,7 +15,7 @@
 //! |------------|--------|------------------------------------------------------|
 //! | `ts_us`    | number | event time, µs since the Unix epoch                  |
 //! | `level`    | string | `error` \| `warn` \| `info` \| `debug` \| `trace`    |
-//! | `target`   | string | subsystem that emitted it (`server`, `registry`, `worker`, `engine`, `cli`) |
+//! | `target`   | string | subsystem that emitted it (`server`, `registry`, `worker`, `cli`) |
 //! | `message`  | string | human-readable one-liner                             |
 //! | `trace_id` | string | 16-hex-digit campaign trace id, `""` when no span context is active |
 //! | `attrs`    | object | string key-value attributes (`job`, `shard`, `worker`, ...) |
@@ -31,7 +31,7 @@
 //! # Hot path
 //!
 //! [`LogSink::log`] serialises on the caller and enqueues on an unbounded
-//! channel, so emitting threads (engine workers, retry loops) never touch
+//! channel, so emitting threads (service workers, retry loops) never touch
 //! an output or any shared buffer; the owning thread takes the lines with
 //! [`LogDrain::drain_lines`] and prints or forwards them. The campaign
 //! server logs on its request threads and needs no channel: it appends
@@ -45,12 +45,12 @@
 //! ```
 //! use tats_trace::log::{log_channel, LogEvent, LogFilter, LogLevel};
 //!
-//! let filter = LogFilter::parse("info,engine=debug").unwrap();
+//! let filter = LogFilter::parse("info,worker=debug").unwrap();
 //! let (sink, mut drain) = log_channel(filter);
-//! assert!(sink.enabled(LogLevel::Debug, "engine"));
+//! assert!(sink.enabled(LogLevel::Debug, "worker"));
 //! assert!(!sink.enabled(LogLevel::Debug, "server"));
 //!
-//! let event = LogEvent::new(LogLevel::Info, "engine", "scenario failed")
+//! let event = LogEvent::new(LogLevel::Info, "worker", "shard leased")
 //!     .at(1_700_000_000_000_000)
 //!     .attr("scenario", "17");
 //! sink.log(&event);

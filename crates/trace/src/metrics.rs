@@ -502,14 +502,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Looks up a gauge value by name and labels.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        match self.series.get(&MetricsRegistry::key(name, labels))? {
-            MetricValue::Gauge(value) => Some(*value),
-            _ => None,
-        }
-    }
-
     /// Looks up a histogram by name and labels.
     pub fn histogram_value(
         &self,

@@ -2,14 +2,11 @@
 //! extension crates.
 //!
 //! These tests exercise whole pipelines (schedule → power profile →
-//! transient thermal replay → DVS / leakage) rather than single modules; the
+//! transient thermal replay → DVS) rather than single modules; the
 //! per-module behaviour is covered by the unit tests inside each crate.
 
 use tats_core::{PlatformFlow, Policy, PowerHeuristic};
-use tats_power::{
-    ArchitectureLeakage, DvfsTable, LeakageFeedback, PowerProfile, ScheduleSimulator,
-    SlackReclaimer,
-};
+use tats_power::{DvfsTable, PowerProfile, ScheduleSimulator, SlackReclaimer};
 use tats_taskgraph::Benchmark;
 use tats_techlib::profiles;
 use tats_thermal::{ThermalConfig, ThermalModel};
@@ -110,25 +107,6 @@ fn dvs_reclamation_preserves_deadlines_across_benchmarks_and_policies() {
                 "{benchmark:?}/{policy:?}: reclamation increased energy"
             );
         }
-    }
-}
-
-#[test]
-fn leakage_feedback_converges_for_every_benchmark_mapping() {
-    let library = profiles::standard_library(12).expect("library");
-    for benchmark in Benchmark::ALL {
-        let result = platform_result(benchmark, Policy::ThermalAware);
-        let model = ThermalModel::new(&result.floorplan, ThermalConfig::default()).expect("model");
-        let leakage = ArchitectureLeakage::from_architecture(&result.architecture, &library)
-            .expect("leakage");
-        let sustained = result.schedule.sustained_power_per_pe();
-        let converged = LeakageFeedback::new(&model, &leakage)
-            .solve(&sustained)
-            .expect("leakage loop converges");
-        let leakage_free = model.steady_state(&sustained).expect("steady state");
-        assert!(converged.temperatures.max_c() >= leakage_free.max_c() - 1e-9);
-        assert!(converged.total_leakage() >= 0.0);
-        assert!(converged.iterations <= 100);
     }
 }
 

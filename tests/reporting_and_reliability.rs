@@ -4,7 +4,7 @@
 use tats_core::{PlatformFlow, Policy, PowerHeuristic};
 use tats_power::simulate_schedule;
 use tats_reliability::ReliabilityAnalyzer;
-use tats_taskgraph::{tgff, Benchmark};
+use tats_taskgraph::Benchmark;
 use tats_techlib::profiles;
 use tats_thermal::{ThermalConfig, ThermalModel};
 use tats_trace::{csv, json, GanttChart};
@@ -36,28 +36,6 @@ fn every_benchmark_schedule_renders_and_exports() {
         assert_eq!(
             json_text.matches("\"task\":").count(),
             result.schedule.task_count()
-        );
-    }
-}
-
-#[test]
-fn benchmark_graphs_round_trip_through_tgff() {
-    for benchmark in Benchmark::ALL {
-        let graph = benchmark.task_graph().expect("graph");
-        let text = tgff::to_tgff(&graph);
-        let back = tgff::from_tgff(&text).expect("parse");
-        assert_eq!(back.task_count(), graph.task_count());
-        assert_eq!(back.edge_count(), graph.edge_count());
-        assert_eq!(back.deadline(), graph.deadline());
-        // The round-tripped graph must schedule identically (same WCETs, so
-        // the baseline makespan matches exactly).
-        let library = profiles::standard_library(12).expect("library");
-        let flow = PlatformFlow::new(&library).expect("flow");
-        let original = flow.run(&graph, Policy::Baseline).expect("original");
-        let round_tripped = flow.run(&back, Policy::Baseline).expect("round tripped");
-        assert!(
-            (original.schedule.makespan() - round_tripped.schedule.makespan()).abs() < 1e-9,
-            "{benchmark:?}: makespan changed after TGFF round trip"
         );
     }
 }
@@ -104,27 +82,4 @@ fn thermal_aware_mapping_extends_the_worst_pe_lifetime() {
             steady_worst_mttf[0]
         );
     }
-}
-
-#[test]
-fn csv_and_json_report_the_same_metrics() {
-    let library = profiles::standard_library(12).expect("library");
-    let flow = PlatformFlow::new(&library).expect("flow");
-    let graph = Benchmark::Bm3.task_graph().expect("graph");
-    let result = flow.run(&graph, Policy::ThermalAware).expect("schedule");
-
-    let csv_text = csv::evaluation_to_csv("thermal", &result.evaluation);
-    let json_text = json::evaluation_to_json(&result.evaluation).to_json();
-    // Both artefacts carry the max temperature; parse them back and compare.
-    let csv_max: f64 = csv_text
-        .lines()
-        .nth(1)
-        .expect("value row")
-        .split(',')
-        .nth(2)
-        .expect("max temp column")
-        .parse()
-        .expect("float");
-    assert!((csv_max - result.evaluation.max_temperature_c).abs() < 1e-3);
-    assert!(json_text.contains("max_temp_c"));
 }
