@@ -23,8 +23,8 @@ use crate::options::{
 /// experiment driver in `tats-core`).
 const TASK_TYPES: usize = 12;
 
-/// Largest `tats floorplan --modules`: far above the 64 modules the benches
-/// use, and small enough that a stray value cannot exhaust memory.
+/// Largest `tats floorplan --modules`: far above any module count the flows
+/// or tests use, and small enough that a stray value cannot exhaust memory.
 const MAX_FLOORPLAN_MODULES: usize = 1024;
 
 /// Largest task count of one `tats sweep --sizes` entry: ten times the
@@ -2487,6 +2487,15 @@ mod tests {
             tables(&options),
             Err(CliError::InvalidValue { .. })
         ));
+    }
+
+    /// `tats tables --full` is the repository's reproduction of the paper's
+    /// Tables 1–3; its bytes change only together with this fixture.
+    #[test]
+    fn tables_full_output_is_pinned() {
+        let options = opts(&["--full"], &[], &["full"]);
+        let out = tables(&options).expect("tables --full");
+        assert_eq!(out, include_str!("../tests/fixtures/tables_full.md"));
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl<'a> Asp<'a> {
     ///
     /// The paper subtracts the temperature directly, but does not specify the
     /// relative units of time and temperature; this weight makes the
-    /// trade-off explicit and is swept by the ablation benches.
+    /// trade-off explicit.
     pub fn with_temperature_weight(mut self, weight: f64) -> Self {
         self.temperature_weight = weight;
         self
@@ -155,8 +155,6 @@ impl<'a> Asp<'a> {
     /// Scales the fourth (power/temperature) term of the dynamic criticality.
     ///
     /// The paper subtracts the raw term; a scale of `1.0` reproduces that.
-    /// The ablation benches sweep this factor to study how sensitive the
-    /// results are to the relative weighting.
     pub fn with_cost_scale(mut self, cost_scale: f64) -> Self {
         self.cost_scale = cost_scale;
         self

@@ -14,8 +14,6 @@
 //! drivers are deterministic: the benchmarks, the technology library and
 //! every optimiser seed are fixed, so repeated runs print identical tables.
 
-use std::fmt;
-
 use tats_floorplan::GaConfig;
 use tats_taskgraph::Benchmark;
 use tats_techlib::{profiles, TechLibrary};
@@ -101,16 +99,6 @@ impl From<&ScheduleEvaluation> for MetricsRow {
     }
 }
 
-impl fmt::Display for MetricsRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>7.2} {:>8.2} {:>8.2}",
-            self.total_power, self.max_temp_c, self.avg_temp_c
-        )
-    }
-}
-
 /// One row of Table 1: a benchmark/policy pair evaluated on both
 /// architectures.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,29 +158,6 @@ impl Table1 {
     }
 }
 
-impl fmt::Display for Table1 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Table 1. Power heuristics under co-synthesis and platform-based architectures"
-        )?;
-        writeln!(
-            f,
-            "{:<28} | {:>7} {:>8} {:>8} | {:>7} {:>8} {:>8}",
-            "benchmark / policy", "co Pow", "co Max", "co Avg", "pl Pow", "pl Max", "pl Avg"
-        )?;
-        for row in &self.rows {
-            let label = if row.policy == Policy::Baseline {
-                format!("{}", row.benchmark)
-            } else {
-                format!("  {}", row.policy)
-            };
-            writeln!(f, "{label:<28} | {} | {}", row.cosynthesis, row.platform)?;
-        }
-        Ok(())
-    }
-}
-
 /// One row of Tables 2 and 3: power-aware vs thermal-aware on one benchmark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
@@ -236,32 +201,6 @@ impl ComparisonTable {
     }
 }
 
-impl fmt::Display for ComparisonTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", self.caption)?;
-        writeln!(
-            f,
-            "{:<18} | {:>7} {:>8} {:>8} | {:>7} {:>8} {:>8}",
-            "benchmark", "pw Pow", "pw Max", "pw Avg", "th Pow", "th Max", "th Avg"
-        )?;
-        for row in &self.rows {
-            writeln!(
-                f,
-                "{:<18} | {} | {}",
-                row.benchmark.name(),
-                row.power_aware,
-                row.thermal_aware
-            )?;
-        }
-        writeln!(
-            f,
-            "mean reduction: max {:.2} C, avg {:.2} C",
-            self.mean_max_temp_reduction(),
-            self.mean_avg_temp_reduction()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,10 +229,9 @@ mod tests {
         };
         assert!((table.mean_max_temp_reduction() - 7.0).abs() < 1e-12);
         assert!((table.mean_avg_temp_reduction() - 7.0).abs() < 1e-12);
-        let text = table.to_string();
-        assert!(text.contains("Table X"));
-        assert!(text.contains("Bm1"));
-        assert!(text.contains("mean reduction"));
+        assert_eq!(table.caption, "Table X. test");
+        assert_eq!(table.rows[0].benchmark, Benchmark::Bm1);
+        assert_eq!(table.rows[1].thermal_aware.max_temp_c, 86.0);
     }
 
     #[test]
@@ -327,7 +265,12 @@ mod tests {
             table.best_heuristic_by_max_temp(),
             PowerHeuristic::MinTaskEnergy
         );
-        assert_eq!(table.benchmark_rows(Benchmark::Bm1).len(), 4);
-        assert!(table.to_string().contains("Heuristic 3"));
+        let rows = table.benchmark_rows(Benchmark::Bm1);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(
+            rows[3].policy,
+            Policy::PowerAware(PowerHeuristic::MinTaskEnergy)
+        );
+        assert_eq!(rows[3].platform.max_temp_c, 84.0);
     }
 }

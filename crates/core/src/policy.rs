@@ -110,7 +110,7 @@ impl fmt::Display for Policy {
 /// asymmetric enough to avoid the degeneracy; to preserve the paper's
 /// intended behaviour ("reduce the peak temperature and achieve a thermally
 /// even distribution") the default objective blends the average with the
-/// predicted peak. The ablation benches compare all three choices.
+/// predicted peak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ThermalObjective {
     /// Minimise the mean block temperature (the paper's literal wording).
@@ -123,7 +123,7 @@ pub enum ThermalObjective {
 }
 
 impl ThermalObjective {
-    /// All objectives, used by the ablation sweeps.
+    /// All objectives.
     pub const ALL: [ThermalObjective; 3] = [
         ThermalObjective::Average,
         ThermalObjective::Peak,

@@ -477,7 +477,7 @@ impl Executor {
     /// Streams per-scenario phase spans, throughput counters and the merged
     /// cache counters into `registry` (series prefixed `engine_`). The cache
     /// counters added there are the same values [`BatchReport::cache`]
-    /// reports, so `/metrics` and `BENCH_*.json` agree by construction.
+    /// reports, so `/metrics` and the batch report agree by construction.
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
@@ -723,7 +723,7 @@ mod tests {
             .unwrap();
         let snapshot = registry.snapshot();
         // The registry's cache counters are the very numbers the report
-        // carries into BENCH_*.json.
+        // carries.
         assert_eq!(
             snapshot.counter_value("engine_cache_hits_total", &[]),
             Some(run.report.cache.hits)

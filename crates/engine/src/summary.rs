@@ -128,7 +128,8 @@ impl Summary {
             .collect()
     }
 
-    /// Serialises the summary (used by `reproduce -- batch`).
+    /// Serialises the summary (the service registry serves it on
+    /// `GET /jobs/{id}/summary`).
     pub fn to_json(&self) -> JsonValue {
         let per_policy: Vec<(String, JsonValue)> = self
             .per_policy

@@ -150,20 +150,14 @@ pub struct CostScratch {
 const MEMO_CAPACITY: usize = 1 << 16;
 
 impl CostScratch {
-    /// Thermal-solve memo hits so far (diagnostics for benches).
+    /// Thermal-solve memo hits so far.
     pub fn memo_hits(&self) -> u64 {
         self.hits
     }
 
-    /// Thermal solves actually performed so far (diagnostics for benches).
+    /// Thermal solves actually performed so far.
     pub fn memo_misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Empties the memo (the benches use this to measure the un-memoised
-    /// kernel); the thermal session's storage is unaffected.
-    pub fn clear_memo(&mut self) {
-        self.memo.clear();
     }
 }
 
@@ -348,8 +342,7 @@ impl CostEvaluator {
     /// (including overlapping ones, which it rejects) but O(n³) in
     /// allocations and factorisation per call. The optimisers use
     /// [`CostEvaluator::cost_with`], which returns identical values through
-    /// the cached kernel; this path remains as the equivalence oracle and
-    /// the baseline for the perf benches.
+    /// the cached kernel; this path remains as the equivalence oracle.
     ///
     /// # Errors
     ///

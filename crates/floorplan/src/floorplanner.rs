@@ -18,7 +18,7 @@ pub enum Engine {
     Annealing(SaConfig),
     /// No optimisation: evaluate the canonical initial expression only.
     /// Useful for platform-based architectures with a fixed layout and as a
-    /// lower bound on floorplanner effort in ablations.
+    /// lower bound on floorplanner effort.
     InitialOnly,
 }
 

@@ -1,9 +1,9 @@
 //! Deterministic floorplanning fixtures shared by this crate's unit and
-//! property tests, the perf benches and the `tats floorplan` CLI demo.
+//! property tests and the `tats floorplan` CLI demo.
 //!
 //! Everything here is a pure function of its `(count, seed)` arguments, so
-//! fixtures are reproducible across test runs, bench runs and processes
-//! without copy-pasted module tables.
+//! fixtures are reproducible across test runs and processes without
+//! copy-pasted module tables.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

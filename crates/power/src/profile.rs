@@ -8,7 +8,7 @@
 //! solver.
 
 use tats_core::Schedule;
-use tats_techlib::{Architecture, PeId, TechLibrary};
+use tats_techlib::{Architecture, TechLibrary};
 
 use crate::error::PowerError;
 
@@ -192,25 +192,6 @@ impl PowerProfile {
             .map(|segment| segment.total_power() * segment.duration())
             .sum()
     }
-
-    /// Energy dissipated by one PE over the profile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::InvalidParameter`] for a PE outside the profile.
-    pub fn pe_energy(&self, pe: PeId) -> Result<f64, PowerError> {
-        if pe.index() >= self.pe_count {
-            return Err(PowerError::InvalidParameter(format!(
-                "{pe} is outside the profile's {} PEs",
-                self.pe_count
-            )));
-        }
-        Ok(self
-            .segments
-            .iter()
-            .map(|segment| segment.pe_power[pe.index()] * segment.duration())
-            .sum())
-    }
 }
 
 #[cfg(test)]
@@ -253,16 +234,6 @@ mod tests {
         let busy_energy: f64 = schedule.assignments().iter().map(|a| a.energy()).sum();
         // Idle power contributes on top of the tasks' energy.
         assert!(profile.energy() >= busy_energy - 1e-6);
-    }
-
-    #[test]
-    fn pe_energy_sums_to_profile_energy() {
-        let (profile, _) = platform_profile();
-        let per_pe: f64 = (0..profile.pe_count())
-            .map(|pe| profile.pe_energy(PeId(pe)).expect("valid PE"))
-            .sum();
-        assert!((per_pe - profile.energy()).abs() < 1e-6);
-        assert!(profile.pe_energy(PeId(profile.pe_count())).is_err());
     }
 
     #[test]

@@ -64,15 +64,6 @@ pub struct WorkerConfig {
     /// Exercises the killed-worker → lease-expiry → resume path without
     /// spawning and killing real processes.
     pub fail_after_records: Option<usize>,
-    /// The worker's metrics shard: lease-wait time, shard/record
-    /// throughput, transient-vs-fatal retry counts, plus everything the
-    /// embedded executor records (per-scenario phase spans, thermal cache
-    /// hits). A cumulative snapshot is piggybacked on `POST /lease` polls —
-    /// throttled to one per `METRICS_PIGGYBACK_MS` (500 ms) while work is
-    /// flowing, with a forced final flush before a drained exit so the server's
-    /// `GET /metrics` always ends exact. `None` disables all
-    /// instrumentation (the no-op baseline the bench compares against).
-    pub metrics: Option<Arc<MetricsRegistry>>,
     /// Structured log sink (target `worker`): lease grants at debug, lost
     /// leases and transient retries at warn, shard completions and the
     /// drained exit at info, the fatal exit at error. Events carry the
@@ -96,15 +87,21 @@ impl Default for WorkerConfig {
             exit_when_drained: false,
             retry: RetryPolicy::default(),
             fail_after_records: None,
-            metrics: Some(Arc::new(MetricsRegistry::new())),
             log: None,
         }
     }
 }
 
-/// Pre-registered handles into the worker's [`MetricsRegistry`] (the hot
-/// paths must not take the registry's registration lock).
+/// The worker's metrics shard: lease-wait time, shard/record throughput,
+/// transient-vs-fatal retry counts, plus everything the embedded executor
+/// records (per-scenario phase spans, thermal cache hits). A cumulative
+/// snapshot is piggybacked on `POST /lease` polls — throttled to one per
+/// `METRICS_PIGGYBACK_MS` (500 ms) while work is flowing, with a forced
+/// final flush before a drained exit so the server's `GET /metrics` always
+/// ends exact. The handles are pre-registered: the hot paths must not take the
+/// registry's registration lock.
 struct WorkerMetrics {
+    registry: Arc<MetricsRegistry>,
     lease_wait: Arc<Histogram>,
     shard_seconds: Arc<Histogram>,
     shards_completed: Arc<Counter>,
@@ -116,7 +113,8 @@ struct WorkerMetrics {
 }
 
 impl WorkerMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
+    fn new() -> Self {
+        let registry = Arc::new(MetricsRegistry::new());
         WorkerMetrics {
             lease_wait: registry.histogram("worker_lease_wait_seconds", &[]),
             shard_seconds: registry.histogram("worker_shard_seconds", &[]),
@@ -126,6 +124,7 @@ impl WorkerMetrics {
             leases_lost: registry.counter("worker_leases_lost_total", &[]),
             retry_transient: registry.counter("worker_retry_transient_total", &[]),
             retry_fatal: registry.counter("worker_retry_fatal_total", &[]),
+            registry,
         }
     }
 
@@ -149,21 +148,19 @@ fn worker_log(log: Option<&LogSink>, level: LogLevel, build: impl FnOnce() -> Lo
     }
 }
 
-/// [`RetryPolicy::run`] with failures counted into the worker's registry
-/// when instrumentation is on, and transient (about-to-retry) failures
+/// [`RetryPolicy::run`] with failures counted into the worker's registry,
+/// and transient (about-to-retry) failures
 /// logged at warn — the signal an operator sees while a fleet rides out a
 /// server restart.
 fn retry_observed<T>(
     retry: &RetryPolicy,
-    metrics: Option<&WorkerMetrics>,
+    metrics: &WorkerMetrics,
     log: Option<&LogSink>,
     op: impl FnMut() -> Result<T, ServiceError>,
 ) -> Result<T, ServiceError> {
     retry.run_observed(
         |error, transient| {
-            if let Some(metrics) = metrics {
-                metrics.observe_retry(transient);
-            }
+            metrics.observe_retry(transient);
             if transient {
                 worker_log(log, LogLevel::Warn, || {
                     LogEvent::new(LogLevel::Warn, "worker", "transient failure; retrying")
@@ -266,7 +263,7 @@ fn run_shard(
     retry: RetryPolicy,
     lease: &Lease,
     posted_total: &mut usize,
-    metrics: Option<&WorkerMetrics>,
+    metrics: &WorkerMetrics,
 ) -> Result<(), ServiceError> {
     let campaign = lease.spec.to_campaign();
     let scenarios = campaign.shard_scenarios(lease.shard);
@@ -283,10 +280,7 @@ fn run_shard(
     }
     let shard_start_us = spans::now_us();
     let mut failure: Option<ServiceError> = None;
-    let mut executor = Executor::new(config.threads);
-    if let Some(registry) = &config.metrics {
-        executor = executor.with_metrics(Arc::clone(registry));
-    }
+    let mut executor = Executor::new(config.threads).with_metrics(Arc::clone(&metrics.registry));
     if let Some((trace_id, _, span_id)) = shard_span {
         executor = executor.with_trace(TraceContext {
             trace_id,
@@ -320,9 +314,7 @@ fn run_shard(
         match response {
             Ok(_) => {
                 *posted_total += 1;
-                if let Some(metrics) = metrics {
-                    metrics.records_posted.inc();
-                }
+                metrics.records_posted.inc();
                 Ok(())
             }
             Err(error) => {
@@ -409,7 +401,7 @@ fn run_worker_loop(addr: &str, config: &WorkerConfig) -> Result<WorkerReport, Se
     let mut report = WorkerReport::default();
     let retry = config.retry.seeded_for(&config.name);
     let mut connection = Connection::new(addr);
-    let metrics = config.metrics.as_deref().map(WorkerMetrics::new);
+    let metrics = WorkerMetrics::new();
     // Time-to-lease starts when the worker begins looking for work and
     // spans idle polls, so the histogram measures how long work was waited
     // for, not how fast one HTTP round-trip is.
@@ -423,21 +415,18 @@ fn run_worker_loop(addr: &str, config: &WorkerConfig) -> Result<WorkerReport, Se
     let mut last_snapshot: Option<Instant> = None;
     loop {
         let mut fields = vec![("worker".to_string(), JsonValue::from(config.name.as_str()))];
-        let mut snapshot_sent = false;
-        if let Some(registry) = &config.metrics {
-            // Piggyback the cumulative snapshot on the lease poll (the
-            // server keeps the latest per worker and merges at scrape
-            // time) — but only when there is unshipped work and the
-            // throttle allows, or a pre-exit flush demands it.
-            let throttle_open = last_snapshot
-                .is_none_or(|sent| sent.elapsed() >= Duration::from_millis(METRICS_PIGGYBACK_MS));
-            if flush_metrics || (metrics_dirty && throttle_open) {
-                fields.push(("metrics".to_string(), registry.snapshot().to_json()));
-                snapshot_sent = true;
-            }
+        // Piggyback the cumulative snapshot on the lease poll (the server
+        // keeps the latest per worker and merges at scrape time) — but only
+        // when there is unshipped work and the throttle allows, or a
+        // pre-exit flush demands it.
+        let throttle_open = last_snapshot
+            .is_none_or(|sent| sent.elapsed() >= Duration::from_millis(METRICS_PIGGYBACK_MS));
+        let snapshot_sent = flush_metrics || (metrics_dirty && throttle_open);
+        if snapshot_sent {
+            fields.push(("metrics".to_string(), metrics.registry.snapshot().to_json()));
         }
         let lease_request = JsonValue::object(fields);
-        let response = retry_observed(&retry, metrics.as_ref(), config.log.as_ref(), || {
+        let response = retry_observed(&retry, &metrics, config.log.as_ref(), || {
             connection.post_json("/lease", &lease_request)
         })?;
         if snapshot_sent {
@@ -456,23 +445,19 @@ fn run_worker_loop(addr: &str, config: &WorkerConfig) -> Result<WorkerReport, Se
             });
             metrics_dirty = true;
             let shard_clock = Instant::now();
-            if let Some(metrics) = &metrics {
-                metrics.lease_wait.record_duration(wait_start.elapsed());
-            }
+            metrics.lease_wait.record_duration(wait_start.elapsed());
             match run_shard(
                 &mut connection,
                 config,
                 retry,
                 &lease,
                 &mut report.records_posted,
-                metrics.as_ref(),
+                &metrics,
             ) {
                 Ok(()) => {
                     report.shards_completed += 1;
-                    if let Some(metrics) = &metrics {
-                        metrics.shards_completed.inc();
-                        metrics.shard_seconds.record_duration(shard_clock.elapsed());
-                    }
+                    metrics.shards_completed.inc();
+                    metrics.shard_seconds.record_duration(shard_clock.elapsed());
                     worker_log(config.log.as_ref(), LogLevel::Info, || {
                         LogEvent::new(LogLevel::Info, "worker", "shard completed")
                             .trace(trace_id)
@@ -484,9 +469,7 @@ fn run_worker_loop(addr: &str, config: &WorkerConfig) -> Result<WorkerReport, Se
                 Err(ServiceError::Http { status: 409, .. }) => {
                     // Lease lost: our records so far are (deduped) on the
                     // server, the shard belongs to someone else now.
-                    if let Some(metrics) = &metrics {
-                        metrics.leases_lost.inc();
-                    }
+                    metrics.leases_lost.inc();
                     worker_log(config.log.as_ref(), LogLevel::Warn, || {
                         LogEvent::new(LogLevel::Warn, "worker", "lease lost")
                             .trace(trace_id)
@@ -501,15 +484,13 @@ fn run_worker_loop(addr: &str, config: &WorkerConfig) -> Result<WorkerReport, Se
             }
         } else {
             report.idle_polls += 1;
-            if let Some(metrics) = &metrics {
-                metrics.idle_polls.inc();
-            }
+            metrics.idle_polls.inc();
             let drained = response
                 .get("drained")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(false);
             if drained && config.exit_when_drained {
-                if config.metrics.is_some() && metrics_dirty {
+                if metrics_dirty {
                     // The registry holds work the server has not seen;
                     // flush it on one more poll so the scrape ends exact,
                     // then exit on the next drained answer.

@@ -158,6 +158,7 @@ fn trace_log_holds_transition_and_request_spans_once_across_restart() {
         ("shards".to_string(), JsonValue::from(2usize)),
     ])
     .to_json();
+    let started = Instant::now();
     let submitted = client::request(
         &addr,
         "POST",
@@ -183,9 +184,15 @@ fn trace_log_holds_transition_and_request_spans_once_across_restart() {
         },
     )
     .expect("drain");
+    let job_wall_us = started.elapsed().as_micros() as u64;
     let stream = client::get(&addr, &format!("/jobs/{job}/spans"))
         .expect("spans")
         .body;
+    // A `LogFilter::off()` server appends nothing to its log ring, even
+    // through a drained job.
+    let logs = client::get(&addr, "/logs").expect("logs");
+    assert_eq!(logs.header("x-next-from"), Some("0"));
+    assert!(logs.body.is_empty());
     server.abort();
 
     let first = trace_log_lines(&trace_log);
@@ -204,6 +211,15 @@ fn trace_log_holds_transition_and_request_spans_once_across_restart() {
     for name in ["submit", "lease", "ingest", "done", "campaign"] {
         assert!(names.contains(name), "no {name} span in {names:?}");
     }
+    // The campaign span runs from submit to the last done on the server's
+    // monotonic clock in whole milliseconds, so it cannot outlast the
+    // submit-to-drain wall measured around it by a millisecond.
+    let campaign = spans.iter().find(|span| span.name == "campaign");
+    let campaign_us = campaign.map_or(0, |span| span.end_us - span.start_us);
+    assert!(
+        campaign_us < job_wall_us + 1_000,
+        "campaign span {campaign_us} us vs measured wall {job_wall_us} us"
+    );
     // One request span per request that carried the trace id: the submit
     // and the worker's record and done posts, named by endpoint label and
     // parented to the campaign root.

@@ -13,11 +13,11 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use tats_core::Policy;
-use tats_engine::{CampaignSpec, Effort, FlowKind};
+use tats_engine::{CampaignSpec, Effort, Executor, FlowKind};
 use tats_service::{client, run_worker, Service, ServiceConfig, ServiceError, WorkerConfig};
 use tats_taskgraph::Benchmark;
 use tats_trace::spans::{id_hex, SpanEvent, SpanForest};
-use tats_trace::JsonValue;
+use tats_trace::{jsonl, JsonValue};
 
 /// 1 benchmark x platform x 5 policies x 2 seeds = 10 scenarios.
 fn spec() -> CampaignSpec {
@@ -134,6 +134,26 @@ fn merged_span_stream_is_byte_deterministic_across_kill_and_restart() {
         status.body
     );
     let first = fetch_span_stream(&addr, &job);
+    // Tracing leaves the records alone: the drained set is the in-process
+    // executor's.
+    let campaign = spec().to_campaign();
+    let reference: Vec<String> = Executor::new(1)
+        .run(&campaign, &campaign.scenarios(), &BTreeSet::new(), |_| {
+            Ok(())
+        })
+        .expect("in-process run")
+        .records
+        .iter()
+        .map(|record| record.to_json().to_json())
+        .collect();
+    let mut records: Vec<String> = client::get(&addr, &format!("/jobs/{job}/records"))
+        .expect("records")
+        .body
+        .lines()
+        .map(str::to_string)
+        .collect();
+    records.sort_by_key(|line| jsonl::line_id(line));
+    assert_eq!(records, reference);
 
     // Restart once more on the finished journal: the replayed stream must
     // be byte-identical — transition spans regenerate from journaled

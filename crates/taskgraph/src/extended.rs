@@ -1,9 +1,9 @@
 //! Extended benchmark suite for scalability studies.
 //!
-//! The paper evaluates four graphs of 19–51 tasks.  The scalability bench
-//! (and the ablation studies) additionally need a family of structurally
-//! similar graphs spanning a wider size range; this module generates that
-//! family deterministically so every run sweeps the same workloads.
+//! The paper evaluates four graphs of 19–51 tasks.  The scalability sweep
+//! (`tats sweep`) additionally needs a family of structurally similar
+//! graphs spanning a wider size range; this module generates that family
+//! deterministically so every run sweeps the same workloads.
 
 use crate::error::GraphError;
 use crate::generator::GeneratorConfig;

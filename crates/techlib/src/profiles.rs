@@ -1,6 +1,6 @@
 //! Ready-made libraries and architectures used by the experiments.
 //!
-//! All experiment drivers (Tables 1–3, the examples and the benches) share
+//! All experiment drivers (Tables 1–3, the campaigns and the examples) share
 //! the same deterministic technology library so that results are directly
 //! comparable across policies and flows.
 

@@ -2,10 +2,9 @@
 //!
 //! The block-level compact model (one node per PE) is what the scheduler
 //! queries, matching the paper's use of HotSpot's block mode. For validation
-//! and for the ablation benches this module also provides a finer grid model:
-//! the floorplan bounding box is discretised into `nx × ny` cells, block
-//! power is distributed over the cells it covers, and the resulting sparse
-//! system is solved directly.
+//! this module also provides a finer grid model: the floorplan bounding box
+//! is discretised into `nx × ny` cells, block power is distributed over the
+//! cells it covers, and the resulting sparse system is solved directly.
 //!
 //! # Solver
 //!

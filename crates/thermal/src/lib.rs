@@ -15,7 +15,7 @@
 //! * [`TransientSolver`] — time-domain integration of piecewise-constant
 //!   power traces (backward Euler),
 //! * [`GridModel`] — finer grid-refined steady-state model used for
-//!   validation and ablations. Its one [`GridSolver`] is a banded Cholesky
+//!   validation. Its one [`GridSolver`] is a banded Cholesky
 //!   factorisation (bandwidth `nx`, with the dense spreader/sink rows
 //!   handled by block elimination), computed once per model and cached for
 //!   every right-hand side. Each side holds at most [`MAX_GRID_SIDE`] cells,

@@ -1,8 +1,8 @@
 //! Transient (time-domain) thermal analysis.
 //!
 //! The scheduler mostly relies on steady-state queries (as the paper's
-//! thermal-aware ASP does), but validating a schedule — and the ablation
-//! benches — also need the time-domain response: given a piecewise-constant
+//! thermal-aware ASP does), but validating a schedule also needs the
+//! time-domain response: given a piecewise-constant
 //! power trace per block, integrate `C dT/dt = Q - G T` over time.
 //!
 //! The integrator is implicit backward Euler: unconditionally stable and

@@ -1,8 +1,8 @@
 //! Markdown rendering of the paper's experiment tables.
 //!
-//! The benches and the CLI print the reproduced tables; rendering them as
-//! GitHub-flavoured markdown makes them easy to paste into documents and
-//! issue discussions.
+//! `tats tables` prints the reproduced tables through this module, the one
+//! renderer of Tables 1–3; GitHub-flavoured markdown makes them easy to
+//! paste into documents and issue discussions.
 
 use tats_core::experiment::{ComparisonTable, Table1};
 

@@ -56,10 +56,10 @@ proptest! {
         // per-PE busy energies.
         let total_assignment_energy: f64 =
             schedule.assignments().iter().map(|a| a.energy()).sum();
-        let total_pe_energy: f64 = (0..architecture.pe_count())
+        let total_busy_energy: f64 = (0..architecture.pe_count())
             .map(|i| schedule.busy_energy(PeId(i)))
             .sum();
-        prop_assert!((total_assignment_energy - total_pe_energy).abs() < 1e-6);
+        prop_assert!((total_assignment_energy - total_busy_energy).abs() < 1e-6);
     }
 
     /// The baseline schedule's makespan never exceeds the serial execution of
