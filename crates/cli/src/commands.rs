@@ -75,7 +75,7 @@ COMMANDS:
                    --flows platform,cosynthesis|all   (default: platform)
                    --policies baseline,power1..3,thermal|all (default: all)
                    --seeds 0,1,2                      seed grid (0 = canonical graphs,
-                                                      at most 2^53)
+                                                      at most 2^53 - 1)
                    --grid-solver cholesky             add fine-grid validation axis
                                                       (cholesky is the only grid solver)
                    --nx 16 --ny 16                    grid resolution for that axis (1 to 128)
@@ -2415,6 +2415,7 @@ mod tests {
             ("--grid-solver", "gauss-seidel"),
             ("--nx", "129"),
             ("--ny", "4294967296"),
+            ("--seeds", "9007199254740992"),
             ("--seeds", "9007199254740993"),
         ] {
             let local = batch(&opts(&[option, value], BATCH_VALUES, BATCH_SWITCHES));

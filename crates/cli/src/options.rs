@@ -407,7 +407,7 @@ mod tests {
         // Every entry is range-checked, not just the first: 2^53 + 1 would
         // round to 2^53 in a JSON number, and 1e8 tasks would exhaust memory.
         for (name, text, range) in [
-            ("seeds", "0,9007199254740993", 0..=1u64 << 53),
+            ("seeds", "0,9007199254740993", 0..=(1u64 << 53) - 1),
             ("sizes", "10,100000000", 2..=4000),
             ("sizes", "1", 2..=4000),
         ] {

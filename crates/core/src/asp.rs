@@ -16,9 +16,11 @@
 //! or the average system temperature returned by the compact thermal model
 //! for the thermal-aware ASP.
 
+use std::sync::Arc;
+
 use tats_taskgraph::{analysis::GraphAnalysis, TaskGraph, TaskId};
-use tats_techlib::{Architecture, PeId, PowerTracker, TechLibrary};
-use tats_thermal::{Floorplan, ThermalConfig, ThermalModel};
+use tats_techlib::{Architecture, PeId, TechLibrary};
+use tats_thermal::{ThermalConfig, ThermalModel};
 
 use crate::error::CoreError;
 use crate::layout;
@@ -53,9 +55,7 @@ pub struct Asp<'a> {
     library: &'a TechLibrary,
     architecture: &'a Architecture,
     policy: Policy,
-    floorplan: Option<Floorplan>,
-    shared_thermal_model: Option<std::sync::Arc<ThermalModel>>,
-    thermal_config: ThermalConfig,
+    thermal_model: Option<Arc<ThermalModel>>,
     thermal_objective: ThermalObjective,
     temperature_weight: f64,
     cost_scale: f64,
@@ -90,9 +90,7 @@ impl<'a> Asp<'a> {
             library,
             architecture,
             policy: Policy::Baseline,
-            floorplan: None,
-            shared_thermal_model: None,
-            thermal_config: ThermalConfig::default(),
+            thermal_model: None,
             thermal_objective: ThermalObjective::default(),
             temperature_weight: 25.0,
             cost_scale: 1.0,
@@ -105,32 +103,14 @@ impl<'a> Asp<'a> {
         self
     }
 
-    /// Supplies the floorplan the thermal-aware policy should query.
+    /// Supplies the thermal model the thermal-aware policy queries: one block
+    /// per PE, in PE-id order (`schedule()` checks the count). Temperature
+    /// rises are measured against the ambient of the model's configuration.
     ///
-    /// If the thermal-aware policy is selected and no floorplan is supplied,
-    /// a grid layout derived from the architecture is used.
-    pub fn with_floorplan(mut self, floorplan: Floorplan) -> Self {
-        self.floorplan = Some(floorplan);
-        self
-    }
-
-    /// Supplies a pre-built (typically cached) thermal model for the
-    /// thermal-aware policy, skipping the per-`schedule()` RC assembly and
-    /// factorisation.
-    ///
-    /// The model must have been built for the floorplan this ASP schedules
-    /// against (same block order as the architecture's PEs); `schedule()`
-    /// still checks the block count. The scheduling result is bit-identical
-    /// to building the model internally, because model construction is
-    /// deterministic in the floorplan and configuration.
-    pub fn with_shared_thermal_model(mut self, model: std::sync::Arc<ThermalModel>) -> Self {
-        self.shared_thermal_model = Some(model);
-        self
-    }
-
-    /// Overrides the thermal configuration used by the thermal-aware policy.
-    pub fn with_thermal_config(mut self, config: ThermalConfig) -> Self {
-        self.thermal_config = config;
+    /// Without a model, a thermal-aware `schedule()` builds one on the grid
+    /// floorplan of the architecture under [`ThermalConfig::default`].
+    pub fn with_thermal_model(mut self, model: Arc<ThermalModel>) -> Self {
+        self.thermal_model = Some(model);
         self
     }
 
@@ -194,43 +174,26 @@ impl<'a> Asp<'a> {
             .collect::<Result<_, _>>()?;
         let analysis = GraphAnalysis::new(self.graph, &weights)?;
 
-        // Thermal model (thermal-aware policy only): reuse a shared cached
-        // model when one was supplied, otherwise build one for the given (or
-        // derived grid) floorplan.
-        let thermal_model: Option<std::sync::Arc<ThermalModel>> =
-            if self.policy.needs_thermal_model() {
-                match &self.shared_thermal_model {
-                    Some(model) => {
-                        if model.block_count() != self.architecture.pe_count() {
-                            return Err(CoreError::FloorplanMismatch {
-                                pes: self.architecture.pe_count(),
-                                blocks: model.block_count(),
-                            });
-                        }
-                        Some(std::sync::Arc::clone(model))
-                    }
-                    None => {
-                        let plan = match &self.floorplan {
-                            Some(plan) => {
-                                if plan.block_count() != self.architecture.pe_count() {
-                                    return Err(CoreError::FloorplanMismatch {
-                                        pes: self.architecture.pe_count(),
-                                        blocks: plan.block_count(),
-                                    });
-                                }
-                                plan.clone()
-                            }
-                            None => layout::grid_floorplan(self.architecture, self.library)?,
-                        };
-                        Some(std::sync::Arc::new(ThermalModel::new(
-                            &plan,
-                            self.thermal_config,
-                        )?))
-                    }
-                }
-            } else {
-                None
+        // Thermal model (thermal-aware policy only): the supplied one, or one
+        // built on the architecture's grid floorplan.
+        let thermal_model = if self.policy.needs_thermal_model() {
+            let model = match &self.thermal_model {
+                Some(model) => Arc::clone(model),
+                None => Arc::new(ThermalModel::new(
+                    &layout::grid_floorplan(self.architecture, self.library)?,
+                    ThermalConfig::default(),
+                )?),
             };
+            if model.block_count() != self.architecture.pe_count() {
+                return Err(CoreError::FloorplanMismatch {
+                    pes: self.architecture.pe_count(),
+                    blocks: model.block_count(),
+                });
+            }
+            Some(model)
+        } else {
+            None
+        };
 
         // Latest start times that keep the downstream critical path within
         // the deadline (computed with average WCETs). Candidates that would
@@ -246,7 +209,9 @@ impl<'a> Asp<'a> {
         let pe_count = self.architecture.pe_count();
         let task_count = self.graph.task_count();
         let mut pe_available = vec![0.0_f64; pe_count];
-        let mut tracker = PowerTracker::new(pe_count);
+        // Energy and busy time of the tasks committed to each PE so far.
+        let mut busy_energy = vec![0.0_f64; pe_count];
+        let mut busy_time = vec![0.0_f64; pe_count];
         let mut finish_time = vec![f64::NAN; task_count];
         let mut unscheduled_preds: Vec<usize> = self
             .graph
@@ -288,7 +253,7 @@ impl<'a> Asp<'a> {
                         Policy::Baseline => 0.0,
                         Policy::PowerAware(PowerHeuristic::MinTaskPower) => wcpc,
                         Policy::PowerAware(PowerHeuristic::MinCumulativeAveragePower) => {
-                            (tracker.busy_energy(pe)? + wcet * wcpc) / finish.max(1e-9)
+                            (busy_energy[pe_index] + wcet * wcpc) / finish.max(1e-9)
                         }
                         Policy::PowerAware(PowerHeuristic::MinTaskEnergy) => wcet * wcpc,
                         Policy::ThermalAware => {
@@ -302,21 +267,24 @@ impl<'a> Asp<'a> {
                             // power incurred by the current scheduled task".
                             let power: Vec<f64> = (0..pe_count)
                                 .map(|j| {
-                                    let mut energy = tracker.busy_energy(PeId(j))?;
-                                    let mut busy = tracker.busy_time(PeId(j))?;
+                                    let mut energy = busy_energy[j];
+                                    let mut busy = busy_time[j];
                                     if j == pe_index {
                                         energy += wcet * wcpc;
                                         busy += wcet;
                                     }
-                                    Ok(if busy > 0.0 { energy / busy } else { 0.0 })
+                                    if busy > 0.0 {
+                                        energy / busy
+                                    } else {
+                                        0.0
+                                    }
                                 })
-                                .collect::<Result<_, CoreError>>()?;
+                                .collect();
                             let score = self.thermal_objective.score(&model.steady_state(&power)?);
                             // Express the predicted temperature rise above
                             // ambient in schedule time units so that it can
                             // compete with the WCET and start-time terms.
-                            (score - self.thermal_config.ambient_c).max(0.0)
-                                * self.temperature_weight
+                            (score - model.config().ambient_c).max(0.0) * self.temperature_weight
                         }
                     };
 
@@ -352,7 +320,9 @@ impl<'a> Asp<'a> {
             });
             finish_time[task_id.index()] = end;
             pe_available[pe.index()] = end;
-            tracker.record_execution(pe, start, end, wcpc)?;
+            let duration = end - start;
+            busy_energy[pe.index()] += wcpc * duration;
+            busy_time[pe.index()] += duration;
             scheduled += 1;
 
             // Update the ready set.
@@ -540,10 +510,11 @@ mod tests {
             "only", 0.0, 0.0, 7.0, 7.0,
         )])
         .unwrap();
+        let model = ThermalModel::new(&plan, ThermalConfig::default()).unwrap();
         let result = Asp::new(&graph, &library, &platform)
             .unwrap()
             .with_policy(Policy::ThermalAware)
-            .with_floorplan(plan)
+            .with_thermal_model(Arc::new(model))
             .schedule();
         assert!(matches!(
             result,

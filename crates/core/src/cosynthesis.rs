@@ -22,18 +22,19 @@
 //!    floorplan (the thermal-aware policy re-queries the thermal model), and
 //!    the resulting schedule is evaluated for the table metrics.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use tats_floorplan::{CostWeights, Engine, Floorplanner, GaConfig};
 use tats_taskgraph::TaskGraph;
 use tats_techlib::{Architecture, PeTypeId, TechLibrary};
-use tats_thermal::{Floorplan, ThermalConfig};
+use tats_thermal::{Floorplan, ThermalConfig, ThermalModel};
 
 use crate::asp::Asp;
 use crate::cache::ThermalModelCache;
 use crate::error::CoreError;
 use crate::layout;
-use crate::metrics::{evaluate_schedule, evaluate_schedule_with_model, ScheduleEvaluation};
+use crate::metrics::{evaluate_schedule, ScheduleEvaluation};
 use crate::phases::FlowPhases;
 use crate::policy::{Policy, ThermalObjective};
 use crate::schedule::Schedule;
@@ -129,57 +130,16 @@ impl<'a> CoSynthesis<'a> {
         self
     }
 
-    fn schedule_on(
+    /// A baseline schedule: the makespan estimate of the allocation and
+    /// pruning loops, which never query a thermal model.
+    fn baseline_schedule(
         &self,
         graph: &TaskGraph,
         architecture: &Architecture,
-        policy: Policy,
-        floorplan: Option<&Floorplan>,
     ) -> Result<Schedule, CoreError> {
-        self.schedule_scaled(
-            graph,
-            architecture,
-            policy,
-            floorplan,
-            self.cost_scale,
-            None,
-        )
-    }
-
-    fn schedule_scaled(
-        &self,
-        graph: &TaskGraph,
-        architecture: &Architecture,
-        policy: Policy,
-        floorplan: Option<&Floorplan>,
-        cost_scale: f64,
-        cache: Option<&mut ThermalModelCache>,
-    ) -> Result<Schedule, CoreError> {
-        let mut asp = Asp::new(graph, self.library, architecture)?
-            .with_policy(policy)
-            .with_thermal_config(self.thermal_config)
-            .with_thermal_objective(self.thermal_objective)
-            .with_cost_scale(cost_scale);
-        if let Some(plan) = floorplan {
-            asp = asp.with_floorplan(plan.clone());
-        }
-        // With a cache, resolve the floorplan the ASP would derive anyway and
-        // source the thermal model from the cache; the ASP then skips its own
-        // build. Results are identical — model construction is deterministic
-        // in (floorplan, config).
-        if let Some(cache) = cache {
-            if policy.needs_thermal_model() {
-                let plan = match floorplan {
-                    Some(plan) => plan.clone(),
-                    None => layout::grid_floorplan(architecture, self.library)?,
-                };
-                if plan.block_count() == architecture.pe_count() {
-                    let model = cache.get_or_build(&plan, self.thermal_config)?;
-                    asp = asp.with_shared_thermal_model(model);
-                }
-            }
-        }
-        asp.schedule()
+        Asp::new(graph, self.library, architecture)?
+            .with_cost_scale(self.cost_scale)
+            .schedule()
     }
 
     /// Schedules under `policy`, progressively backing off the power/thermal
@@ -193,21 +153,22 @@ impl<'a> CoSynthesis<'a> {
         graph: &TaskGraph,
         architecture: &Architecture,
         policy: Policy,
-        floorplan: Option<&Floorplan>,
+        model: Option<Arc<ThermalModel>>,
         explored: &mut usize,
-        mut cache: Option<&mut ThermalModelCache>,
     ) -> Result<Schedule, CoreError> {
+        let mut asp = Asp::new(graph, self.library, architecture)?
+            .with_policy(policy)
+            .with_thermal_objective(self.thermal_objective);
+        if let Some(model) = model {
+            asp = asp.with_thermal_model(model);
+        }
         let scales = [1.0, 0.5, 0.25, 0.1, 0.0];
         let mut last = None;
         for &factor in &scales {
-            let schedule = self.schedule_scaled(
-                graph,
-                architecture,
-                policy,
-                floorplan,
-                self.cost_scale * factor,
-                cache.as_deref_mut(),
-            )?;
+            let schedule = asp
+                .clone()
+                .with_cost_scale(self.cost_scale * factor)
+                .schedule()?;
             *explored += 1;
             if schedule.meets_deadline() {
                 return Ok(schedule);
@@ -217,7 +178,8 @@ impl<'a> CoSynthesis<'a> {
         Ok(last.expect("the back-off loop runs at least once"))
     }
 
-    /// Runs co-synthesis for `graph` under `policy`.
+    /// Runs co-synthesis for `graph` under `policy`, building each thermal
+    /// model the run needs once.
     ///
     /// # Errors
     ///
@@ -225,33 +187,18 @@ impl<'a> CoSynthesis<'a> {
     /// the PE budget meets the deadline, [`CoreError::InvalidParameter`] for
     /// a zero PE budget, and propagates substrate errors.
     pub fn run(&self, graph: &TaskGraph, policy: Policy) -> Result<CoSynthesisResult, CoreError> {
-        self.run_impl(graph, policy, None)
+        self.run_with_cache_timed(graph, policy, &mut ThermalModelCache::new())
+            .map(|(result, _)| result)
     }
 
-    /// Like [`CoSynthesis::run`], but sources thermal models from a
-    /// geometry-keyed cache. The thermal-aware scheduling passes and the
-    /// final evaluation reuse cached factorisations whenever the flow
+    /// Runs co-synthesis like [`CoSynthesis::run`], sourcing thermal models
+    /// from a geometry-keyed cache: the thermal-aware scheduling passes and
+    /// the final evaluation reuse cached factorisations whenever the flow
     /// revisits a floorplan geometry (common across the policies and seeds of
     /// a batch campaign, which share the baseline-driven architecture and
-    /// often the GA's floorplan). Results are identical to
-    /// [`CoSynthesis::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CoSynthesis::run`].
-    pub fn run_with_cache(
-        &self,
-        graph: &TaskGraph,
-        policy: Policy,
-        cache: &mut ThermalModelCache,
-    ) -> Result<CoSynthesisResult, CoreError> {
-        self.run_impl(graph, policy, Some(cache))
-    }
-
-    /// Like [`CoSynthesis::run_with_cache`], but also reports where the wall
-    /// clock went (allocation/pruning/back-off scheduling vs floorplanning vs
-    /// final thermal evaluation). Timing is observational only — the result
-    /// is bit-identical to [`CoSynthesis::run_with_cache`].
+    /// often the GA's floorplan). Also reports where the wall clock went
+    /// (allocation/pruning/back-off scheduling vs floorplanning vs final
+    /// thermal evaluation); timing is observational only.
     ///
     /// # Errors
     ///
@@ -261,25 +208,6 @@ impl<'a> CoSynthesis<'a> {
         graph: &TaskGraph,
         policy: Policy,
         cache: &mut ThermalModelCache,
-    ) -> Result<(CoSynthesisResult, FlowPhases), CoreError> {
-        self.run_timed(graph, policy, Some(cache))
-    }
-
-    fn run_impl(
-        &self,
-        graph: &TaskGraph,
-        policy: Policy,
-        cache: Option<&mut ThermalModelCache>,
-    ) -> Result<CoSynthesisResult, CoreError> {
-        self.run_timed(graph, policy, cache)
-            .map(|(result, _)| result)
-    }
-
-    fn run_timed(
-        &self,
-        graph: &TaskGraph,
-        policy: Policy,
-        mut cache: Option<&mut ThermalModelCache>,
     ) -> Result<(CoSynthesisResult, FlowPhases), CoreError> {
         let mut phases = FlowPhases::default();
         if self.max_pes == 0 {
@@ -302,7 +230,7 @@ impl<'a> CoSynthesis<'a> {
             for pe_type in self.library.pe_types() {
                 let mut candidate = architecture.clone();
                 candidate.add_instance(pe_type.id());
-                let schedule = self.schedule_on(graph, &candidate, Policy::Baseline, None)?;
+                let schedule = self.baseline_schedule(graph, &candidate)?;
                 explored += 1;
                 let makespan = schedule.makespan();
                 let better = match &best_addition {
@@ -355,7 +283,7 @@ impl<'a> CoSynthesis<'a> {
                         candidate.add_instance(instance.type_id());
                     }
                 }
-                let trial = self.schedule_on(graph, &candidate, Policy::Baseline, None)?;
+                let trial = self.baseline_schedule(graph, &candidate)?;
                 explored += 1;
                 if trial.meets_deadline() {
                     architecture = candidate;
@@ -371,14 +299,16 @@ impl<'a> CoSynthesis<'a> {
         // --- Feasibility under the target policy: if the (power/thermal
         //     aware) ASP misses the deadline on the baseline-sized
         //     architecture, back off its power/thermal bias until it fits. ---
-        let schedule = self.schedule_with_backoff(
-            graph,
-            &architecture,
-            policy,
-            None,
-            &mut explored,
-            cache.as_deref_mut(),
-        )?;
+        // Only the thermal-aware policy queries a model; the other passes
+        // pay for no floorplan and no lookup.
+        let grid_model = if policy.needs_thermal_model() {
+            let plan = layout::grid_floorplan(&architecture, self.library)?;
+            Some(cache.get_or_build(&plan, self.thermal_config)?)
+        } else {
+            None
+        };
+        let schedule =
+            self.schedule_with_backoff(graph, &architecture, policy, grid_model, &mut explored)?;
         phases.scheduling += clock.elapsed();
         if !schedule.meets_deadline() {
             return Err(CoreError::DeadlineUnreachable {
@@ -409,16 +339,15 @@ impl<'a> CoSynthesis<'a> {
         };
         phases.floorplan += clock.elapsed();
 
-        // --- Final scheduling pass against the optimised floorplan. ---
+        // --- Final scheduling pass against the optimised floorplan, whose
+        //     model also serves the evaluation. ---
         let clock = Instant::now();
-        let final_schedule = self.schedule_with_backoff(
-            graph,
-            &architecture,
-            policy,
-            Some(&floorplan),
-            &mut explored,
-            cache.as_deref_mut(),
-        )?;
+        let model = cache.get_or_build(&floorplan, self.thermal_config)?;
+        phases.thermal += clock.elapsed();
+        let clock = Instant::now();
+        let final_model = policy.needs_thermal_model().then(|| Arc::clone(&model));
+        let final_schedule =
+            self.schedule_with_backoff(graph, &architecture, policy, final_model, &mut explored)?;
         let schedule = if final_schedule.meets_deadline() {
             final_schedule
         } else {
@@ -426,13 +355,7 @@ impl<'a> CoSynthesis<'a> {
         };
         phases.scheduling += clock.elapsed();
         let clock = Instant::now();
-        let evaluation = match cache {
-            Some(cache) if floorplan.block_count() == schedule.pe_count() => {
-                let model = cache.get_or_build(&floorplan, self.thermal_config)?;
-                evaluate_schedule_with_model(&schedule, &model)?
-            }
-            _ => evaluate_schedule(&schedule, &floorplan, self.thermal_config)?,
-        };
+        let evaluation = evaluate_schedule(&schedule, &model)?;
         phases.thermal += clock.elapsed();
 
         Ok((
@@ -527,21 +450,61 @@ mod tests {
 
     #[test]
     fn cached_cosynthesis_matches_uncached_exactly() {
+        // The reference schedules the returned architecture with a bare ASP
+        // on a freshly built model of the returned floorplan. Each final pass
+        // here meets the deadline at back-off scale 1 (asserted), so the
+        // reference needs no back-off.
+        let library = profiles::standard_library(10).unwrap();
+        let graph = Benchmark::Bm1.task_graph().unwrap();
+        for policy in [
+            Policy::Baseline,
+            Policy::PowerAware(PowerHeuristic::MinTaskEnergy),
+            Policy::ThermalAware,
+        ] {
+            let result = quick_cosynthesis(&library).run(&graph, policy).unwrap();
+            let model =
+                Arc::new(ThermalModel::new(&result.floorplan, ThermalConfig::default()).unwrap());
+            let reference = Asp::new(&graph, &library, &result.architecture)
+                .unwrap()
+                .with_policy(policy)
+                .with_thermal_model(Arc::clone(&model))
+                .schedule()
+                .unwrap();
+            assert!(reference.meets_deadline(), "{policy}");
+            assert_eq!(result.schedule, reference, "{policy}");
+            assert_eq!(
+                result.evaluation,
+                evaluate_schedule(&reference, &model).unwrap(),
+                "{policy}"
+            );
+        }
+    }
+
+    #[test]
+    fn thermal_cosynthesis_builds_each_geometry_once() {
+        // A thermal run schedules against two geometries (the grid plan of
+        // the back-off pass and the GA's plan of the final pass); the final
+        // evaluation reuses the final pass's model and adds no miss.
         let library = profiles::standard_library(10).unwrap();
         let graph = Benchmark::Bm1.task_graph().unwrap();
         let mut cache = ThermalModelCache::new();
-        for policy in [Policy::Baseline, Policy::ThermalAware] {
-            let direct = quick_cosynthesis(&library).run(&graph, policy).unwrap();
-            let cached = quick_cosynthesis(&library)
-                .run_with_cache(&graph, policy, &mut cache)
-                .unwrap();
-            assert_eq!(direct.schedule, cached.schedule, "{policy}");
-            assert_eq!(direct.evaluation, cached.evaluation, "{policy}");
-            assert_eq!(direct.architecture, cached.architecture, "{policy}");
-        }
-        // The thermal-aware run queries the cache (back-off passes and the
-        // final evaluation revisit the same geometries).
-        assert!(cache.stats().hits + cache.stats().misses > 0);
+        let (result, _) = quick_cosynthesis(&library)
+            .run_with_cache_timed(&graph, Policy::ThermalAware, &mut cache)
+            .unwrap();
+        let config = ThermalConfig::default();
+        let grid = layout::grid_floorplan(&result.architecture, &library).unwrap();
+        let geometries = if crate::geometry_config_bits(&grid, &config)
+            == crate::geometry_config_bits(&result.floorplan, &config)
+        {
+            1
+        } else {
+            2
+        };
+        // One lookup per scheduled geometry, none for the evaluation.
+        assert_eq!(cache.stats().misses, geometries);
+        assert_eq!(cache.stats().hits + cache.stats().misses, 2);
+        cache.get_or_build(&result.floorplan, config).unwrap();
+        assert_eq!(cache.stats().misses, geometries);
     }
 
     #[test]

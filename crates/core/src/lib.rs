@@ -15,7 +15,8 @@
 //! * [`CoSynthesis`] — the co-synthesis flow with thermal-aware
 //!   floorplanning (Figure 1.a),
 //! * [`evaluate_schedule`] — the "Total Pow. / Max Temp. / Avg Temp." table
-//!   metrics,
+//!   metrics: the schedule's per-PE sustained power through a
+//!   [`ThermalModel`](tats_thermal::ThermalModel) of its floorplan,
 //! * [`ThermalModelCache`] — geometry-keyed cache of factorised thermal
 //!   models shared by the batch campaign engine,
 //! * [`experiment`] — the table row/config types; the drivers regenerating
@@ -66,7 +67,7 @@ pub use asp::Asp;
 pub use cache::{geometry_config_bits, CacheStats, FifoCache, ThermalModelCache};
 pub use cosynthesis::{CoSynthesis, CoSynthesisResult};
 pub use error::CoreError;
-pub use metrics::{evaluate_schedule, evaluate_schedule_with_model, ScheduleEvaluation};
+pub use metrics::{evaluate_schedule, ScheduleEvaluation};
 pub use phases::FlowPhases;
 pub use platform::{PlatformFlow, PlatformResult};
 pub use policy::{Policy, PowerHeuristic, ThermalObjective};

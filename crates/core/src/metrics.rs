@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use tats_thermal::{Floorplan, Temperatures, ThermalConfig, ThermalModel};
+use tats_thermal::{Temperatures, ThermalModel};
 
 use crate::error::CoreError;
 use crate::schedule::Schedule;
@@ -51,43 +51,16 @@ impl fmt::Display for ScheduleEvaluation {
     }
 }
 
-/// Evaluates a schedule on a given floorplan.
-///
-/// The floorplan must have one block per PE, in PE-id order.
-///
-/// # Errors
-///
-/// Returns [`CoreError::FloorplanMismatch`] if the block count differs from
-/// the schedule's PE count and propagates thermal-model errors.
-pub fn evaluate_schedule(
-    schedule: &Schedule,
-    floorplan: &Floorplan,
-    thermal_config: ThermalConfig,
-) -> Result<ScheduleEvaluation, CoreError> {
-    if floorplan.block_count() != schedule.pe_count() {
-        return Err(CoreError::FloorplanMismatch {
-            pes: schedule.pe_count(),
-            blocks: floorplan.block_count(),
-        });
-    }
-    let model = ThermalModel::new(floorplan, thermal_config)?;
-    evaluate_schedule_with_model(schedule, &model)
-}
-
-/// Evaluates a schedule against an already-built thermal model, skipping the
-/// RC assembly and factorisation that [`evaluate_schedule`] pays per call.
-///
-/// This is the batch-campaign fast path: the engine caches one model per
-/// distinct floorplan geometry (see [`crate::ThermalModelCache`]) and
-/// evaluates every scenario sharing that geometry through it. Results are
-/// bit-identical to [`evaluate_schedule`] on the same floorplan and
-/// configuration, because model construction is deterministic.
+/// Evaluates a schedule against the thermal model of its floorplan (one
+/// block per PE, in PE-id order). The flows source the model from a
+/// [`crate::ThermalModelCache`], so a scenario's scheduling and evaluation
+/// share one factorisation.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::FloorplanMismatch`] if the model's block count
 /// differs from the schedule's PE count and propagates thermal solve errors.
-pub fn evaluate_schedule_with_model(
+pub fn evaluate_schedule(
     schedule: &Schedule,
     model: &ThermalModel,
 ) -> Result<ScheduleEvaluation, CoreError> {
@@ -118,6 +91,7 @@ mod tests {
     use crate::policy::Policy;
     use tats_taskgraph::Benchmark;
     use tats_techlib::profiles;
+    use tats_thermal::ThermalConfig;
 
     #[test]
     fn evaluation_reports_consistent_metrics() {
@@ -130,7 +104,8 @@ mod tests {
             .schedule()
             .unwrap();
         let plan = layout::grid_floorplan(&platform, &library).unwrap();
-        let eval = evaluate_schedule(&schedule, &plan, ThermalConfig::default()).unwrap();
+        let model = ThermalModel::new(&plan, ThermalConfig::default()).unwrap();
+        let eval = evaluate_schedule(&schedule, &model).unwrap();
         assert!(eval.total_average_power > 0.0);
         assert!(eval.max_temperature_c >= eval.avg_temperature_c);
         assert!(eval.avg_temperature_c > 45.0);
@@ -154,8 +129,9 @@ mod tests {
             "only", 0.0, 0.0, 7.0, 7.0,
         )])
         .unwrap();
+        let model = ThermalModel::new(&plan, ThermalConfig::default()).unwrap();
         assert!(matches!(
-            evaluate_schedule(&schedule, &plan, ThermalConfig::default()),
+            evaluate_schedule(&schedule, &model),
             Err(CoreError::FloorplanMismatch { .. })
         ));
     }
@@ -174,6 +150,7 @@ mod tests {
         let library = profiles::standard_library(10).unwrap();
         let platform = profiles::platform_architecture(&library).unwrap();
         let plan = layout::grid_floorplan(&platform, &library).unwrap();
+        let model = ThermalModel::new(&plan, ThermalConfig::default()).unwrap();
 
         let balanced = Schedule::new(
             (0..4)
@@ -200,9 +177,8 @@ mod tests {
             1_000.0,
         );
 
-        let balanced_eval = evaluate_schedule(&balanced, &plan, ThermalConfig::default()).unwrap();
-        let concentrated_eval =
-            evaluate_schedule(&concentrated, &plan, ThermalConfig::default()).unwrap();
+        let balanced_eval = evaluate_schedule(&balanced, &model).unwrap();
+        let concentrated_eval = evaluate_schedule(&concentrated, &model).unwrap();
         assert!(
             (balanced_eval.total_average_power - concentrated_eval.total_average_power).abs()
                 < 1e-9

@@ -5,6 +5,7 @@
 //! (grid) floorplan, and the modified ASP issues thermal inquiries against
 //! that floorplan directly — no co-synthesis or floorplanning is involved.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use tats_taskgraph::TaskGraph;
@@ -15,7 +16,7 @@ use crate::asp::Asp;
 use crate::cache::ThermalModelCache;
 use crate::error::CoreError;
 use crate::layout;
-use crate::metrics::{evaluate_schedule, evaluate_schedule_with_model, ScheduleEvaluation};
+use crate::metrics::{evaluate_schedule, ScheduleEvaluation};
 use crate::phases::FlowPhases;
 use crate::policy::{Policy, ThermalObjective};
 use crate::schedule::Schedule;
@@ -126,54 +127,22 @@ impl<'a> PlatformFlow<'a> {
     }
 
     /// Schedules `graph` on the platform under `policy` and evaluates the
-    /// result.
+    /// result, building the platform's thermal model once for both.
     ///
     /// # Errors
     ///
     /// Propagates scheduling and evaluation errors.
     pub fn run(&self, graph: &TaskGraph, policy: Policy) -> Result<PlatformResult, CoreError> {
-        let schedule = Asp::new(graph, self.library, &self.architecture)?
-            .with_policy(policy)
-            .with_floorplan(self.floorplan.clone())
-            .with_thermal_config(self.thermal_config)
-            .with_thermal_objective(self.thermal_objective)
-            .with_cost_scale(self.cost_scale)
-            .schedule()?;
-        let evaluation = evaluate_schedule(&schedule, &self.floorplan, self.thermal_config)?;
-        Ok(PlatformResult {
-            architecture: self.architecture.clone(),
-            floorplan: self.floorplan.clone(),
-            schedule,
-            evaluation,
-        })
-    }
-
-    /// Like [`PlatformFlow::run`], but sources the thermal model from a
-    /// geometry-keyed cache so repeated runs against the same platform
-    /// floorplan (a batch campaign, a policy sweep) skip the RC assembly and
-    /// factorisation entirely.
-    ///
-    /// The result is identical to [`PlatformFlow::run`]: model construction
-    /// is deterministic, so a cached model answers every query with the same
-    /// bits a freshly built one would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling and evaluation errors.
-    pub fn run_with_cache(
-        &self,
-        graph: &TaskGraph,
-        policy: Policy,
-        cache: &mut ThermalModelCache,
-    ) -> Result<PlatformResult, CoreError> {
-        self.run_with_cache_timed(graph, policy, cache)
+        self.run_with_cache_timed(graph, policy, &mut ThermalModelCache::new())
             .map(|(result, _)| result)
     }
 
-    /// Like [`PlatformFlow::run_with_cache`], but also reports where the wall
-    /// clock went (thermal model sourcing + evaluation vs ASP scheduling).
-    /// Timing is observational only — the result is bit-identical to
-    /// [`PlatformFlow::run_with_cache`].
+    /// Schedules and evaluates like [`PlatformFlow::run`], sourcing the
+    /// thermal model from a geometry-keyed cache, so repeated runs against
+    /// the same platform floorplan (a batch campaign, a policy sweep) skip
+    /// the RC assembly and factorisation entirely. Also reports where the
+    /// wall clock went (thermal model sourcing + evaluation vs ASP
+    /// scheduling); timing is observational only.
     ///
     /// # Errors
     ///
@@ -189,19 +158,15 @@ impl<'a> PlatformFlow<'a> {
         let model = cache.get_or_build(&self.floorplan, self.thermal_config)?;
         phases.thermal += clock.elapsed();
         let clock = Instant::now();
-        let mut asp = Asp::new(graph, self.library, &self.architecture)?
+        let schedule = Asp::new(graph, self.library, &self.architecture)?
             .with_policy(policy)
-            .with_floorplan(self.floorplan.clone())
-            .with_thermal_config(self.thermal_config)
+            .with_thermal_model(Arc::clone(&model))
             .with_thermal_objective(self.thermal_objective)
-            .with_cost_scale(self.cost_scale);
-        if policy.needs_thermal_model() {
-            asp = asp.with_shared_thermal_model(std::sync::Arc::clone(&model));
-        }
-        let schedule = asp.schedule()?;
+            .with_cost_scale(self.cost_scale)
+            .schedule()?;
         phases.scheduling += clock.elapsed();
         let clock = Instant::now();
-        let evaluation = evaluate_schedule_with_model(&schedule, &model)?;
+        let evaluation = evaluate_schedule(&schedule, &model)?;
         phases.thermal += clock.elapsed();
         Ok((
             PlatformResult {
@@ -220,6 +185,7 @@ mod tests {
     use super::*;
     use tats_taskgraph::Benchmark;
     use tats_techlib::profiles;
+    use tats_thermal::ThermalModel;
 
     #[test]
     fn default_platform_has_four_pes_on_a_grid() {
@@ -284,21 +250,37 @@ mod tests {
 
     #[test]
     fn cached_run_matches_uncached_run_exactly() {
+        // The reference builds its own model and hands it to a bare ASP and
+        // the evaluation: the flow's cache must change no bit of either.
         let library = profiles::standard_library(10).unwrap();
         let flow = PlatformFlow::new(&library).unwrap();
         let graph = Benchmark::Bm1.task_graph().unwrap();
+        let model =
+            Arc::new(ThermalModel::new(flow.floorplan(), ThermalConfig::default()).unwrap());
         let mut cache = ThermalModelCache::new();
-        for policy in [Policy::Baseline, Policy::ThermalAware] {
-            let direct = flow.run(&graph, policy).unwrap();
-            let cached = flow.run_with_cache(&graph, policy, &mut cache).unwrap();
-            assert_eq!(direct.schedule, cached.schedule, "{policy}");
-            assert_eq!(direct.evaluation, cached.evaluation, "{policy}");
+        for policy in Policy::ALL {
+            let reference = Asp::new(&graph, &library, flow.architecture())
+                .unwrap()
+                .with_policy(policy)
+                .with_thermal_model(Arc::clone(&model))
+                .schedule()
+                .unwrap();
+            let evaluation = evaluate_schedule(&reference, &model).unwrap();
+            for result in [
+                flow.run(&graph, policy).unwrap(),
+                flow.run_with_cache_timed(&graph, policy, &mut cache)
+                    .unwrap()
+                    .0,
+            ] {
+                assert_eq!(result.schedule, reference, "{policy}");
+                assert_eq!(result.evaluation, evaluation, "{policy}");
+            }
         }
-        // Both cached runs share one geometry: the first lookup builds, the
-        // second hits.
+        // All five policies share one geometry: the first lookup builds, the
+        // other four hit, and the evaluations add no lookup of their own.
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().misses, 1);
-        assert!(cache.stats().hits >= 1);
+        assert_eq!(cache.stats().hits, Policy::ALL.len() as u64 - 1);
     }
 
     #[test]

@@ -146,10 +146,12 @@ impl Schedule {
         self.assignments_on(pe).map(|a| a.energy()).sum()
     }
 
-    /// Fills `out` with the average power of each PE over the makespan — the
-    /// per-block power vector handed to the thermal model when evaluating the
-    /// schedule. Single pass over the assignments, no allocation beyond the
-    /// buffer's capacity.
+    /// Fills `out` with the average power of each PE over the makespan
+    /// (energy over makespan). Its one flow caller is co-synthesis, which
+    /// hands it to the floorplanner as the module powers; the schedule
+    /// evaluation uses [`Schedule::sustained_power_per_pe_into`] instead.
+    /// Single pass over the assignments, no allocation beyond the buffer's
+    /// capacity.
     pub fn average_power_per_pe_into(&self, out: &mut Vec<f64>) {
         let horizon = self.makespan().max(1e-9);
         out.clear();
@@ -170,9 +172,11 @@ impl Schedule {
         out
     }
 
-    /// Sum of the per-PE average powers — the "Total Pow." column of the
-    /// paper's tables. Computed directly from the assignments; allocates
-    /// nothing.
+    /// Sum of the per-PE average powers over the makespan (total energy over
+    /// makespan). No flow reads it: the tables' "Total Pow." column is
+    /// [`ScheduleEvaluation::total_average_power`](crate::ScheduleEvaluation::total_average_power),
+    /// the sum of sustained powers. Computed directly from the assignments;
+    /// allocates nothing.
     pub fn total_average_power(&self) -> f64 {
         let horizon = self.makespan().max(1e-9);
         self.assignments.iter().map(|a| a.energy()).sum::<f64>() / horizon
@@ -181,10 +185,11 @@ impl Schedule {
     /// Fills `out` with the sustained power of each PE: the energy it
     /// consumes divided by the time it is busy (zero for idle PEs).
     ///
-    /// This is the thermal load a PE dissipates *while it is running* and is
-    /// the per-block power vector used for steady-state temperature
-    /// evaluation; unlike the makespan-normalised average it does not reward
-    /// schedules merely for taking longer.
+    /// This is the thermal load a PE dissipates *while it is running*, and
+    /// the per-block power vector [`crate::evaluate_schedule`] hands the
+    /// thermal model (the ASP's inquiries build the same measure
+    /// incrementally); unlike the makespan-normalised average it does not
+    /// reward schedules merely for taking longer.
     pub fn sustained_power_per_pe_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.pe_count, 0.0);

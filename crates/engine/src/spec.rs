@@ -182,7 +182,7 @@ impl CampaignSpec {
     ///
     /// Returns [`EngineError::InvalidParameter`] when the campaign's
     /// experiment configuration is neither of the two named efforts, when a
-    /// seed exceeds [`MAX_EXACT_INTEGER`] (2^53) or when a grid side lies
+    /// seed exceeds [`MAX_EXACT_INTEGER`] (2^53 − 1) or when a grid side lies
     /// outside `1..=`[`MAX_GRID_SIDE`]. Such a campaign has no faithful wire
     /// form, and shipping an *approximate* spec would silently change what
     /// remote workers compute.
@@ -200,7 +200,8 @@ impl CampaignSpec {
         };
         if let Some(seed) = campaign.seeds().iter().find(|&&s| s > MAX_EXACT_INTEGER) {
             return Err(EngineError::InvalidParameter(format!(
-                "seed {seed} is above 2^53, the largest integer a JSON number carries exactly"
+                "seed {seed} is above 2^53 - 1, the largest integer a JSON number carries \
+                 exactly"
             )));
         }
         let (nx, ny) = campaign.grid_resolution();
@@ -308,7 +309,7 @@ impl CampaignSpec {
             .iter()
             .map(|item| {
                 item.as_u64().ok_or_else(|| {
-                    spec_error("field 'seeds' must contain non-negative integers".to_string())
+                    spec_error("field 'seeds' must contain integers from 0 to 2^53 - 1".to_string())
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -387,17 +388,17 @@ mod tests {
         assert_eq!(back, spec);
         // The derived campaign enumerates the product of the axes.
         assert_eq!(campaign.len(), 2 * 2 * 5 * 2 * 3);
-        // Seeds up to 2^53 survive the JSON number; the next one would not,
-        // so it has no spec.
+        // Seeds up to 2^53 - 1 survive the JSON number; from 2^53 on, a
+        // literal may round onto a neighbour, so it has no spec.
         let largest = campaign.clone().with_seeds(vec![MAX_EXACT_INTEGER]);
-        let spec = CampaignSpec::from_campaign(&largest).expect("2^53 is exact");
+        let spec = CampaignSpec::from_campaign(&largest).expect("2^53 - 1 is exact");
         assert_eq!(
             CampaignSpec::parse(&spec.to_json().to_json()).unwrap(),
             spec
         );
         let error = CampaignSpec::from_campaign(&campaign.with_seeds(vec![MAX_EXACT_INTEGER + 1]))
-            .expect_err("2^53 + 1 is not exact");
-        assert!(error.to_string().contains("9007199254740993"), "{error}");
+            .expect_err("2^53 is refused");
+        assert!(error.to_string().contains("9007199254740992"), "{error}");
     }
 
     #[test]
@@ -459,6 +460,23 @@ mod tests {
         assert!(Effort::parse("medium").is_err());
         assert_eq!(Effort::parse("full").unwrap(), Effort::Full);
         assert_eq!(Effort::Full.to_string(), "full");
+    }
+
+    #[test]
+    fn seeds_past_the_exact_range_are_refused() {
+        // 9007199254740993 parses as 2^53; refusing 2^53 itself keeps that
+        // literal from running a neighbouring seed.
+        let text = CampaignSpec::default().to_json().to_json();
+        assert!(text.contains("\"seeds\":[0]"), "{text}");
+        let with_seed = |seed: &str| text.replace("\"seeds\":[0]", &format!("\"seeds\":[{seed}]"));
+        let largest = CampaignSpec::parse(&with_seed("9007199254740991")).expect("2^53 - 1");
+        assert_eq!(largest.seeds, vec![MAX_EXACT_INTEGER]);
+        for seed in ["9007199254740992", "9007199254740993"] {
+            let error = CampaignSpec::parse(&with_seed(seed))
+                .expect_err(seed)
+                .to_string();
+            assert!(error.contains("'seeds'"), "{error}");
+        }
     }
 
     #[test]

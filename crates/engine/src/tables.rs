@@ -5,7 +5,7 @@
 //! per-worker thermal-model caches), and assembles the rows from the sorted
 //! record set. Outputs are **pinned identical** to the original in-process
 //! loops of `tats_core::experiment`: scenario evaluation goes through the
-//! cache-aware flow entry points, which are bit-equal to the uncached ones,
+//! flows' one cache-sourced path, which their one-shot `run` also takes,
 //! and row order is reconstructed from the stable scenario ordering rather
 //! than completion order. The engine's test suite compares `table1` against
 //! a from-scratch replica of the pre-engine loop byte-for-byte.

@@ -1808,9 +1808,11 @@ mod tests {
         let mut spec = tats_engine::CampaignSpec::default();
         spec.benchmarks.truncate(1);
         let spec = spec.to_json().to_json();
+        // 9007199254740993 parses as 2^53, past the largest exact seed.
         for (from, to, named) in [
             ("\"solvers\":[null]", "\"solvers\":[\"pcg\"]", "'pcg'"),
             ("\"nx\":16", "\"nx\":4294967296", "'nx'"),
+            ("\"seeds\":[0]", "\"seeds\":[9007199254740993]", "'seeds'"),
         ] {
             assert!(spec.contains(from), "{spec}");
             let body = format!("{{\"spec\":{}}}", spec.replace(from, to));
@@ -1825,6 +1827,14 @@ mod tests {
         assert!(!lease.body.contains("\"lease\""), "{}", lease.body);
         let jobs = client::get(&addr, "/jobs").expect("jobs");
         assert!(!jobs.body.contains("\"job\":"), "{}", jobs.body);
+        // The same body with an exact seed is admitted: the refusals above
+        // came from the values, not from a malformed spec.
+        let body = format!(
+            "{{\"spec\":{}}}",
+            spec.replace("\"seeds\":[0]", "\"seeds\":[1]")
+        );
+        let response = client::request(&addr, "POST", "/jobs", &[], Some(&body)).expect("post");
+        assert_eq!(response.status, 201, "{}", response.body);
         handle.stop();
     }
 

@@ -9,27 +9,23 @@
 //!   PE-type catalogue (geometry, cost, idle power),
 //! * [`Architecture`] — a concrete set of PE instances (platform-based or
 //!   produced by co-synthesis),
-//! * [`PowerTracker`] — incremental energy/average-power accounting used by
-//!   the power heuristics and by the thermal model interface,
 //! * [`LibraryGenerator`] and [`profiles`] — seeded synthetic libraries and
 //!   the standard experiment configuration.
 //!
 //! # Examples
 //!
 //! ```
-//! use tats_techlib::{profiles, PeId, PowerTracker};
+//! use tats_techlib::{profiles, PeId};
 //!
 //! # fn main() -> Result<(), tats_techlib::LibraryError> {
 //! let library = profiles::standard_library(10)?;
 //! let platform = profiles::platform_architecture(&library)?;
 //!
-//! // Account for one task execution on the first platform PE.
+//! // The energy of task type 3 on the first platform PE is WCET x WCPC.
 //! let pe_type = platform.pe_type_of(PeId(0))?;
 //! let wcet = library.wcet(3, pe_type)?;
 //! let wcpc = library.wcpc(3, pe_type)?;
-//! let mut tracker = PowerTracker::new(platform.pe_count());
-//! tracker.record_execution(PeId(0), 0.0, wcet, wcpc)?;
-//! assert!(tracker.total_energy() > 0.0);
+//! assert_eq!(library.energy(3, pe_type)?, wcet * wcpc);
 //! # Ok(())
 //! # }
 //! ```
@@ -38,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 mod architecture;
-mod energy;
 mod error;
 mod generator;
 mod library;
@@ -46,7 +41,6 @@ mod pe;
 pub mod profiles;
 
 pub use architecture::Architecture;
-pub use energy::PowerTracker;
 pub use error::LibraryError;
 pub use generator::{ClassMix, LibraryGenerator};
 pub use library::{TechLibrary, TechLibraryBuilder};
@@ -78,28 +72,6 @@ mod proptests {
                     );
                 }
             }
-        }
-
-        /// The power tracker's total average power equals the sum of the
-        /// per-PE average powers for any horizon.
-        #[test]
-        fn tracker_total_is_sum_of_parts(
-            executions in proptest::collection::vec(
-                (0usize..4, 0.0f64..100.0, 0.1f64..50.0, 0.1f64..8.0), 1..30),
-            horizon in 1.0f64..10_000.0
-        ) {
-            let mut tracker = PowerTracker::new(4);
-            for (pe, start, duration, power) in executions {
-                tracker
-                    .record_execution(PeId(pe), start, start + duration, power)
-                    .unwrap();
-            }
-            let total = tracker.total_average_power(horizon).unwrap();
-            let sum: f64 = (0..4)
-                .map(|i| tracker.average_power(PeId(i), horizon).unwrap())
-                .sum();
-            prop_assert!((total - sum).abs() < 1e-9);
-            prop_assert!((tracker.total_energy() - total * horizon).abs() < 1e-6);
         }
     }
 }

@@ -11,7 +11,11 @@
 //!   defaults),
 //! * [`ThermalModel`] — block-level lumped-RC steady-state model (vertical
 //!   conductance per block, lateral conductances between abutting blocks,
-//!   spreader/sink/ambient stack),
+//!   spreader/sink/ambient stack): a [`ThermalSession`] loaded once with the
+//!   floorplan, which owns the conductance matrix, its LU factor and the
+//!   heat input,
+//! * [`ThermalSession`] — the same kernel reloaded per candidate placement,
+//!   allocation-free, for the floorplanner's inner loop,
 //! * [`TransientSolver`] — time-domain integration of piecewise-constant
 //!   power traces (backward Euler),
 //! * [`GridModel`] — finer grid-refined steady-state model used for
@@ -60,7 +64,6 @@ pub use floorplan::{Block, Floorplan};
 pub use grid::{GridModel, GridSolver, GridTemperatures, GridWorkspace, MAX_GRID_SIDE};
 pub use materials::ThermalConfig;
 pub use model::{Temperatures, ThermalModel};
-pub use network::RcNetwork;
 pub use session::{Rect, ThermalSession};
 pub use transient::{PowerPhase, TransientSolver};
 
@@ -97,9 +100,8 @@ mod proptests {
             for i in 0..4 {
                 prop_assert!(temps.block(i).unwrap() >= temps.ambient_c() - 1e-9);
             }
-            let nodes_sink = temps.sink_c();
             let heat_out =
-                (nodes_sink - temps.ambient_c()) * model.network().ambient_conductance();
+                (temps.sink_c() - temps.ambient_c()) / model.config().convection_resistance;
             let total: f64 = power.iter().sum();
             prop_assert!((heat_out - total).abs() < 1e-6);
         }

@@ -3,9 +3,11 @@
 use std::fmt;
 
 use crate::error::ThermalError;
-use crate::floorplan::Floorplan;
+use crate::floorplan::{Block, Floorplan};
+use crate::linalg::Matrix;
 use crate::materials::ThermalConfig;
-use crate::network::RcNetwork;
+use crate::network::heat_input_into;
+use crate::session::{Rect, ThermalSession};
 
 /// Per-block temperature estimate returned by the thermal model.
 ///
@@ -20,11 +22,16 @@ pub struct Temperatures {
 }
 
 impl Temperatures {
-    pub(crate) fn from_nodes(nodes: &[f64], block_count: usize, ambient_c: f64) -> Self {
+    /// Takes over a node vector (blocks, then spreader, then sink) without
+    /// copying the block temperatures.
+    pub(crate) fn from_nodes(mut nodes: Vec<f64>, block_count: usize, ambient_c: f64) -> Self {
+        let spreader_c = nodes[block_count];
+        let sink_c = nodes[block_count + 1];
+        nodes.truncate(block_count);
         Temperatures {
-            block_c: nodes[..block_count].to_vec(),
-            spreader_c: nodes[block_count],
-            sink_c: nodes[block_count + 1],
+            block_c: nodes,
+            spreader_c,
+            sink_c,
             ambient_c,
         }
     }
@@ -131,7 +138,9 @@ impl fmt::Display for Temperatures {
 ///
 /// Construct the model once per floorplan; every call to
 /// [`ThermalModel::steady_state`] then reuses the factorised network, which
-/// is what makes per-scheduling-decision thermal queries affordable.
+/// is what makes per-scheduling-decision thermal queries affordable. The
+/// model is a [`ThermalSession`] loaded once with the floorplan's geometry,
+/// plus the per-node heat capacities the [`crate::TransientSolver`] needs.
 ///
 /// # Examples
 ///
@@ -152,9 +161,9 @@ impl fmt::Display for Temperatures {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThermalModel {
-    floorplan: Floorplan,
-    config: ThermalConfig,
-    network: RcNetwork,
+    session: ThermalSession,
+    /// Per-node thermal capacitance, J/K.
+    capacitance: Vec<f64>,
 }
 
 impl ThermalModel {
@@ -162,34 +171,34 @@ impl ThermalModel {
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation and network assembly errors.
+    /// Propagates configuration validation errors, and returns
+    /// [`ThermalError::SingularSystem`] if the assembled conductance matrix
+    /// cannot be factorised (a disconnected or degenerate network).
     pub fn new(floorplan: &Floorplan, config: ThermalConfig) -> Result<Self, ThermalError> {
-        let network = RcNetwork::new(floorplan, &config)?;
+        let mut session = ThermalSession::new(floorplan.block_count(), config)?;
+        let rects: Vec<Rect> = floorplan.blocks().iter().map(Block::rect).collect();
+        session.load_geometry(&rects)?;
+        let mut capacitance: Vec<f64> = floorplan
+            .blocks()
+            .iter()
+            .map(|block| config.block_capacitance(block.area()))
+            .collect();
+        capacitance.push(config.spreader_capacitance);
+        capacitance.push(config.sink_capacitance);
         Ok(ThermalModel {
-            floorplan: floorplan.clone(),
-            config,
-            network,
+            session,
+            capacitance,
         })
-    }
-
-    /// The floorplan the model was built for.
-    pub fn floorplan(&self) -> &Floorplan {
-        &self.floorplan
     }
 
     /// The configuration the model was built with.
     pub fn config(&self) -> &ThermalConfig {
-        &self.config
-    }
-
-    /// The underlying RC network.
-    pub fn network(&self) -> &RcNetwork {
-        &self.network
+        self.session.config()
     }
 
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.network.block_count()
+        self.session.block_count()
     }
 
     /// Steady-state temperatures for the given per-block powers (watts).
@@ -199,12 +208,32 @@ impl ThermalModel {
     /// Returns [`ThermalError::PowerLengthMismatch`] or
     /// [`ThermalError::InvalidPower`] for malformed power vectors.
     pub fn steady_state(&self, block_power: &[f64]) -> Result<Temperatures, ThermalError> {
-        let nodes = self.network.steady_state(block_power)?;
+        let mut nodes = vec![0.0; self.block_count() + 2];
+        self.session.solve_into(block_power, &mut nodes)?;
         Ok(Temperatures::from_nodes(
-            &nodes,
-            self.network.block_count(),
-            self.config.ambient_c,
+            nodes,
+            self.block_count(),
+            self.config().ambient_c,
         ))
+    }
+
+    /// The per-node heat input of `block_power`: blocks, then spreader, then
+    /// sink.
+    pub(crate) fn heat_input(&self, block_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
+        let mut q = vec![0.0; self.block_count() + 2];
+        heat_input_into(self.config(), block_power, &mut q)?;
+        Ok(q)
+    }
+
+    /// The conductance matrix, one row per node, ambient term on the sink
+    /// diagonal.
+    pub(crate) fn conductance(&self) -> &Matrix {
+        self.session.conductance()
+    }
+
+    /// Per-node thermal capacitances, J/K.
+    pub(crate) fn capacitances(&self) -> &[f64] {
+        &self.capacitance
     }
 }
 
@@ -269,9 +298,7 @@ mod tests {
     fn model_accessors_expose_inputs() {
         let model = quad_model();
         assert_eq!(model.block_count(), 4);
-        assert_eq!(model.floorplan().block_count(), 4);
         assert_eq!(model.config().ambient_c, 45.0);
-        assert_eq!(model.network().block_count(), 4);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The floorplanner's inner loop evaluates thousands of candidate placements,
 //! and each evaluation needs one steady-state solve of the compact RC model.
 //! Building a fresh [`crate::ThermalModel`] per candidate re-allocates the
-//! conductance matrix, the LU workspace, the capacitance vector and a
-//! `String` per block name — none of which actually depend on the candidate.
-//! Only the *entries* of the conductance matrix move with the placement.
+//! conductance matrix, the LU workspace and the capacitance vector — none of
+//! which actually depend on the candidate. Only the *entries* of the
+//! conductance matrix move with the placement.
 //!
 //! [`ThermalSession`] keeps the matrix storage, the LU workspace and the
 //! solution vector alive across evaluations: per candidate it re-assembles
@@ -17,6 +17,7 @@
 use crate::error::ThermalError;
 use crate::linalg::{LuDecomposition, Matrix};
 use crate::materials::ThermalConfig;
+use crate::network::{assemble_conductance, heat_input_into};
 
 /// Plain block geometry (metres), without the name `String` a
 /// [`crate::Block`] carries. This is what the hot loop hands to the kernel.
@@ -85,57 +86,6 @@ impl Rect {
         let (bx, by) = other.center();
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
     }
-}
-
-/// Assembles the compact-model conductance matrix for `rects` into `g`
-/// (resetting it first). Node ordering matches [`crate::RcNetwork`]: block
-/// `i` is node `i`, then the spreader, then the sink. The ambient term sits
-/// on the sink diagonal.
-///
-/// This is the single source of truth for the matrix stencil: both
-/// [`crate::RcNetwork::new`] and [`ThermalSession`] call it, so the cached
-/// kernel is bit-identical to the rebuild-from-scratch path.
-pub(crate) fn assemble_conductance(g: &mut Matrix, rects: &[Rect], config: &ThermalConfig) {
-    let n = rects.len();
-    let spreader = n;
-    let sink = n + 1;
-    debug_assert_eq!(g.rows(), n + 2);
-    debug_assert_eq!(g.cols(), n + 2);
-    g.fill_zero();
-
-    let add_conductance = |g: &mut Matrix, a: usize, b: usize, value: f64| {
-        if value <= 0.0 {
-            return;
-        }
-        g.add_to(a, a, value);
-        g.add_to(b, b, value);
-        g.add_to(a, b, -value);
-        g.add_to(b, a, -value);
-    };
-
-    // Vertical paths: block -> spreader.
-    for (i, rect) in rects.iter().enumerate() {
-        let gv = config.vertical_conductance(rect.area());
-        add_conductance(g, i, spreader, gv);
-    }
-
-    // Lateral paths between abutting blocks.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let shared = rects[i].shared_edge_length(&rects[j]);
-            if shared > 0.0 {
-                let dist = rects[i].center_distance(&rects[j]);
-                let gl = config.lateral_conductance(dist, shared);
-                add_conductance(g, i, j, gl);
-            }
-        }
-    }
-
-    // Package path: spreader -> sink -> ambient.
-    add_conductance(g, spreader, sink, 1.0 / config.spreader_to_sink_resistance);
-    // The ambient is a Dirichlet boundary: it only contributes to the sink's
-    // diagonal and to the right-hand side of the solve.
-    g.add_to(sink, sink, 1.0 / config.convection_resistance);
 }
 
 /// A reusable thermal evaluation kernel for a fixed block count.
@@ -246,34 +196,35 @@ impl ThermalSession {
     /// loaded, and [`ThermalError::PowerLengthMismatch`] /
     /// [`ThermalError::InvalidPower`] for malformed power vectors.
     pub fn solve(&mut self, block_power: &[f64]) -> Result<&[f64], ThermalError> {
+        // Lend the buffer out while `solve_into` borrows the whole session;
+        // taking an empty `Vec` allocates nothing.
+        let mut nodes = std::mem::take(&mut self.nodes);
+        let solved = self.solve_into(block_power, &mut nodes);
+        self.nodes = nodes;
+        solved?;
+        Ok(&self.nodes)
+    }
+
+    /// [`ThermalSession::solve`] into a caller-owned buffer of one entry per
+    /// node, leaving the session untouched, so a [`crate::ThermalModel`]
+    /// shared behind an `Arc` answers inquiries through `&self`.
+    pub(crate) fn solve_into(
+        &self,
+        block_power: &[f64],
+        nodes: &mut [f64],
+    ) -> Result<(), ThermalError> {
         if !self.geometry_loaded {
             return Err(ThermalError::InvalidParameter(
                 "no geometry loaded into the thermal session".to_string(),
             ));
         }
-        if block_power.len() != self.block_count {
-            return Err(ThermalError::PowerLengthMismatch {
-                expected: self.block_count,
-                actual: block_power.len(),
-            });
-        }
-        if let Some((i, &p)) = block_power
-            .iter()
-            .enumerate()
-            .find(|(_, p)| !p.is_finite() || **p < 0.0)
-        {
-            return Err(ThermalError::InvalidPower(i, p));
-        }
-        // Build the heat-input vector in place, mirroring
-        // `RcNetwork::heat_input`.
-        self.nodes[..self.block_count].copy_from_slice(block_power);
-        self.nodes[self.block_count] = 0.0;
-        // `(1/R) * T`, not `T / R`: keeps the injection bit-identical to
-        // `RcNetwork::heat_input`, which multiplies by a stored conductance.
-        self.nodes[self.block_count + 1] =
-            (1.0 / self.config.convection_resistance) * self.config.ambient_c;
-        self.lu.solve_into(&mut self.nodes)?;
-        Ok(&self.nodes)
+        heat_input_into(&self.config, block_power, nodes)?;
+        self.lu.solve_into(nodes)
+    }
+
+    /// The conductance matrix of the loaded geometry.
+    pub(crate) fn conductance(&self) -> &Matrix {
+        &self.g
     }
 
     /// Convenience: loads `rects` and returns the peak *block* temperature

@@ -12,7 +12,6 @@
 use crate::error::ThermalError;
 use crate::linalg::{LuDecomposition, Matrix};
 use crate::model::{Temperatures, ThermalModel};
-use crate::network::RcNetwork;
 
 /// One segment of a piecewise-constant power trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,13 +80,13 @@ impl<'a> TransientSolver<'a> {
                 actual: initial.block_count(),
             });
         }
-        let network = self.model.network();
-        let time_unit = self.model.config().time_unit_seconds;
+        let model = self.model;
+        let time_unit = model.config().time_unit_seconds;
         let mut state = initial.to_nodes();
 
         // Pre-factorise (C/dt + G) once; the matrix does not change between
         // phases.
-        let implicit_lu = LuDecomposition::new(&implicit_matrix(network, self.dt_seconds))?;
+        let implicit_lu = LuDecomposition::new(&implicit_matrix(model, self.dt_seconds))?;
 
         for (phase_index, phase) in trace.iter().enumerate() {
             if phase.duration_units < 0.0 || !phase.duration_units.is_finite() {
@@ -96,7 +95,7 @@ impl<'a> TransientSolver<'a> {
                     phase.duration_units
                 )));
             }
-            let q = network.heat_input(&phase.block_power)?;
+            let q = model.heat_input(&phase.block_power)?;
             let mut remaining = phase.duration_units * time_unit;
             while remaining > 1e-12 {
                 let dt = remaining.min(self.dt_seconds);
@@ -106,34 +105,30 @@ impl<'a> TransientSolver<'a> {
                 let rhs: Vec<f64> = state
                     .iter()
                     .enumerate()
-                    .map(|(i, &t)| network.capacitances()[i] / dt * t + q[i])
+                    .map(|(i, &t)| model.capacitances()[i] / dt * t + q[i])
                     .collect();
                 state = if (dt - self.dt_seconds).abs() < 1e-15 {
                     implicit_lu.solve(&rhs)?
                 } else {
-                    implicit_matrix(network, dt).solve(&rhs)?
+                    implicit_matrix(model, dt).solve(&rhs)?
                 };
                 remaining -= dt;
             }
         }
 
         Ok(Temperatures::from_nodes(
-            &state,
-            self.model.block_count(),
-            self.model.config().ambient_c,
+            state,
+            model.block_count(),
+            model.config().ambient_c,
         ))
     }
 }
 
 /// `C/dt + G`, the backward-Euler system matrix for a step of `dt` seconds.
-fn implicit_matrix(network: &RcNetwork, dt: f64) -> Matrix {
-    let n = network.node_count();
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            m[(i, j)] = network.conductance(i, j);
-        }
-        m.add_to(i, i, network.capacitances()[i] / dt);
+fn implicit_matrix(model: &ThermalModel, dt: f64) -> Matrix {
+    let mut m = model.conductance().clone();
+    for (i, c) in model.capacitances().iter().enumerate() {
+        m.add_to(i, i, c / dt);
     }
     m
 }
@@ -143,7 +138,19 @@ mod tests {
     use super::*;
     use crate::floorplan::{Block, Floorplan};
     use crate::materials::ThermalConfig;
-    use crate::model::ThermalModel;
+
+    /// `dT/dt = (Q - G T) / C` (the ambient injection is already part of `Q`).
+    fn derivative(model: &ThermalModel, temperatures: &[f64], heat_input: &[f64]) -> Vec<f64> {
+        let flow = model
+            .conductance()
+            .matvec(temperatures)
+            .expect("temperature vector length matches the network");
+        flow.iter()
+            .zip(heat_input)
+            .zip(model.capacitances())
+            .map(|((f, q), c)| (q - f) / c)
+            .collect()
+    }
 
     /// Explicit classical Runge–Kutta integration of the same trace: fourth
     /// order accurate, but only stable for steps small against the fastest
@@ -155,36 +162,35 @@ mod tests {
         trace: &[PowerPhase],
         dt_seconds: f64,
     ) -> Temperatures {
-        let network = model.network();
         let time_unit = model.config().time_unit_seconds;
         let mut state = initial.to_nodes();
         for phase in trace {
-            let q = network.heat_input(&phase.block_power).unwrap();
+            let q = model.heat_input(&phase.block_power).unwrap();
             let mut remaining = phase.duration_units * time_unit;
             while remaining > 1e-12 {
                 let dt = remaining.min(dt_seconds);
-                let k1 = network.derivative(&state, &q);
+                let k1 = derivative(model, &state, &q);
                 let s2: Vec<f64> = state
                     .iter()
                     .zip(&k1)
                     .map(|(t, k)| t + 0.5 * dt * k)
                     .collect();
-                let k2 = network.derivative(&s2, &q);
+                let k2 = derivative(model, &s2, &q);
                 let s3: Vec<f64> = state
                     .iter()
                     .zip(&k2)
                     .map(|(t, k)| t + 0.5 * dt * k)
                     .collect();
-                let k3 = network.derivative(&s3, &q);
+                let k3 = derivative(model, &s3, &q);
                 let s4: Vec<f64> = state.iter().zip(&k3).map(|(t, k)| t + dt * k).collect();
-                let k4 = network.derivative(&s4, &q);
+                let k4 = derivative(model, &s4, &q);
                 for i in 0..state.len() {
                     state[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
                 }
                 remaining -= dt;
             }
         }
-        Temperatures::from_nodes(&state, model.block_count(), model.config().ambient_c)
+        Temperatures::from_nodes(state, model.block_count(), model.config().ambient_c)
     }
 
     fn model() -> ThermalModel {

@@ -15,10 +15,12 @@ use crate::error::TraceError;
 use tats_core::Schedule;
 use tats_taskgraph::TaskGraph;
 
-/// 2^53: every integer from 0 up to this one survives the round trip
-/// through a JSON number (an `f64`) exactly, and 2^53 + 1 does not.
-/// Integers a wire form carries, such as campaign seeds, must not exceed it.
-pub const MAX_EXACT_INTEGER: u64 = 1 << 53;
+/// 2^53 − 1 (JavaScript's `Number.MAX_SAFE_INTEGER`): the largest `n` for
+/// which both `n` and `n + 1` are exact in a JSON number (an `f64`). So no
+/// integer literal above it can round into range: `9007199254740993` parses
+/// as 2^53, which is refused too. Integers a wire form carries, such as
+/// campaign seeds, must not exceed it.
+pub const MAX_EXACT_INTEGER: u64 = (1 << 53) - 1;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -617,6 +617,32 @@ mod tests {
     }
 
     #[test]
+    fn timestamps_past_the_exact_range_are_refused_by_both_decoders() {
+        // As for spans: 2^53 + 1 would read exactly in the canonical layout
+        // but round to 2^53 once spaced, so both layouts refuse it.
+        for (ts, accepted) in [
+            (json::MAX_EXACT_INTEGER, true),
+            (json::MAX_EXACT_INTEGER + 2, false),
+        ] {
+            let event = sample().at(ts);
+            let canonical = event.to_line();
+            let spaced = canonical.replace("\"ts_us\":", "\"ts_us\": ");
+            for line in [&canonical, &spaced] {
+                match LogEvent::parse_line(line) {
+                    Ok(parsed) => {
+                        assert!(accepted, "{line}");
+                        assert_eq!(parsed, event);
+                    }
+                    Err(error) => {
+                        assert!(!accepted, "{line}: {error}");
+                        assert!(error.contains("ts_us"), "{error}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn malformed_events_are_rejected_with_the_field_named() {
         let error = LogEvent::parse_line("{\"attrs\":{}}").unwrap_err();
         assert!(error.contains("level"), "{error}");

@@ -503,7 +503,9 @@ impl<'t> Scan<'t> {
         }
     }
 
-    /// A plain unsigned decimal (the only number shape `to_line` emits).
+    /// A plain unsigned decimal (the only number shape `to_line` emits) no
+    /// larger than [`json::MAX_EXACT_INTEGER`], the bound the tree parser
+    /// applies, so both decoders accept the same lines.
     pub(crate) fn number(&mut self) -> Option<u64> {
         let start = self.pos;
         let mut value = 0u64;
@@ -514,7 +516,7 @@ impl<'t> Scan<'t> {
             value = value.checked_mul(10)?.checked_add(u64::from(byte - b'0'))?;
             self.pos += 1;
         }
-        (self.pos > start).then_some(value)
+        (self.pos > start && value <= json::MAX_EXACT_INTEGER).then_some(value)
     }
 }
 
@@ -837,6 +839,33 @@ mod tests {
             SpanEvent::parse_line(&escaped.to_line()).expect("escaped"),
             escaped
         );
+    }
+
+    #[test]
+    fn timestamps_past_the_exact_range_are_refused_by_both_decoders() {
+        // 2^53 + 1 parses as 2^53 in a JSON number; the canonical scanner
+        // must not read it exactly while the spaced line rounds, so both
+        // refuse it, and both keep 2^53 - 1.
+        for (end, accepted) in [
+            (json::MAX_EXACT_INTEGER, true),
+            (json::MAX_EXACT_INTEGER + 2, false),
+        ] {
+            let span = span(0x11, 0x22, None, 0, end);
+            let canonical = span.to_line();
+            let spaced = canonical.replace("\"end_us\":", "\"end_us\": ");
+            for line in [&canonical, &spaced] {
+                match SpanEvent::parse_line(line) {
+                    Ok(parsed) => {
+                        assert!(accepted, "{line}");
+                        assert_eq!(parsed, span);
+                    }
+                    Err(error) => {
+                        assert!(!accepted, "{line}: {error}");
+                        assert!(error.contains("end_us"), "{error}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

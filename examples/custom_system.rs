@@ -10,7 +10,9 @@ use tats_core::{evaluate_schedule, Asp, Policy};
 use tats_floorplan::{CostWeights, Engine, Floorplanner, GaConfig, Module, Net};
 use tats_taskgraph::{TaskGraphBuilder, TaskKind};
 use tats_techlib::{Architecture, PeClass, TechLibraryBuilder};
-use tats_thermal::ThermalConfig;
+use tats_thermal::{ThermalConfig, ThermalModel};
+
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Task graph: a small decoder pipeline with a 900-unit deadline. ---
@@ -109,13 +111,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Schedule with the baseline and the thermal-aware ASP and compare. ---
+    let model = Arc::new(ThermalModel::new(
+        &solution.floorplan,
+        ThermalConfig::default(),
+    )?);
     for policy in [Policy::Baseline, Policy::ThermalAware] {
         let schedule = Asp::new(&graph, &library, &architecture)?
             .with_policy(policy)
-            .with_floorplan(solution.floorplan.clone())
+            .with_thermal_model(Arc::clone(&model))
             .schedule()?;
         schedule.validate(&graph, &architecture, &library)?;
-        let eval = evaluate_schedule(&schedule, &solution.floorplan, ThermalConfig::default())?;
+        let eval = evaluate_schedule(&schedule, &model)?;
         println!("\n{policy}:");
         println!("  {eval}");
         for task in graph.task_ids() {

@@ -9,7 +9,11 @@
 use tats_core::{layout, Asp, Policy};
 use tats_taskgraph::Benchmark;
 use tats_techlib::{profiles, PeId};
-use tats_thermal::{GridModel, PowerPhase, Temperatures, ThermalConfig, TransientSolver};
+use tats_thermal::{
+    GridModel, PowerPhase, Temperatures, ThermalConfig, ThermalModel, TransientSolver,
+};
+
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = profiles::standard_library(10)?;
@@ -17,15 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let floorplan = layout::grid_floorplan(&platform, &library)?;
     let graph = Benchmark::Bm2.task_graph()?;
 
+    let config = ThermalConfig::default();
+    let model = Arc::new(ThermalModel::new(&floorplan, config)?);
+
     let schedule = Asp::new(&graph, &library, &platform)?
         .with_policy(Policy::ThermalAware)
-        .with_floorplan(floorplan.clone())
+        .with_thermal_model(Arc::clone(&model))
         .schedule()?;
     println!("schedule: {schedule}");
 
     // Steady-state block temperatures from the compact model.
-    let config = ThermalConfig::default();
-    let model = tats_thermal::ThermalModel::new(&floorplan, config)?;
     let sustained = schedule.sustained_power_per_pe();
     let steady = model.steady_state(&sustained)?;
     println!("\nsteady state (block compact model):");

@@ -11,6 +11,8 @@ use tats_taskgraph::{Benchmark, GeneratorConfig};
 use tats_techlib::{profiles, PeId};
 use tats_thermal::{GridModel, ThermalConfig, ThermalModel};
 
+use std::sync::Arc;
+
 #[test]
 fn platform_flow_end_to_end_on_all_benchmarks() {
     let library = profiles::standard_library(10).unwrap();
@@ -136,14 +138,15 @@ fn floorplanner_feeds_the_scheduler_for_arbitrary_architectures() {
         .run()
         .unwrap();
 
+    let model = Arc::new(ThermalModel::new(&solution.floorplan, ThermalConfig::default()).unwrap());
     let schedule = Asp::new(&graph, &library, &architecture)
         .unwrap()
         .with_policy(Policy::ThermalAware)
-        .with_floorplan(solution.floorplan.clone())
+        .with_thermal_model(Arc::clone(&model))
         .schedule()
         .unwrap();
     schedule.validate(&graph, &architecture, &library).unwrap();
-    let eval = evaluate_schedule(&schedule, &solution.floorplan, ThermalConfig::default()).unwrap();
+    let eval = evaluate_schedule(&schedule, &model).unwrap();
     assert!(eval.meets_deadline);
     assert!(eval.max_temperature_c < 150.0);
 }

@@ -4,7 +4,9 @@ use proptest::prelude::*;
 use tats_core::{evaluate_schedule, layout, Asp, Policy};
 use tats_taskgraph::GeneratorConfig;
 use tats_techlib::{profiles, Architecture, LibraryGenerator, PeId};
-use tats_thermal::ThermalConfig;
+use tats_thermal::{ThermalConfig, ThermalModel};
+
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -37,16 +39,17 @@ proptest! {
             architecture.add_instance(pe_type);
         }
         let floorplan = layout::grid_floorplan(&architecture, &library).unwrap();
+        let model = Arc::new(ThermalModel::new(&floorplan, ThermalConfig::default()).unwrap());
 
         let schedule = Asp::new(&graph, &library, &architecture)
             .unwrap()
             .with_policy(Policy::ALL[policy_index])
-            .with_floorplan(floorplan.clone())
+            .with_thermal_model(Arc::clone(&model))
             .schedule()
             .unwrap();
         prop_assert!(schedule.validate(&graph, &architecture, &library).is_ok());
 
-        let eval = evaluate_schedule(&schedule, &floorplan, ThermalConfig::default()).unwrap();
+        let eval = evaluate_schedule(&schedule, &model).unwrap();
         prop_assert!(eval.max_temperature_c + 1e-9 >= eval.avg_temperature_c);
         prop_assert!(eval.avg_temperature_c >= ThermalConfig::default().ambient_c - 1e-9);
         prop_assert!(eval.total_average_power >= 0.0);
