@@ -13,14 +13,16 @@
 //! where `SC` is the static criticality (the longest weighted path from the
 //! task to the end of the graph), and the fourth term is selected by the
 //! [`Policy`]: nothing for the baseline, one of the three power heuristics,
-//! or the average system temperature returned by the compact thermal model
-//! for the thermal-aware ASP.
+//! or, for the thermal-aware ASP, the rise above ambient of the
+//! [`ThermalObjective`] score (by default [`ThermalObjective::Blended`], the
+//! mean of the average and peak block temperatures the compact thermal
+//! model predicts) times the temperature weight.
 
 use std::sync::Arc;
 
 use tats_taskgraph::{analysis::GraphAnalysis, TaskGraph, TaskId};
 use tats_techlib::{Architecture, PeId, TechLibrary};
-use tats_thermal::{ThermalConfig, ThermalModel};
+use tats_thermal::{ThermalConfig, ThermalError, ThermalModel};
 
 use crate::error::CoreError;
 use crate::layout;
@@ -149,7 +151,7 @@ impl<'a> Asp<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates substrate errors (library lookups, thermal solves,
+    /// Propagates substrate errors (library lookups, thermal inquiries,
     /// floorplan validation). Scheduling itself cannot fail for a valid
     /// input: every task graph admits a schedule on at least one PE.
     pub fn schedule(&self) -> Result<Schedule, CoreError> {
@@ -176,7 +178,7 @@ impl<'a> Asp<'a> {
 
         // Thermal model (thermal-aware policy only): the supplied one, or one
         // built on the architecture's grid floorplan.
-        let thermal_model = if self.policy.needs_thermal_model() {
+        let mut thermal = if self.policy.needs_thermal_model() {
             let model = match &self.thermal_model {
                 Some(model) => Arc::clone(model),
                 None => Arc::new(ThermalModel::new(
@@ -190,7 +192,7 @@ impl<'a> Asp<'a> {
                     blocks: model.block_count(),
                 });
             }
-            Some(model)
+            Some(ThermalInquiry::new(model))
         } else {
             None
         };
@@ -208,11 +210,24 @@ impl<'a> Asp<'a> {
 
         let pe_count = self.architecture.pe_count();
         let task_count = self.graph.task_count();
+        // (WCET, WCPC) of every task on every PE: row `task`, column `pe`.
+        let mut execution = Vec::with_capacity(task_count * pe_count);
+        for task in self.graph.tasks() {
+            for pe in self.architecture.pe_ids() {
+                let pe_type = self.architecture.pe_type_of(pe)?;
+                execution.push((
+                    self.library.wcet(task.type_id(), pe_type)?,
+                    self.library.wcpc(task.type_id(), pe_type)?,
+                ));
+            }
+        }
         let mut pe_available = vec![0.0_f64; pe_count];
         // Energy and busy time of the tasks committed to each PE so far.
         let mut busy_energy = vec![0.0_f64; pe_count];
         let mut busy_time = vec![0.0_f64; pe_count];
-        let mut finish_time = vec![f64::NAN; task_count];
+        // The latest finish of each task's committed predecessors: its ready
+        // time once the last one commits.
+        let mut ready_time = vec![0.0_f64; task_count];
         let mut unscheduled_preds: Vec<usize> = self
             .graph
             .task_ids()
@@ -228,25 +243,18 @@ impl<'a> Asp<'a> {
 
         while scheduled < task_count {
             debug_assert!(!ready.is_empty(), "a DAG always has a ready task");
+            if let Some(thermal) = &mut thermal {
+                thermal.begin_step(&busy_energy, &busy_time);
+            }
 
             // Evaluate the dynamic criticality of every (ready task, PE) pair
             // and keep the maximum.
             let mut best: Option<(f64, TaskId, PeId, f64, f64, f64)> = None;
             for &task_id in &ready {
-                let task = self.graph.task(task_id);
-                let ready_time = self
-                    .graph
-                    .predecessors(task_id)
-                    .iter()
-                    .map(|p| finish_time[p.index()])
-                    .fold(0.0_f64, f64::max);
-                #[allow(clippy::needless_range_loop)] // pe_index builds PeId and indexes two arrays
-                for pe_index in 0..pe_count {
+                let row = &execution[task_id.index() * pe_count..][..pe_count];
+                for (pe_index, &(wcet, wcpc)) in row.iter().enumerate() {
                     let pe = PeId(pe_index);
-                    let pe_type = self.architecture.pe_type_of(pe)?;
-                    let wcet = self.library.wcet(task.type_id(), pe_type)?;
-                    let wcpc = self.library.wcpc(task.type_id(), pe_type)?;
-                    let est = pe_available[pe_index].max(ready_time);
+                    let est = pe_available[pe_index].max(ready_time[task_id.index()]);
                     let finish = est + wcet;
 
                     let cost = match self.policy {
@@ -257,34 +265,25 @@ impl<'a> Asp<'a> {
                         }
                         Policy::PowerAware(PowerHeuristic::MinTaskEnergy) => wcet * wcpc,
                         Policy::ThermalAware => {
-                            let model = thermal_model
-                                .as_ref()
-                                .expect("built for the thermal policy");
-                            // Sustained power of every PE (energy over busy
-                            // time) with the candidate task folded into the
-                            // candidate PE — i.e. "the cumulating power
-                            // consumptions of each PE along with the consuming
-                            // power incurred by the current scheduled task".
-                            let power: Vec<f64> = (0..pe_count)
-                                .map(|j| {
-                                    let mut energy = busy_energy[j];
-                                    let mut busy = busy_time[j];
-                                    if j == pe_index {
-                                        energy += wcet * wcpc;
-                                        busy += wcet;
-                                    }
-                                    if busy > 0.0 {
-                                        energy / busy
-                                    } else {
-                                        0.0
-                                    }
-                                })
-                                .collect();
-                            let score = self.thermal_objective.score(&model.steady_state(&power)?);
+                            let thermal = thermal.as_mut().expect("built for the thermal policy");
+                            // Sustained power (energy over busy time) of the
+                            // candidate PE with the candidate task folded in;
+                            // every other PE keeps its committed power — i.e.
+                            // "the cumulating power consumptions of each PE
+                            // along with the consuming power incurred by the
+                            // current scheduled task".
+                            let power = sustained_power(
+                                busy_energy[pe_index] + wcet * wcpc,
+                                busy_time[pe_index] + wcet,
+                            );
+                            let score = self
+                                .thermal_objective
+                                .score(thermal.temperatures_with(pe_index, power)?);
                             // Express the predicted temperature rise above
                             // ambient in schedule time units so that it can
                             // compete with the WCET and start-time terms.
-                            (score - model.config().ambient_c).max(0.0) * self.temperature_weight
+                            (score - thermal.model.config().ambient_c).max(0.0)
+                                * self.temperature_weight
                         }
                     };
 
@@ -318,7 +317,6 @@ impl<'a> Asp<'a> {
                 end,
                 power: wcpc,
             });
-            finish_time[task_id.index()] = end;
             pe_available[pe.index()] = end;
             let duration = end - start;
             busy_energy[pe.index()] += wcpc * duration;
@@ -328,6 +326,7 @@ impl<'a> Asp<'a> {
             // Update the ready set.
             ready.retain(|&t| t != task_id);
             for &succ in self.graph.successors(task_id) {
+                ready_time[succ.index()] = ready_time[succ.index()].max(end);
                 unscheduled_preds[succ.index()] -= 1;
                 if unscheduled_preds[succ.index()] == 0 {
                     ready.push(succ);
@@ -341,6 +340,104 @@ impl<'a> Asp<'a> {
             .map(|a| a.expect("every task was scheduled"))
             .collect();
         Ok(Schedule::new(assignments, pe_count, self.graph.deadline()))
+    }
+}
+
+/// Energy over busy time: the power a PE draws while it runs, or zero for a
+/// PE with no busy time.
+fn sustained_power(energy: f64, busy: f64) -> f64 {
+    if busy > 0.0 {
+        energy / busy
+    } else {
+        0.0
+    }
+}
+
+/// Whether the thermal model takes `power` as a block power: finite and
+/// non-negative. Its solve refuses anything else with
+/// [`ThermalError::InvalidPower`].
+fn is_valid_power(power: f64) -> bool {
+    power.is_finite() && power >= 0.0
+}
+
+/// The thermal-aware policy's temperature inquiry, answered by
+/// superposition over the model's influence matrix `R`: the committed
+/// powers' rise `R·P` once per scheduling step, then one column update per
+/// candidate into a buffer reused for the whole schedule.
+struct ThermalInquiry {
+    model: Arc<ThermalModel>,
+    /// Sustained power of the tasks committed to each PE, W.
+    power: Vec<f64>,
+    /// Whether every committed power is finite and non-negative.
+    power_valid: bool,
+    /// Rise above ambient of each block under the valid committed powers, K.
+    base_rise: Vec<f64>,
+    /// The candidate's block temperatures, °C.
+    temperatures: Vec<f64>,
+}
+
+impl ThermalInquiry {
+    fn new(model: Arc<ThermalModel>) -> Self {
+        let n = model.block_count();
+        ThermalInquiry {
+            model,
+            power: vec![0.0; n],
+            power_valid: true,
+            base_rise: vec![0.0; n],
+            temperatures: vec![0.0; n],
+        }
+    }
+
+    /// Recomputes the committed powers and their rise from scratch, so that
+    /// rounding cannot drift across steps.
+    fn begin_step(&mut self, busy_energy: &[f64], busy_time: &[f64]) {
+        self.power_valid = true;
+        self.base_rise.fill(0.0);
+        for (pe, (&energy, &busy)) in busy_energy.iter().zip(busy_time).enumerate() {
+            let power = sustained_power(energy, busy);
+            self.power[pe] = power;
+            if !is_valid_power(power) {
+                self.power_valid = false;
+                continue;
+            }
+            let column = self.model.influence_column(pe);
+            for (rise, r) in self.base_rise.iter_mut().zip(column) {
+                *rise += r * power;
+            }
+        }
+    }
+
+    /// Block temperatures with `power` on `pe` and the committed powers
+    /// elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// Refuses that power vector as the thermal model's solve does:
+    /// [`ThermalError::InvalidPower`] for its first non-finite or negative
+    /// entry.
+    fn temperatures_with(&mut self, pe: usize, power: f64) -> Result<&[f64], ThermalError> {
+        let mut committed = self.power[pe];
+        if !(self.power_valid && is_valid_power(power)) {
+            let refused = self
+                .power
+                .iter()
+                .enumerate()
+                .map(|(j, &p)| (j, if j == pe { power } else { p }))
+                .find(|&(_, p)| !is_valid_power(p));
+            if let Some((j, p)) = refused {
+                return Err(ThermalError::InvalidPower(j, p));
+            }
+            // Only `pe`'s committed power was invalid; `base_rise` left it out.
+            committed = 0.0;
+        }
+        let ambient_c = self.model.config().ambient_c;
+        let delta = power - committed;
+        let column = self.model.influence_column(pe);
+        let rises = self.base_rise.iter().zip(column);
+        for (t, (&rise, &r)) in self.temperatures.iter_mut().zip(rises) {
+            *t = ambient_c + (rise + r * delta);
+        }
+        Ok(&self.temperatures)
     }
 }
 
@@ -532,6 +629,90 @@ mod tests {
             .with_cost_scale(-1.0)
             .schedule()
             .is_err());
+    }
+
+    #[test]
+    fn overflowed_candidate_power_is_refused_by_the_thermal_policy() {
+        // WCET × WCPC overflows to infinity, so the candidate's sustained
+        // power is infinite: the thermal inquiry refuses it, and the
+        // baseline, which makes no inquiry, schedules the task.
+        let mut b = tats_techlib::TechLibraryBuilder::new(1);
+        let pe_type = b
+            .add_pe_type(
+                "hot",
+                tats_techlib::PeClass::GppFast,
+                7.0,
+                7.0,
+                1.0,
+                0.0,
+                vec![2.0],
+                vec![f64::MAX],
+            )
+            .unwrap();
+        let library = b.build().unwrap();
+        let architecture = Architecture::platform("pair", pe_type, 2);
+        let mut g = TaskGraphBuilder::new("one", 100.0);
+        g.add_task("only", TaskKind::Compute, 0);
+        let graph = g.build().unwrap();
+        let asp = Asp::new(&graph, &library, &architecture).unwrap();
+        assert!(matches!(
+            asp.clone().with_policy(Policy::ThermalAware).schedule(),
+            Err(CoreError::Thermal(tats_thermal::ThermalError::InvalidPower(0, p)))
+                if p == f64::INFINITY
+        ));
+        let schedule = asp.with_policy(Policy::Baseline).schedule().unwrap();
+        assert_eq!(schedule.task_count(), 1);
+    }
+
+    #[test]
+    fn thermal_inquiry_superposes_the_candidate_and_refuses_invalid_powers() {
+        let library = library();
+        let platform = platform(&library);
+        let plan = layout::grid_floorplan(&platform, &library).unwrap();
+        let model = Arc::new(ThermalModel::new(&plan, ThermalConfig::default()).unwrap());
+        let ambient = model.config().ambient_c;
+        let expected = |power: [f64; 4]| -> Vec<f64> {
+            (0..4)
+                .map(|i| {
+                    let rise: f64 = (0..4)
+                        .map(|j| power[j] * model.influence_column(j)[i])
+                        .sum();
+                    ambient + rise
+                })
+                .collect()
+        };
+        let assert_close = |got: &[f64], want: Vec<f64>| {
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - w).abs() < 1e-9, "{got:?} vs {want:?}");
+            }
+        };
+        let mut inquiry = ThermalInquiry::new(Arc::clone(&model));
+        // Committed sustained powers 3, 3, 0 (idle) and 2 W.
+        inquiry.begin_step(&[12.0, 30.0, 0.0, 4.0], &[4.0, 10.0, 0.0, 2.0]);
+        assert_close(
+            inquiry.temperatures_with(2, 5.0).unwrap(),
+            expected([3.0, 3.0, 5.0, 2.0]),
+        );
+        assert!(matches!(
+            inquiry.temperatures_with(1, -1.0),
+            Err(ThermalError::InvalidPower(1, p)) if p == -1.0
+        ));
+        // PE 3's committed energy overflowed: a candidate on PE 3 replaces
+        // that power, and every other candidate's vector keeps it.
+        inquiry.begin_step(&[12.0, 30.0, 0.0, f64::INFINITY], &[4.0, 10.0, 0.0, 2.0]);
+        assert_close(
+            inquiry.temperatures_with(3, 2.5).unwrap(),
+            expected([3.0, 3.0, 0.0, 2.5]),
+        );
+        assert!(matches!(
+            inquiry.temperatures_with(0, 1.0),
+            Err(ThermalError::InvalidPower(3, p)) if p == f64::INFINITY
+        ));
+        // The first invalid entry is reported, as the model's solve does.
+        assert!(matches!(
+            inquiry.temperatures_with(1, f64::NAN),
+            Err(ThermalError::InvalidPower(1, p)) if p.is_nan()
+        ));
     }
 
     #[test]

@@ -54,8 +54,10 @@ impl fmt::Display for PowerHeuristic {
 /// ```
 ///
 /// where the `cost_term` is zero for the baseline, one of the power terms for
-/// the power-aware policies and the average system temperature predicted by
-/// the thermal model for the thermal-aware policy.
+/// the power-aware policies, and for the thermal-aware policy the rise above
+/// ambient of the [`ThermalObjective`] score of the block temperatures the
+/// thermal model predicts (by default [`ThermalObjective::Blended`]), times
+/// the ASP's temperature weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Performance-only list scheduling (no fourth term); the first row of
@@ -63,8 +65,10 @@ pub enum Policy {
     Baseline,
     /// Power-aware scheduling with the selected heuristic.
     PowerAware(PowerHeuristic),
-    /// Thermal-aware scheduling: the fourth term is the average temperature
-    /// of all PEs as returned by the thermal model.
+    /// Thermal-aware scheduling: the fourth term is the predicted rise above
+    /// ambient of the [`ThermalObjective`] score of the PEs' temperatures
+    /// (by default [`ThermalObjective::Blended`], the mean of their average
+    /// and peak).
     ThermalAware,
 }
 
@@ -130,12 +134,17 @@ impl ThermalObjective {
         ThermalObjective::Blended,
     ];
 
-    /// Reduces a temperature field to the scalar this objective minimises.
-    pub fn score(self, temperatures: &tats_thermal::Temperatures) -> f64 {
+    /// Reduces block temperatures (°C) to the scalar this objective
+    /// minimises, with the arithmetic of
+    /// [`Temperatures::average_c`](tats_thermal::Temperatures::average_c) and
+    /// [`Temperatures::max_c`](tats_thermal::Temperatures::max_c).
+    pub fn score(self, block_c: &[f64]) -> f64 {
+        let average = || block_c.iter().sum::<f64>() / block_c.len() as f64;
+        let max = || block_c.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         match self {
-            ThermalObjective::Average => temperatures.average_c(),
-            ThermalObjective::Peak => temperatures.max_c(),
-            ThermalObjective::Blended => 0.5 * (temperatures.average_c() + temperatures.max_c()),
+            ThermalObjective::Average => average(),
+            ThermalObjective::Peak => max(),
+            ThermalObjective::Blended => 0.5 * (average() + max()),
         }
     }
 }
@@ -185,10 +194,13 @@ mod tests {
 
     #[test]
     fn thermal_objectives_score_temperature_fields_as_documented() {
-        let temps = tats_thermal::Temperatures::uniform(3, 50.0);
         for objective in ThermalObjective::ALL {
-            assert_eq!(objective.score(&temps), 50.0);
+            assert_eq!(objective.score(&[50.0; 3]), 50.0);
         }
+        let temps = [40.0, 60.0, 50.0];
+        assert_eq!(ThermalObjective::Average.score(&temps), 50.0);
+        assert_eq!(ThermalObjective::Peak.score(&temps), 60.0);
+        assert_eq!(ThermalObjective::Blended.score(&temps), 55.0);
         assert_eq!(ThermalObjective::default(), ThermalObjective::Blended);
         assert_eq!(ThermalObjective::Peak.to_string(), "peak-temperature");
     }

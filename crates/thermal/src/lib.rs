@@ -13,7 +13,10 @@
 //!   conductance per block, lateral conductances between abutting blocks,
 //!   spreader/sink/ambient stack): a [`ThermalSession`] loaded once with the
 //!   floorplan, which owns the conductance matrix, its LU factor and the
-//!   heat input,
+//!   heat input. The block influence matrix `R`, solved once from that
+//!   factor, serves the scheduler's per-candidate inquiries
+//!   ([`ThermalModel::influence_column`]); [`ThermalModel::steady_state`]
+//!   serves schedule evaluation,
 //! * [`ThermalSession`] — the same kernel reloaded per candidate placement,
 //!   allocation-free, for the floorplanner's inner loop,
 //! * [`TransientSolver`] — time-domain integration of piecewise-constant
@@ -141,6 +144,53 @@ mod proptests {
             for i in 0..4 {
                 let expected = ta.block(i).unwrap() + tb.block(i).unwrap() - ambient;
                 prop_assert!((tsum.block(i).unwrap() - expected).abs() < 1e-6);
+            }
+        }
+
+        /// On asymmetric floorplans (one or two rows of 1–6 blocks with
+        /// random sizes, so no symmetry hides an index mix-up in `R`) the
+        /// influence matrix reproduces the LU solve: `ambient + R·P` is the
+        /// block part of `steady_state(P)`, and moving block `k`'s power by
+        /// `Δ` moves the temperatures by `Δ·R[:, k]`.
+        #[test]
+        fn influence_matrix_matches_the_lu_solve(
+            widths in proptest::collection::vec(2.0f64..9.0, 1..=6),
+            heights in (2.0f64..9.0, 2.0f64..9.0),
+            two_rows in any::<bool>(),
+            power in proptest::collection::vec(0.0f64..15.0, 6),
+            which in 0usize..6,
+            moved in 0.0f64..15.0,
+        ) {
+            let n = widths.len();
+            let first_row = if two_rows { n.div_ceil(2) } else { n };
+            let mut x = [0.0; 2];
+            let blocks = widths
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| {
+                    let row = usize::from(i >= first_row);
+                    let (y, h) = if row == 0 { (0.0, heights.0) } else { (heights.0, heights.1) };
+                    x[row] += w;
+                    Block::from_mm(format!("b{i}"), x[row] - w, y, w, h)
+                })
+                .collect();
+            let model = ThermalModel::new(&Floorplan::new(blocks).unwrap(), ThermalConfig::default())
+                .unwrap();
+            let power = &power[..n];
+            let ambient = model.config().ambient_c;
+            let before = model.steady_state(power).unwrap();
+            for (i, &solved) in before.blocks().iter().enumerate() {
+                let rise: f64 = (0..n).map(|j| power[j] * model.influence_column(j)[i]).sum();
+                prop_assert!((ambient + rise - solved).abs() < 1e-9, "block {i}");
+            }
+            let k = which % n;
+            let mut bumped = power.to_vec();
+            bumped[k] = moved;
+            let after = model.steady_state(&bumped).unwrap();
+            let delta = moved - power[k];
+            for (i, &solved) in after.blocks().iter().enumerate() {
+                let updated = before.blocks()[i] + delta * model.influence_column(k)[i];
+                prop_assert!((updated - solved).abs() < 1e-9, "block {i}");
             }
         }
     }

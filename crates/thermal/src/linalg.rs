@@ -193,8 +193,8 @@ impl fmt::Display for Matrix {
 ///
 /// Constructing the decomposition once and calling
 /// [`LuDecomposition::solve`] repeatedly is how the thermal model amortises
-/// the factorisation across the many steady-state queries issued by the
-/// scheduler.
+/// the factorisation across its influence-matrix columns and the
+/// steady-state solves of schedule evaluation.
 #[derive(Debug, Clone)]
 pub struct LuDecomposition {
     n: usize,

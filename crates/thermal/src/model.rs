@@ -136,11 +136,16 @@ impl fmt::Display for Temperatures {
 
 /// HotSpot-equivalent compact thermal model of a floorplan.
 ///
-/// Construct the model once per floorplan; every call to
-/// [`ThermalModel::steady_state`] then reuses the factorised network, which
-/// is what makes per-scheduling-decision thermal queries affordable. The
-/// model is a [`ThermalSession`] loaded once with the floorplan's geometry,
-/// plus the per-node heat capacities the [`crate::TransientSolver`] needs.
+/// Construct the model once per floorplan. It is a [`ThermalSession`] loaded
+/// once with the floorplan's geometry, the per-node heat capacities the
+/// [`crate::TransientSolver`] needs, and the block influence matrix `R`,
+/// solved once per block from the session's factor. The network is linear,
+/// so the block temperatures under per-block powers `P` are `ambient + R·P`,
+/// and moving one block's power moves them along one column of `R` in
+/// `O(n)`: the scheduler's per-candidate inquiries read
+/// [`ThermalModel::influence_column`]. [`ThermalModel::steady_state`] solves
+/// the whole network (blocks, spreader and sink) from the factor and serves
+/// schedule evaluation.
 ///
 /// # Examples
 ///
@@ -164,6 +169,9 @@ pub struct ThermalModel {
     session: ThermalSession,
     /// Per-node thermal capacitance, J/K.
     capacitance: Vec<f64>,
+    /// The block influence matrix, column-major: column `j` is the
+    /// temperature rise of every block per watt in block `j`, K/W.
+    influence: Vec<f64>,
 }
 
 impl ThermalModel {
@@ -185,9 +193,21 @@ impl ThermalModel {
             .collect();
         capacitance.push(config.spreader_capacitance);
         capacitance.push(config.sink_capacitance);
+        // Column `j` of `R` solves `G x = e_j`: one watt in block `j`,
+        // nothing on the spreader or the sink, and no ambient injection.
+        let block_count = floorplan.block_count();
+        let mut influence = Vec::with_capacity(block_count * block_count);
+        let mut column = vec![0.0; block_count + 2];
+        for block in 0..block_count {
+            column.fill(0.0);
+            column[block] = 1.0;
+            session.factor().solve_into(&mut column)?;
+            influence.extend_from_slice(&column[..block_count]);
+        }
         Ok(ThermalModel {
             session,
             capacitance,
+            influence,
         })
     }
 
@@ -199,6 +219,22 @@ impl ThermalModel {
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
         self.session.block_count()
+    }
+
+    /// Column `block` of the block influence matrix `R`: the steady-state
+    /// temperature rise above ambient of every block, in floorplan order, per
+    /// watt dissipated in `block`, K/W.
+    ///
+    /// By superposition, the block temperatures under per-block powers `P`
+    /// are `ambient + Σ_j P[j] · influence_column(j)`, the block part of what
+    /// [`ThermalModel::steady_state`] solves, to rounding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not below [`ThermalModel::block_count`].
+    pub fn influence_column(&self, block: usize) -> &[f64] {
+        let n = self.block_count();
+        &self.influence[block * n..(block + 1) * n]
     }
 
     /// Steady-state temperatures for the given per-block powers (watts).

@@ -207,7 +207,7 @@ impl ThermalSession {
 
     /// [`ThermalSession::solve`] into a caller-owned buffer of one entry per
     /// node, leaving the session untouched, so a [`crate::ThermalModel`]
-    /// shared behind an `Arc` answers inquiries through `&self`.
+    /// shared behind an `Arc` solves through `&self`.
     pub(crate) fn solve_into(
         &self,
         block_power: &[f64],
@@ -225,6 +225,12 @@ impl ThermalSession {
     /// The conductance matrix of the loaded geometry.
     pub(crate) fn conductance(&self) -> &Matrix {
         &self.g
+    }
+
+    /// The LU factor of [`ThermalSession::conductance`]; meaningful once a
+    /// geometry is loaded.
+    pub(crate) fn factor(&self) -> &LuDecomposition {
+        &self.lu
     }
 
     /// Convenience: loads `rects` and returns the peak *block* temperature
