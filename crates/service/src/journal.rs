@@ -1,4 +1,5 @@
-//! The registry journal: crash-safe persistence for the campaign service.
+//! The registry journal: persistence for the campaign service that survives
+//! a process kill, not a power loss.
 //!
 //! PR 3's batch engine already survives `kill -9` because its JSONL result
 //! file doubles as a write-ahead log (`tats batch --resume`). This module
@@ -37,10 +38,18 @@
 //! (flushed per line), then acknowledged over HTTP. A crash between apply
 //! and acknowledge means the client never saw a 2xx, retries, and the
 //! server-side dedup (ingest by scenario id, idempotent done, lease TTLs)
-//! absorbs the repeat — so the journal never acknowledges state it did not
-//! persist. A `kill -9` mid-append leaves at most one partial final line,
-//! which [`JournaledRegistry::open`] repairs with the same
-//! `truncate_partial_tail` discipline the batch engine uses.
+//! absorbs the repeat — so the server never acknowledges state it has not
+//! written to the operating system. A `kill -9` mid-append leaves at most
+//! one partial final line, which [`JournaledRegistry::open`] repairs with
+//! the same `truncate_partial_tail` discipline the batch engine uses.
+//!
+//! # What the journal survives
+//!
+//! Every append is flushed but never fsynced, so the state survives a
+//! process kill: the kernel already holds every flushed line. A power loss
+//! or kernel crash can drop events the server has acknowledged. The only
+//! `sync_all` is on the compaction staging file, and the directory is not
+//! synced after the rename that replaces the journal.
 //!
 //! Lease deadlines live in the dead process's monotonic clock, so after
 //! replay the server calls [`JournaledRegistry::reset_leases`], which

@@ -1,5 +1,7 @@
-//! `tats_service` — the campaign service: a crash-safe HTTP job server and
-//! distributed shard workers over the batch campaign engine.
+//! `tats_service` — the campaign service: a journaled HTTP job server and
+//! distributed shard workers over the batch campaign engine. With a journal,
+//! the server's state survives a process kill, but a power loss or kernel
+//! crash can drop acknowledged events (see [`journal`]).
 //!
 //! `tats batch --shard i/n` (PR 3) made campaigns deterministically
 //! partitionable; this crate adds the coordination layer that runs those

@@ -126,10 +126,11 @@ pub struct ServiceConfig {
     /// so the TTL only has to outlast the gap *between* records of the
     /// heaviest scenario, not the whole shard.
     pub lease_ttl_ms: u64,
-    /// Journal file for crash-safe state. `None` (the default) keeps all
-    /// state in memory; with a path, every transition is appended there and
-    /// binding on the same path replays it (repairing a partial trailing
-    /// line first).
+    /// Journal file that lets the state survive a process kill. `None` (the
+    /// default) keeps all state in memory; with a path, every transition is
+    /// appended there and binding on the same path replays it (repairing a
+    /// partial trailing line first). Appends are flushed, not fsynced, so a
+    /// power loss or kernel crash can drop acknowledged events.
     pub journal: Option<PathBuf>,
     /// Requests served per keep-alive connection before the server answers
     /// `connection: close` and recycles it (bounds per-connection memory

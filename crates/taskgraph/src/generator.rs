@@ -8,6 +8,8 @@
 //! until the requested edge count is reached. Generation is fully
 //! deterministic for a given [`GeneratorConfig`] (including the seed).
 
+use std::fmt::Write as _;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -108,14 +110,21 @@ impl GeneratorConfig {
     ///
     /// Returns [`GraphError::InvalidParameter`] when the requested edge count
     /// cannot be realised as a simple DAG over `tasks` tasks, when `tasks` is
-    /// zero, or when the configured ranges are malformed; construction errors
-    /// from the underlying builder are propagated unchanged.
+    /// zero or its square overflows `usize`, or when the configured ranges are
+    /// malformed; construction errors from the underlying builder are
+    /// propagated unchanged.
     pub fn generate(&self) -> Result<TaskGraph, GraphError> {
         if self.tasks == 0 {
             return Err(GraphError::InvalidParameter(
                 "task count must be at least 1".to_string(),
             ));
         }
+        let pairs = self.tasks.checked_mul(self.tasks).ok_or_else(|| {
+            GraphError::InvalidParameter(format!(
+                "{} tasks overflow the task-pair count",
+                self.tasks
+            ))
+        })?;
         let max_edges = self.tasks * (self.tasks - 1) / 2;
         if self.edges > max_edges {
             return Err(GraphError::InvalidParameter(format!(
@@ -162,20 +171,38 @@ impl GeneratorConfig {
         layer_of.sort_unstable();
 
         let mut builder = TaskGraphBuilder::new(self.name.clone(), self.deadline);
+        let index_digits = (self.tasks - 1)
+            .checked_ilog10()
+            .map_or(1, |d| d as usize + 1);
         for (i, &layer) in layer_of.iter().enumerate() {
             let kind = TaskKind::ALL[rng.gen_range(0..TaskKind::ALL.len())];
             let type_id = rng.gen_range(0..self.type_count);
-            builder.add_task(format!("{}_t{}", self.name, i), kind, type_id);
+            let mut name = String::with_capacity(self.name.len() + 2 + index_digits);
+            name.push_str(&self.name);
+            name.push_str("_t");
+            write!(name, "{i}").expect("writing to a String cannot fail");
+            builder.add_task(name, kind, type_id);
             debug_assert!(layer < layer_count);
         }
+
+        // `layer_of` is sorted and every layer holds at least one task, so
+        // layer `l` holds the ids `layer_start[l]..layer_start[l + 1]`.
+        let layer_start: Vec<usize> = (0..=layer_count)
+            .map(|l| layer_of.partition_point(|&layer| layer < l))
+            .collect();
+        // `link(src, dst)` sets bit `src * tasks + dst` and reports whether it
+        // was clear, i.e. whether the edge `src -> dst` is new.
+        let mut linked = vec![0u64; pairs.div_ceil(64)];
+        let mut link = |src: usize, dst: usize| {
+            let bit = src * self.tasks + dst;
+            let fresh = linked[bit / 64] & (1 << (bit % 64)) == 0;
+            linked[bit / 64] |= 1 << (bit % 64);
+            fresh
+        };
 
         // Mandatory connectivity edges: every task beyond layer 0 receives one
         // predecessor from an earlier layer, as long as the edge budget lasts.
         let mut edges_added = 0usize;
-        let mut candidates_by_layer: Vec<Vec<usize>> = vec![Vec::new(); layer_count];
-        for (i, &layer) in layer_of.iter().enumerate() {
-            candidates_by_layer[layer].push(i);
-        }
         let mut connect_order: Vec<usize> = (0..self.tasks).filter(|&i| layer_of[i] > 0).collect();
         connect_order.shuffle(&mut rng);
         for &dst in &connect_order {
@@ -184,9 +211,9 @@ impl GeneratorConfig {
             }
             let dst_layer = layer_of[dst];
             let src_layer = rng.gen_range(0..dst_layer);
-            let src = candidates_by_layer[src_layer]
-                [rng.gen_range(0..candidates_by_layer[src_layer].len())];
-            if !builder.has_edge(TaskId(src), TaskId(dst)) {
+            let (first, end) = (layer_start[src_layer], layer_start[src_layer + 1]);
+            let src = first + rng.gen_range(0..end - first);
+            if link(src, dst) {
                 let dv = rng.gen_range(dv_min..=dv_max);
                 builder.add_edge(TaskId(src), TaskId(dst), dv)?;
                 edges_added += 1;
@@ -208,7 +235,7 @@ impl GeneratorConfig {
             } else {
                 (b, a)
             };
-            if builder.has_edge(TaskId(src), TaskId(dst)) {
+            if !link(src, dst) {
                 continue;
             }
             let dv = rng.gen_range(dv_min..=dv_max);
@@ -222,7 +249,7 @@ impl GeneratorConfig {
         if edges_added < self.edges {
             'outer: for src in 0..self.tasks {
                 for dst in (src + 1)..self.tasks {
-                    if !builder.has_edge(TaskId(src), TaskId(dst)) {
+                    if link(src, dst) {
                         let dv = rng.gen_range(dv_min..=dv_max);
                         builder.add_edge(TaskId(src), TaskId(dst), dv)?;
                         edges_added += 1;
@@ -297,6 +324,14 @@ mod tests {
     fn too_many_edges_rejected() {
         assert!(matches!(
             GeneratorConfig::new("g", 4, 7, 10.0).generate(),
+            Err(GraphError::InvalidParameter(_))
+        ));
+    }
+
+    #[test]
+    fn task_count_whose_square_overflows_rejected() {
+        assert!(matches!(
+            GeneratorConfig::new("g", usize::MAX, 0, 10.0).generate(),
             Err(GraphError::InvalidParameter(_))
         ));
     }

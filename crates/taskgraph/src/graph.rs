@@ -1,6 +1,7 @@
 //! The task-graph container.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::edge::{Edge, EdgeId};
@@ -44,13 +45,22 @@ pub struct TaskGraph {
     deadline: f64,
     tasks: Vec<Task>,
     edges: Vec<Edge>,
-    successors: Vec<Vec<TaskId>>,
-    predecessors: Vec<Vec<TaskId>>,
+    /// Task `i`'s successors are `successors[succ_start[i]..succ_start[i + 1]]`,
+    /// in edge order (compressed sparse rows).
+    succ_start: Vec<usize>,
+    successors: Vec<TaskId>,
+    /// Task `i`'s predecessors, laid out like the successors.
+    pred_start: Vec<usize>,
+    predecessors: Vec<TaskId>,
     topo_order: Vec<TaskId>,
 }
 
 impl TaskGraph {
-    /// Assembles a graph from parts; used by the builder after validation.
+    /// Assembles a graph from the builder's parts.
+    ///
+    /// `TaskGraphBuilder::add_edge` has already refused unknown endpoints,
+    /// self loops and duplicate edges, so only the graph-wide conditions are
+    /// checked here.
     pub(crate) fn from_parts(
         name: String,
         deadline: f64,
@@ -64,36 +74,47 @@ impl TaskGraph {
             return Err(GraphError::NonPositiveDeadline(deadline));
         }
         let n = tasks.len();
-        let mut successors = vec![Vec::new(); n];
-        let mut predecessors = vec![Vec::new(); n];
-        let mut seen = HashSet::new();
-        for e in &edges {
-            let (s, d) = (e.src(), e.dst());
-            if s.index() >= n {
-                return Err(GraphError::UnknownTask(s));
-            }
-            if d.index() >= n {
-                return Err(GraphError::UnknownTask(d));
-            }
-            if s == d {
-                return Err(GraphError::SelfLoop(s));
-            }
-            if !seen.insert((s, d)) {
-                return Err(GraphError::DuplicateEdge(s, d));
-            }
-            successors[s.index()].push(d);
-            predecessors[d.index()].push(s);
-        }
-        let topo_order = topological_order(n, &successors, &predecessors)?;
-        Ok(TaskGraph {
+        let (succ_start, successors) = adjacency(n, &edges, |e| (e.src(), e.dst()));
+        let (pred_start, predecessors) = adjacency(n, &edges, |e| (e.dst(), e.src()));
+        let mut graph = TaskGraph {
             name,
             deadline,
             tasks,
             edges,
+            succ_start,
             successors,
+            pred_start,
             predecessors,
-            topo_order,
-        })
+            topo_order: Vec::new(),
+        };
+        graph.topo_order = graph.kahn_order()?;
+        Ok(graph)
+    }
+
+    /// Kahn's algorithm, releasing the smallest ready id first; fails when a
+    /// cycle leaves tasks unplaced.
+    fn kahn_order(&self) -> Result<Vec<TaskId>, GraphError> {
+        let mut indegree: Vec<usize> = self.pred_start.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut ready: BinaryHeap<Reverse<TaskId>> = self
+            .task_ids()
+            .filter(|t| indegree[t.index()] == 0)
+            .map(Reverse)
+            .collect();
+        let mut order = Vec::with_capacity(self.tasks.len());
+        while let Some(Reverse(t)) = ready.pop() {
+            order.push(t);
+            for &s in self.successors(t) {
+                indegree[s.index()] -= 1;
+                if indegree[s.index()] == 0 {
+                    ready.push(Reverse(s));
+                }
+            }
+        }
+        if order.len() == self.tasks.len() {
+            Ok(order)
+        } else {
+            Err(GraphError::CycleDetected)
+        }
     }
 
     /// Name of the graph (e.g. `"Bm1"`).
@@ -160,7 +181,7 @@ impl TaskGraph {
     ///
     /// Panics if `id` does not belong to this graph.
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        &self.successors[id.index()]
+        &self.successors[self.succ_start[id.index()]..self.succ_start[id.index() + 1]]
     }
 
     /// Direct predecessors (producers) of `id`.
@@ -169,7 +190,7 @@ impl TaskGraph {
     ///
     /// Panics if `id` does not belong to this graph.
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        &self.predecessors[id.index()]
+        &self.predecessors[self.pred_start[id.index()]..self.pred_start[id.index() + 1]]
     }
 
     /// The edge connecting `src` to `dst`, if any.
@@ -180,18 +201,19 @@ impl TaskGraph {
     /// Tasks with no predecessors, in id order.
     pub fn sources(&self) -> Vec<TaskId> {
         self.task_ids()
-            .filter(|t| self.predecessors[t.index()].is_empty())
+            .filter(|&t| self.predecessors(t).is_empty())
             .collect()
     }
 
     /// Tasks with no successors, in id order.
     pub fn sinks(&self) -> Vec<TaskId> {
         self.task_ids()
-            .filter(|t| self.successors[t.index()].is_empty())
+            .filter(|&t| self.successors(t).is_empty())
             .collect()
     }
 
-    /// A topological ordering of the tasks (stable across calls).
+    /// The tasks in topological order. Among the tasks whose predecessors
+    /// are all placed, the smallest id comes first.
     pub fn topological_order(&self) -> &[TaskId] {
         &self.topo_order
     }
@@ -212,7 +234,7 @@ impl TaskGraph {
                 continue;
             }
             visited[t.index()] = true;
-            stack.extend(self.successors[t.index()].iter().copied());
+            stack.extend_from_slice(self.successors(t));
         }
         false
     }
@@ -231,32 +253,31 @@ impl fmt::Display for TaskGraph {
     }
 }
 
-/// Kahn's algorithm; returns an error when a cycle exists.
-fn topological_order(
+/// Groups `edges` by the first task of `endpoints(edge)` with a counting
+/// sort: returns `(start, neighbours)`, where task `i`'s neighbours are
+/// `neighbours[start[i]..start[i + 1]]` in edge order.
+fn adjacency(
     n: usize,
-    successors: &[Vec<TaskId>],
-    predecessors: &[Vec<TaskId>],
-) -> Result<Vec<TaskId>, GraphError> {
-    let mut indegree: Vec<usize> = predecessors.iter().map(|p| p.len()).collect();
-    // Use a sorted frontier so the order is deterministic.
-    let mut frontier: Vec<TaskId> = (0..n).filter(|&i| indegree[i] == 0).map(TaskId).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(t) = frontier.pop() {
-        order.push(t);
-        for &s in &successors[t.index()] {
-            indegree[s.index()] -= 1;
-            if indegree[s.index()] == 0 {
-                frontier.push(s);
-            }
-        }
-        // Keep the frontier sorted descending so `pop` yields the smallest id.
-        frontier.sort_unstable_by(|a, b| b.cmp(a));
+    edges: &[Edge],
+    endpoints: impl Fn(&Edge) -> (TaskId, TaskId),
+) -> (Vec<usize>, Vec<TaskId>) {
+    let mut start = vec![0; n + 1];
+    for e in edges {
+        start[endpoints(e).0.index()] += 1;
     }
-    if order.len() == n {
-        Ok(order)
-    } else {
-        Err(GraphError::CycleDetected)
+    // Prefix sums turn each count into the end of that task's range...
+    for i in 1..=n {
+        start[i] += start[i - 1];
     }
+    // ...and filling back to front moves each end down to the range's start
+    // while keeping the edges in order within a range.
+    let mut neighbours = vec![TaskId(0); edges.len()];
+    for e in edges.iter().rev() {
+        let (from, to) = endpoints(e);
+        start[from.index()] -= 1;
+        neighbours[start[from.index()]] = to;
+    }
+    (start, neighbours)
 }
 
 #[cfg(test)]
@@ -374,6 +395,23 @@ mod tests {
         let g = diamond();
         assert!(g.get_task(TaskId(0)).is_some());
         assert!(g.get_task(TaskId(99)).is_none());
+    }
+
+    #[test]
+    fn topo_order_releases_the_smallest_ready_id() {
+        let mut b = TaskGraphBuilder::new("join", 10.0);
+        let x = b.add_task("a", TaskKind::Control, 0);
+        let y = b.add_task("b", TaskKind::Control, 0);
+        let z = b.add_task("c", TaskKind::Control, 0);
+        b.add_edge(x, z, 1.0).unwrap();
+        b.add_edge(y, z, 1.0).unwrap();
+        assert_eq!(b.build().unwrap().topological_order(), &[x, y, z]);
+
+        // Bm1 has two sources, 0 and 1, and its ids grow along every edge.
+        let bm1 = crate::Benchmark::Bm1.task_graph().unwrap();
+        assert_eq!(bm1.sources(), vec![TaskId(0), TaskId(1)]);
+        let ids: Vec<TaskId> = bm1.task_ids().collect();
+        assert_eq!(bm1.topological_order(), ids.as_slice());
     }
 
     #[test]

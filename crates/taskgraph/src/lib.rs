@@ -65,6 +65,9 @@ pub use task::{Task, TaskId, TaskKind};
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     prop_compose! {
         fn config_strategy()(tasks in 1usize..40, extra in 0usize..30, seed in any::<u64>())
@@ -72,6 +75,35 @@ mod proptests {
             let max_edges = tasks * (tasks.saturating_sub(1)) / 2;
             let edges = (tasks.saturating_sub(1) + extra).min(max_edges);
             GeneratorConfig::new("prop", tasks, edges, 1000.0).with_seed(seed)
+        }
+    }
+
+    prop_compose! {
+        /// A builder-made DAG whose ids are not in topological order: a
+        /// random permutation gives each task a hidden rank, and edges from
+        /// lower to higher ranks are added in shuffled order.
+        fn shuffled_dag_strategy()(tasks in 1usize..30, percent in 0u32..=100, seed in any::<u64>())
+            -> TaskGraph {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rank: Vec<usize> = (0..tasks).collect();
+            rank.shuffle(&mut rng);
+            let mut pairs = Vec::new();
+            for src in 0..tasks {
+                for dst in 0..tasks {
+                    if rank[src] < rank[dst] && rng.gen_bool(f64::from(percent) / 100.0) {
+                        pairs.push((TaskId(src), TaskId(dst)));
+                    }
+                }
+            }
+            pairs.shuffle(&mut rng);
+            let mut builder = TaskGraphBuilder::new("shuffled", 100.0);
+            for i in 0..tasks {
+                builder.add_task(format!("t{i}"), TaskKind::Compute, 0);
+            }
+            for (src, dst) in pairs {
+                builder.add_edge(src, dst, 1.0).expect("a fresh forward edge");
+            }
+            builder.build().expect("edges follow the hidden ranks")
         }
     }
 
@@ -90,6 +122,35 @@ mod proptests {
             for edge in graph.edges() {
                 prop_assert!(pos[&edge.src()] < pos[&edge.dst()]);
             }
+        }
+
+        /// The compressed adjacency lists each task's neighbours in edge
+        /// order, and the topological order always releases the smallest
+        /// ready id, as naive scans over `edges()` compute them.
+        #[test]
+        fn adjacency_and_order_match_naive_references(graph in shuffled_dag_strategy()) {
+            for t in graph.task_ids() {
+                let successors: Vec<TaskId> =
+                    graph.edges().filter(|e| e.src() == t).map(|e| e.dst()).collect();
+                let predecessors: Vec<TaskId> =
+                    graph.edges().filter(|e| e.dst() == t).map(|e| e.src()).collect();
+                prop_assert_eq!(graph.successors(t), successors.as_slice());
+                prop_assert_eq!(graph.predecessors(t), predecessors.as_slice());
+            }
+            let mut placed = vec![false; graph.task_count()];
+            let mut order = Vec::new();
+            while order.len() < graph.task_count() {
+                let next = graph
+                    .task_ids()
+                    .find(|&t| {
+                        !placed[t.index()]
+                            && graph.edges().all(|e| e.dst() != t || placed[e.src().index()])
+                    })
+                    .expect("a DAG always has a ready task");
+                placed[next.index()] = true;
+                order.push(next);
+            }
+            prop_assert_eq!(graph.topological_order(), order.as_slice());
         }
 
         /// Static criticality of a task is always at least its own weight and

@@ -100,9 +100,11 @@ mod tests {
         assert!(text.contains("task_one"));
     }
 
-    /// FNV-1a over the document's bytes.
-    fn text_digest(text: &str) -> u64 {
-        text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a over the document's bytes, continuing from `hash`.
+    fn text_digest(hash: u64, text: &str) -> u64 {
+        text.bytes().fold(hash, |hash, byte| {
             (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
         })
     }
@@ -119,14 +121,32 @@ mod tests {
                 .generate()
                 .expect("generated"),
         );
-        let digests: Vec<(usize, u64)> = graphs
+        let mut digests: Vec<(usize, u64)> = graphs
             .iter()
             .map(|graph| {
                 let text = to_tgff(graph);
-                (text.len(), text_digest(&text))
+                (text.len(), text_digest(FNV_OFFSET, &text))
             })
             .collect();
-        // Byte length and digest of Bm1..Bm4 and the 40-task generated graph.
+        // The seeded variants the campaign engine draws: Bm1..Bm4 at seeds
+        // 1..=300, named and typed as `Scenario::task_graph` builds them.
+        let mut variants = (0, FNV_OFFSET);
+        for benchmark in Benchmark::ALL {
+            let (tasks, edges, deadline) = benchmark.characteristics();
+            for seed in 1..=300u64 {
+                let name = format!("{}-s{seed}", benchmark.name());
+                let graph = GeneratorConfig::new(name, tasks, edges, deadline)
+                    .with_seed(seed)
+                    .with_type_count(10)
+                    .generate()
+                    .expect("seeded variant");
+                let text = to_tgff(&graph);
+                variants = (variants.0 + text.len(), text_digest(variants.1, &text));
+            }
+        }
+        digests.push(variants);
+        // Byte length and digest of Bm1..Bm4 and the 40-task generated graph,
+        // then the total length and folded digest of the 1,200 variants.
         assert_eq!(
             digests,
             [
@@ -135,6 +155,7 @@ mod tests {
                 (2287, 0xe31f_f74f_7efc_e864),
                 (3101, 0x2efb_9d84_7788_8f9a),
                 (2810, 0x7177_cc5a_e555_cb5f),
+                (2_770_622, 0xe367_b3bd_961d_3a9e),
             ]
         );
     }

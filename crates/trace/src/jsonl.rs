@@ -128,13 +128,14 @@ pub fn truncate_partial_tail(path: &std::path::Path) -> io::Result<u64> {
     Ok(bytes.len() as u64 - keep)
 }
 
-/// Opens `path` for appending as a crash-safe JSONL journal: first repairs a
-/// partial trailing record left by a process killed mid-write (see
-/// [`truncate_partial_tail`]), then opens the file in append mode (creating
-/// it when missing). Returns the writer plus the number of repaired
-/// (dropped) bytes. Every [`JsonlWriter::write`] flushes, so the journal is
-/// durable line-by-line and the only possible damage from a hard kill is
-/// one partial final line — exactly what the repair on the next open fixes.
+/// Opens `path` for appending as a JSONL journal that survives a process
+/// kill: first repairs a partial trailing record left by a process killed
+/// mid-write (see [`truncate_partial_tail`]), then opens the file in append
+/// mode (creating it when missing). Returns the writer plus the number of
+/// repaired (dropped) bytes. Every [`JsonlWriter::write`] flushes to the
+/// operating system, so the only damage a process kill can do is one partial
+/// final line — exactly what the repair on the next open fixes. Nothing is
+/// fsynced: a power loss or kernel crash can drop lines already written.
 ///
 /// # Errors
 ///
