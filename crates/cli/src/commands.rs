@@ -2439,27 +2439,33 @@ mod tests {
     #[test]
     fn floorplan_output_is_pinned() {
         // Everything but the wall clock is a pure function of the options.
-        let out = floorplan(&opts(
-            &["--modules", "6", "--engine", "sa"],
-            FLOORPLAN_VALUES,
-            &[],
-        ))
-        .expect("floorplan");
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(
-            lines[..4],
-            [
-                "Floorplanned 6 modules with simulated annealing",
-                "",
-                "chip area: 207.97 mm2, wirelength: 43.25 mm, peak temperature: 45.00 C",
-                "weighted cost: 0.686085943",
-            ],
-            "{out}"
-        );
-        assert!(
-            lines[4].starts_with("2641 candidate evaluation(s) in "),
-            "{out}"
-        );
+        for (args, expected, evaluations) in [
+            (
+                &["--modules", "6", "--engine", "sa"][..],
+                [
+                    "Floorplanned 6 modules with simulated annealing",
+                    "",
+                    "chip area: 207.97 mm2, wirelength: 43.25 mm, peak temperature: 45.00 C",
+                    "weighted cost: 0.686085943",
+                ],
+                "2641 candidate evaluation(s) in ",
+            ),
+            (
+                &["--modules", "6", "--engine", "ga", "--weights", "thermal"][..],
+                [
+                    "Floorplanned 6 modules with genetic algorithm",
+                    "",
+                    "chip area: 244.86 mm2, wirelength: 45.46 mm, peak temperature: 115.56 C",
+                    "weighted cost: 1.990865993",
+                ],
+                "904 candidate evaluation(s) in ",
+            ),
+        ] {
+            let out = floorplan(&opts(args, FLOORPLAN_VALUES, &[])).expect("floorplan");
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines[..4], expected, "{out}");
+            assert!(lines[4].starts_with(evaluations), "{out}");
+        }
     }
 
     #[test]

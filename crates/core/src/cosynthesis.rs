@@ -36,7 +36,7 @@ use crate::error::CoreError;
 use crate::layout;
 use crate::metrics::{evaluate_schedule, ScheduleEvaluation};
 use crate::phases::FlowPhases;
-use crate::policy::{Policy, ThermalObjective};
+use crate::policy::Policy;
 use crate::schedule::Schedule;
 
 /// Result of one co-synthesis run.
@@ -77,9 +77,7 @@ pub struct CoSynthesis<'a> {
     library: &'a TechLibrary,
     max_pes: usize,
     thermal_config: ThermalConfig,
-    thermal_objective: ThermalObjective,
     floorplan_ga: GaConfig,
-    cost_scale: f64,
 }
 
 impl<'a> CoSynthesis<'a> {
@@ -89,13 +87,11 @@ impl<'a> CoSynthesis<'a> {
             library,
             max_pes: 6,
             thermal_config: ThermalConfig::default(),
-            thermal_objective: ThermalObjective::default(),
             floorplan_ga: GaConfig {
                 population: 16,
                 generations: 20,
                 ..GaConfig::default()
             },
-            cost_scale: 1.0,
         }
     }
 
@@ -111,22 +107,9 @@ impl<'a> CoSynthesis<'a> {
         self
     }
 
-    /// Selects which temperature statistic the thermal-aware policy minimises.
-    pub fn with_thermal_objective(mut self, objective: ThermalObjective) -> Self {
-        self.thermal_objective = objective;
-        self
-    }
-
     /// Overrides the genetic-floorplanner configuration.
     pub fn with_floorplan_ga(mut self, config: GaConfig) -> Self {
         self.floorplan_ga = config;
-        self
-    }
-
-    /// Scales the fourth dynamic-criticality term (see
-    /// [`Asp::with_cost_scale`]).
-    pub fn with_cost_scale(mut self, cost_scale: f64) -> Self {
-        self.cost_scale = cost_scale;
         self
     }
 
@@ -137,9 +120,7 @@ impl<'a> CoSynthesis<'a> {
         graph: &TaskGraph,
         architecture: &Architecture,
     ) -> Result<Schedule, CoreError> {
-        Asp::new(graph, self.library, architecture)?
-            .with_cost_scale(self.cost_scale)
-            .schedule()
+        Asp::new(graph, self.library, architecture)?.schedule()
     }
 
     /// Schedules under `policy`, progressively backing off the power/thermal
@@ -156,19 +137,14 @@ impl<'a> CoSynthesis<'a> {
         model: Option<Arc<ThermalModel>>,
         explored: &mut usize,
     ) -> Result<Schedule, CoreError> {
-        let mut asp = Asp::new(graph, self.library, architecture)?
-            .with_policy(policy)
-            .with_thermal_objective(self.thermal_objective);
+        let mut asp = Asp::new(graph, self.library, architecture)?.with_policy(policy);
         if let Some(model) = model {
             asp = asp.with_thermal_model(model);
         }
         let scales = [1.0, 0.5, 0.25, 0.1, 0.0];
         let mut last = None;
         for &factor in &scales {
-            let schedule = asp
-                .clone()
-                .with_cost_scale(self.cost_scale * factor)
-                .schedule()?;
+            let schedule = asp.clone().with_cost_scale(factor).schedule()?;
             *explored += 1;
             if schedule.meets_deadline() {
                 return Ok(schedule);

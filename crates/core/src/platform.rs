@@ -18,7 +18,7 @@ use crate::error::CoreError;
 use crate::layout;
 use crate::metrics::{evaluate_schedule, ScheduleEvaluation};
 use crate::phases::FlowPhases;
-use crate::policy::{Policy, ThermalObjective};
+use crate::policy::Policy;
 use crate::schedule::Schedule;
 
 /// Result of running the platform-based flow on one task graph.
@@ -58,8 +58,6 @@ pub struct PlatformFlow<'a> {
     architecture: Architecture,
     floorplan: Floorplan,
     thermal_config: ThermalConfig,
-    thermal_objective: ThermalObjective,
-    cost_scale: f64,
 }
 
 impl<'a> PlatformFlow<'a> {
@@ -91,28 +89,13 @@ impl<'a> PlatformFlow<'a> {
             architecture,
             floorplan,
             thermal_config: ThermalConfig::default(),
-            thermal_objective: ThermalObjective::default(),
-            cost_scale: 1.0,
         })
-    }
-
-    /// Selects which temperature statistic the thermal-aware policy minimises.
-    pub fn with_thermal_objective(mut self, objective: ThermalObjective) -> Self {
-        self.thermal_objective = objective;
-        self
     }
 
     /// Overrides the thermal configuration used for scheduling and
     /// evaluation.
     pub fn with_thermal_config(mut self, config: ThermalConfig) -> Self {
         self.thermal_config = config;
-        self
-    }
-
-    /// Scales the fourth dynamic-criticality term (see
-    /// [`Asp::with_cost_scale`]).
-    pub fn with_cost_scale(mut self, cost_scale: f64) -> Self {
-        self.cost_scale = cost_scale;
         self
     }
 
@@ -161,8 +144,6 @@ impl<'a> PlatformFlow<'a> {
         let schedule = Asp::new(graph, self.library, &self.architecture)?
             .with_policy(policy)
             .with_thermal_model(Arc::clone(&model))
-            .with_thermal_objective(self.thermal_objective)
-            .with_cost_scale(self.cost_scale)
             .schedule()?;
         phases.scheduling += clock.elapsed();
         let clock = Instant::now();

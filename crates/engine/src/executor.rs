@@ -141,7 +141,8 @@ pub struct BatchReport {
     pub completed: usize,
     /// Scenarios skipped because their id was in the resume set.
     pub skipped: usize,
-    /// Worker threads used.
+    /// Worker threads started: at most one per pending scenario, so 0 when
+    /// every scenario was skipped.
     pub threads: usize,
     /// Wall time of the executor, seconds.
     pub wall_s: f64,
@@ -494,11 +495,6 @@ impl Executor {
         self
     }
 
-    /// The worker count this executor will spawn.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs the given scenarios of a campaign, skipping ids in `skip` (the
     /// resume set) and handing each completed record to `sink` as it
     /// finishes. Returns all records sorted by scenario id plus the
@@ -542,7 +538,9 @@ impl Executor {
     {
         let todo: Vec<&Scenario> = scenarios.iter().filter(|s| !skip.contains(&s.id)).collect();
         let skipped = scenarios.len() - todo.len();
-        let workers = self.threads.min(todo.len()).max(1);
+        // Nothing pending (a resume of a finished file, a re-leased shard
+        // whose records all arrived) starts no worker.
+        let workers = self.threads.min(todo.len());
         let cursor = AtomicUsize::new(0);
         let metrics = self.metrics.as_deref().map(EngineMetrics::new);
         let (tx, rx) = mpsc::channel::<Message>();
@@ -710,6 +708,19 @@ mod tests {
         assert_eq!(run.report.completed, 1);
         assert_eq!(run.records.len(), 1);
         assert_eq!(streamed, vec![scenarios[1].id]);
+
+        // Skipping every id runs nothing: no worker starts and the sink is
+        // never called.
+        let all: BTreeSet<u64> = scenarios.iter().map(|s| s.id).collect();
+        let run = Executor::new(2)
+            .run(&campaign, &scenarios, &all, |_| {
+                panic!("nothing is pending, so the sink must not be called")
+            })
+            .unwrap();
+        assert_eq!(run.report.skipped, scenarios.len());
+        assert_eq!(run.report.completed, 0);
+        assert_eq!(run.report.threads, 0);
+        assert!(run.records.is_empty());
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl MemoEntry {
 
 /// Bounded memo plus reusable thermal kernel for the hot cost path.
 ///
-/// One `CostScratch` per optimisation thread: the scratch owns the
+/// One `CostScratch` per optimisation run: the scratch owns the
 /// [`ThermalSession`] (matrix/LU/solution storage reused across candidates),
 /// the candidate geometry buffer, and a geometry-hash → peak-temperature
 /// memo. Simulated annealing revisits placements constantly, so the memo
@@ -231,11 +231,6 @@ impl CostEvaluator {
         &self.modules
     }
 
-    /// The weights in effect.
-    pub fn weights(&self) -> CostWeights {
-        self.weights
-    }
-
     /// Converts a placement into a thermal-model floorplan.
     ///
     /// # Errors
@@ -307,7 +302,8 @@ impl CostEvaluator {
         hash
     }
 
-    /// Creates the per-thread scratch state for [`CostEvaluator::cost_with`].
+    /// Creates the scratch state one optimisation run passes to every
+    /// [`CostEvaluator::cost_with`] call.
     ///
     /// # Errors
     ///

@@ -9,40 +9,31 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::annealing::OptimisedFloorplan;
-use crate::cost::CostEvaluator;
+use crate::cost::{CostEvaluator, CostScratch};
 use crate::error::FloorplanError;
 use crate::polish::{Element, Placement, PolishExpression};
 
 /// One evaluated chromosome.
 type Scored = (PolishExpression, crate::cost::CostBreakdown, Placement);
 
-/// Evaluates a batch of chromosomes in parallel, one cached thermal kernel
-/// per worker chunk. Evaluation is pure, so the result is independent of the
-/// thread count and identical to a serial evaluation.
+/// Scores a batch of chromosomes in order through the run's one cost
+/// kernel. Scoring draws no randomness, so the GA's RNG stream does not
+/// depend on it.
 fn score_population(
     evaluator: &CostEvaluator,
+    scratch: &mut CostScratch,
     population: Vec<PolishExpression>,
 ) -> Result<Vec<Scored>, FloorplanError> {
-    let workers = rayon::current_num_threads().max(1);
-    let chunk_size = population.len().div_ceil(workers).max(1);
-    let chunks: Result<Vec<Vec<Scored>>, FloorplanError> = population
-        .par_chunks(chunk_size)
-        .map(|chunk| {
-            let mut scratch = evaluator.scratch()?;
-            chunk
-                .iter()
-                .map(|expr| {
-                    let placement = expr.evaluate(evaluator.modules())?;
-                    let cost = evaluator.cost_with(&placement, &mut scratch)?;
-                    Ok((expr.clone(), cost, placement))
-                })
-                .collect()
+    population
+        .into_iter()
+        .map(|expr| {
+            let placement = expr.evaluate(evaluator.modules())?;
+            let cost = evaluator.cost_with(&placement, scratch)?;
+            Ok((expr, cost, placement))
         })
-        .collect();
-    Ok(chunks?.into_iter().flatten().collect())
+        .collect()
 }
 
 /// Parameters of the genetic floorplanning engine.
@@ -165,12 +156,14 @@ pub fn evolve(
         population.push(individual);
     }
 
-    // Parallel population evaluation: children are generated serially (the
-    // RNG stream is untouched relative to a serial GA because scoring draws
-    // no randomness), then scored concurrently across worker threads, each
-    // with its own cached thermal kernel.
+    // One scratch for the whole run, as in `anneal`: the thermal kernel's
+    // storage is reused by every chromosome, and the memo short-circuits a
+    // child that repeats a placement already scored (an unmutated clone of
+    // its parent, for one). A memo hit returns the exact bits of the solve,
+    // so the trajectory does not depend on it.
+    let mut scratch = evaluator.scratch()?;
     let mut evaluations = population.len();
-    let mut scored: Vec<Scored> = score_population(evaluator, population)?;
+    let mut scored: Vec<Scored> = score_population(evaluator, &mut scratch, population)?;
 
     for _generation in 0..config.generations {
         scored.sort_by(|a, b| a.1.weighted.total_cmp(&b.1.weighted));
@@ -203,7 +196,7 @@ pub fn evolve(
             children.push(child);
         }
         evaluations += children.len();
-        next.extend(score_population(evaluator, children)?);
+        next.extend(score_population(evaluator, &mut scratch, children)?);
         // Shuffle to avoid positional bias from elitism ordering.
         next.shuffle(&mut rng);
         scored = next;
@@ -253,9 +246,9 @@ mod tests {
 
     #[test]
     fn ga_is_deterministic_for_a_fixed_seed() {
-        // Parallel population evaluation must not leak thread-count
-        // nondeterminism into the result: scoring is pure and the RNG stream
-        // is consumed serially, so repeated runs agree to the bit.
+        // Scoring is pure and shares one memo across the run, and the RNG
+        // stream is consumed in a fixed order, so repeated runs agree to the
+        // bit.
         let eval = evaluator(CostWeights::thermal_aware());
         let a = evolve(&eval, quick_config()).unwrap();
         let b = evolve(&eval, quick_config()).unwrap();

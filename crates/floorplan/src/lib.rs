@@ -14,7 +14,8 @@
 //!   peak-temperature objective (the temperature term runs the compact
 //!   thermal model of [`tats_thermal`]),
 //! * [`ga`]/[`annealing`] — a genetic engine and a simulated-annealing
-//!   baseline,
+//!   baseline; both score every candidate on the calling thread through
+//!   one [`CostScratch`] per run,
 //! * [`Floorplanner`] — the façade used by the co-synthesis flow.
 //!
 //! # Examples
