@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use tats_taskgraph::{analysis::GraphAnalysis, TaskGraph, TaskId};
+use tats_taskgraph::{analysis, TaskGraph, TaskId};
 use tats_techlib::{Architecture, PeId, TechLibrary};
 use tats_thermal::{ThermalConfig, ThermalError, ThermalModel};
 
@@ -174,7 +174,7 @@ impl<'a> Asp<'a> {
             .tasks()
             .map(|t| self.library.average_wcet(t.type_id()))
             .collect::<Result<_, _>>()?;
-        let analysis = GraphAnalysis::new(self.graph, &weights)?;
+        let static_criticality = analysis::static_criticalities(self.graph, &weights)?;
 
         // Thermal model (thermal-aware policy only): the supplied one, or one
         // built on the architecture's grid floorplan.
@@ -201,10 +201,9 @@ impl<'a> Asp<'a> {
         // the deadline (computed with average WCETs). Candidates that would
         // start later are demoted so the power/thermal terms can never trade
         // away the real-time constraint when a safe candidate exists.
-        let latest_start: Vec<f64> = self
-            .graph
-            .task_ids()
-            .map(|t| self.graph.deadline() - analysis.bottom_level(t))
+        let latest_start: Vec<f64> = static_criticality
+            .iter()
+            .map(|sc| self.graph.deadline() - sc)
             .collect();
         const LATE_PENALTY: f64 = 1e7;
 
@@ -288,7 +287,7 @@ impl<'a> Asp<'a> {
                     };
 
                     let mut dc =
-                        analysis.static_criticality(task_id) - wcet - est - self.cost_scale * cost;
+                        static_criticality[task_id.index()] - wcet - est - self.cost_scale * cost;
                     if est > latest_start[task_id.index()] + 1e-9 {
                         dc -= LATE_PENALTY;
                     }

@@ -36,9 +36,10 @@ pub enum ServiceError {
     /// The worker deliberately aborted mid-shard (the injected-failure test
     /// hook simulating a crash).
     Aborted(String),
-    /// The server exists but cannot serve the request *yet* (journal replay
-    /// in progress) or any more (aborted). Clients treat this as transient
-    /// and retry with backoff — see [`crate::retry::is_transient`].
+    /// The server exists but cannot serve the request any more: its journal
+    /// was sealed by an abort. Clients treat this as transient and retry
+    /// with backoff — a restarted server answers — see
+    /// [`crate::retry::is_transient`].
     Unavailable(String),
     /// The request was refused by admission control (per-client pending
     /// shard quota). Transient by definition: the quota frees up as the
@@ -120,7 +121,7 @@ mod tests {
             500
         );
         assert_eq!(
-            ServiceError::Unavailable("replaying journal".into()).status_code(),
+            ServiceError::Unavailable("journal sealed".into()).status_code(),
             503
         );
         assert_eq!(

@@ -366,13 +366,6 @@ impl JournaledRegistry {
         self.registry.take_trace_lines()
     }
 
-    /// [`Registry::set_trace_buffered`]: turns the trace-log feed on or
-    /// off. Not journaled — it only controls whether span lines are copied
-    /// for the feed, never what the per-job streams contain.
-    pub fn set_trace_buffered(&mut self, buffered: bool) {
-        self.registry.set_trace_buffered(buffered);
-    }
-
     /// [`Registry::set_log_filter`]: installs the structured-log filter.
     /// Not journaled — it controls observability output, not state.
     pub fn set_log_filter(&mut self, filter: Arc<LogFilter>) {

@@ -55,13 +55,12 @@
 //!
 //! # Liveness vs readiness
 //!
-//! `GET /healthz` answers 200 as soon as the socket is bound ("the process
-//! is alive"); `GET /readyz` answers 503 until the journal replay is being
-//! served and 200 after ("requests will succeed"), with replay statistics
-//! in the body. Orchestrators should gate traffic on `/readyz` and
-//! restarts on `/healthz`. `GET /metrics` joins them on the unguarded
-//! side of the ready gate, so a replaying server is scrapeable and its
-//! `journal_replayed_*` gauges tell you what the replay recovered.
+//! [`Service::bind`] replays the journal before it binds the socket, so a
+//! server that accepts connections is ready: during a replay clients see
+//! "connection refused", and ride it out with [`retry`]. `GET /healthz`
+//! answers 200 ("the process is alive"); `GET /readyz` answers 200 with the
+//! replay statistics in the body, and the `journal_replayed_*` gauges of
+//! `GET /metrics` carry the same numbers.
 //!
 //! # Scraping a live campaign
 //!

@@ -259,33 +259,21 @@ impl Job {
     }
 
     /// Appends one span to the merged stream unless its id is already
-    /// present. Returns the trace-log copy of the line when `buffered`.
-    fn push_span(&mut self, span: &SpanEvent, buffered: bool) -> Option<String> {
-        self.push_span_line(span.span_id, span.to_line(), buffered)
-            .1
+    /// present. Returns the trace-log copy of the line when appended.
+    fn push_span(&mut self, span: &SpanEvent) -> Option<String> {
+        self.push_span_line(span.span_id, span.to_line())
     }
 
     /// [`Job::push_span`] for a pre-serialized line (the ingest hot path:
     /// worker batches are stored verbatim, skipping a re-serialization).
-    /// Returns whether the line was appended, plus a copy for the server's
-    /// trace-log feed when `buffered` — skipping that clone too when no
-    /// `--trace-log` consumer exists.
-    fn push_span_line(
-        &mut self,
-        span_id: u64,
-        line: String,
-        buffered: bool,
-    ) -> (bool, Option<String>) {
+    /// Returns a copy for the server's trace-log feed when the line was
+    /// appended, `None` for a duplicate span id.
+    fn push_span_line(&mut self, span_id: u64, line: String) -> Option<String> {
         if !self.span_ids.insert(span_id) {
-            return (false, None);
+            return None;
         }
-        if buffered {
-            self.spans.push(line.clone());
-            (true, Some(line))
-        } else {
-            self.spans.push(line);
-            (true, None)
-        }
+        self.spans.push(line.clone());
+        Some(line)
     }
 
     /// Appends a zero-duration server transition span (`submit`, `lease`,
@@ -298,7 +286,6 @@ impl Job {
         name: &str,
         now_ms: u64,
         attrs: &[(&str, &str)],
-        buffered: bool,
     ) -> Option<String> {
         if self.trace_id == 0 {
             return None;
@@ -321,7 +308,7 @@ impl Job {
         for (key, value) in attrs {
             span = span.attr(key, *value);
         }
-        self.push_span(&span, buffered)
+        self.push_span(&span)
     }
 
     fn status_json(&self, now_ms: u64) -> JsonValue {
@@ -450,15 +437,12 @@ pub struct Registry {
     /// scheduling decision, and compaction snapshots must carry it.
     lease_cursor: BTreeMap<u64, String>,
     /// Span lines appended to any job since the last
-    /// [`Registry::take_trace_lines`] — the server drains this into its
-    /// `--trace-log` file after each request. Not replayable state: a
-    /// restarted server discards what replay regenerates here (those lines
-    /// were already written by the previous incarnation).
+    /// [`Registry::take_trace_lines`] — the server drains this after every
+    /// `POST` and appends it to its `--trace-log` file, when it has one.
+    /// Not replayable state: a restarted server discards what replay
+    /// regenerates here (those lines were already written by the previous
+    /// incarnation).
     trace_out: Vec<String>,
-    /// Whether span lines are copied into [`Registry::trace_out`] at all.
-    /// The server turns this off when it has no `--trace-log` to feed, so
-    /// the merged per-job streams are built without per-span clones.
-    trace_buffered: bool,
     /// Structured log lines emitted since the last
     /// [`Registry::take_log_lines`] — the server drains this into its log
     /// ring (and `--log-file`) after each request. Lines for journaled
@@ -481,17 +465,9 @@ impl Registry {
             lease_ttl_ms: lease_ttl_ms.max(1),
             lease_cursor: BTreeMap::new(),
             trace_out: Vec::new(),
-            trace_buffered: true,
             log_out: Vec::new(),
             log_filter: Arc::new(LogFilter::off()),
         }
-    }
-
-    /// Turns the [`Registry::take_trace_lines`] feed on or off. Off (the
-    /// no-`--trace-log` server) skips the per-span trace-log copies; the
-    /// merged per-job streams behind `GET /jobs/{id}/spans` are unaffected.
-    pub fn set_trace_buffered(&mut self, buffered: bool) {
-        self.trace_buffered = buffered;
     }
 
     /// Takes every span line appended since the last call — the server's
@@ -611,7 +587,6 @@ impl Registry {
             "submit",
             now_ms,
             &[("job", id.as_str()), ("shards", shards_text.as_str())],
-            self.trace_buffered,
         );
         let scenarios_text = job.expected.len().to_string();
         let log_line = build_log(
@@ -691,7 +666,6 @@ impl Registry {
     /// worker needs no other state to run (and resume) the shard.
     pub fn lease(&mut self, worker: &str, now_ms: u64) -> JsonValue {
         let ttl = self.lease_ttl_ms;
-        let buffered = self.trace_buffered;
         let filter = Arc::clone(&self.log_filter);
         self.touch_worker(worker, now_ms);
         let mut granted: Option<JsonValue> = None;
@@ -740,7 +714,6 @@ impl Registry {
                     "lease",
                     now_ms,
                     &[("shard", shard_text.as_str()), ("peer", worker)],
-                    buffered,
                 );
                 // Lease-grant log lines use the `lease` target, distinct
                 // from `registry` — the crash-recovery tests pin only
@@ -815,7 +788,6 @@ impl Registry {
         now_ms: u64,
     ) -> Result<IngestReport, ServiceError> {
         let ttl = self.lease_ttl_ms;
-        let buffered = self.trace_buffered;
         let filter = Arc::clone(&self.log_filter);
         self.touch_worker(worker, now_ms);
         let job = self.job_mut(job_id)?;
@@ -927,16 +899,14 @@ impl Registry {
                 "ingest",
                 now_ms,
                 &[("shard", shard_text.as_str()), ("peer", worker)],
-                buffered,
             )
             .into_iter()
             .collect();
         for (span_id, line) in span_batch {
-            let (appended, copy) = job.push_span_line(span_id, line.to_string(), buffered);
-            if appended {
+            if let Some(copy) = job.push_span_line(span_id, line.to_string()) {
                 report.spans += 1;
+                new_lines.push(copy);
             }
-            new_lines.extend(copy);
         }
         // `accepted`/`duplicates` replay identically (the journal records
         // the successful body verbatim), so this line is replay-stable.
@@ -978,7 +948,6 @@ impl Registry {
         worker: &str,
         now_ms: u64,
     ) -> Result<JsonValue, ServiceError> {
-        let buffered = self.trace_buffered;
         let filter = Arc::clone(&self.log_filter);
         self.touch_worker(worker, now_ms);
         let job = self.job_mut(job_id)?;
@@ -1001,7 +970,6 @@ impl Registry {
                 "done",
                 now_ms,
                 &[("shard", shard_text.as_str()), ("peer", worker)],
-                buffered,
             )
             .into_iter()
             .collect();
@@ -1019,7 +987,7 @@ impl Registry {
                 job.span_us(now_ms),
             )
             .attr("job", job.id.as_str());
-            new_lines.extend(job.push_span(&root, buffered));
+            new_lines.extend(job.push_span(&root));
         }
         let mut log_lines: Vec<String> = build_log(
             &filter,

@@ -5,8 +5,8 @@
 //! A campaign fleet has three loops that talk to the server — the worker's
 //! lease poll, the worker's record streaming, and `tats submit --wait`'s
 //! record paging — and all three must ride out the same events: a server
-//! restart (connection refused while the process is down, HTTP 503 while
-//! the journal replays), a dropped keep-alive connection, a transient
+//! restart (connection refused while the process is down and while it
+//! replays its journal), a dropped keep-alive connection, a transient
 //! socket reset. They must equally all *stop* on the same events: a
 //! campaign-fingerprint mismatch, a scenario-evaluation failure, a 4xx the
 //! server will answer identically forever. [`is_transient`] draws that
@@ -27,10 +27,10 @@ use crate::error::ServiceError;
 ///
 /// Transient: any socket-level I/O failure (refused, reset, timed out —
 /// the server is restarting or the keep-alive connection died), an HTTP
-/// 502/503/504 (the server is up but not ready, e.g. mid journal replay),
-/// an HTTP 429 / [`ServiceError::RateLimited`] (the client is over its
-/// pending-shard quota, which frees up as its shards drain), and the
-/// client-side [`ServiceError::Unavailable`].
+/// 502/503/504 (a proxy or the server is overloaded, e.g. the `503` of the
+/// server's connection cap), an HTTP 429 / [`ServiceError::RateLimited`]
+/// (the client is over its pending-shard quota, which frees up as its
+/// shards drain), and the client-side [`ServiceError::Unavailable`].
 ///
 /// Fatal: everything else — other 4xx statuses (including the 409
 /// lease-lost signal, which callers handle specially), protocol violations
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn classification_separates_transport_from_logic() {
         assert!(is_transient(&ServiceError::Io(io::Error::other("reset"))));
-        assert!(is_transient(&ServiceError::Unavailable("replaying".into())));
+        assert!(is_transient(&ServiceError::Unavailable("sealed".into())));
         for status in [429u16, 502, 503, 504] {
             assert!(is_transient(&ServiceError::Http {
                 status,

@@ -13,23 +13,23 @@
 //! With [`ServiceConfig::journal`] set, every state transition is appended
 //! to a JSONL journal ([`crate::journal`]) and a restart on the same file
 //! replays it — synchronously, inside [`Service::bind`], so a corrupt
-//! journal fails the boot instead of serving garbage. Until the replayed
-//! server declares itself ready, every endpoint except the probes,
-//! `/metrics`, `/logs` and `/dashboard` answers `503` (transient — clients
-//! retry with [`crate::retry`]).
+//! journal fails the boot instead of serving garbage. Replay finishes
+//! before the socket exists: until then connections are refused (transient
+//! — clients retry with [`crate::retry`]), and once the server accepts,
+//! every endpoint answers.
 //!
 //! # Endpoints
 //!
-//! One route table in this file — method, path template, whether the
-//! endpoint answers before ready, handler — drives dispatch, the ready gate
-//! and the endpoint labels of `GET /metrics` (the method and template, e.g.
-//! `GET /jobs/{id}/records`, plus `other` for anything else).
+//! One route table in this file — method, path template, handler — drives
+//! dispatch and the endpoint labels of `GET /metrics` (the method and
+//! template, e.g. `GET /jobs/{id}/records`, plus `other` for anything
+//! else).
 //!
 //! | method & path | body | purpose |
 //! |---|---|---|
 //! | `GET /healthz` | — | liveness probe (200 as soon as the socket is bound) |
-//! | `GET /readyz` | — | readiness probe (503 until journal replay is served) |
-//! | `GET /metrics` | — | Prometheus text exposition (served even before ready) |
+//! | `GET /readyz` | — | readiness probe (200 with the journal-replay statistics) |
+//! | `GET /metrics` | — | Prometheus text exposition |
 //! | `POST /jobs` | `{"spec": <campaign spec>, "shards": n, "client"?: name, "priority"?: p}` | submit a campaign, get a job id (429 + `retry-after` over the per-client quota) |
 //! | `GET /jobs` | — | status of every job |
 //! | `GET /jobs/{id}` | — | one job's status |
@@ -38,8 +38,8 @@
 //! | `GET /jobs/{id}/progress` | — | done/total, records/sec, ETA, per-phase p50/p99 |
 //! | `GET /jobs/{id}/summary` | — | aggregated campaign summary |
 //! | `GET /workers` | — | per-worker statistics (status, last-seen age, lifetime records/sec) |
-//! | `GET /logs?from=k` | — | JSONL structured log lines from ring index `k` (header `x-next-from`, served even before ready) |
-//! | `GET /dashboard` | — | self-contained auto-refreshing HTML fleet dashboard (served even before ready) |
+//! | `GET /logs?from=k` | — | JSONL structured log lines from ring index `k` (header `x-next-from`) |
+//! | `GET /dashboard` | — | self-contained auto-refreshing HTML fleet dashboard |
 //! | `POST /lease` | `{"worker": name, "metrics"?: snapshot}` | lease the next available shard |
 //! | `POST /jobs/{id}/shards/{i}/records` | JSONL lines (`x-worker` header) | stream shard records |
 //! | `POST /jobs/{id}/shards/{i}/done` | — (`x-worker` header) | mark a shard complete |
@@ -55,8 +55,7 @@
 //! registry (lease-wait time, retry counts, engine phase spans, thermal
 //! cache hits) on every `POST /lease`; `GET /metrics` merges the latest
 //! snapshot per worker — labelled `worker="name"` — into one Prometheus
-//! text page. `/metrics` bypasses the ready gate, so a replaying server
-//! can be scraped. With [`ServiceConfig::access_log`] set, every request
+//! text page. With [`ServiceConfig::access_log`] set, every request
 //! is also appended to a JSONL access log; each access-log line carries
 //! the request's `x-trace-id` (empty string when the client sent none).
 //!
@@ -137,14 +136,6 @@ pub struct ServiceConfig {
     /// and thread lifetime). `0` disables keep-alive entirely — every
     /// request gets `connection: close`, the pre-journal behaviour.
     pub keep_alive_max_requests: usize,
-    /// How long a keep-alive connection may sit idle between requests
-    /// before the server closes it, ms.
-    pub keep_alive_idle_timeout_ms: u64,
-    /// Delay between binding the socket and declaring the server ready, ms.
-    /// In production this stays `0` (replay happens synchronously inside
-    /// [`Service::bind`], so the server is ready the moment it accepts);
-    /// tests raise it to observe the `503`-until-ready window.
-    pub ready_holdoff_ms: u64,
     /// JSONL access log: with a path, every served request appends one
     /// `{ts_ms, method, path, status, duration_us, bytes_in, bytes_out,
     /// keep_alive}` line there. The file is opened with the same
@@ -197,8 +188,6 @@ impl Default for ServiceConfig {
             lease_ttl_ms: 15_000,
             journal: None,
             keep_alive_max_requests: 1_000,
-            keep_alive_idle_timeout_ms: 10_000,
-            ready_holdoff_ms: 0,
             access_log: None,
             trace_log: None,
             log_file: None,
@@ -210,31 +199,32 @@ impl Default for ServiceConfig {
     }
 }
 
+/// How long a keep-alive connection may sit idle between requests before
+/// the server closes it.
+const KEEP_ALIVE_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A route handler: answers one request whose path matched its row.
 type Handler = fn(&Call<'_>) -> Result<Reply, ServiceError>;
 
 /// The route table, one row per endpoint: method, path template (each
 /// `{…}` segment matches any one segment, handed to the handler in
-/// [`Call::params`]), whether the endpoint answers before the server is
-/// ready, and the handler. It drives dispatch, the readiness gate and the
-/// endpoint labels of `GET /metrics` — `"{method} {path}"`, plus `other`
-/// for requests no row matches, so the label set stays bounded whatever
+/// [`Call::params`]) and the handler. It drives dispatch and the endpoint
+/// labels of `GET /metrics` — `"{method} {path}"`, plus `other` for
+/// requests no row matches, so the label set stays bounded whatever
 /// clients send.
-const ROUTES: [(&str, &str, bool, Handler); 17] = [
+const ROUTES: [(&str, &str, Handler); 17] = [
     // The probes bypass the registry lock: /healthz means "the process
-    // accepts connections", /readyz means "the journal is replayed and
-    // requests will be served". /metrics, /logs and /dashboard answer
-    // before ready too, so a server replaying a large journal can be
-    // watched while it does.
-    ("GET", "/healthz", true, |_| {
+    // accepts connections", /readyz reports what the journal replay, which
+    // finished before the socket was bound, reconstructed.
+    ("GET", "/healthz", |_| {
         Ok(Reply::json(&JsonValue::object(vec![(
             "ok".to_string(),
             JsonValue::from(true),
         )])))
     }),
-    ("GET", "/readyz", true, readyz),
-    ("GET", "/metrics", true, metrics),
-    ("GET", "/logs", true, |call| {
+    ("GET", "/readyz", readyz),
+    ("GET", "/metrics", metrics),
+    ("GET", "/logs", |call| {
         let from = call.paged_from()?;
         let ring = call
             .shared
@@ -244,7 +234,7 @@ const ROUTES: [(&str, &str, bool, Handler); 17] = [
             .map_err(|_| poisoned("log ring"))?;
         Ok(Reply::page(ring.page(from)))
     }),
-    ("GET", "/dashboard", true, |call| {
+    ("GET", "/dashboard", |call| {
         Ok(Reply {
             status: 200,
             content_type: "text/html; charset=utf-8",
@@ -252,43 +242,43 @@ const ROUTES: [(&str, &str, bool, Handler); 17] = [
             body: render_dashboard(call.shared, call.epoch)?,
         })
     }),
-    ("POST", "/jobs", false, submit),
-    ("GET", "/jobs", false, |call| {
+    ("POST", "/jobs", submit),
+    ("GET", "/jobs", |call| {
         let (state, now) = call.lock()?;
         Ok(Reply::json(&state.registry().jobs_status(now)))
     }),
-    ("GET", "/jobs/{id}", false, |call| {
+    ("GET", "/jobs/{id}", |call| {
         let (state, now) = call.lock()?;
         Ok(Reply::json(
             &state.registry().job_status(call.params[0], now)?,
         ))
     }),
-    ("GET", "/jobs/{id}/records", false, |call| {
+    ("GET", "/jobs/{id}/records", |call| {
         let from = call.paged_from()?;
         let (state, _) = call.lock()?;
         Ok(Reply::page(
             state.registry().records_from(call.params[0], from)?,
         ))
     }),
-    ("GET", "/jobs/{id}/spans", false, |call| {
+    ("GET", "/jobs/{id}/spans", |call| {
         let from = call.paged_from()?;
         let (state, _) = call.lock()?;
         Ok(Reply::page(
             state.registry().spans_from(call.params[0], from)?,
         ))
     }),
-    ("GET", "/jobs/{id}/progress", false, progress),
-    ("GET", "/jobs/{id}/summary", false, |call| {
+    ("GET", "/jobs/{id}/progress", progress),
+    ("GET", "/jobs/{id}/summary", |call| {
         let (state, now) = call.lock()?;
         Ok(Reply::json(&state.registry().summary(call.params[0], now)?))
     }),
-    ("GET", "/workers", false, |call| {
+    ("GET", "/workers", |call| {
         let (state, now) = call.lock()?;
         Ok(Reply::json(&state.registry().workers_status(now)))
     }),
-    ("POST", "/lease", false, lease),
-    ("POST", "/jobs/{id}/shards/{i}/records", false, ingest),
-    ("POST", "/jobs/{id}/shards/{i}/done", false, |call| {
+    ("POST", "/lease", lease),
+    ("POST", "/jobs/{id}/shards/{i}/records", ingest),
+    ("POST", "/jobs/{id}/shards/{i}/done", |call| {
         let worker = worker_header(call.request)?;
         let index = parse_shard_index(call.params[1])?;
         let (mut state, now) = call.lock()?;
@@ -299,7 +289,7 @@ const ROUTES: [(&str, &str, bool, Handler); 17] = [
             now,
         )?))
     }),
-    ("POST", "/compact", false, |call| {
+    ("POST", "/compact", |call| {
         // On-demand journal compaction: fold the whole journal into one
         // snapshot event right now (400 without a journal).
         let report = call.lock()?.0.compact()?;
@@ -323,7 +313,7 @@ fn find_route(request: &Request) -> Option<(usize, Vec<&str>)> {
     ROUTES
         .iter()
         .enumerate()
-        .find_map(|(index, (method, path, _, _))| {
+        .find_map(|(index, (method, path, _))| {
             if *method != request.method {
                 return None;
             }
@@ -379,7 +369,7 @@ impl ServerMetrics {
         let registry = MetricsRegistry::new();
         let endpoints = ROUTES
             .iter()
-            .map(|(method, path, _, _)| format!("{method} {path}"))
+            .map(|(method, path, _)| format!("{method} {path}"))
             .chain(["other".to_string()])
             .map(|label| EndpointMetrics {
                 latency: registry.histogram("http_request_seconds", &[("endpoint", &label)]),
@@ -491,9 +481,6 @@ struct Shared {
     /// `(now_ms, total records)` samples taken on each `GET /dashboard`
     /// render — the fleet-throughput sparkline's data.
     throughput: Mutex<Vec<(u64, u64)>>,
-    /// Readiness gate: until set, every route not marked to answer before
-    /// ready is 503.
-    ready: AtomicBool,
     /// Graceful-shutdown flag: the accept loop exits, in-flight responses
     /// carry `connection: close`.
     stop: AtomicBool,
@@ -515,7 +502,6 @@ pub struct ServiceHandle {
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            .field("ready", &self.ready.load(Ordering::SeqCst))
             .field("stop", &self.stop.load(Ordering::SeqCst))
             .field("dead", &self.dead.load(Ordering::SeqCst))
             .finish_non_exhaustive()
@@ -664,10 +650,8 @@ impl Service {
         // Journal replay regenerated the transition spans of every replayed
         // job (they are pure functions of journaled events); the previous
         // incarnation already wrote them to its trace log, so the replayed
-        // batch is discarded here instead of appended twice. Without a
-        // trace log the feed stays off entirely — no per-span copies.
+        // batch is discarded here instead of appended twice.
         let _ = state.take_trace_lines();
-        state.set_trace_buffered(trace.is_some());
         let logs = ServerLogs {
             filter: log_filter,
             ring: Mutex::new(ring),
@@ -700,23 +684,9 @@ impl Service {
             trace,
             logs,
             throughput: Mutex::new(Vec::new()),
-            ready: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             dead: AtomicBool::new(false),
         });
-        if config.ready_holdoff_ms == 0 {
-            shared.ready.store(true, Ordering::SeqCst);
-        } else {
-            // Test hook: keep the 503-until-ready window open long enough
-            // to observe. The warmup thread outlives nothing — it only
-            // flips an atomic.
-            let warmup = Arc::clone(&shared);
-            let holdoff = config.ready_holdoff_ms;
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(holdoff));
-                warmup.ready.store(true, Ordering::SeqCst);
-            });
-        }
         let accept_shared = Arc::clone(&shared);
         let thread = std::thread::spawn(move || {
             let epoch = Instant::now();
@@ -824,8 +794,7 @@ fn shed_connection(mut stream: TcpStream) {
 fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig, epoch: Instant) {
     // The read timeout doubles as the keep-alive idle timeout: a client
     // that sends nothing for this long gets its connection closed.
-    let idle = Duration::from_millis(config.keep_alive_idle_timeout_ms.max(1));
-    let _ = stream.set_read_timeout(Some(idle));
+    let _ = stream.set_read_timeout(Some(KEEP_ALIVE_IDLE_TIMEOUT));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     // Responses go out in full the moment they are written; see
     // `client::dial` for why Nagle is wrong for this traffic.
@@ -956,9 +925,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared, config: &ServiceConfig,
     }
 }
 
-/// Answers one request: through the handler of its [`ROUTES`] row when
-/// the row matched and may answer now; otherwise `503` before the server
-/// is ready and `404` after. Errors become plain-text bodies with the
+/// Answers one request: through the handler of its [`ROUTES`] row when a
+/// row matched, `404` otherwise. Errors become plain-text bodies with the
 /// error's status code.
 fn respond(
     route: Option<(usize, Vec<&str>)>,
@@ -966,18 +934,14 @@ fn respond(
     shared: &Shared,
     epoch: Instant,
 ) -> Reply {
-    let ready = shared.ready.load(Ordering::SeqCst);
     let result = match route {
-        Some((index, params)) if ready || ROUTES[index].2 => (ROUTES[index].3)(&Call {
+        Some((index, params)) => (ROUTES[index].2)(&Call {
             request,
             params,
             shared,
             epoch,
         }),
-        _ if !ready => Err(ServiceError::Unavailable(
-            "starting up (journal replay not yet served); retry shortly".to_string(),
-        )),
-        _ => Err(ServiceError::NotFound(format!(
+        None => Err(ServiceError::NotFound(format!(
             "{} {}",
             request.method, request.path
         ))),
@@ -1079,11 +1043,13 @@ fn parse_shard_index(text: &str) -> Result<usize, ServiceError> {
         .map_err(|_| ServiceError::BadRequest(format!("bad shard index '{text}'")))
 }
 
+/// `GET /readyz`: always ready, since [`Service::bind`] replays the
+/// journal before it binds the socket; the body reports what the replay
+/// reconstructed.
 fn readyz(call: &Call<'_>) -> Result<Reply, ServiceError> {
     let shared = call.shared;
-    let ready = shared.ready.load(Ordering::SeqCst);
-    let body = JsonValue::object(vec![
-        ("ready".to_string(), JsonValue::from(ready)),
+    Ok(Reply::json(&JsonValue::object(vec![
+        ("ready".to_string(), JsonValue::from(true)),
         (
             "replayed_events".to_string(),
             JsonValue::from(shared.replay.events),
@@ -1108,13 +1074,7 @@ fn readyz(call: &Call<'_>) -> Result<Reply, ServiceError> {
             "leases_reset".to_string(),
             JsonValue::from(shared.leases_reset),
         ),
-    ]);
-    Ok(Reply {
-        status: if ready { 200 } else { 503 },
-        content_type: "application/json",
-        extra: Vec::new(),
-        body: body.to_json(),
-    })
+    ])))
 }
 
 fn metrics(call: &Call<'_>) -> Result<Reply, ServiceError> {
@@ -1495,35 +1455,9 @@ mod tests {
     }
 
     #[test]
-    fn ready_holdoff_gates_everything_but_the_probes() {
-        let config = ServiceConfig {
-            ready_holdoff_ms: 60_000,
-            ..ServiceConfig::default()
-        };
-        let handle = Service::bind("127.0.0.1:0", config).expect("bind");
+    fn metrics_serve_prometheus_text_with_the_replay_gauges() {
+        let handle = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
         let addr = handle.addr_string();
-        // Alive but not ready: liveness 200, readiness 503, work 503.
-        assert_eq!(client::get(&addr, "/healthz").expect("alive").status, 200);
-        let ready = client::request(&addr, "GET", "/readyz", &[], None).expect("readyz");
-        assert_eq!(ready.status, 503);
-        assert!(ready.body.contains("\"ready\":false"), "{}", ready.body);
-        let jobs = client::request(&addr, "GET", "/jobs", &[], None).expect("jobs");
-        assert_eq!(jobs.status, 503);
-        assert!(jobs.body.contains("unavailable"), "{}", jobs.body);
-        handle.stop();
-    }
-
-    #[test]
-    fn metrics_serve_prometheus_text_even_before_ready() {
-        let config = ServiceConfig {
-            ready_holdoff_ms: 60_000,
-            ..ServiceConfig::default()
-        };
-        let handle = Service::bind("127.0.0.1:0", config).expect("bind");
-        let addr = handle.addr_string();
-        // Not ready yet — but scrapeable, like the probes.
-        let ready = client::request(&addr, "GET", "/readyz", &[], None).expect("readyz");
-        assert_eq!(ready.status, 503);
         let metrics = client::get(&addr, "/metrics").expect("metrics");
         assert_eq!(metrics.status, 200);
         assert!(

@@ -16,7 +16,7 @@
 //! All server traffic flows over one persistent keep-alive
 //! [`Connection`](client::Connection) and through the worker's
 //! [`RetryPolicy`]: transient failures — the server restarting (connection
-//! refused, then 503 while it replays its journal), a dropped keep-alive
+//! refused until it has replayed its journal), a dropped keep-alive
 //! stream — are ridden out with capped exponential backoff instead of
 //! killing the worker. Fatal errors still propagate immediately: a campaign
 //! fingerprint mismatch, a scenario-evaluation failure, a 4xx the server

@@ -1,10 +1,10 @@
-//! The server's outward surface, pinned: which routes exist, which answer
-//! before the server is ready, the endpoint labels `/metrics` reports, and
-//! what `--trace-log` writes across a restart.
+//! The server's outward surface, pinned: which routes exist, that none
+//! answers 503 on a fresh server, the endpoint labels `/metrics` reports,
+//! and what `--trace-log` writes across a restart.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tats_core::Policy;
 use tats_engine::{CampaignSpec, Effort, FlowKind};
@@ -44,9 +44,6 @@ const ROUTES: [(&str, &str, &str); 17] = [
     ("POST", "/compact", "POST /compact"),
 ];
 
-/// The routes that answer before the server is ready.
-const BEFORE_READY: [&str; 4] = ["/healthz", "/metrics", "/logs", "/dashboard"];
-
 fn call(addr: &str, method: &str, path: &str) -> u16 {
     let body = (method == "POST").then_some("{\"worker\":\"w\"}");
     client::request(addr, method, path, &[("x-worker", "w".to_string())], body)
@@ -56,54 +53,23 @@ fn call(addr: &str, method: &str, path: &str) -> u16 {
 
 #[test]
 fn every_route_is_gated_and_labelled() {
-    // Never ready: everything but the four pre-ready routes is 503, the
-    // readiness probe and an unknown path included.
-    let gated = Service::bind(
-        "127.0.0.1:0",
-        ServiceConfig {
-            ready_holdoff_ms: 60_000,
-            log_filter: Some(LogFilter::off()),
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = gated.addr_string();
-    for (method, path, _) in ROUTES {
-        let want = if BEFORE_READY.contains(&path) {
-            200
-        } else {
-            503
-        };
-        assert_eq!(
-            call(&addr, method, path),
-            want,
-            "{method} {path} before ready"
-        );
-    }
-    assert_eq!(
-        call(&addr, "GET", "/nope"),
-        503,
-        "unknown path before ready"
-    );
-    gated.stop();
-
-    // Once ready, /metrics reports exactly the 17 endpoint labels plus
-    // `other`.
+    // Bind replays the journal before it listens, so a fresh server has no
+    // unready window: no route answers 503, the readiness probe included.
     let server = Service::bind(
         "127.0.0.1:0",
         ServiceConfig {
-            ready_holdoff_ms: 50,
             log_filter: Some(LogFilter::off()),
             ..ServiceConfig::default()
         },
     )
     .expect("bind");
     let addr = server.addr_string();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while call(&addr, "GET", "/readyz") != 200 {
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(10));
+    for (method, path, _) in ROUTES {
+        assert_ne!(call(&addr, method, path), 503, "{method} {path}");
     }
+    assert_eq!(call(&addr, "GET", "/nope"), 404, "unknown path");
+
+    // /metrics reports exactly the 17 endpoint labels plus `other`.
     let metrics = client::get(&addr, "/metrics").expect("metrics").body;
     let labels: BTreeSet<&str> = metrics
         .lines()

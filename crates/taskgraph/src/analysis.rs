@@ -1,224 +1,23 @@
-//! Structural analyses used by list schedulers.
+//! Static criticality, the structural quantity list schedulers rank by.
 //!
 //! The paper's allocation and scheduling procedure (ASP) orders ready tasks
-//! by *static criticality* (SC): the maximum distance from a task to the end
-//! task of the graph. This module computes SC together with the related
-//! quantities used throughout the scheduler: bottom levels, top levels,
-//! as-soon-as-possible (ASAP) and as-late-as-possible (ALAP) times, slack,
-//! topological depth and the critical path.
-//!
-//! All weighted analyses accept one weight per task (e.g. the average WCET of
-//! the task over all processing-element types), indexed by [`TaskId`].
+//! by *static criticality* (SC): the maximum weighted distance from a task,
+//! inclusive, to the end task of the graph — its bottom level. The weights
+//! are one per task (the ASP uses each task's mean WCET over the PE types),
+//! indexed by [`TaskId`](crate::TaskId).
 
 use crate::error::GraphError;
 use crate::graph::TaskGraph;
-use crate::task::TaskId;
 
-/// Result of the level/criticality analysis of a [`TaskGraph`].
-///
-/// Produced by [`GraphAnalysis::new`]. All vectors are indexed by
-/// [`TaskId::index`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphAnalysis {
-    weights: Vec<f64>,
-    bottom_level: Vec<f64>,
-    top_level: Vec<f64>,
-    asap: Vec<f64>,
-    alap: Vec<f64>,
-    depth: Vec<usize>,
-    makespan_lower_bound: f64,
-}
-
-impl GraphAnalysis {
-    /// Analyses `graph` with one execution-time weight per task.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] if `weights.len()` differs
-    /// from the task count or any weight is negative or non-finite.
-    pub fn new(graph: &TaskGraph, weights: &[f64]) -> Result<Self, GraphError> {
-        let n = graph.task_count();
-        if weights.len() != n {
-            return Err(GraphError::InvalidParameter(format!(
-                "expected {n} weights, got {}",
-                weights.len()
-            )));
-        }
-        if let Some(w) = weights.iter().find(|w| !w.is_finite() || **w < 0.0) {
-            return Err(GraphError::InvalidParameter(format!(
-                "weights must be finite and non-negative, got {w}"
-            )));
-        }
-
-        let topo = graph.topological_order().to_vec();
-
-        // Bottom level: weight of the task plus the longest downstream chain.
-        let mut bottom_level = vec![0.0_f64; n];
-        for &t in topo.iter().rev() {
-            let best_succ = graph
-                .successors(t)
-                .iter()
-                .map(|s| bottom_level[s.index()])
-                .fold(0.0_f64, f64::max);
-            bottom_level[t.index()] = weights[t.index()] + best_succ;
-        }
-
-        // Top level / ASAP: longest chain strictly above the task.
-        let mut top_level = vec![0.0_f64; n];
-        for &t in &topo {
-            let best_pred = graph
-                .predecessors(t)
-                .iter()
-                .map(|p| top_level[p.index()] + weights[p.index()])
-                .fold(0.0_f64, f64::max);
-            top_level[t.index()] = best_pred;
-        }
-        let asap = top_level.clone();
-
-        let makespan_lower_bound = (0..n).map(|i| asap[i] + weights[i]).fold(0.0_f64, f64::max);
-
-        // ALAP relative to the critical-path length.
-        let mut alap = vec![0.0_f64; n];
-        for &t in topo.iter().rev() {
-            let i = t.index();
-            if graph.successors(t).is_empty() {
-                alap[i] = makespan_lower_bound - weights[i];
-            } else {
-                let min_succ = graph
-                    .successors(t)
-                    .iter()
-                    .map(|s| alap[s.index()])
-                    .fold(f64::INFINITY, f64::min);
-                alap[i] = min_succ - weights[i];
-            }
-        }
-
-        // Topological depth in hops.
-        let mut depth = vec![0_usize; n];
-        for &t in &topo {
-            let d = graph
-                .predecessors(t)
-                .iter()
-                .map(|p| depth[p.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            depth[t.index()] = d;
-        }
-
-        Ok(GraphAnalysis {
-            weights: weights.to_vec(),
-            bottom_level,
-            top_level,
-            asap,
-            alap,
-            depth,
-            makespan_lower_bound,
-        })
-    }
-
-    /// Analyses `graph` with unit weights (every task counts as 1).
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a valid graph; the `Result` mirrors [`GraphAnalysis::new`].
-    pub fn unit(graph: &TaskGraph) -> Result<Self, GraphError> {
-        Self::new(graph, &vec![1.0; graph.task_count()])
-    }
-
-    /// The per-task weights the analysis was computed with.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Static criticality of a task: its bottom level, i.e. the maximum
-    /// weighted distance from the task (inclusive) to the end of the graph.
-    pub fn static_criticality(&self, task: TaskId) -> f64 {
-        self.bottom_level[task.index()]
-    }
-
-    /// Bottom level of a task (alias of [`GraphAnalysis::static_criticality`]).
-    pub fn bottom_level(&self, task: TaskId) -> f64 {
-        self.bottom_level[task.index()]
-    }
-
-    /// Top level of a task: the longest weighted chain strictly above it.
-    pub fn top_level(&self, task: TaskId) -> f64 {
-        self.top_level[task.index()]
-    }
-
-    /// Earliest possible start time assuming unlimited identical PEs.
-    pub fn asap(&self, task: TaskId) -> f64 {
-        self.asap[task.index()]
-    }
-
-    /// Latest start time that still meets the critical-path length.
-    pub fn alap(&self, task: TaskId) -> f64 {
-        self.alap[task.index()]
-    }
-
-    /// Scheduling slack of the task: `alap - asap`; zero on the critical path.
-    pub fn slack(&self, task: TaskId) -> f64 {
-        self.alap[task.index()] - self.asap[task.index()]
-    }
-
-    /// Topological depth of the task in hops from the sources.
-    pub fn depth(&self, task: TaskId) -> usize {
-        self.depth[task.index()]
-    }
-
-    /// Length of the critical path, a lower bound on any schedule makespan.
-    pub fn makespan_lower_bound(&self) -> f64 {
-        self.makespan_lower_bound
-    }
-
-    /// Tasks with (numerically) zero slack, in id order.
-    pub fn critical_tasks(&self) -> Vec<TaskId> {
-        (0..self.weights.len())
-            .filter(|&i| (self.alap[i] - self.asap[i]).abs() < 1e-9)
-            .map(TaskId)
-            .collect()
-    }
-
-    /// One longest (critical) path through the graph, from a source to a sink.
-    pub fn critical_path(&self, graph: &TaskGraph) -> Vec<TaskId> {
-        // Start from the source with the largest bottom level, then greedily
-        // follow the successor whose bottom level equals ours minus our weight.
-        let start = graph
-            .sources()
-            .into_iter()
-            .max_by(|a, b| {
-                self.bottom_level[a.index()]
-                    .partial_cmp(&self.bottom_level[b.index()])
-                    .expect("bottom levels are finite")
-            })
-            .expect("valid graphs have at least one source");
-        let mut path = vec![start];
-        let mut current = start;
-        loop {
-            let remaining = self.bottom_level[current.index()] - self.weights[current.index()];
-            let next = graph
-                .successors(current)
-                .iter()
-                .copied()
-                .find(|s| (self.bottom_level[s.index()] - remaining).abs() < 1e-9);
-            match next {
-                Some(s) => {
-                    path.push(s);
-                    current = s;
-                }
-                None => break,
-            }
-        }
-        path
-    }
-}
-
-/// Convenience helper returning the static criticality of every task using
-/// the provided per-task weights.
+/// The static criticality (bottom level) of every task, indexed by
+/// [`TaskId::index`](crate::TaskId::index), under one execution-time weight
+/// per task. The largest value is the critical-path length, a lower bound on
+/// any schedule's makespan under these weights.
 ///
 /// # Errors
 ///
-/// See [`GraphAnalysis::new`].
+/// Returns [`GraphError::InvalidParameter`] if `weights.len()` differs from
+/// the task count or any weight is negative or non-finite.
 ///
 /// # Examples
 ///
@@ -237,11 +36,30 @@ impl GraphAnalysis {
 /// # }
 /// ```
 pub fn static_criticalities(graph: &TaskGraph, weights: &[f64]) -> Result<Vec<f64>, GraphError> {
-    let analysis = GraphAnalysis::new(graph, weights)?;
-    Ok(graph
-        .task_ids()
-        .map(|t| analysis.static_criticality(t))
-        .collect())
+    let n = graph.task_count();
+    if weights.len() != n {
+        return Err(GraphError::InvalidParameter(format!(
+            "expected {n} weights, got {}",
+            weights.len()
+        )));
+    }
+    if let Some(w) = weights.iter().find(|w| !w.is_finite() || **w < 0.0) {
+        return Err(GraphError::InvalidParameter(format!(
+            "weights must be finite and non-negative, got {w}"
+        )));
+    }
+
+    // Bottom level: weight of the task plus the longest downstream chain.
+    let mut bottom_level = vec![0.0_f64; n];
+    for &t in graph.topological_order().iter().rev() {
+        let best_succ = graph
+            .successors(t)
+            .iter()
+            .map(|s| bottom_level[s.index()])
+            .fold(0.0_f64, f64::max);
+        bottom_level[t.index()] = weights[t.index()] + best_succ;
+    }
+    Ok(bottom_level)
 }
 
 #[cfg(test)]
@@ -267,69 +85,17 @@ mod tests {
     #[test]
     fn bottom_levels_on_diamond() {
         let (g, w) = weighted_diamond();
-        let a = GraphAnalysis::new(&g, &w).unwrap();
-        assert_eq!(a.static_criticality(TaskId(3)), 1.0);
-        assert_eq!(a.static_criticality(TaskId(1)), 3.0);
-        assert_eq!(a.static_criticality(TaskId(2)), 6.0);
-        assert_eq!(a.static_criticality(TaskId(0)), 7.0);
-    }
-
-    #[test]
-    fn top_levels_and_asap_on_diamond() {
-        let (g, w) = weighted_diamond();
-        let a = GraphAnalysis::new(&g, &w).unwrap();
-        assert_eq!(a.top_level(TaskId(0)), 0.0);
-        assert_eq!(a.asap(TaskId(1)), 1.0);
-        assert_eq!(a.asap(TaskId(2)), 1.0);
-        assert_eq!(a.asap(TaskId(3)), 6.0);
-        assert_eq!(a.makespan_lower_bound(), 7.0);
-    }
-
-    #[test]
-    fn slack_identifies_critical_path() {
-        let (g, w) = weighted_diamond();
-        let a = GraphAnalysis::new(&g, &w).unwrap();
-        // Critical path is a -> c -> d.
-        assert_eq!(a.slack(TaskId(0)), 0.0);
-        assert_eq!(a.slack(TaskId(2)), 0.0);
-        assert_eq!(a.slack(TaskId(3)), 0.0);
-        assert!(a.slack(TaskId(1)) > 0.0);
-        assert_eq!(a.critical_tasks(), vec![TaskId(0), TaskId(2), TaskId(3)]);
-        assert_eq!(a.critical_path(&g), vec![TaskId(0), TaskId(2), TaskId(3)]);
-    }
-
-    #[test]
-    fn alap_never_precedes_asap() {
-        let (g, w) = weighted_diamond();
-        let a = GraphAnalysis::new(&g, &w).unwrap();
-        for t in g.task_ids() {
-            assert!(a.alap(t) + 1e-12 >= a.asap(t));
-        }
-    }
-
-    #[test]
-    fn depth_counts_hops() {
-        let (g, w) = weighted_diamond();
-        let a = GraphAnalysis::new(&g, &w).unwrap();
-        assert_eq!(a.depth(TaskId(0)), 0);
-        assert_eq!(a.depth(TaskId(1)), 1);
-        assert_eq!(a.depth(TaskId(2)), 1);
-        assert_eq!(a.depth(TaskId(3)), 2);
-    }
-
-    #[test]
-    fn unit_analysis_counts_tasks_on_longest_chain() {
-        let (g, _) = weighted_diamond();
-        let a = GraphAnalysis::unit(&g).unwrap();
-        assert_eq!(a.static_criticality(TaskId(0)), 3.0);
-        assert_eq!(a.makespan_lower_bound(), 3.0);
+        assert_eq!(
+            static_criticalities(&g, &w).unwrap(),
+            vec![7.0, 3.0, 6.0, 1.0]
+        );
     }
 
     #[test]
     fn wrong_weight_count_is_rejected() {
         let (g, _) = weighted_diamond();
         assert!(matches!(
-            GraphAnalysis::new(&g, &[1.0, 2.0]),
+            static_criticalities(&g, &[1.0, 2.0]),
             Err(GraphError::InvalidParameter(_))
         ));
     }
@@ -338,7 +104,7 @@ mod tests {
     fn negative_weight_is_rejected() {
         let (g, _) = weighted_diamond();
         assert!(matches!(
-            GraphAnalysis::new(&g, &[1.0, -2.0, 1.0, 1.0]),
+            static_criticalities(&g, &[1.0, -2.0, 1.0, 1.0]),
             Err(GraphError::InvalidParameter(_))
         ));
     }
@@ -347,19 +113,9 @@ mod tests {
     fn nan_weight_is_rejected() {
         let (g, _) = weighted_diamond();
         assert!(matches!(
-            GraphAnalysis::new(&g, &[1.0, f64::NAN, 1.0, 1.0]),
+            static_criticalities(&g, &[1.0, f64::NAN, 1.0, 1.0]),
             Err(GraphError::InvalidParameter(_))
         ));
-    }
-
-    #[test]
-    fn static_criticalities_helper_matches_analysis() {
-        let (g, w) = weighted_diamond();
-        let a = GraphAnalysis::new(&g, &w).unwrap();
-        let sc = static_criticalities(&g, &w).unwrap();
-        for t in g.task_ids() {
-            assert_eq!(sc[t.index()], a.static_criticality(t));
-        }
     }
 
     #[test]
@@ -372,11 +128,7 @@ mod tests {
             prev = t;
         }
         let g = b.build().unwrap();
-        let a = GraphAnalysis::unit(&g).unwrap();
-        assert_eq!(a.makespan_lower_bound(), 6.0);
-        for (i, t) in g.task_ids().enumerate() {
-            assert_eq!(a.asap(t), i as f64);
-            assert_eq!(a.slack(t), 0.0);
-        }
+        let sc = static_criticalities(&g, &[1.0; 6]).unwrap();
+        assert_eq!(sc, vec![6.0, 5.0, 4.0, 3.0, 2.0, 1.0]);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`TaskGraph`] / [`TaskGraphBuilder`] — validated DAG container with a
 //!   real-time deadline,
-//! * [`analysis::GraphAnalysis`] — static criticality, ASAP/ALAP levels,
-//!   slack and critical paths,
+//! * [`analysis::static_criticalities`] — the static criticality (bottom
+//!   level) the ASP ranks ready tasks by,
 //! * [`GeneratorConfig`] — seeded TGFF-style layered graph generator,
 //! * [`Benchmark`] — the paper's four benchmarks (`Bm1`–`Bm4`),
 //! * [`extended`] — a deterministic scalability family of any size from 2,
@@ -20,20 +20,16 @@
 //! Build the first paper benchmark and compute static criticalities:
 //!
 //! ```
-//! use tats_taskgraph::{analysis::GraphAnalysis, Benchmark};
+//! use tats_taskgraph::{analysis, Benchmark};
 //!
 //! # fn main() -> Result<(), tats_taskgraph::GraphError> {
 //! let graph = Benchmark::Bm1.task_graph()?;
-//! let analysis = GraphAnalysis::unit(&graph)?;
+//! let sc = analysis::static_criticalities(&graph, &vec![1.0; graph.task_count()])?;
 //! let most_critical = graph
 //!     .task_ids()
-//!     .max_by(|a, b| {
-//!         analysis
-//!             .static_criticality(*a)
-//!             .total_cmp(&analysis.static_criticality(*b))
-//!     })
+//!     .max_by(|a, b| sc[a.index()].total_cmp(&sc[b.index()]))
 //!     .expect("benchmark graphs are non-empty");
-//! assert!(analysis.static_criticality(most_critical) >= 1.0);
+//! assert!(sc[most_critical.index()] >= 1.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -160,28 +156,12 @@ mod proptests {
             let graph = config.generate().unwrap();
             let weights: Vec<f64> =
                 (0..graph.task_count()).map(|i| 1.0 + (i % 5) as f64).collect();
-            let analysis = analysis::GraphAnalysis::new(&graph, &weights).unwrap();
+            let sc = analysis::static_criticalities(&graph, &weights).unwrap();
             for t in graph.task_ids() {
-                let sc = analysis.static_criticality(t);
-                prop_assert!(sc >= weights[t.index()]);
+                prop_assert!(sc[t.index()] >= weights[t.index()]);
                 for &s in graph.successors(t) {
-                    prop_assert!(
-                        sc >= analysis.static_criticality(s) + weights[t.index()] - 1e-9
-                    );
+                    prop_assert!(sc[t.index()] >= sc[s.index()] + weights[t.index()] - 1e-9);
                 }
-            }
-        }
-
-        /// ASAP never exceeds ALAP and the critical path bound is consistent.
-        #[test]
-        fn asap_alap_are_consistent(config in config_strategy()) {
-            let graph = config.generate().unwrap();
-            let analysis = analysis::GraphAnalysis::unit(&graph).unwrap();
-            for t in graph.task_ids() {
-                prop_assert!(analysis.asap(t) <= analysis.alap(t) + 1e-9);
-                prop_assert!(
-                    analysis.asap(t) + 1.0 <= analysis.makespan_lower_bound() + 1e-9
-                );
             }
         }
     }

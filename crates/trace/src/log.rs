@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use crate::json::{self, JsonValue};
 use crate::jsonl;
-use crate::spans::{attrs_from_json, id_hex, now_us, parse_id, write_attrs, Scan};
+use crate::spans::{attrs_from_json, id_hex, now_us, parse_id, write_attrs};
 
 /// Event severity, most severe first. The declaration order is the filter
 /// order: a level is enabled when it is `<=` the configured maximum, so
@@ -249,68 +249,15 @@ impl LogEvent {
         })
     }
 
-    /// Decodes an event from one JSONL line.
-    ///
-    /// Lines in the exact canonical [`LogEvent::to_line`] layout take a
-    /// byte-level fast path; anything else falls back to the full JSON
-    /// parser, so arbitrary-JSON log lines still decode.
+    /// Decodes an event from one JSONL line, in any JSON layout, through
+    /// the JSON tree parser.
     ///
     /// # Errors
     ///
     /// As [`LogEvent::from_json`], plus JSON parse failures.
     pub fn parse_line(line: &str) -> Result<LogEvent, String> {
-        if let Some(event) = LogEvent::parse_canonical(line) {
-            return Ok(event);
-        }
         let value = JsonValue::parse(line).map_err(|e| e.to_string())?;
         LogEvent::from_json(&value)
-    }
-
-    /// The [`LogEvent::parse_line`] fast path: decodes the exact canonical
-    /// layout `to_line` emits (sorted keys, no string escapes). Any
-    /// deviation — including semantically invalid events, which the slow
-    /// path rejects with a field-naming error — returns `None`.
-    fn parse_canonical(line: &str) -> Option<LogEvent> {
-        let mut scan = Scan::new(line);
-        let mut attrs = BTreeMap::new();
-        scan.attrs(|key, value| {
-            attrs.insert(key.to_string(), value.to_string());
-        })?;
-        scan.expect(b",\"level\":")?;
-        let level = LogLevel::parse(scan.plain_string()?)?;
-        scan.expect(b",\"message\":")?;
-        let message = scan.plain_string()?.to_string();
-        scan.expect(b",\"target\":")?;
-        let target = scan.plain_string()?.to_string();
-        scan.expect(b",\"trace_id\":")?;
-        let trace_text = scan.plain_string()?;
-        let trace_id = if trace_text.is_empty() {
-            None
-        } else {
-            Some(parse_id(trace_text)?)
-        };
-        scan.expect(b",\"ts_us\":")?;
-        let ts_us = scan.number()?;
-        scan.expect(b"}")?;
-        if !scan.at_end() {
-            return None;
-        }
-        Some(LogEvent {
-            ts_us,
-            level,
-            target,
-            message,
-            trace_id,
-            attrs,
-        })
-    }
-
-    /// `true` if a JSONL line looks like a log event (has the level and
-    /// target fields), without fully parsing it — how mixed streams are
-    /// partitioned.
-    pub fn is_log_line(line: &str) -> bool {
-        jsonl::line_str_field(line, "level").is_some()
-            && jsonl::line_str_field(line, "target").is_some()
     }
 }
 
@@ -586,8 +533,6 @@ mod tests {
         let event = sample();
         let line = event.to_line();
         assert_eq!(LogEvent::parse_line(&line).unwrap(), event);
-        assert!(LogEvent::is_log_line(&line));
-        assert!(!LogEvent::is_log_line("{\"id\":3}"));
 
         // Untraced, attr-free events round-trip too.
         let plain = LogEvent::new(LogLevel::Info, "server", "listening").at(7);
@@ -618,8 +563,8 @@ mod tests {
 
     #[test]
     fn timestamps_past_the_exact_range_are_refused_by_both_decoders() {
-        // As for spans: 2^53 + 1 would read exactly in the canonical layout
-        // but round to 2^53 once spaced, so both layouts refuse it.
+        // 2^53 + 1 rounds to 2^53 in a JSON number, so the decoder refuses
+        // it in either layout and keeps 2^53 - 1.
         for (ts, accepted) in [
             (json::MAX_EXACT_INTEGER, true),
             (json::MAX_EXACT_INTEGER + 2, false),

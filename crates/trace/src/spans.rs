@@ -288,52 +288,46 @@ impl SpanEvent {
         })
     }
 
-    /// Decodes a span from one JSONL line.
-    ///
-    /// Lines in the exact canonical [`SpanEvent::to_line`] layout take a
-    /// byte-level fast path (~5x cheaper than the JSON tree parser — this
-    /// runs per span on the server's ingest hot path); anything else falls
-    /// back to the full parser, so arbitrary-JSON span lines still decode.
+    /// Decodes a span from one JSONL line, in any JSON layout, through the
+    /// JSON tree parser.
     ///
     /// # Errors
     ///
     /// As [`SpanEvent::from_json`], plus JSON parse failures.
     pub fn parse_line(line: &str) -> Result<SpanEvent, String> {
-        if let Some(span) = SpanEvent::parse_canonical(line) {
-            return Ok(span);
-        }
         let value = JsonValue::parse(line).map_err(|e| e.to_string())?;
         SpanEvent::from_json(&value)
     }
 
-    /// The [`SpanEvent::parse_line`] fast path: decodes the exact canonical
-    /// layout `to_line` emits (sorted keys, no string escapes). Any
-    /// deviation — including semantically invalid spans, which the slow
-    /// path rejects with a field-naming error — returns `None`.
-    fn parse_canonical(line: &str) -> Option<SpanEvent> {
-        let mut attrs = BTreeMap::new();
-        let raw = scan_canonical(line, |key, value| {
-            attrs.insert(key.to_string(), value.to_string());
-        })?;
-        Some(SpanEvent {
-            trace_id: raw.trace_id,
-            span_id: raw.span_id,
-            parent_id: raw.parent_id,
-            name: raw.name.to_string(),
-            kind: raw.kind,
-            start_us: raw.start_us,
-            end_us: raw.end_us,
-            attrs,
-        })
-    }
-
-    /// Validates a canonical span line without building the event, returning
-    /// its `(trace_id, span_id)`. `None` for anything that is not a valid
-    /// span in the exact [`SpanEvent::to_line`] layout — the zero-allocation
-    /// check the server's ingest hot path runs per piggybacked span line
-    /// before storing it verbatim.
+    /// Validates a span line in the exact layout [`SpanEvent::to_line`]
+    /// emits (sorted keys, no string escapes) without building the event,
+    /// returning its `(trace_id, span_id)`. `None` on any deviation,
+    /// including semantic invalidity (zero ids, `end_us < start_us`); callers
+    /// that need an error message fall back to [`SpanEvent::parse_line`].
+    /// This is the zero-allocation check the server's ingest and snapshot
+    /// restore run per span line before storing it verbatim.
     pub fn canonical_ids(line: &str) -> Option<(u64, u64)> {
-        scan_canonical(line, |_, _| ()).map(|raw| (raw.trace_id, raw.span_id))
+        let mut scan = Scan::new(line);
+        scan.attrs()?;
+        scan.expect(b",\"end_us\":")?;
+        let end_us = scan.number()?;
+        scan.expect(b",\"kind\":")?;
+        SpanKind::parse(scan.plain_string()?)?;
+        scan.expect(b",\"name\":")?;
+        scan.plain_string()?;
+        scan.expect(b",\"parent_id\":")?;
+        let parent_text = scan.plain_string()?;
+        if !parent_text.is_empty() {
+            parse_id(parent_text)?;
+        }
+        scan.expect(b",\"span_id\":")?;
+        let span_id = parse_id(scan.plain_string()?)?;
+        scan.expect(b",\"start_us\":")?;
+        let start_us = scan.number()?;
+        scan.expect(b",\"trace_id\":")?;
+        let trace_id = parse_id(scan.plain_string()?)?;
+        scan.expect(b"}")?;
+        (scan.at_end() && end_us >= start_us).then_some((trace_id, span_id))
     }
 
     /// `true` if a JSONL line looks like a span record (has the id fields),
@@ -374,75 +368,16 @@ pub(crate) fn attrs_from_json(value: &JsonValue) -> Result<BTreeMap<String, Stri
     }
 }
 
-/// A canonical span line's fields, borrowed from the line (attrs are
-/// streamed to the `scan_canonical` caller instead).
-struct RawSpan<'t> {
-    trace_id: u64,
-    span_id: u64,
-    parent_id: Option<u64>,
-    name: &'t str,
-    kind: SpanKind,
-    start_us: u64,
-    end_us: u64,
-}
-
-/// Scans the exact canonical layout [`SpanEvent::to_line`] emits (sorted
-/// keys, no string escapes), handing each attr pair to `on_attr` as it
-/// passes. Returns `None` on any deviation, including semantic invalidity
-/// (zero ids, `end_us < start_us`) — callers that need an error message
-/// fall back to the full JSON parser.
-fn scan_canonical<'t>(
-    line: &'t str,
-    mut on_attr: impl FnMut(&'t str, &'t str),
-) -> Option<RawSpan<'t>> {
-    let mut scan = Scan::new(line);
-    scan.attrs(&mut on_attr)?;
-    scan.expect(b",\"end_us\":")?;
-    let end_us = scan.number()?;
-    scan.expect(b",\"kind\":")?;
-    let kind = SpanKind::parse(scan.plain_string()?)?;
-    scan.expect(b",\"name\":")?;
-    let name = scan.plain_string()?;
-    scan.expect(b",\"parent_id\":")?;
-    let parent_text = scan.plain_string()?;
-    let parent_id = if parent_text.is_empty() {
-        None
-    } else {
-        Some(parse_id(parent_text)?)
-    };
-    scan.expect(b",\"span_id\":")?;
-    let span_id = parse_id(scan.plain_string()?)?;
-    scan.expect(b",\"start_us\":")?;
-    let start_us = scan.number()?;
-    scan.expect(b",\"trace_id\":")?;
-    let trace_id = parse_id(scan.plain_string()?)?;
-    scan.expect(b"}")?;
-    if !scan.at_end() || end_us < start_us {
-        return None;
-    }
-    Some(RawSpan {
-        trace_id,
-        span_id,
-        parent_id,
-        name,
-        kind,
-        start_us,
-        end_us,
-    })
-}
-
-/// Byte cursor for canonical-layout scanners ([`scan_canonical`] here, the
-/// log-line fast path in [`crate::log`]): every method returns `None` on
-/// the first deviation from the canonical layout, sending the caller to
-/// the full JSON parser.
-pub(crate) struct Scan<'t> {
+/// Byte cursor for [`SpanEvent::canonical_ids`]: every method returns
+/// `None` on the first deviation from the canonical layout.
+struct Scan<'t> {
     text: &'t str,
     bytes: &'t [u8],
     pos: usize,
 }
 
 impl<'t> Scan<'t> {
-    pub(crate) fn new(line: &'t str) -> Self {
+    fn new(line: &'t str) -> Self {
         Scan {
             text: line,
             bytes: line.as_bytes(),
@@ -451,11 +386,11 @@ impl<'t> Scan<'t> {
     }
 
     /// `true` once the whole line has been consumed.
-    pub(crate) fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos == self.bytes.len()
     }
 
-    pub(crate) fn expect(&mut self, token: &[u8]) -> Option<()> {
+    fn expect(&mut self, token: &[u8]) -> Option<()> {
         if self.bytes[self.pos..].starts_with(token) {
             self.pos += token.len();
             Some(())
@@ -466,9 +401,9 @@ impl<'t> Scan<'t> {
 
     /// A quoted string with no escapes (scanning for the closing `"` byte
     /// is UTF-8 safe: 0x22 never occurs in a continuation byte). A
-    /// backslash or control character bails to the slow path, which
+    /// backslash or control character bails to the tree parser, which
     /// unescapes properly.
-    pub(crate) fn plain_string(&mut self) -> Option<&'t str> {
+    fn plain_string(&mut self) -> Option<&'t str> {
         self.expect(b"\"")?;
         let start = self.pos;
         while let Some(&byte) = self.bytes.get(self.pos) {
@@ -486,17 +421,17 @@ impl<'t> Scan<'t> {
         None
     }
 
-    /// The leading `{"attrs":{…}` object of a canonical span or log line,
-    /// handing each key-value pair to `on_attr`.
-    pub(crate) fn attrs(&mut self, mut on_attr: impl FnMut(&'t str, &'t str)) -> Option<()> {
+    /// The leading `{"attrs":{…}` object of a canonical span line: string
+    /// keys and values.
+    fn attrs(&mut self) -> Option<()> {
         self.expect(b"{\"attrs\":{")?;
         if self.expect(b"}").is_some() {
             return Some(());
         }
         loop {
-            let key = self.plain_string()?;
+            self.plain_string()?;
             self.expect(b":")?;
-            on_attr(key, self.plain_string()?);
+            self.plain_string()?;
             if self.expect(b",").is_none() {
                 return self.expect(b"}");
             }
@@ -506,7 +441,7 @@ impl<'t> Scan<'t> {
     /// A plain unsigned decimal (the only number shape `to_line` emits) no
     /// larger than [`json::MAX_EXACT_INTEGER`], the bound the tree parser
     /// applies, so both decoders accept the same lines.
-    pub(crate) fn number(&mut self) -> Option<u64> {
+    fn number(&mut self) -> Option<u64> {
         let start = self.pos;
         let mut value = 0u64;
         while let Some(&byte) = self.bytes.get(self.pos) {
@@ -820,9 +755,9 @@ mod tests {
 
     #[test]
     fn non_canonical_lines_parse_through_the_slow_path() {
-        // The fast scanner only accepts `to_line`'s exact byte layout;
-        // anything else — reordered keys, whitespace, escaped attrs —
-        // must still parse identically through the JSON tree.
+        // `canonical_ids` only accepts `to_line`'s exact byte layout; the
+        // decoder reads any layout — reordered keys, whitespace, escaped
+        // attrs — to the same span.
         let canonical = span(0x11, 0x22, Some(0x33), 1_000, 2_500).attr("benchmark", "Bm1");
         let reordered = concat!(
             "{\"trace_id\": \"0000000000000011\", \"span_id\": \"0000000000000022\",",
@@ -843,15 +778,20 @@ mod tests {
 
     #[test]
     fn timestamps_past_the_exact_range_are_refused_by_both_decoders() {
-        // 2^53 + 1 parses as 2^53 in a JSON number; the canonical scanner
-        // must not read it exactly while the spaced line rounds, so both
-        // refuse it, and both keep 2^53 - 1.
+        // 2^53 + 1 parses as 2^53 in a JSON number; `canonical_ids` must
+        // not read it exactly while the decoder rounds, so both refuse it,
+        // and both keep 2^53 - 1.
         for (end, accepted) in [
             (json::MAX_EXACT_INTEGER, true),
             (json::MAX_EXACT_INTEGER + 2, false),
         ] {
             let span = span(0x11, 0x22, None, 0, end);
             let canonical = span.to_line();
+            assert_eq!(
+                SpanEvent::canonical_ids(&canonical),
+                accepted.then_some((0x11, 0x22)),
+                "{canonical}"
+            );
             let spaced = canonical.replace("\"end_us\":", "\"end_us\": ");
             for line in [&canonical, &spaced] {
                 match SpanEvent::parse_line(line) {
