@@ -208,7 +208,7 @@ pub fn schedule(options: &Options) -> Result<String, CliError> {
     let library = profiles::standard_library(TASK_TYPES).map_err(execution_error)?;
     let graph = benchmark.task_graph().map_err(execution_error)?;
 
-    let (schedule, evaluation, architecture, label) = match arch {
+    let (schedule, evaluation, label) = match arch {
         "platform" => {
             let result = PlatformFlow::new(&library)
                 .map_err(execution_error)?
@@ -217,7 +217,6 @@ pub fn schedule(options: &Options) -> Result<String, CliError> {
             (
                 result.schedule,
                 result.evaluation,
-                result.architecture,
                 format!("{benchmark} on platform with {policy}"),
             )
         }
@@ -228,7 +227,6 @@ pub fn schedule(options: &Options) -> Result<String, CliError> {
             (
                 result.schedule,
                 result.evaluation,
-                result.architecture,
                 format!("{benchmark} via co-synthesis with {policy}"),
             )
         }
@@ -259,8 +257,6 @@ pub fn schedule(options: &Options) -> Result<String, CliError> {
         out.push_str(&json::schedule_to_json(&schedule, Some(&graph)).to_json());
         out.push('\n');
     }
-    // Silence the otherwise-unused architecture when no artefact needs it.
-    let _ = architecture;
     Ok(out)
 }
 

@@ -13,10 +13,9 @@
 //! where `SC` is the static criticality (the longest weighted path from the
 //! task to the end of the graph), and the fourth term is selected by the
 //! [`Policy`]: nothing for the baseline, one of the three power heuristics,
-//! or, for the thermal-aware ASP, the rise above ambient of the
-//! [`ThermalObjective`] score (by default [`ThermalObjective::Blended`], the
-//! mean of the average and peak block temperatures the compact thermal
-//! model predicts) times the temperature weight.
+//! or, for the thermal-aware ASP, the rise above ambient of the mean of the
+//! average and peak block temperatures the compact thermal model predicts,
+//! times a fixed temperature weight.
 
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ use tats_thermal::{ThermalConfig, ThermalError, ThermalModel};
 
 use crate::error::CoreError;
 use crate::layout;
-use crate::policy::{Policy, PowerHeuristic, ThermalObjective};
+use crate::policy::{Policy, PowerHeuristic};
 use crate::schedule::{Assignment, Schedule};
 
 /// The allocation and scheduling procedure, configured via a builder-style
@@ -58,8 +57,6 @@ pub struct Asp<'a> {
     architecture: &'a Architecture,
     policy: Policy,
     thermal_model: Option<Arc<ThermalModel>>,
-    thermal_objective: ThermalObjective,
-    temperature_weight: f64,
     cost_scale: f64,
 }
 
@@ -93,8 +90,6 @@ impl<'a> Asp<'a> {
             architecture,
             policy: Policy::Baseline,
             thermal_model: None,
-            thermal_objective: ThermalObjective::default(),
-            temperature_weight: 25.0,
             cost_scale: 1.0,
         })
     }
@@ -116,35 +111,13 @@ impl<'a> Asp<'a> {
         self
     }
 
-    /// Selects which temperature statistic the thermal-aware policy minimises
-    /// (see [`ThermalObjective`]).
-    pub fn with_thermal_objective(mut self, objective: ThermalObjective) -> Self {
-        self.thermal_objective = objective;
-        self
-    }
-
-    /// Sets how many schedule time units one degree Celsius of predicted
-    /// temperature rise is worth in the dynamic criticality (default 25).
-    ///
-    /// The paper subtracts the temperature directly, but does not specify the
-    /// relative units of time and temperature; this weight makes the
-    /// trade-off explicit.
-    pub fn with_temperature_weight(mut self, weight: f64) -> Self {
-        self.temperature_weight = weight;
-        self
-    }
-
-    /// Scales the fourth (power/temperature) term of the dynamic criticality.
-    ///
-    /// The paper subtracts the raw term; a scale of `1.0` reproduces that.
+    /// Scales the fourth (power/temperature) term of the dynamic criticality
+    /// (default `1.0`, the paper's raw term). Co-synthesis lowers it toward
+    /// zero, where every policy is the baseline, until the deadline is met;
+    /// `schedule()` refuses a negative or non-finite scale.
     pub fn with_cost_scale(mut self, cost_scale: f64) -> Self {
         self.cost_scale = cost_scale;
         self
-    }
-
-    /// The policy currently configured.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// Runs the list scheduler and returns the completed schedule.
@@ -159,12 +132,6 @@ impl<'a> Asp<'a> {
             return Err(CoreError::InvalidParameter(format!(
                 "cost scale must be non-negative and finite, got {}",
                 self.cost_scale
-            )));
-        }
-        if !self.temperature_weight.is_finite() || self.temperature_weight < 0.0 {
-            return Err(CoreError::InvalidParameter(format!(
-                "temperature weight must be non-negative and finite, got {}",
-                self.temperature_weight
             )));
         }
 
@@ -275,14 +242,13 @@ impl<'a> Asp<'a> {
                                 busy_energy[pe_index] + wcet * wcpc,
                                 busy_time[pe_index] + wcet,
                             );
-                            let score = self
-                                .thermal_objective
-                                .score(thermal.temperatures_with(pe_index, power)?);
+                            let temperature =
+                                blended_temperature(thermal.temperatures_with(pe_index, power)?);
                             // Express the predicted temperature rise above
                             // ambient in schedule time units so that it can
                             // compete with the WCET and start-time terms.
-                            (score - thermal.model.config().ambient_c).max(0.0)
-                                * self.temperature_weight
+                            (temperature - thermal.model.config().ambient_c).max(0.0)
+                                * TEMPERATURE_WEIGHT
                         }
                     };
 
@@ -340,6 +306,29 @@ impl<'a> Asp<'a> {
             .collect();
         Ok(Schedule::new(assignments, pe_count, self.graph.deadline()))
     }
+}
+
+/// How many schedule time units one degree Celsius of predicted temperature
+/// rise is worth in the thermal-aware dynamic criticality. The paper
+/// subtracts the temperature directly but does not relate the units of time
+/// and temperature; this weight makes the trade-off explicit.
+const TEMPERATURE_WEIGHT: f64 = 25.0;
+
+/// The temperature the thermal-aware policy minimises, °C: the mean of the
+/// average and the peak of the block temperatures, with the arithmetic of
+/// [`Temperatures::average_c`](tats_thermal::Temperatures::average_c) and
+/// [`Temperatures::max_c`](tats_thermal::Temperatures::max_c).
+///
+/// The paper averages the temperatures HotSpot returns. With a linear RC
+/// model and a perfectly symmetric floorplan, such as the 2×2 platform, the
+/// average block temperature is the same whichever block takes the next
+/// task, so the average alone cannot tell the PEs apart. Blending in the
+/// peak keeps the paper's aim: "reduce the peak temperature and achieve a
+/// thermally even distribution".
+fn blended_temperature(block_c: &[f64]) -> f64 {
+    let average = block_c.iter().sum::<f64>() / block_c.len() as f64;
+    let peak = block_c.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    0.5 * (average + peak)
 }
 
 /// Energy over busy time: the power a PE draws while it runs, or zero for a
@@ -525,7 +514,8 @@ mod tests {
             .with_policy(Policy::PowerAware(PowerHeuristic::MinTaskEnergy))
             .schedule()
             .unwrap();
-        assert!(h3.total_average_power() <= baseline.total_average_power() * 1.05);
+        let total = |s: &Schedule| s.average_power_per_pe().iter().sum::<f64>();
+        assert!(total(&h3) <= total(&baseline) * 1.05);
     }
 
     #[test]
@@ -661,6 +651,12 @@ mod tests {
         ));
         let schedule = asp.with_policy(Policy::Baseline).schedule().unwrap();
         assert_eq!(schedule.task_count(), 1);
+    }
+
+    #[test]
+    fn blended_temperature_is_the_mean_of_average_and_peak() {
+        assert_eq!(blended_temperature(&[50.0; 3]), 50.0);
+        assert_eq!(blended_temperature(&[40.0, 60.0, 50.0]), 55.0);
     }
 
     #[test]

@@ -50,8 +50,6 @@ pub struct CoSynthesisResult {
     pub schedule: Schedule,
     /// The table metrics of the final schedule.
     pub evaluation: ScheduleEvaluation,
-    /// Number of candidate architectures the allocation loop evaluated.
-    pub architectures_explored: usize,
 }
 
 /// The co-synthesis flow.
@@ -135,7 +133,6 @@ impl<'a> CoSynthesis<'a> {
         architecture: &Architecture,
         policy: Policy,
         model: Option<Arc<ThermalModel>>,
-        explored: &mut usize,
     ) -> Result<Schedule, CoreError> {
         let mut asp = Asp::new(graph, self.library, architecture)?.with_policy(policy);
         if let Some(model) = model {
@@ -145,7 +142,6 @@ impl<'a> CoSynthesis<'a> {
         let mut last = None;
         for &factor in &scales {
             let schedule = asp.clone().with_cost_scale(factor).schedule()?;
-            *explored += 1;
             if schedule.meets_deadline() {
                 return Ok(schedule);
             }
@@ -197,7 +193,6 @@ impl<'a> CoSynthesis<'a> {
         //     makespan estimator so all policies see the same architecture. ---
         let clock = Instant::now();
         let mut architecture = Architecture::new("co-synthesis");
-        let mut explored = 0usize;
         let mut best_makespan = f64::INFINITY;
 
         while architecture.pe_count() < self.max_pes {
@@ -207,7 +202,6 @@ impl<'a> CoSynthesis<'a> {
                 let mut candidate = architecture.clone();
                 candidate.add_instance(pe_type.id());
                 let schedule = self.baseline_schedule(graph, &candidate)?;
-                explored += 1;
                 let makespan = schedule.makespan();
                 let better = match &best_addition {
                     None => true,
@@ -260,7 +254,6 @@ impl<'a> CoSynthesis<'a> {
                     }
                 }
                 let trial = self.baseline_schedule(graph, &candidate)?;
-                explored += 1;
                 if trial.meets_deadline() {
                     architecture = candidate;
                     removed_any = true;
@@ -283,8 +276,7 @@ impl<'a> CoSynthesis<'a> {
         } else {
             None
         };
-        let schedule =
-            self.schedule_with_backoff(graph, &architecture, policy, grid_model, &mut explored)?;
+        let schedule = self.schedule_with_backoff(graph, &architecture, policy, grid_model)?;
         phases.scheduling += clock.elapsed();
         if !schedule.meets_deadline() {
             return Err(CoreError::DeadlineUnreachable {
@@ -323,7 +315,7 @@ impl<'a> CoSynthesis<'a> {
         let clock = Instant::now();
         let final_model = policy.needs_thermal_model().then(|| Arc::clone(&model));
         let final_schedule =
-            self.schedule_with_backoff(graph, &architecture, policy, final_model, &mut explored)?;
+            self.schedule_with_backoff(graph, &architecture, policy, final_model)?;
         let schedule = if final_schedule.meets_deadline() {
             final_schedule
         } else {
@@ -340,7 +332,6 @@ impl<'a> CoSynthesis<'a> {
                 floorplan,
                 schedule,
                 evaluation,
-                architectures_explored: explored,
             },
             phases,
         ))
@@ -382,7 +373,6 @@ mod tests {
                 .schedule
                 .validate(&graph, &result.architecture, &library)
                 .unwrap();
-            assert!(result.architectures_explored >= library.pe_type_count());
         }
     }
 

@@ -70,7 +70,7 @@ pub use error::CoreError;
 pub use metrics::{evaluate_schedule, ScheduleEvaluation};
 pub use phases::FlowPhases;
 pub use platform::{PlatformFlow, PlatformResult};
-pub use policy::{Policy, PowerHeuristic, ThermalObjective};
+pub use policy::{Policy, PowerHeuristic};
 pub use schedule::{Assignment, Schedule};
 
 #[cfg(test)]

@@ -27,10 +27,3 @@ pub struct FlowPhases {
     /// Time spent in the floorplanner.
     pub floorplan: Duration,
 }
-
-impl FlowPhases {
-    /// Sum of all phase durations.
-    pub fn total(&self) -> Duration {
-        self.scheduling + self.thermal + self.floorplan
-    }
-}

@@ -55,9 +55,8 @@ impl fmt::Display for PowerHeuristic {
 ///
 /// where the `cost_term` is zero for the baseline, one of the power terms for
 /// the power-aware policies, and for the thermal-aware policy the rise above
-/// ambient of the [`ThermalObjective`] score of the block temperatures the
-/// thermal model predicts (by default [`ThermalObjective::Blended`]), times
-/// the ASP's temperature weight.
+/// ambient of the mean of the average and peak block temperatures the thermal
+/// model predicts, times a fixed temperature weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Performance-only list scheduling (no fourth term); the first row of
@@ -66,9 +65,7 @@ pub enum Policy {
     /// Power-aware scheduling with the selected heuristic.
     PowerAware(PowerHeuristic),
     /// Thermal-aware scheduling: the fourth term is the predicted rise above
-    /// ambient of the [`ThermalObjective`] score of the PEs' temperatures
-    /// (by default [`ThermalObjective::Blended`], the mean of their average
-    /// and peak).
+    /// ambient of the mean of the PEs' average and peak temperatures.
     ThermalAware,
 }
 
@@ -103,63 +100,6 @@ impl fmt::Display for Policy {
     }
 }
 
-/// Which statistic of the thermal model's temperature field the thermal-aware
-/// policy minimises.
-///
-/// The paper averages the temperatures returned by HotSpot. With a linear RC
-/// model and a *perfectly symmetric* floorplan (such as the synthetic 2×2
-/// platform used here), the average block temperature is mathematically
-/// independent of which block receives the next task, so a pure-average
-/// objective loses its placement sensitivity. Real HotSpot floorplans are
-/// asymmetric enough to avoid the degeneracy; to preserve the paper's
-/// intended behaviour ("reduce the peak temperature and achieve a thermally
-/// even distribution") the default objective blends the average with the
-/// predicted peak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ThermalObjective {
-    /// Minimise the mean block temperature (the paper's literal wording).
-    Average,
-    /// Minimise the hottest block temperature.
-    Peak,
-    /// Minimise the mean of the average and peak temperatures (default).
-    #[default]
-    Blended,
-}
-
-impl ThermalObjective {
-    /// All objectives.
-    pub const ALL: [ThermalObjective; 3] = [
-        ThermalObjective::Average,
-        ThermalObjective::Peak,
-        ThermalObjective::Blended,
-    ];
-
-    /// Reduces block temperatures (°C) to the scalar this objective
-    /// minimises, with the arithmetic of
-    /// [`Temperatures::average_c`](tats_thermal::Temperatures::average_c) and
-    /// [`Temperatures::max_c`](tats_thermal::Temperatures::max_c).
-    pub fn score(self, block_c: &[f64]) -> f64 {
-        let average = || block_c.iter().sum::<f64>() / block_c.len() as f64;
-        let max = || block_c.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        match self {
-            ThermalObjective::Average => average(),
-            ThermalObjective::Peak => max(),
-            ThermalObjective::Blended => 0.5 * (average() + max()),
-        }
-    }
-}
-
-impl fmt::Display for ThermalObjective {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ThermalObjective::Average => "average-temperature",
-            ThermalObjective::Peak => "peak-temperature",
-            ThermalObjective::Blended => "blended-temperature",
-        };
-        f.write_str(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,18 +130,5 @@ mod tests {
             Policy::PowerAware(PowerHeuristic::MinTaskEnergy).to_string(),
             "Heuristic 3"
         );
-    }
-
-    #[test]
-    fn thermal_objectives_score_temperature_fields_as_documented() {
-        for objective in ThermalObjective::ALL {
-            assert_eq!(objective.score(&[50.0; 3]), 50.0);
-        }
-        let temps = [40.0, 60.0, 50.0];
-        assert_eq!(ThermalObjective::Average.score(&temps), 50.0);
-        assert_eq!(ThermalObjective::Peak.score(&temps), 60.0);
-        assert_eq!(ThermalObjective::Blended.score(&temps), 55.0);
-        assert_eq!(ThermalObjective::default(), ThermalObjective::Blended);
-        assert_eq!(ThermalObjective::Peak.to_string(), "peak-temperature");
     }
 }

@@ -146,53 +146,32 @@ impl Schedule {
         self.assignments_on(pe).map(|a| a.energy()).sum()
     }
 
-    /// Fills `out` with the average power of each PE over the makespan
-    /// (energy over makespan). Its one flow caller is co-synthesis, which
-    /// hands it to the floorplanner as the module powers; the schedule
-    /// evaluation uses [`Schedule::sustained_power_per_pe_into`] instead.
-    /// Single pass over the assignments, no allocation beyond the buffer's
-    /// capacity.
-    pub fn average_power_per_pe_into(&self, out: &mut Vec<f64>) {
+    /// Average power of each PE over the makespan (energy over makespan).
+    /// Its one flow caller is co-synthesis, which hands it to the
+    /// floorplanner as the module powers; the schedule evaluation uses
+    /// [`Schedule::sustained_power_per_pe`] instead.
+    pub fn average_power_per_pe(&self) -> Vec<f64> {
         let horizon = self.makespan().max(1e-9);
-        out.clear();
-        out.resize(self.pe_count, 0.0);
+        let mut out = vec![0.0; self.pe_count];
         for a in &self.assignments {
             out[a.pe.index()] += a.energy();
         }
         for power in out.iter_mut() {
             *power /= horizon;
         }
-    }
-
-    /// Average power of each PE over the makespan (allocating convenience
-    /// wrapper around [`Schedule::average_power_per_pe_into`]).
-    pub fn average_power_per_pe(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.pe_count);
-        self.average_power_per_pe_into(&mut out);
         out
     }
 
-    /// Sum of the per-PE average powers over the makespan (total energy over
-    /// makespan). No flow reads it: the tables' "Total Pow." column is
-    /// [`ScheduleEvaluation::total_average_power`](crate::ScheduleEvaluation::total_average_power),
-    /// the sum of sustained powers. Computed directly from the assignments;
-    /// allocates nothing.
-    pub fn total_average_power(&self) -> f64 {
-        let horizon = self.makespan().max(1e-9);
-        self.assignments.iter().map(|a| a.energy()).sum::<f64>() / horizon
-    }
-
-    /// Fills `out` with the sustained power of each PE: the energy it
-    /// consumes divided by the time it is busy (zero for idle PEs).
+    /// Sustained power of each PE: the energy it consumes divided by the time
+    /// it is busy (zero for idle PEs).
     ///
     /// This is the thermal load a PE dissipates *while it is running*, and
-    /// the per-block power vector [`crate::evaluate_schedule`] hands the
-    /// thermal model (the ASP's inquiries build the same measure
+    /// the per-block power vector [`crate::evaluate_schedule`] and `tats dvs`
+    /// hand the thermal model (the ASP's inquiries build the same measure
     /// incrementally); unlike the makespan-normalised average it does not
     /// reward schedules merely for taking longer.
-    pub fn sustained_power_per_pe_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.pe_count, 0.0);
+    pub fn sustained_power_per_pe(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.pe_count];
         let mut busy = vec![0.0_f64; self.pe_count];
         for a in &self.assignments {
             out[a.pe.index()] += a.energy();
@@ -201,19 +180,7 @@ impl Schedule {
         for (energy, busy) in out.iter_mut().zip(&busy) {
             *energy = if *busy > 0.0 { *energy / *busy } else { 0.0 };
         }
-    }
-
-    /// Sustained power of each PE (allocating convenience wrapper around
-    /// [`Schedule::sustained_power_per_pe_into`]).
-    pub fn sustained_power_per_pe(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.pe_count);
-        self.sustained_power_per_pe_into(&mut out);
         out
-    }
-
-    /// Sum of the per-PE sustained powers.
-    pub fn total_sustained_power(&self) -> f64 {
-        self.sustained_power_per_pe().iter().sum()
     }
 
     /// Ids of PEs that execute at least one task, in id order.
@@ -368,19 +335,10 @@ mod tests {
         let p = s.average_power_per_pe();
         assert!((p[0] - 2.0).abs() < 1e-12);
         assert!((p[1] - 0.5).abs() < 1e-12);
-        assert!((s.total_average_power() - 2.5).abs() < 1e-12);
         // Sustained power: every assignment runs at 2 W, so each busy PE
         // sustains exactly 2 W.
         assert_eq!(s.sustained_power_per_pe(), vec![2.0, 2.0]);
-        assert!((s.total_sustained_power() - 4.0).abs() < 1e-12);
         assert_eq!(s.used_pes().collect::<Vec<_>>(), vec![PeId(0), PeId(1)]);
-        // The _into variants reuse the buffer and agree with the allocating
-        // wrappers.
-        let mut scratch = vec![9.9; 7];
-        s.average_power_per_pe_into(&mut scratch);
-        assert_eq!(scratch, p);
-        s.sustained_power_per_pe_into(&mut scratch);
-        assert_eq!(scratch, vec![2.0, 2.0]);
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl SlackReclaimer {
         SlackReclaimer { table }
     }
 
-    /// The DVFS table used for reclamation.
-    pub fn table(&self) -> &DvfsTable {
-        &self.table
-    }
-
     /// Picks the most efficient operating point that still meets the
     /// deadline and rescales the schedule to it.
     ///

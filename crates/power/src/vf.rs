@@ -90,11 +90,6 @@ impl OperatingPoint {
         &self.name
     }
 
-    /// Supply voltage relative to nominal.
-    pub fn voltage_scale(&self) -> f64 {
-        self.voltage_scale
-    }
-
     /// Clock frequency relative to nominal.
     pub fn frequency_scale(&self) -> f64 {
         self.frequency_scale
@@ -207,11 +202,6 @@ impl DvfsTable {
     /// Whether the table is empty (never true for a constructed table).
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Points in descending frequency order.
-    pub fn points(&self) -> &[OperatingPoint] {
-        &self.points
     }
 
     /// Iterator over the points in descending frequency order.

@@ -37,11 +37,6 @@ pub struct SystemReliability {
 }
 
 impl SystemReliability {
-    /// Per-PE summaries in block order.
-    pub fn per_pe(&self) -> &[PeReliability] {
-        &self.per_pe
-    }
-
     /// Number of PEs evaluated.
     pub fn pe_count(&self) -> usize {
         self.per_pe.len()

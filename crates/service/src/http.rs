@@ -26,6 +26,9 @@ const MAX_HEADERS: usize = 64;
 /// Upper bound on a request/response body, bytes (a 10k-scenario shard of
 /// records is ~2 MB; leave generous headroom).
 const MAX_BODY: usize = 64 * 1024 * 1024;
+/// The most a body read reserves before its bytes arrive; a longer body
+/// grows the buffer as it is read.
+const MAX_BODY_RESERVE: usize = 64 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,8 +138,17 @@ fn read_body(
             "body of {length} bytes exceeds the {MAX_BODY}-byte limit"
         )));
     }
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body)?;
+    // Reserve the declared length only up to a bound, so a peer that
+    // declares 64 MiB and sends nothing costs 64 KiB; a body of the usual
+    // few kilobytes still lands in one allocation.
+    let mut body = Vec::with_capacity(length.min(MAX_BODY_RESERVE));
+    reader.take(length as u64).read_to_end(&mut body)?;
+    if body.len() < length {
+        return Err(ServiceError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("body ended after {} of {length} bytes", body.len()),
+        )));
+    }
     String::from_utf8(body).map_err(|_| ServiceError::Protocol("non-UTF-8 body".to_string()))
 }
 

@@ -489,11 +489,6 @@ impl Registry {
         std::mem::take(&mut self.log_out)
     }
 
-    /// The lease TTL the registry applies, ms.
-    pub fn lease_ttl_ms(&self) -> u64 {
-        self.lease_ttl_ms
-    }
-
     fn job(&self, id: &str) -> Result<&Job, ServiceError> {
         self.jobs
             .get(id)

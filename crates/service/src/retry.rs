@@ -75,15 +75,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, fail fast). Used by tests
-    /// and anywhere the caller owns its own recovery.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Returns this policy reseeded for a named holder (e.g. the worker
     /// name), so fleet members desynchronise their retry schedules.
     pub fn seeded_for(mut self, name: &str) -> Self {

@@ -57,7 +57,7 @@ pub struct WorkerConfig {
     /// Retry policy for transient transport failures (server restarts,
     /// dropped keep-alive connections). The policy is reseeded with the
     /// worker's name at loop start, so a fleet killed by the same restart
-    /// does not retry in lockstep. [`RetryPolicy::none`] fails fast.
+    /// does not retry in lockstep. A `max_attempts` of 1 fails fast.
     pub retry: RetryPolicy,
     /// Test hook: abort the process-visible part of the worker (return an
     /// error as a crash would) after this many records have been streamed.

@@ -179,8 +179,9 @@ fn surviving_worker_rides_out_a_server_restart() {
     let job = submit(&addr, &spec(), 2);
 
     // A worker that must outlive the server: its retry policy absorbs the
-    // dropped keep-alive stream, the connection-refused window while the
-    // server is down, and any 503s while the replacement warms up.
+    // dropped keep-alive stream and the connection-refused window while the
+    // server is down and while the replacement replays its journal before
+    // it listens.
     let worker_addr = addr.clone();
     let worker = std::thread::spawn(move || {
         run_worker(

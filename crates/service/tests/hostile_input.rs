@@ -12,13 +12,22 @@
 //! Whenever `canonical_ids` admits a line, `parse_line` decodes it to the
 //! same ids, so span ingest never admits a line the decoder refuses.
 //!
+//! A request that declares the largest body `read_request` admits and then
+//! sends at most 4 KiB of it never asks the stream to fill more than 64 KiB
+//! at once, and ends in the transient unexpected-EOF error a dropped
+//! connection gives.
+//!
 //! Run with a larger budget via `PROPTEST_CASES=<n>`.
+
+use std::io::{self, BufReader, Cursor, Read};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tats_service::http::read_request;
+use tats_service::retry::is_transient;
+use tats_service::ServiceError;
 use tats_trace::log::{LogEvent, LogLevel};
 use tats_trace::spans::{SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::JsonValue;
@@ -70,6 +79,20 @@ fn request(body: &str) -> String {
          x-worker: w1\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()
     )
+}
+
+/// A stream that serves `bytes` and records the largest buffer a read asks
+/// it to fill.
+struct MeteredStream {
+    bytes: Cursor<Vec<u8>>,
+    largest_read: usize,
+}
+
+impl Read for MeteredStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.largest_read = self.largest_read.max(buf.len());
+        self.bytes.read(buf)
+    }
 }
 
 /// `base` after 1–4 random byte edits.
@@ -143,5 +166,28 @@ proptest! {
         for base in [request(&span), span, log_line()] {
             decode_all(&edited(base.as_bytes(), &mut rng))?;
         }
+    }
+
+    #[test]
+    fn a_declared_body_is_not_allocated_before_it_arrives(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wire =
+            b"POST /jobs/j000001/shards/0/records HTTP/1.1\r\ncontent-length: 67108864\r\n\r\n"
+                .to_vec();
+        let sent = rng.gen_range(0..=4096usize);
+        wire.extend((0..sent).map(|_| hostile_byte(&mut rng)));
+        let mut reader = BufReader::new(MeteredStream {
+            bytes: Cursor::new(wire),
+            largest_read: 0,
+        });
+        let error = read_request(&mut reader).expect_err("the body is 64 MiB short");
+        prop_assert!(
+            matches!(&error, ServiceError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{}",
+            error
+        );
+        prop_assert!(is_transient(&error));
+        let largest = reader.get_ref().largest_read;
+        prop_assert!(largest <= 64 * 1024, "a read asked for {} bytes", largest);
     }
 }

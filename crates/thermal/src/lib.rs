@@ -25,8 +25,10 @@
 //!   validation. Its one [`GridSolver`] is a banded Cholesky
 //!   factorisation (bandwidth `nx`, with the dense spreader/sink rows
 //!   handled by block elimination), computed once per model and cached for
-//!   every right-hand side. Each side holds at most [`MAX_GRID_SIDE`] cells,
-//! * [`linalg`] — the small dense LU solver behind the block model.
+//!   every right-hand side. Each side holds at most [`MAX_GRID_SIDE`] cells.
+//!
+//! A small dense LU solver, private to this crate, factorises the block
+//! model's conductance matrix.
 //!
 //! # Examples
 //!
@@ -55,7 +57,7 @@
 mod error;
 mod floorplan;
 mod grid;
-pub mod linalg;
+mod linalg;
 mod materials;
 mod model;
 mod network;

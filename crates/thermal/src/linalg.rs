@@ -6,26 +6,11 @@
 //! free. The grid model factorises its much larger, banded system with
 //! `tats_sparse` instead.
 
-use std::fmt;
 use std::ops::{Index, IndexMut};
 
 use crate::error::ThermalError;
 
 /// A dense row-major matrix of `f64`.
-///
-/// # Examples
-///
-/// ```
-/// use tats_thermal::linalg::Matrix;
-///
-/// # fn main() -> Result<(), tats_thermal::ThermalError> {
-/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-/// let x = a.solve(&[1.0, 2.0])?;
-/// assert!((x[0] - 1.0 / 11.0).abs() < 1e-12);
-/// assert!((x[1] - 7.0 / 11.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -41,44 +26,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from row slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::InvalidParameter`] when rows have differing
-    /// lengths or the input is empty.
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Self, ThermalError> {
-        if rows.is_empty() || rows[0].is_empty() {
-            return Err(ThermalError::InvalidParameter(
-                "matrix must have at least one row and one column".to_string(),
-            ));
-        }
-        let cols = rows[0].len();
-        if rows.iter().any(|r| r.len() != cols) {
-            return Err(ThermalError::InvalidParameter(
-                "all matrix rows must have the same length".to_string(),
-            ));
-        }
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
     }
 
     /// Number of rows.
@@ -110,6 +57,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`ThermalError::InvalidParameter`] when `x.len() != cols`.
+    #[cfg(test)]
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, ThermalError> {
         if x.len() != self.cols {
             return Err(ThermalError::InvalidParameter(format!(
@@ -138,16 +86,6 @@ impl Matrix {
         lu.solve(b)
     }
 
-    /// Maximum absolute entry (infinity norm of the flattened matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |acc, v| acc.max(v.abs()))
-    }
-
-    /// The row-major backing storage.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Sets every entry to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
@@ -173,19 +111,6 @@ impl IndexMut<(usize, usize)> for Matrix {
             "matrix index out of bounds"
         );
         &mut self.data[row * self.cols + col]
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "[{} x {}]", self.rows, self.cols)?;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                write!(f, "{:>12.4e} ", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
     }
 }
 
@@ -307,11 +232,6 @@ impl LuDecomposition {
         factorize_in_place(&mut self.lu, &mut self.swaps, n)
     }
 
-    /// Dimension of the factorised system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Solves `A x = b` using the stored factorisation.
     ///
     /// # Errors
@@ -376,16 +296,35 @@ impl LuDecomposition {
 mod tests {
     use super::*;
 
+    /// A matrix from equal-length rows.
+    fn matrix(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &value) in row.iter().enumerate() {
+                m[(i, j)] = value;
+            }
+        }
+        m
+    }
+
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = 1.0;
+        }
+        m
+    }
+
     #[test]
     fn identity_solves_trivially() {
-        let a = Matrix::identity(3);
+        let a = identity(3);
         let x = a.solve(&[1.0, -2.0, 3.0]).unwrap();
         assert_eq!(x, vec![1.0, -2.0, 3.0]);
     }
 
     #[test]
     fn known_2x2_system() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
+        let a = matrix(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let x = a.solve(&[3.0, 5.0]).unwrap();
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
@@ -393,7 +332,7 @@ mod tests {
 
     #[test]
     fn pivoting_handles_zero_leading_entry() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
+        let a = matrix(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let x = a.solve(&[2.0, 5.0]).unwrap();
         assert!((x[0] - 5.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -401,7 +340,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_is_detected() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
+        let a = matrix(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert_eq!(
             a.solve(&[1.0, 2.0]).unwrap_err(),
             ThermalError::SingularSystem
@@ -419,7 +358,7 @@ mod tests {
 
     #[test]
     fn rhs_length_mismatch_is_rejected() {
-        let a = Matrix::identity(3);
+        let a = identity(3);
         assert!(matches!(
             a.solve(&[1.0, 2.0]),
             Err(ThermalError::InvalidParameter(_))
@@ -428,7 +367,7 @@ mod tests {
 
     #[test]
     fn matvec_matches_manual_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
+        let a = matrix(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let y = a.matvec(&[1.0, 0.0, -1.0]).unwrap();
         assert_eq!(y, vec![-2.0, -2.0]);
         assert!(a.matvec(&[1.0]).is_err());
@@ -436,13 +375,12 @@ mod tests {
 
     #[test]
     fn solve_then_matvec_round_trips() {
-        let a = Matrix::from_rows(&[
+        let a = matrix(&[
             &[10.0, 2.0, 0.5, 0.0],
             &[2.0, 8.0, 1.0, 0.3],
             &[0.5, 1.0, 6.0, 1.2],
             &[0.0, 0.3, 1.2, 9.0],
-        ])
-        .unwrap();
+        ]);
         let b = vec![1.0, 2.0, 3.0, 4.0];
         let x = a.solve(&b).unwrap();
         let back = a.matvec(&x).unwrap();
@@ -453,9 +391,8 @@ mod tests {
 
     #[test]
     fn lu_is_reusable_across_rhs() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
+        let a = matrix(&[&[3.0, 1.0], &[1.0, 2.0]]);
         let lu = LuDecomposition::new(&a).unwrap();
-        assert_eq!(lu.dim(), 2);
         for b in [[1.0, 0.0], [0.0, 1.0], [5.0, -3.0]] {
             let x = lu.solve(&b).unwrap();
             let back = a.matvec(&x).unwrap();
@@ -467,13 +404,12 @@ mod tests {
 
     #[test]
     fn solve_into_matches_solve() {
-        let a = Matrix::from_rows(&[
+        let a = matrix(&[
             &[10.0, 2.0, 0.5, 0.0],
             &[2.0, 8.0, 1.0, 0.3],
             &[0.5, 1.0, 6.0, 1.2],
             &[0.0, 0.3, 1.2, 9.0],
-        ])
-        .unwrap();
+        ]);
         let lu = LuDecomposition::new(&a).unwrap();
         let b = vec![1.0, -2.0, 3.0, 4.0];
         let expected = lu.solve(&b).unwrap();
@@ -486,8 +422,8 @@ mod tests {
 
     #[test]
     fn refactor_reuses_storage_and_matches_fresh_factorisation() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
+        let a = matrix(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let b = matrix(&[&[3.0, 1.0], &[1.0, 2.0]]);
         let mut lu = LuDecomposition::placeholder(2);
         lu.refactor(&a).unwrap();
         assert_eq!(
@@ -506,27 +442,20 @@ mod tests {
                 .unwrap()
         );
         // Dimension changes are accommodated.
-        let c = Matrix::identity(3);
+        let c = identity(3);
         lu.refactor(&c).unwrap();
-        assert_eq!(lu.dim(), 3);
         assert_eq!(lu.solve(&[1.0, 2.0, 3.0]).unwrap(), vec![1.0, 2.0, 3.0]);
         // Singular refactor is reported.
-        let s = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
+        let s = matrix(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert_eq!(lu.refactor(&s).unwrap_err(), ThermalError::SingularSystem);
     }
 
     #[test]
     fn matrix_slice_and_reset_helpers() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        let mut m = matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        assert_eq!(m[(1, 0)], 3.0);
         m.fill_zero();
-        assert_eq!(m.max_abs(), 0.0);
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged_input() {
-        assert!(Matrix::from_rows(&[&[1.0, 2.0], &[1.0][..]]).is_err());
-        assert!(Matrix::from_rows(&[]).is_err());
+        assert_eq!(m, Matrix::zeros(2, 2));
     }
 
     #[test]
@@ -535,8 +464,7 @@ mod tests {
         m[(0, 1)] = -7.5;
         m.add_to(0, 1, -0.5);
         assert_eq!(m[(0, 1)], -8.0);
-        assert_eq!(m.max_abs(), 8.0);
-        assert!(m.to_string().contains('x'));
+        assert_eq!(m, matrix(&[&[0.0, -8.0], &[0.0, 0.0]]));
     }
 
     #[test]

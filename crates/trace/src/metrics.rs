@@ -8,8 +8,9 @@
 //! * [`Counter`] — a monotonically increasing `u64`;
 //! * [`Gauge`] — a last-write-wins `u64` (replay stats, queue depths);
 //! * [`Histogram`] — a log-linear latency histogram with an allocation-free
-//!   `record`, p50/p90/p99/max readout and bucket-wise merge, mirroring how
-//!   `tats_core::CacheStats` already merges across executor workers;
+//!   `record` and a bucket-wise merge of its snapshots, mirroring how
+//!   `tats_core::CacheStats` already merges across executor workers; the
+//!   snapshots read out quantiles and the maximum;
 //!
 //! plus a scoped [`Span`] timer that records into a histogram on drop.
 //!
@@ -146,10 +147,11 @@ impl Gauge {
 /// A log-linear histogram of `u64` values with an allocation-free record path.
 ///
 /// Buckets are exact below 16 and split each power-of-two octave into 16
-/// sub-buckets above it, so quantile readouts carry at most 6.25% relative
-/// error. All mutation is relaxed atomics; snapshots are taken bucket by
-/// bucket and merged bucket-wise, exactly like `CacheStats::merge` folds
-/// per-worker cache counters.
+/// sub-buckets above it, so the quantiles a snapshot reads out
+/// ([`HistogramSnapshot::quantile`]) carry at most 6.25% relative error. All
+/// mutation is relaxed atomics; snapshots are taken bucket by bucket and
+/// merged bucket-wise, exactly like `CacheStats::merge` folds per-worker
+/// cache counters.
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -219,28 +221,6 @@ impl Histogram {
     /// Largest recorded value (0 when empty).
     pub fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) of recorded values, as the upper
-    /// bound of the bucket holding the target rank, capped at the recorded
-    /// maximum. Returns 0 when empty. `quantile(0.5)` is the median; with one
-    /// sample every quantile is that sample (exactly, below 16; within 6.25%
-    /// above).
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (index, bucket) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(bucket.load(Ordering::Relaxed));
-            if seen >= target {
-                return bucket_high(index).min(self.max());
-            }
-        }
-        self.max()
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -421,22 +401,22 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// The `q`-quantile (`q` in `[0, 1]`) of the frozen distribution — the
-    /// same bucket-upper-bound estimate as [`Histogram::quantile`], so a
-    /// snapshot (or a merge of worker snapshots) answers the question the
-    /// live histogram would. Returns 0 when empty.
+    /// The `q`-quantile (`q` in `[0, 1]`) of the frozen distribution (a
+    /// snapshot or a merge of worker snapshots), as the upper bound of the
+    /// bucket holding the target rank, capped at the recorded maximum.
+    /// Returns 0 when empty. `quantile(0.5)` is the median; with one sample
+    /// every quantile is that sample (exactly, below 16; within 6.25%
+    /// above).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        // Buckets are kept index-sorted by construction; sort a copy anyway
-        // so a hand-built or deserialised snapshot cannot break the walk.
-        let mut buckets = self.buckets.clone();
-        buckets.sort_unstable();
+        // `Histogram::snapshot`, `merge` and `from_json` all leave the
+        // buckets sorted by index.
         let mut seen = 0u64;
-        for (index, count) in buckets {
+        for &(index, count) in &self.buckets {
             seen = seen.saturating_add(count);
             if seen >= target {
                 return bucket_high(index as usize).min(self.max);
@@ -836,8 +816,9 @@ mod tests {
     fn empty_histogram_reads_zero_everywhere() {
         let histogram = Histogram::new();
         assert_eq!(histogram.count(), 0);
-        assert_eq!(histogram.quantile(0.5), 0);
-        assert_eq!(histogram.quantile(0.99), 0);
+        let snapshot = histogram.snapshot();
+        assert_eq!(snapshot.quantile(0.5), 0);
+        assert_eq!(snapshot.quantile(0.99), 0);
         assert_eq!(histogram.max(), 0);
     }
 
@@ -845,8 +826,9 @@ mod tests {
     fn single_sample_dominates_every_quantile() {
         let histogram = Histogram::new();
         histogram.record(7);
+        let snapshot = histogram.snapshot();
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(histogram.quantile(q), 7);
+            assert_eq!(snapshot.quantile(q), 7);
         }
         assert_eq!(histogram.max(), 7);
         assert_eq!(histogram.sum(), 7);
@@ -857,7 +839,7 @@ mod tests {
         let histogram = Histogram::new();
         histogram.record(u64::MAX);
         assert_eq!(histogram.max(), u64::MAX);
-        assert_eq!(histogram.quantile(1.0), u64::MAX);
+        assert_eq!(histogram.snapshot().quantile(1.0), u64::MAX);
         assert_eq!(histogram.count(), 1);
     }
 
@@ -867,14 +849,15 @@ mod tests {
         for value in 1..=1000u64 {
             histogram.record(value);
         }
-        let p50 = histogram.quantile(0.5);
-        let p99 = histogram.quantile(0.99);
+        let snapshot = histogram.snapshot();
+        let p50 = snapshot.quantile(0.5);
+        let p99 = snapshot.quantile(0.99);
         #[allow(clippy::cast_precision_loss)]
         {
             assert!((p50 as f64 - 500.0).abs() / 500.0 < 0.08, "p50 {p50}");
             assert!((p99 as f64 - 990.0).abs() / 990.0 < 0.08, "p99 {p99}");
         }
-        assert_eq!(histogram.quantile(1.0), 1000);
+        assert_eq!(snapshot.quantile(1.0), 1000);
     }
 
     #[test]
