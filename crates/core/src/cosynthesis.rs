@@ -15,17 +15,23 @@
 //! 2. **Pruning** — instances whose removal keeps the deadline are dropped,
 //!    most expensive first, mirroring the cost-driven refinement of
 //!    co-synthesis frameworks.
-//! 3. **Floorplanning** — the selected PEs are placed by the thermal-aware
-//!    floorplanner (genetic engine) using the per-PE average powers of the
-//!    current schedule.
-//! 4. **Final scheduling** — the ASP runs once more against the optimised
-//!    floorplan (the thermal-aware policy re-queries the thermal model), and
-//!    the resulting schedule is evaluated for the table metrics.
+//! 3. **Floorplanning** — the selected PEs are placed by the genetic
+//!    floorplanner: thermal-aware, using the per-PE average powers of the
+//!    current schedule, for the thermal-aware policy; area-only, which reads
+//!    no power, for the others.
+//! 4. **Final scheduling** — only a policy that uses a thermal model
+//!    schedules again, against the optimised floorplan; the others keep
+//!    their schedule, which a second pass would return unchanged. The
+//!    schedule is evaluated for the table metrics.
+//!
+//! Steps 1 and 2 and the area-only floorplan do not depend on the policy,
+//! so [`CoSynthesis::run_policies_with_cache_timed`] runs them once for a
+//! list of policies.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use tats_floorplan::{CostWeights, Engine, Floorplanner, GaConfig};
+use tats_floorplan::{CostWeights, Engine, Floorplanner, GaConfig, Module};
 use tats_taskgraph::TaskGraph;
 use tats_techlib::{Architecture, PeTypeId, TechLibrary};
 use tats_thermal::{Floorplan, ThermalConfig, ThermalModel};
@@ -181,7 +187,55 @@ impl<'a> CoSynthesis<'a> {
         policy: Policy,
         cache: &mut ThermalModelCache,
     ) -> Result<(CoSynthesisResult, FlowPhases), CoreError> {
-        let mut phases = FlowPhases::default();
+        self.run_policies_with_cache_timed(graph, &[policy], cache)
+            .pop()
+            .expect("one result per policy")
+    }
+
+    /// Runs co-synthesis for `graph` under each of `policies`, doing the
+    /// policy-independent work once: allocation and pruning (driven by the
+    /// baseline ASP alone), and the area-only floorplan every policy without
+    /// a thermal model shares (at temperature weight 0 the GA reads no module
+    /// power, and its seed is fixed). Returns one entry per policy, in order,
+    /// whose result is bit-identical to [`CoSynthesis::run_with_cache_timed`]
+    /// for that policy alone; an error of the shared allocation is repeated
+    /// in every entry. The first entry's phases carry the allocation and
+    /// pruning, and the first area-only entry's carry the shared floorplan.
+    pub fn run_policies_with_cache_timed(
+        &self,
+        graph: &TaskGraph,
+        policies: &[Policy],
+        cache: &mut ThermalModelCache,
+    ) -> Vec<Result<(CoSynthesisResult, FlowPhases), CoreError>> {
+        let clock = Instant::now();
+        let architecture = match self.allocate(graph) {
+            Ok(architecture) => architecture,
+            Err(error) => return vec![Err(error); policies.len()],
+        };
+        let mut shared = FlowPhases {
+            scheduling: clock.elapsed(),
+            ..FlowPhases::default()
+        };
+        let mut area_only = None;
+        policies
+            .iter()
+            .map(|&policy| {
+                let mut phases = std::mem::take(&mut shared);
+                self.finish(
+                    graph,
+                    &architecture,
+                    policy,
+                    &mut area_only,
+                    cache,
+                    &mut phases,
+                )
+                .map(|result| (result, phases))
+            })
+            .collect()
+    }
+
+    /// Allocation and pruning: the architecture every policy schedules on.
+    fn allocate(&self, graph: &TaskGraph) -> Result<Architecture, CoreError> {
         if self.max_pes == 0 {
             return Err(CoreError::InvalidParameter(
                 "co-synthesis needs a PE budget of at least 1".to_string(),
@@ -191,7 +245,6 @@ impl<'a> CoSynthesis<'a> {
         // --- Allocation: grow the architecture until the deadline is met,
         //     using the baseline (performance-driven) scheduler as the
         //     makespan estimator so all policies see the same architecture. ---
-        let clock = Instant::now();
         let mut architecture = Architecture::new("co-synthesis");
         let mut best_makespan = f64::INFINITY;
 
@@ -265,18 +318,35 @@ impl<'a> CoSynthesis<'a> {
             }
         }
 
+        Ok(architecture)
+    }
+
+    /// The policy's own part of the flow on the allocated architecture:
+    /// back-off scheduling, floorplanning, the final pass and the evaluation.
+    /// `area_only` keeps the area-only floorplan once a policy without a
+    /// thermal model has computed it.
+    fn finish(
+        &self,
+        graph: &TaskGraph,
+        architecture: &Architecture,
+        policy: Policy,
+        area_only: &mut Option<Floorplan>,
+        cache: &mut ThermalModelCache,
+        phases: &mut FlowPhases,
+    ) -> Result<CoSynthesisResult, CoreError> {
         // --- Feasibility under the target policy: if the (power/thermal
         //     aware) ASP misses the deadline on the baseline-sized
         //     architecture, back off its power/thermal bias until it fits. ---
         // Only the thermal-aware policy queries a model; the other passes
         // pay for no floorplan and no lookup.
+        let clock = Instant::now();
         let grid_model = if policy.needs_thermal_model() {
-            let plan = layout::grid_floorplan(&architecture, self.library)?;
+            let plan = layout::grid_floorplan(architecture, self.library)?;
             Some(cache.get_or_build(&plan, self.thermal_config)?)
         } else {
             None
         };
-        let schedule = self.schedule_with_backoff(graph, &architecture, policy, grid_model)?;
+        let schedule = self.schedule_with_backoff(graph, architecture, policy, grid_model)?;
         phases.scheduling += clock.elapsed();
         if !schedule.meets_deadline() {
             return Err(CoreError::DeadlineUnreachable {
@@ -285,56 +355,68 @@ impl<'a> CoSynthesis<'a> {
             });
         }
 
-        // --- Thermal-aware floorplanning of the selected architecture. ---
+        // --- Floorplanning of the selected architecture. ---
         let clock = Instant::now();
         let per_pe_power = schedule.average_power_per_pe();
-        let modules = layout::pe_modules(&architecture, self.library, &per_pe_power)?;
-        let weights = if policy.needs_thermal_model() {
-            CostWeights::thermal_aware()
-        } else {
-            CostWeights::area_only()
-        };
+        let modules = layout::pe_modules(architecture, self.library, &per_pe_power)?;
         let floorplan = if modules.len() == 1 {
             // A single module needs no optimisation.
-            layout::grid_floorplan(&architecture, self.library)?
+            layout::grid_floorplan(architecture, self.library)?
+        } else if policy.needs_thermal_model() {
+            self.genetic_floorplan(modules, CostWeights::thermal_aware())?
+        } else if let Some(plan) = area_only {
+            plan.clone()
         } else {
-            Floorplanner::new(modules)
-                .with_weights(weights)
-                .with_thermal_config(self.thermal_config)
-                .with_engine(Engine::Genetic(self.floorplan_ga))
-                .run()?
-                .floorplan
+            area_only
+                .insert(self.genetic_floorplan(modules, CostWeights::area_only())?)
+                .clone()
         };
         phases.floorplan += clock.elapsed();
 
         // --- Final scheduling pass against the optimised floorplan, whose
-        //     model also serves the evaluation. ---
+        //     model also serves the evaluation. Only a policy that queries
+        //     the model schedules again: without one, the back-off gets the
+        //     inputs it had above and returns the same schedule. ---
         let clock = Instant::now();
         let model = cache.get_or_build(&floorplan, self.thermal_config)?;
         phases.thermal += clock.elapsed();
-        let clock = Instant::now();
-        let final_model = policy.needs_thermal_model().then(|| Arc::clone(&model));
-        let final_schedule =
-            self.schedule_with_backoff(graph, &architecture, policy, final_model)?;
-        let schedule = if final_schedule.meets_deadline() {
-            final_schedule
+        let schedule = if policy.needs_thermal_model() {
+            let clock = Instant::now();
+            let final_schedule =
+                self.schedule_with_backoff(graph, architecture, policy, Some(Arc::clone(&model)))?;
+            phases.scheduling += clock.elapsed();
+            if final_schedule.meets_deadline() {
+                final_schedule
+            } else {
+                schedule
+            }
         } else {
             schedule
         };
-        phases.scheduling += clock.elapsed();
         let clock = Instant::now();
         let evaluation = evaluate_schedule(&schedule, &model)?;
         phases.thermal += clock.elapsed();
 
-        Ok((
-            CoSynthesisResult {
-                architecture,
-                floorplan,
-                schedule,
-                evaluation,
-            },
-            phases,
-        ))
+        Ok(CoSynthesisResult {
+            architecture: architecture.clone(),
+            floorplan,
+            schedule,
+            evaluation,
+        })
+    }
+
+    /// The genetic floorplanner's placement of `modules` under `weights`.
+    fn genetic_floorplan(
+        &self,
+        modules: Vec<Module>,
+        weights: CostWeights,
+    ) -> Result<Floorplan, CoreError> {
+        Ok(Floorplanner::new(modules)
+            .with_weights(weights)
+            .with_thermal_config(self.thermal_config)
+            .with_engine(Engine::Genetic(self.floorplan_ga))
+            .run()?
+            .floorplan)
     }
 }
 
@@ -399,7 +481,18 @@ mod tests {
         let result = quick_cosynthesis(&library)
             .with_max_pes(2)
             .run(&graph, Policy::Baseline);
-        assert!(matches!(result, Err(CoreError::DeadlineUnreachable { .. })));
+        let Err(error) = result else {
+            panic!("a 2-PE budget cannot meet a deadline of 1");
+        };
+        assert!(matches!(error, CoreError::DeadlineUnreachable { .. }));
+        // The shared allocation's error is every policy's.
+        let results = quick_cosynthesis(&library)
+            .with_max_pes(2)
+            .run_policies_with_cache_timed(&graph, &Policy::ALL, &mut ThermalModelCache::new());
+        assert_eq!(results.len(), Policy::ALL.len());
+        for result in results {
+            assert_eq!(result.map(|(result, _)| result), Err(error.clone()));
+        }
     }
 
     #[test]
@@ -443,6 +536,42 @@ mod tests {
                 evaluate_schedule(&reference, &model).unwrap(),
                 "{policy}"
             );
+        }
+    }
+
+    #[test]
+    fn shared_policies_match_one_run_per_policy() {
+        // One multi-policy run against one `run` per policy, each on a fresh
+        // cache: the shared allocation, pruning and area-only floorplan and
+        // the skipped final pass change no bit of any result.
+        let library = profiles::standard_library(10).unwrap();
+        let flow = quick_cosynthesis(&library);
+        for benchmark in Benchmark::ALL {
+            let (tasks, edges, deadline) = benchmark.characteristics();
+            let mut graphs = vec![benchmark.task_graph().unwrap()];
+            for seed in 1..=3 {
+                let name = format!("{}-s{seed}", benchmark.name());
+                let graph = tats_taskgraph::GeneratorConfig::new(name, tasks, edges, deadline)
+                    .with_seed(seed)
+                    .with_type_count(10)
+                    .generate()
+                    .unwrap();
+                graphs.push(graph);
+            }
+            for graph in &graphs {
+                let shared = flow.run_policies_with_cache_timed(
+                    graph,
+                    &Policy::ALL,
+                    &mut ThermalModelCache::new(),
+                );
+                assert_eq!(shared.len(), Policy::ALL.len());
+                for (policy, shared) in Policy::ALL.into_iter().zip(shared) {
+                    let (shared, _) = shared.unwrap();
+                    let alone = flow.run(graph, policy).unwrap();
+                    assert_eq!(shared, alone, "{} / {policy}", graph.name());
+                    assert_eq!(format!("{shared:?}"), format!("{alone:?}"));
+                }
+            }
         }
     }
 

@@ -1,32 +1,41 @@
 //! The campaign executor: a work-stealing worker pool with per-worker
 //! thermal caches and streamed results.
 //!
-//! Scenarios are independent, so the pool is a shared atomic cursor over the
-//! (shard's) scenario list: idle workers grab the next index, heavy
-//! scenarios never block light ones behind a static partition. Every worker
-//! owns its caches — a [`ThermalModelCache`] for block-model factorisations
-//! and a grid-model cache for fine-grid validation — keyed by
-//! floorplan geometry, so thermal sessions and Cholesky factors are *reused
-//! across scenarios* instead of rebuilt per run. Completed records flow
-//! through a channel to the caller's sink as they finish (streaming JSONL),
-//! and per-worker cache counters are merged into the final report.
+//! The unit of work is a *group*: the pending scenarios that share
+//! (benchmark, flow, solver, seed) and differ only in policy. A group
+//! generates its task graph once; on co-synthesis it also allocates,
+//! prunes and computes the area-only floorplan once for all its policies
+//! ([`CoSynthesis::run_policies_with_cache_timed`]). Groups are
+//! independent, so the pool is a shared atomic cursor over the (shard's)
+//! pending scenarios, laid out group by group: idle workers grab the next
+//! group, heavy groups never block light ones behind a static partition.
+//! Every worker owns its caches — a [`ThermalModelCache`] for block-model
+//! factorisations and a grid-model cache for fine-grid validation — keyed
+//! by floorplan geometry, so thermal sessions and Cholesky factors are
+//! *reused across scenarios* instead of rebuilt per run. Completed records
+//! flow through a channel to the caller's thread, which hands them to the
+//! sink in scenario-id order (streaming JSONL): a record waits there only
+//! until every lower pending id is handed on. Per-worker cache counters
+//! are merged into the final report.
 //!
-//! Execution order is non-deterministic under threads; the *result set* is
-//! not: every scenario evaluation is deterministic and isolated, so any
-//! thread count, sharding or resume schedule produces the same records
-//! (pinned by the shard-invariance tests).
+//! Every scenario evaluation is deterministic and isolated, so the sink
+//! sees the same records in the same order at any thread count, and any
+//! sharding or resume schedule produces the same record set (pinned by the
+//! shard-invariance tests).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tats_core::{
-    CacheStats, CoSynthesis, FifoCache, FlowPhases, PlatformFlow, ScheduleEvaluation,
-    ThermalModelCache,
+    CacheStats, CoSynthesis, CoreError, FifoCache, FlowPhases, PlatformFlow, Policy, Schedule,
+    ScheduleEvaluation, ThermalModelCache,
 };
-use tats_thermal::{Floorplan, GridModel};
+use tats_taskgraph::TaskGraph;
+use tats_techlib::TechLibrary;
+use tats_thermal::{Floorplan, GridModel, GridSolver};
 use tats_trace::metrics::{Counter, Histogram};
 use tats_trace::spans::{self, SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::{JsonValue, MetricsRegistry};
@@ -141,8 +150,10 @@ pub struct BatchReport {
     pub completed: usize,
     /// Scenarios skipped because their id was in the resume set.
     pub skipped: usize,
-    /// Worker threads started: at most one per pending scenario, so 0 when
-    /// every scenario was skipped.
+    /// Worker threads started: at most one per pending group (the pending
+    /// scenarios that share benchmark, flow, solver and seed), so 0 when
+    /// every scenario was skipped. `--benchmarks Bm1 --policies
+    /// baseline,thermal --threads 2` starts one.
     pub threads: usize,
     /// Wall time of the executor, seconds.
     pub wall_s: f64,
@@ -161,8 +172,8 @@ impl BatchReport {
 /// executor report.
 #[derive(Debug)]
 pub struct BatchRun {
-    /// All records of this run, in scenario-id order. (The sink already saw
-    /// them in completion order.)
+    /// All records of this run, in scenario-id order: the order the sink
+    /// saw them in.
     pub records: Vec<ScenarioRecord>,
     /// Executor statistics.
     pub report: BatchReport,
@@ -273,6 +284,16 @@ impl EngineMetrics {
 /// via [`SpanIdGen::derive`], so the tree's ids do not depend on thread
 /// interleaving and a scenario re-run after a crash reproduces them
 /// exactly (the server's span stream dedups on span id).
+///
+/// The work a group shares gets no span kind of its own; its members carry
+/// it. The group's first pending scenario carries the task graph's
+/// generation in its `scenario` span and, on co-synthesis, allocation and
+/// pruning in its `scheduling` phase. The first policy without a thermal
+/// model carries the shared area-only floorplan in its `floorplan` phase.
+/// A scenario span lasts as long as its measured parts, and a group's
+/// scenario spans are laid end to end from the group's start, so they nest
+/// in the shard span. `engine_scenario_seconds` records the same
+/// durations, one sample per record.
 #[derive(Debug, Clone)]
 pub struct TraceContext {
     /// Campaign-wide trace id stamped on every span.
@@ -291,160 +312,284 @@ impl TraceContext {
     }
 }
 
-/// Evaluates one scenario with this worker's caches, emitting its span
-/// tree when a trace context is set.
-fn run_scenario(
-    scenario: &Scenario,
-    campaign: &Campaign,
-    library: &tats_techlib::TechLibrary,
-    caches: &mut WorkerCaches,
-    metrics: Option<&EngineMetrics>,
-    trace: Option<&TraceContext>,
-) -> Result<(ScenarioRecord, Vec<SpanEvent>), EngineError> {
-    let experiment = campaign.experiment();
-    let scenario_clock = Instant::now();
-    let scenario_start_us = trace.map(|_| spans::now_us());
-    let graph = scenario.task_graph()?;
-    let (schedule, evaluation, floorplan, phases): (_, ScheduleEvaluation, Floorplan, FlowPhases) =
-        match scenario.flow {
-            FlowKind::Platform => {
-                let flow =
-                    PlatformFlow::new(library)?.with_thermal_config(experiment.thermal_config);
-                let (result, phases) =
-                    flow.run_with_cache_timed(&graph, scenario.policy, &mut caches.thermal)?;
-                (result.schedule, result.evaluation, result.floorplan, phases)
-            }
-            FlowKind::CoSynthesis => {
-                let flow = CoSynthesis::new(library)
-                    .with_max_pes(experiment.max_pes)
-                    .with_thermal_config(experiment.thermal_config)
-                    .with_floorplan_ga(experiment.floorplan_ga);
-                let (result, phases) =
-                    flow.run_with_cache_timed(&graph, scenario.policy, &mut caches.thermal)?;
-                (result.schedule, result.evaluation, result.floorplan, phases)
+/// Whether two scenarios belong to one group: they differ at most in
+/// policy, so they share the task graph and, on co-synthesis, the
+/// architecture.
+fn same_group(a: &Scenario, b: &Scenario) -> bool {
+    a.benchmark == b.benchmark && a.flow == b.flow && a.solver == b.solver && a.seed == b.seed
+}
+
+/// The positions of `todo` (sorted by id) laid out group by group: each
+/// group's members are contiguous and in id order, and groups are ordered
+/// by their first member, so the lowest pending ids are computed first.
+fn group_order(todo: &[&Scenario]) -> Vec<usize> {
+    let mut by_group: Vec<usize> = (0..todo.len()).collect();
+    by_group.sort_unstable_by_key(|&i| {
+        let s = todo[i];
+        let solver = s.solver.as_ref().map(GridSolver::name);
+        (s.benchmark.name(), s.flow.name(), solver, s.seed, i)
+    });
+    // Tag each position with its group's first member, then order by it.
+    let mut tagged: Vec<(usize, usize)> = Vec::with_capacity(todo.len());
+    for (k, &i) in by_group.iter().enumerate() {
+        let first = match tagged.last() {
+            Some(&(first, _)) if same_group(todo[by_group[k - 1]], todo[i]) => first,
+            _ => i,
+        };
+        tagged.push((first, i));
+    }
+    tagged.sort_unstable();
+    tagged.into_iter().map(|(_, i)| i).collect()
+}
+
+/// One pending scenario's outcome: its record and span tree, or the error
+/// that stops the run.
+type Outcome = Result<(ScenarioRecord, Vec<SpanEvent>), EngineError>;
+
+/// What a flow hands back for one scenario.
+type FlowOutput = (Schedule, ScheduleEvaluation, Floorplan, FlowPhases);
+
+/// One worker's state: the campaign, the library its flows draw from, its
+/// caches, and the run's metrics and trace context.
+struct Worker<'a> {
+    campaign: &'a Campaign,
+    library: TechLibrary,
+    caches: WorkerCaches,
+    metrics: Option<&'a EngineMetrics>,
+    trace: Option<&'a TraceContext>,
+}
+
+impl Worker<'_> {
+    /// Evaluates one group: its task graph once, then every member's flow,
+    /// grid validation, record and span tree. Returns the members'
+    /// outcomes in member order; an error of the shared graph or
+    /// allocation is every member's.
+    fn run_group(&mut self, group: &[&Scenario]) -> Vec<Outcome> {
+        let mut cursor_us = self.trace.map_or(0, |_| spans::now_us());
+        let clock = Instant::now();
+        let graph = match group[0].task_graph() {
+            Ok(graph) => graph,
+            Err(error) => {
+                let message = error.to_string();
+                return group
+                    .iter()
+                    .map(|scenario| {
+                        self.count(false);
+                        Err(EngineError::Scenario {
+                            key: scenario.key(),
+                            message: message.clone(),
+                        })
+                    })
+                    .collect();
             }
         };
+        let mut graph_time = clock.elapsed();
+        let flows = self.run_flows(group, &graph);
+        group
+            .iter()
+            .zip(flows)
+            .map(|(scenario, flow)| {
+                let graph_time = std::mem::take(&mut graph_time);
+                let outcome = flow.map_err(EngineError::from).and_then(|flow| {
+                    self.finish_scenario(scenario, flow, graph_time, &mut cursor_us)
+                });
+                self.count(outcome.is_ok());
+                outcome.map_err(|error| error.in_scenario(&scenario.key()))
+            })
+            .collect()
+    }
 
-    let grid_clock = Instant::now();
-    let grid_max_temp_c = match scenario.solver {
-        None => None,
-        Some(_) => {
-            let misses_before = caches.grid.stats().misses;
-            let max_c = {
-                let model = caches.grid_model(&floorplan, campaign)?;
-                let mut workspace = model.workspace();
-                model
-                    .steady_state_with(&evaluation.per_pe_power, &mut workspace)?
-                    .max_c()
-            };
-            if caches.grid.stats().misses > misses_before {
-                if let Some(metrics) = metrics {
-                    metrics.cholesky_refactors.inc();
+    /// Runs the group's flow for every member's policy: the platform flow
+    /// once per policy, co-synthesis once for all of them.
+    fn run_flows(
+        &mut self,
+        group: &[&Scenario],
+        graph: &TaskGraph,
+    ) -> Vec<Result<FlowOutput, CoreError>> {
+        let experiment = self.campaign.experiment();
+        let cache = &mut self.caches.thermal;
+        match group[0].flow {
+            FlowKind::Platform => match PlatformFlow::new(&self.library) {
+                Ok(flow) => {
+                    let flow = flow.with_thermal_config(experiment.thermal_config);
+                    group
+                        .iter()
+                        .map(|scenario| {
+                            let (result, phases) =
+                                flow.run_with_cache_timed(graph, scenario.policy, cache)?;
+                            Ok((result.schedule, result.evaluation, result.floorplan, phases))
+                        })
+                        .collect()
                 }
+                Err(error) => vec![Err(error); group.len()],
+            },
+            FlowKind::CoSynthesis => {
+                let policies: Vec<Policy> = group.iter().map(|scenario| scenario.policy).collect();
+                CoSynthesis::new(&self.library)
+                    .with_max_pes(experiment.max_pes)
+                    .with_thermal_config(experiment.thermal_config)
+                    .with_floorplan_ga(experiment.floorplan_ga)
+                    .run_policies_with_cache_timed(graph, &policies, cache)
+                    .into_iter()
+                    .map(|result| {
+                        let (result, phases) = result?;
+                        Ok((result.schedule, result.evaluation, result.floorplan, phases))
+                    })
+                    .collect()
             }
-            Some(max_c)
         }
-    };
-
-    if let Some(metrics) = metrics {
-        metrics
-            .scheduling_seconds
-            .record_duration(phases.scheduling);
-        metrics.thermal_seconds.record_duration(phases.thermal);
-        if scenario.flow == FlowKind::CoSynthesis {
-            metrics.floorplan_seconds.record_duration(phases.floorplan);
-        }
-        if scenario.solver.is_some() {
-            metrics.grid_seconds.record_duration(grid_clock.elapsed());
-        }
-        metrics
-            .scenario_seconds
-            .record_duration(scenario_clock.elapsed());
     }
 
-    let mut span_events = Vec::new();
-    if let (Some(trace), Some(start_us)) = (trace, scenario_start_us) {
-        let seed = trace.scenario_seed(scenario.id);
-        let scenario_span = SpanIdGen::derive(seed, "scenario");
-        let end_us = start_us + scenario_clock.elapsed().as_micros() as u64;
-        let stamp = |span: SpanEvent| span.attr("worker", trace.worker.as_str());
-        span_events.push(stamp(
-            SpanEvent::new(
-                trace.trace_id,
-                scenario_span,
-                Some(trace.parent_span),
-                "scenario",
-                SpanKind::Worker,
-                start_us,
-                end_us,
-            )
-            .attr("key", scenario.key())
-            .attr("benchmark", scenario.benchmark.name())
-            .attr("flow", scenario.flow.name())
-            .attr("policy", policy_slug(scenario.policy))
-            .attr("seed", scenario.seed.to_string()),
-        ));
-        // Phase children laid out sequentially from the scenario start:
-        // exact measured durations, in execution order (their sum is at
-        // most the scenario's wall time, so nesting holds).
-        type NamedPhase = (&'static str, u64, Vec<(&'static str, String)>);
-        let mut cursor = start_us;
-        let mut named_phases: Vec<NamedPhase> = vec![
-            ("scheduling", phases.scheduling.as_micros() as u64, vec![]),
-            ("thermal", phases.thermal.as_micros() as u64, vec![]),
-        ];
-        if scenario.flow == FlowKind::CoSynthesis {
-            named_phases.push(("floorplan", phases.floorplan.as_micros() as u64, vec![]));
-        }
-        if let Some(solver) = scenario.solver {
-            named_phases.push((
-                "grid",
-                grid_clock.elapsed().as_micros() as u64,
-                vec![("solver", solver.name().to_string())],
-            ));
-        }
-        for (name, duration_us, attrs) in named_phases {
-            let mut span = SpanEvent::new(
-                trace.trace_id,
-                SpanIdGen::derive(seed, name),
-                Some(scenario_span),
-                name,
-                SpanKind::Worker,
-                cursor,
-                cursor + duration_us,
+    /// Grid-validates one member's flow output, records its metrics and
+    /// builds its record and span tree. Its spans start at `cursor_us`,
+    /// which then moves past them; `graph_time` is the share of the group's
+    /// task graph this member carries.
+    fn finish_scenario(
+        &mut self,
+        scenario: &Scenario,
+        (schedule, evaluation, floorplan, phases): FlowOutput,
+        graph_time: Duration,
+        cursor_us: &mut u64,
+    ) -> Result<(ScenarioRecord, Vec<SpanEvent>), EngineError> {
+        let grid_clock = Instant::now();
+        let grid_max_temp_c = match scenario.solver {
+            None => None,
+            Some(_) => {
+                let misses_before = self.caches.grid.stats().misses;
+                let max_c = {
+                    let model = self.caches.grid_model(&floorplan, self.campaign)?;
+                    let mut workspace = model.workspace();
+                    model
+                        .steady_state_with(&evaluation.per_pe_power, &mut workspace)?
+                        .max_c()
+                };
+                if self.caches.grid.stats().misses > misses_before {
+                    if let Some(metrics) = self.metrics {
+                        metrics.cholesky_refactors.inc();
+                    }
+                }
+                Some(max_c)
+            }
+        };
+        let grid_time = grid_clock.elapsed();
+
+        let cosynthesis = scenario.flow == FlowKind::CoSynthesis;
+        if let Some(metrics) = self.metrics {
+            metrics
+                .scheduling_seconds
+                .record_duration(phases.scheduling);
+            metrics.thermal_seconds.record_duration(phases.thermal);
+            if cosynthesis {
+                metrics.floorplan_seconds.record_duration(phases.floorplan);
+            }
+            if scenario.solver.is_some() {
+                metrics.grid_seconds.record_duration(grid_time);
+            }
+            metrics.scenario_seconds.record_duration(
+                graph_time + phases.scheduling + phases.thermal + phases.floorplan + grid_time,
             );
-            for (key, value) in attrs {
-                span = span.attr(key, value);
-            }
-            span_events.push(stamp(span));
-            cursor += duration_us;
         }
+
+        let mut span_events = Vec::new();
+        if let Some(trace) = self.trace {
+            let micros = |duration: Duration| duration.as_micros() as u64;
+            // Phase children laid out one after another past the task
+            // graph: exact measured durations, whose sum with the graph's is
+            // the scenario span's length, so nesting holds.
+            type NamedPhase = (&'static str, u64, Vec<(&'static str, String)>);
+            let mut named_phases: Vec<NamedPhase> = vec![
+                ("scheduling", micros(phases.scheduling), vec![]),
+                ("thermal", micros(phases.thermal), vec![]),
+            ];
+            if cosynthesis {
+                named_phases.push(("floorplan", micros(phases.floorplan), vec![]));
+            }
+            if let Some(solver) = scenario.solver {
+                named_phases.push((
+                    "grid",
+                    micros(grid_time),
+                    vec![("solver", solver.name().to_string())],
+                ));
+            }
+            let start_us = *cursor_us;
+            let mut cursor = start_us + micros(graph_time);
+            let end_us = cursor + named_phases.iter().map(|phase| phase.1).sum::<u64>();
+            *cursor_us = end_us;
+            let seed = trace.scenario_seed(scenario.id);
+            let scenario_span = SpanIdGen::derive(seed, "scenario");
+            let stamp = |span: SpanEvent| span.attr("worker", trace.worker.as_str());
+            span_events.push(stamp(
+                SpanEvent::new(
+                    trace.trace_id,
+                    scenario_span,
+                    Some(trace.parent_span),
+                    "scenario",
+                    SpanKind::Worker,
+                    start_us,
+                    end_us,
+                )
+                .attr("key", scenario.key())
+                .attr("benchmark", scenario.benchmark.name())
+                .attr("flow", scenario.flow.name())
+                .attr("policy", policy_slug(scenario.policy))
+                .attr("seed", scenario.seed.to_string()),
+            ));
+            for (name, duration_us, attrs) in named_phases {
+                let mut span = SpanEvent::new(
+                    trace.trace_id,
+                    SpanIdGen::derive(seed, name),
+                    Some(scenario_span),
+                    name,
+                    SpanKind::Worker,
+                    cursor,
+                    cursor + duration_us,
+                );
+                for (key, value) in attrs {
+                    span = span.attr(key, value);
+                }
+                span_events.push(stamp(span));
+                cursor += duration_us;
+            }
+        }
+
+        let energy: f64 = schedule.assignments().iter().map(|a| a.energy()).sum();
+        Ok((
+            ScenarioRecord {
+                id: scenario.id,
+                key: scenario.key(),
+                benchmark: scenario.benchmark.name().to_string(),
+                flow: scenario.flow.name().to_string(),
+                policy: policy_slug(scenario.policy).to_string(),
+                seed: scenario.seed,
+                solver: scenario.solver.map(|s| s.name().to_string()),
+                total_power: evaluation.total_average_power,
+                max_temp_c: evaluation.max_temperature_c,
+                avg_temp_c: evaluation.avg_temperature_c,
+                makespan: evaluation.makespan,
+                meets_deadline: evaluation.meets_deadline,
+                energy,
+                grid_max_temp_c,
+            },
+            span_events,
+        ))
     }
 
-    let energy: f64 = schedule.assignments().iter().map(|a| a.energy()).sum();
-    Ok((
-        ScenarioRecord {
-            id: scenario.id,
-            key: scenario.key(),
-            benchmark: scenario.benchmark.name().to_string(),
-            flow: scenario.flow.name().to_string(),
-            policy: policy_slug(scenario.policy).to_string(),
-            seed: scenario.seed,
-            solver: scenario.solver.map(|s| s.name().to_string()),
-            total_power: evaluation.total_average_power,
-            max_temp_c: evaluation.max_temperature_c,
-            avg_temp_c: evaluation.avg_temperature_c,
-            makespan: evaluation.makespan,
-            meets_deadline: evaluation.meets_deadline,
-            energy,
-            grid_max_temp_c,
-        },
-        span_events,
-    ))
+    /// Counts one evaluated scenario as completed or failed.
+    fn count(&self, completed: bool) {
+        if let Some(metrics) = self.metrics {
+            if completed {
+                metrics.completed.inc();
+            } else {
+                metrics.failed.inc();
+            }
+        }
+    }
 }
 
 enum Message {
-    Record(Box<(ScenarioRecord, Vec<SpanEvent>)>),
+    /// The outcome of the pending scenario at this position of the run.
+    Outcome(usize, Box<Outcome>),
+    /// A worker could not start: its technology library failed to build.
     Failed(Box<EngineError>),
     WorkerDone(CacheStats),
 }
@@ -496,16 +641,18 @@ impl Executor {
     }
 
     /// Runs the given scenarios of a campaign, skipping ids in `skip` (the
-    /// resume set) and handing each completed record to `sink` as it
-    /// finishes. Returns all records sorted by scenario id plus the
+    /// resume set) and handing each completed record to `sink` in
+    /// scenario-id order, each as soon as every lower pending id has been
+    /// handed on. Returns all records sorted by scenario id plus the
     /// executor report.
     ///
     /// # Errors
     ///
-    /// Returns the first scenario or sink failure; either aborts the
-    /// remaining work (in-flight scenarios finish, their sends fail, the
-    /// workers exit). Records already handed to the sink stay on disk and
-    /// remain valid `--resume` input.
+    /// Returns the first failure in that order — a scenario's error when
+    /// its turn comes, or the sink's — and either aborts the remaining work
+    /// (in-flight groups finish, their sends fail, the workers exit).
+    /// Records already handed to the sink stay on disk and remain valid
+    /// `--resume` input.
     pub fn run<F>(
         &self,
         campaign: &Campaign,
@@ -536,11 +683,17 @@ impl Executor {
     where
         F: FnMut(&ScenarioRecord, &[SpanEvent]) -> Result<(), EngineError>,
     {
-        let todo: Vec<&Scenario> = scenarios.iter().filter(|s| !skip.contains(&s.id)).collect();
+        let mut todo: Vec<&Scenario> = scenarios.iter().filter(|s| !skip.contains(&s.id)).collect();
+        todo.sort_by_key(|s| s.id);
         let skipped = scenarios.len() - todo.len();
+        let order = group_order(&todo);
+        // A group starts where a member does not share the previous one's.
+        let starts_group = |at: usize| at == 0 || !same_group(todo[order[at - 1]], todo[order[at]]);
         // Nothing pending (a resume of a finished file, a re-leased shard
         // whose records all arrived) starts no worker.
-        let workers = self.threads.min(todo.len());
+        let workers = self
+            .threads
+            .min((0..order.len()).filter(|&at| starts_group(at)).count());
         let cursor = AtomicUsize::new(0);
         let metrics = self.metrics.as_deref().map(EngineMetrics::new);
         let (tx, rx) = mpsc::channel::<Message>();
@@ -554,7 +707,7 @@ impl Executor {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
-                let todo = &todo;
+                let (todo, order) = (&todo, &order);
                 let metrics = metrics.as_ref();
                 let trace = self.trace.as_ref();
                 scope.spawn(move || {
@@ -566,61 +719,78 @@ impl Executor {
                             return;
                         }
                     };
-                    let mut caches = WorkerCaches::new();
+                    let mut worker = Worker {
+                        campaign,
+                        library,
+                        caches: WorkerCaches::new(),
+                        metrics,
+                        trace,
+                    };
                     loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(scenario) = todo.get(index) else {
+                        let at = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&first) = order.get(at) else {
                             break;
                         };
-                        let message = match run_scenario(
-                            scenario,
-                            campaign,
-                            &library,
-                            &mut caches,
-                            metrics,
-                            trace,
-                        ) {
-                            Ok(outcome) => {
-                                if let Some(metrics) = metrics {
-                                    metrics.completed.inc();
-                                }
-                                Message::Record(Box::new(outcome))
-                            }
-                            Err(error) => {
-                                if let Some(metrics) = metrics {
-                                    metrics.failed.inc();
-                                }
-                                Message::Failed(Box::new(error.in_scenario(&scenario.key())))
-                            }
-                        };
-                        if tx.send(message).is_err() {
+                        // A group belongs to the worker that draws its first
+                        // position; the others move on.
+                        if !starts_group(at) {
+                            continue;
+                        }
+                        let positions: Vec<usize> = order[at..]
+                            .iter()
+                            .copied()
+                            .take_while(|&i| same_group(todo[i], todo[first]))
+                            .collect();
+                        let group: Vec<&Scenario> = positions.iter().map(|&i| todo[i]).collect();
+                        let outcomes = worker.run_group(&group);
+                        let sent = positions.into_iter().zip(outcomes).all(|(i, outcome)| {
+                            tx.send(Message::Outcome(i, Box::new(outcome))).is_ok()
+                        });
+                        if !sent {
                             break;
                         }
                     }
-                    let _ = tx.send(Message::WorkerDone(caches.stats()));
+                    let _ = tx.send(Message::WorkerDone(worker.caches.stats()));
                 });
             }
             // The receiving end runs on the caller's thread so the sink (a
             // JSONL file, a summary accumulator) needs no synchronisation.
+            // An outcome waits in its slot until every lower position has
+            // been handed on, so the sink sees id order at any thread count.
             drop(tx);
-            for message in rx {
+            let mut slots: Vec<Option<Box<Outcome>>> = Vec::new();
+            slots.resize_with(todo.len(), || None);
+            let mut next = 0;
+            'receive: for message in rx {
                 match message {
-                    Message::Record(outcome) => {
-                        let (record, span_events) = *outcome;
-                        if let Err(error) = sink(&record, &span_events) {
-                            // A dead sink (disk full, closed pipe) aborts:
-                            // dropping the receiver makes every worker's
-                            // next send fail and exit its loop.
-                            failure = Some(error);
-                            break;
+                    Message::Outcome(position, outcome) => {
+                        slots[position] = Some(outcome);
+                        while let Some(outcome) = slots.get_mut(next).and_then(Option::take) {
+                            next += 1;
+                            let (record, span_events) = match *outcome {
+                                Ok(done) => done,
+                                Err(error) => {
+                                    // A failed scenario aborts the campaign:
+                                    // results already streamed to the sink
+                                    // remain valid resume input, so nothing
+                                    // is lost by stopping instead of
+                                    // grinding through the rest of the grid.
+                                    failure = Some(error);
+                                    break 'receive;
+                                }
+                            };
+                            if let Err(error) = sink(&record, &span_events) {
+                                // A dead sink (disk full, closed pipe)
+                                // aborts likewise: dropping the receiver
+                                // makes every worker's next send fail and
+                                // exit its loop.
+                                failure = Some(error);
+                                break 'receive;
+                            }
+                            records.push(record);
                         }
-                        records.push(record);
                     }
                     Message::Failed(error) => {
-                        // A failed scenario likewise aborts the campaign —
-                        // results already streamed to the sink remain valid
-                        // resume input, so nothing is lost by stopping
-                        // instead of grinding through the rest of the grid.
                         failure = Some(*error);
                         break;
                     }
@@ -636,7 +806,6 @@ impl Executor {
             metrics.cache_hits.add(cache.hits);
             metrics.cache_misses.add(cache.misses);
         }
-        records.sort_by_key(|r| r.id);
         Ok(BatchRun {
             records,
             report: BatchReport {
@@ -666,18 +835,57 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_result_set() {
-        let campaign = tiny_campaign();
+        // One group per seed, so three threads run three groups at once.
+        let campaign = tiny_campaign().with_seeds(vec![0, 1, 2]);
         let scenarios = campaign.scenarios();
         let skip = BTreeSet::new();
-        let serial = Executor::new(1)
-            .run(&campaign, &scenarios, &skip, |_| Ok(()))
-            .unwrap();
-        let threaded = Executor::new(3)
-            .run(&campaign, &scenarios, &skip, |_| Ok(()))
-            .unwrap();
+        let run = |threads: usize| {
+            let mut calls = Vec::new();
+            let run = Executor::new(threads)
+                .run(&campaign, &scenarios, &skip, |record| {
+                    calls.push(record.clone());
+                    Ok(())
+                })
+                .unwrap();
+            (run, calls)
+        };
+        let (serial, serial_calls) = run(1);
+        let (threaded, threaded_calls) = run(3);
+        assert_eq!(threaded.report.threads, 3);
         assert_eq!(serial.records, threaded.records);
-        assert_eq!(serial.report.completed, 2);
+        // The sink sees the same records in the same order: id order.
+        assert_eq!(serial_calls, threaded_calls);
+        assert_eq!(serial_calls, serial.records);
+        assert_eq!(serial.report.completed, 6);
         assert!(serial.report.scenarios_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn a_failing_scenario_stops_the_run_when_its_turn_comes() {
+        // Bm1 at seed 322 has no co-synthesis architecture that meets the
+        // deadline. Its group's ids interleave with seed 1's, so the sink
+        // gets id 0 (baseline at seed 1) and the run stops at id 1, at any
+        // thread count.
+        let campaign = Campaign::default()
+            .with_benchmarks(vec![Benchmark::Bm1])
+            .with_flows(vec![FlowKind::CoSynthesis])
+            .with_seeds(vec![1, 322]);
+        let scenarios = campaign.scenarios();
+        for threads in [1, 2] {
+            let mut streamed = Vec::new();
+            let error = Executor::new(threads)
+                .run(&campaign, &scenarios, &BTreeSet::new(), |record| {
+                    streamed.push(record.id);
+                    Ok(())
+                })
+                .expect_err("seed 322 has no feasible co-synthesis");
+            assert_eq!(streamed, vec![0], "{threads} thread(s)");
+            assert_eq!(
+                error.to_string(),
+                "scenario 'Bm1/cosynthesis/baseline/s322' failed: core error: \
+                 no architecture met the deadline 790 (best makespan 814.9)"
+            );
+        }
     }
 
     #[test]

@@ -51,9 +51,10 @@ impl PolicyAggregate {
 
 /// Aggregate statistics over every record of a campaign run.
 ///
-/// Feed records in any order with [`Summary::record`]; the aggregate is
-/// order-independent, so a threaded run summarises identically to a serial
-/// one.
+/// Feed records with [`Summary::record`]. Its means are f64 sums, which
+/// depend on the order they are fed in; the executor's sink sees records
+/// in scenario-id order at any thread count, so a threaded run summarises
+/// identically to a serial one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     /// Number of scenarios aggregated.

@@ -105,6 +105,44 @@ fn resume_after_interrupt_completes_the_set() {
 }
 
 #[test]
+fn split_cosynthesis_groups_give_the_same_records() {
+    // All five policies and two seeds: groups (Bm1, s0) = ids 0, 2, 4, 6, 8
+    // and (Bm1, s1) = ids 1, 3, 5, 7, 9. Three shards split both groups,
+    // and the resume below skips two of the second group's policies,
+    // including the member that carries the shared work.
+    let campaign = Campaign::new(ExperimentConfig::fast())
+        .with_benchmarks(vec![Benchmark::Bm1])
+        .with_flows(vec![FlowKind::CoSynthesis])
+        .with_policies(Policy::ALL.to_vec())
+        .with_seeds(vec![0, 1]);
+    let scenarios = campaign.scenarios();
+    let full = run_scenario_set(&campaign, &scenarios, &BTreeSet::new());
+    assert_eq!(full.len(), 10);
+
+    let mut merged: Vec<ScenarioRecord> = (0..3)
+        .flat_map(|index| {
+            let shard = Shard { index, count: 3 };
+            run_scenario_set(
+                &campaign,
+                &campaign.shard_scenarios(shard),
+                &BTreeSet::new(),
+            )
+        })
+        .collect();
+    merged.sort_by_key(|r| r.id);
+    assert_eq!(full, merged);
+
+    let done: BTreeSet<u64> = [1, 7].into_iter().collect();
+    let resumed = run_scenario_set(&campaign, &scenarios, &done);
+    let rest: Vec<ScenarioRecord> = full
+        .iter()
+        .filter(|r| !done.contains(&r.id))
+        .cloned()
+        .collect();
+    assert_eq!(resumed, rest);
+}
+
+#[test]
 fn grid_validated_scenarios_report_the_fine_grid_peak() {
     let campaign = campaign();
     let records = run_scenario_set(&campaign, &campaign.scenarios(), &BTreeSet::new());

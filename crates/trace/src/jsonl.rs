@@ -1,9 +1,9 @@
 //! Streaming JSON-Lines output for batch campaign results and the
 //! campaign service's files and paged streams.
 //!
-//! The batch engine completes scenarios out of order and wants each result
-//! on disk the moment it exists (so an interrupted run loses nothing and a
-//! `--resume` can pick up where it stopped). JSON Lines is the natural
+//! The batch engine wants each result on disk as soon as every lower
+//! scenario id is (so an interrupted run loses little and a `--resume` can
+//! pick up where it stopped). JSON Lines is the natural
 //! format: one self-contained [`JsonValue`] object per line, appendable,
 //! mergeable with `cat`. The service writes its journal, access log, span
 //! log and log file through the same crash-repaired [`JsonlWriter`]
