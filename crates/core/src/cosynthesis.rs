@@ -40,23 +40,10 @@ use crate::asp::Asp;
 use crate::cache::ThermalModelCache;
 use crate::error::CoreError;
 use crate::layout;
-use crate::metrics::{evaluate_schedule, ScheduleEvaluation};
-use crate::phases::FlowPhases;
+use crate::metrics::evaluate_schedule;
+use crate::phases::{FlowPhases, FlowResult};
 use crate::policy::Policy;
 use crate::schedule::Schedule;
-
-/// Result of one co-synthesis run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoSynthesisResult {
-    /// The customised architecture selected by the allocation loop.
-    pub architecture: Architecture,
-    /// The floorplan produced by the thermal-aware floorplanner.
-    pub floorplan: Floorplan,
-    /// The final schedule on that architecture and floorplan.
-    pub schedule: Schedule,
-    /// The table metrics of the final schedule.
-    pub evaluation: ScheduleEvaluation,
-}
 
 /// The co-synthesis flow.
 ///
@@ -164,7 +151,7 @@ impl<'a> CoSynthesis<'a> {
     /// Returns [`CoreError::DeadlineUnreachable`] when no architecture within
     /// the PE budget meets the deadline, [`CoreError::InvalidParameter`] for
     /// a zero PE budget, and propagates substrate errors.
-    pub fn run(&self, graph: &TaskGraph, policy: Policy) -> Result<CoSynthesisResult, CoreError> {
+    pub fn run(&self, graph: &TaskGraph, policy: Policy) -> Result<FlowResult, CoreError> {
         self.run_with_cache_timed(graph, policy, &mut ThermalModelCache::new())
             .map(|(result, _)| result)
     }
@@ -186,7 +173,7 @@ impl<'a> CoSynthesis<'a> {
         graph: &TaskGraph,
         policy: Policy,
         cache: &mut ThermalModelCache,
-    ) -> Result<(CoSynthesisResult, FlowPhases), CoreError> {
+    ) -> Result<(FlowResult, FlowPhases), CoreError> {
         self.run_policies_with_cache_timed(graph, &[policy], cache)
             .pop()
             .expect("one result per policy")
@@ -206,7 +193,7 @@ impl<'a> CoSynthesis<'a> {
         graph: &TaskGraph,
         policies: &[Policy],
         cache: &mut ThermalModelCache,
-    ) -> Vec<Result<(CoSynthesisResult, FlowPhases), CoreError>> {
+    ) -> Vec<Result<(FlowResult, FlowPhases), CoreError>> {
         let clock = Instant::now();
         let architecture = match self.allocate(graph) {
             Ok(architecture) => architecture,
@@ -333,7 +320,7 @@ impl<'a> CoSynthesis<'a> {
         area_only: &mut Option<Floorplan>,
         cache: &mut ThermalModelCache,
         phases: &mut FlowPhases,
-    ) -> Result<CoSynthesisResult, CoreError> {
+    ) -> Result<FlowResult, CoreError> {
         // --- Feasibility under the target policy: if the (power/thermal
         //     aware) ASP misses the deadline on the baseline-sized
         //     architecture, back off its power/thermal bias until it fits. ---
@@ -397,7 +384,7 @@ impl<'a> CoSynthesis<'a> {
         let evaluation = evaluate_schedule(&schedule, &model)?;
         phases.thermal += clock.elapsed();
 
-        Ok(CoSynthesisResult {
+        Ok(FlowResult {
             architecture: architecture.clone(),
             floorplan,
             schedule,

@@ -81,7 +81,8 @@ impl ExperimentConfig {
 /// The three table columns the paper reports for every configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsRow {
-    /// "Total Pow." — sum of per-PE average powers, watts.
+    /// "Total Pow." — sum of per-PE sustained powers (each PE's energy
+    /// over its busy time), watts: [`ScheduleEvaluation::total_average_power`].
     pub total_power: f64,
     /// "Max Temp." — peak block temperature, °C.
     pub max_temp_c: f64,

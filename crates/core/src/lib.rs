@@ -14,6 +14,9 @@
 //! * [`PlatformFlow`] — the platform-based design flow (Figure 1.b),
 //! * [`CoSynthesis`] — the co-synthesis flow with thermal-aware
 //!   floorplanning (Figure 1.a),
+//! * [`FlowResult`] and [`FlowPhases`] — what either flow returns for one
+//!   policy: architecture, floorplan, schedule and evaluation, and where the
+//!   wall clock went,
 //! * [`evaluate_schedule`] — the "Total Pow. / Max Temp. / Avg Temp." table
 //!   metrics: the schedule's per-PE sustained power through a
 //!   [`ThermalModel`](tats_thermal::ThermalModel) of its floorplan,
@@ -65,11 +68,11 @@ mod schedule;
 
 pub use asp::Asp;
 pub use cache::{geometry_config_bits, CacheStats, FifoCache, ThermalModelCache};
-pub use cosynthesis::{CoSynthesis, CoSynthesisResult};
+pub use cosynthesis::CoSynthesis;
 pub use error::CoreError;
 pub use metrics::{evaluate_schedule, ScheduleEvaluation};
-pub use phases::FlowPhases;
-pub use platform::{PlatformFlow, PlatformResult};
+pub use phases::{FlowPhases, FlowResult};
+pub use platform::PlatformFlow;
 pub use policy::{Policy, PowerHeuristic};
 pub use schedule::{Assignment, Schedule};
 

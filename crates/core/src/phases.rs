@@ -1,12 +1,35 @@
-//! Wall-clock phase breakdown of a design-flow run.
+//! What a design-flow run hands back: its [`FlowResult`] and, from the
+//! `*_timed` entry points, a wall-clock [`FlowPhases`] breakdown.
 //!
 //! The batch engine and the campaign service want to know where a scenario's
 //! time goes — scheduling inquiries, thermal model work, floorplanning — not
 //! just the end-to-end wall clock. The flows accumulate a [`FlowPhases`]
-//! alongside their result (the `*_timed` entry points); timing is purely
-//! observational and never influences the computed result.
+//! alongside their result; timing is purely observational and never
+//! influences the computed result.
 
 use std::time::Duration;
+
+use tats_techlib::Architecture;
+use tats_thermal::Floorplan;
+
+use crate::metrics::ScheduleEvaluation;
+use crate::schedule::Schedule;
+
+/// The result of one flow run under one policy: the platform flow's and
+/// co-synthesis's alike.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlowResult {
+    /// The architecture the schedule runs on: the fixed platform, or the one
+    /// co-synthesis allocated.
+    pub architecture: Architecture,
+    /// The floorplan the schedule was evaluated on: the platform's grid, or
+    /// the genetic floorplanner's placement.
+    pub floorplan: Floorplan,
+    /// The final schedule.
+    pub schedule: Schedule,
+    /// The table metrics of the final schedule.
+    pub evaluation: ScheduleEvaluation,
+}
 
 /// Wall-clock time spent in each phase of one flow run.
 ///

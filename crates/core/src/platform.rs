@@ -16,23 +16,9 @@ use crate::asp::Asp;
 use crate::cache::ThermalModelCache;
 use crate::error::CoreError;
 use crate::layout;
-use crate::metrics::{evaluate_schedule, ScheduleEvaluation};
-use crate::phases::FlowPhases;
+use crate::metrics::evaluate_schedule;
+use crate::phases::{FlowPhases, FlowResult};
 use crate::policy::Policy;
-use crate::schedule::Schedule;
-
-/// Result of running the platform-based flow on one task graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlatformResult {
-    /// The fixed platform architecture that was used.
-    pub architecture: Architecture,
-    /// The fixed floorplan of the platform.
-    pub floorplan: Floorplan,
-    /// The schedule produced by the ASP.
-    pub schedule: Schedule,
-    /// The table metrics of the schedule.
-    pub evaluation: ScheduleEvaluation,
-}
 
 /// The platform-based design flow: a pre-defined architecture of identical
 /// PEs scheduled by the (power- or thermal-aware) ASP.
@@ -115,7 +101,7 @@ impl<'a> PlatformFlow<'a> {
     /// # Errors
     ///
     /// Propagates scheduling and evaluation errors.
-    pub fn run(&self, graph: &TaskGraph, policy: Policy) -> Result<PlatformResult, CoreError> {
+    pub fn run(&self, graph: &TaskGraph, policy: Policy) -> Result<FlowResult, CoreError> {
         self.run_with_cache_timed(graph, policy, &mut ThermalModelCache::new())
             .map(|(result, _)| result)
     }
@@ -135,7 +121,7 @@ impl<'a> PlatformFlow<'a> {
         graph: &TaskGraph,
         policy: Policy,
         cache: &mut ThermalModelCache,
-    ) -> Result<(PlatformResult, FlowPhases), CoreError> {
+    ) -> Result<(FlowResult, FlowPhases), CoreError> {
         let mut phases = FlowPhases::default();
         let clock = Instant::now();
         let model = cache.get_or_build(&self.floorplan, self.thermal_config)?;
@@ -150,7 +136,7 @@ impl<'a> PlatformFlow<'a> {
         let evaluation = evaluate_schedule(&schedule, &model)?;
         phases.thermal += clock.elapsed();
         Ok((
-            PlatformResult {
+            FlowResult {
                 architecture: self.architecture.clone(),
                 floorplan: self.floorplan.clone(),
                 schedule,
@@ -187,13 +173,9 @@ mod tests {
                 assert!(result.evaluation.meets_deadline, "{bm} / {policy}");
                 result
                     .schedule
-                    .validate(&graph, result_arch(&result), &library)
+                    .validate(&graph, &result.architecture, &library)
                     .unwrap();
             }
-        }
-
-        fn result_arch(result: &PlatformResult) -> &Architecture {
-            &result.architecture
         }
     }
 

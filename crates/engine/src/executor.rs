@@ -1,22 +1,24 @@
-//! The campaign executor: a work-stealing worker pool with per-worker
-//! thermal caches and streamed results.
+//! The campaign executor: a worker pool with per-worker thermal caches and
+//! streamed results.
 //!
 //! The unit of work is a *group*: the pending scenarios that share
 //! (benchmark, flow, solver, seed) and differ only in policy. A group
 //! generates its task graph once; on co-synthesis it also allocates,
 //! prunes and computes the area-only floorplan once for all its policies
-//! ([`CoSynthesis::run_policies_with_cache_timed`]). Groups are
-//! independent, so the pool is a shared atomic cursor over the (shard's)
-//! pending scenarios, laid out group by group: idle workers grab the next
-//! group, heavy groups never block light ones behind a static partition.
-//! Every worker owns its caches — a [`ThermalModelCache`] for block-model
-//! factorisations and a grid-model cache for fine-grid validation — keyed
-//! by floorplan geometry, so thermal sessions and Cholesky factors are
-//! *reused across scenarios* instead of rebuilt per run. Completed records
-//! flow through a channel to the caller's thread, which hands them to the
-//! sink in scenario-id order (streaming JSONL): a record waits there only
-//! until every lower pending id is handed on. Per-worker cache counters
-//! are merged into the final report.
+//! ([`CoSynthesis::run_policies_with_cache_timed`]). A run cuts the
+//! (shard's) pending scenarios into groups once, builds the technology
+//! library once and lends it to every worker. Groups are independent, so
+//! workers claim whole groups from a shared atomic cursor: idle workers
+//! take the next group, and heavy groups never block light ones behind a
+//! static partition. Every worker owns its caches — a [`ThermalModelCache`]
+//! for block-model factorisations and a grid-model cache for fine-grid
+//! validation — keyed by floorplan geometry, so thermal sessions and
+//! Cholesky factors are *reused across scenarios* instead of rebuilt per
+//! run. The channel to the caller's thread carries outcomes only; the
+//! caller hands them to the sink in scenario-id order (streaming JSONL): a
+//! record waits there only until every lower pending id is handed on. Each
+//! worker returns its cache counters when the caller joins it, and they are
+//! merged into the final report.
 //!
 //! Every scenario evaluation is deterministic and isolated, so the sink
 //! sees the same records in the same order at any thread count, and any
@@ -30,8 +32,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tats_core::{
-    CacheStats, CoSynthesis, CoreError, FifoCache, FlowPhases, PlatformFlow, Policy, Schedule,
-    ScheduleEvaluation, ThermalModelCache,
+    CacheStats, CoSynthesis, CoreError, FifoCache, FlowPhases, FlowResult, PlatformFlow, Policy,
+    ThermalModelCache,
 };
 use tats_taskgraph::TaskGraph;
 use tats_techlib::TechLibrary;
@@ -319,47 +321,44 @@ fn same_group(a: &Scenario, b: &Scenario) -> bool {
     a.benchmark == b.benchmark && a.flow == b.flow && a.solver == b.solver && a.seed == b.seed
 }
 
-/// The positions of `todo` (sorted by id) laid out group by group: each
-/// group's members are contiguous and in id order, and groups are ordered
-/// by their first member, so the lowest pending ids are computed first.
-fn group_order(todo: &[&Scenario]) -> Vec<usize> {
-    let mut by_group: Vec<usize> = (0..todo.len()).collect();
-    by_group.sort_unstable_by_key(|&i| {
-        let s = todo[i];
-        let solver = s.solver.as_ref().map(GridSolver::name);
-        (s.benchmark.name(), s.flow.name(), solver, s.seed, i)
-    });
-    // Tag each position with its group's first member, then order by it.
-    let mut tagged: Vec<(usize, usize)> = Vec::with_capacity(todo.len());
-    for (k, &i) in by_group.iter().enumerate() {
-        let first = match tagged.last() {
-            Some(&(first, _)) if same_group(todo[by_group[k - 1]], todo[i]) => first,
-            _ => i,
-        };
-        tagged.push((first, i));
-    }
-    tagged.sort_unstable();
-    tagged.into_iter().map(|(_, i)| i).collect()
-}
-
 /// One pending scenario's outcome: its record and span tree, or the error
 /// that stops the run.
 type Outcome = Result<(ScenarioRecord, Vec<SpanEvent>), EngineError>;
 
-/// What a flow hands back for one scenario.
-type FlowOutput = (Schedule, ScheduleEvaluation, Floorplan, FlowPhases);
-
-/// One worker's state: the campaign, the library its flows draw from, its
+/// One worker's state: the campaign, the library the run lends it, its
 /// caches, and the run's metrics and trace context.
 struct Worker<'a> {
     campaign: &'a Campaign,
-    library: TechLibrary,
+    library: &'a TechLibrary,
     caches: WorkerCaches,
     metrics: Option<&'a EngineMetrics>,
     trace: Option<&'a TraceContext>,
 }
 
 impl Worker<'_> {
+    /// Claims whole groups from the shared `cursor` until none is left or
+    /// the caller stops listening, and sends each member's outcome with its
+    /// position in `todo`. Returns the worker's cache counters.
+    fn serve(
+        mut self,
+        todo: &[&Scenario],
+        groups: &[&[usize]],
+        cursor: &AtomicUsize,
+        outcomes: mpsc::Sender<(usize, Box<Outcome>)>,
+    ) -> CacheStats {
+        while let Some(positions) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let group: Vec<&Scenario> = positions.iter().map(|&i| todo[i]).collect();
+            let sent = positions
+                .iter()
+                .zip(self.run_group(&group))
+                .all(|(&i, outcome)| outcomes.send((i, Box::new(outcome))).is_ok());
+            if !sent {
+                break;
+            }
+        }
+        self.caches.stats()
+    }
+
     /// Evaluates one group: its task graph once, then every member's flow,
     /// grid validation, record and span tree. Returns the members'
     /// outcomes in member order; an error of the shared graph or
@@ -405,52 +404,48 @@ impl Worker<'_> {
         &mut self,
         group: &[&Scenario],
         graph: &TaskGraph,
-    ) -> Vec<Result<FlowOutput, CoreError>> {
+    ) -> Vec<Result<(FlowResult, FlowPhases), CoreError>> {
         let experiment = self.campaign.experiment();
         let cache = &mut self.caches.thermal;
         match group[0].flow {
-            FlowKind::Platform => match PlatformFlow::new(&self.library) {
+            FlowKind::Platform => match PlatformFlow::new(self.library) {
                 Ok(flow) => {
                     let flow = flow.with_thermal_config(experiment.thermal_config);
                     group
                         .iter()
-                        .map(|scenario| {
-                            let (result, phases) =
-                                flow.run_with_cache_timed(graph, scenario.policy, cache)?;
-                            Ok((result.schedule, result.evaluation, result.floorplan, phases))
-                        })
+                        .map(|scenario| flow.run_with_cache_timed(graph, scenario.policy, cache))
                         .collect()
                 }
                 Err(error) => vec![Err(error); group.len()],
             },
             FlowKind::CoSynthesis => {
                 let policies: Vec<Policy> = group.iter().map(|scenario| scenario.policy).collect();
-                CoSynthesis::new(&self.library)
+                CoSynthesis::new(self.library)
                     .with_max_pes(experiment.max_pes)
                     .with_thermal_config(experiment.thermal_config)
                     .with_floorplan_ga(experiment.floorplan_ga)
                     .run_policies_with_cache_timed(graph, &policies, cache)
-                    .into_iter()
-                    .map(|result| {
-                        let (result, phases) = result?;
-                        Ok((result.schedule, result.evaluation, result.floorplan, phases))
-                    })
-                    .collect()
             }
         }
     }
 
-    /// Grid-validates one member's flow output, records its metrics and
+    /// Grid-validates one member's flow result, records its metrics and
     /// builds its record and span tree. Its spans start at `cursor_us`,
     /// which then moves past them; `graph_time` is the share of the group's
     /// task graph this member carries.
     fn finish_scenario(
         &mut self,
         scenario: &Scenario,
-        (schedule, evaluation, floorplan, phases): FlowOutput,
+        (flow, phases): (FlowResult, FlowPhases),
         graph_time: Duration,
         cursor_us: &mut u64,
     ) -> Result<(ScenarioRecord, Vec<SpanEvent>), EngineError> {
+        let FlowResult {
+            floorplan,
+            schedule,
+            evaluation,
+            ..
+        } = flow;
         let grid_clock = Instant::now();
         let grid_max_temp_c = match scenario.solver {
             None => None,
@@ -586,12 +581,29 @@ impl Worker<'_> {
     }
 }
 
-enum Message {
-    /// The outcome of the pending scenario at this position of the run.
-    Outcome(usize, Box<Outcome>),
-    /// A worker could not start: its technology library failed to build.
-    Failed(Box<EngineError>),
-    WorkerDone(CacheStats),
+/// Hands the workers' outcomes to `sink` in position order, each as soon
+/// as every lower position has been handed on, and returns the records.
+/// The first error in that order, a scenario's or the sink's, stops the
+/// release: records already handed on stay valid resume input, and
+/// returning drops the receiver, so every worker's next send fails and it
+/// exits.
+fn release<E: From<EngineError>>(
+    outcomes: mpsc::Receiver<(usize, Box<Outcome>)>,
+    pending: usize,
+    mut sink: impl FnMut(&ScenarioRecord, &[SpanEvent]) -> Result<(), E>,
+) -> Result<Vec<ScenarioRecord>, E> {
+    let mut slots: Vec<Option<Box<Outcome>>> = Vec::new();
+    slots.resize_with(pending, || None);
+    let mut records = Vec::with_capacity(pending);
+    for (position, outcome) in outcomes {
+        slots[position] = Some(outcome);
+        while let Some(outcome) = slots.get_mut(records.len()).and_then(Option::take) {
+            let (record, span_events) = (*outcome)?;
+            sink(&record, &span_events)?;
+            records.push(record);
+        }
+    }
+    Ok(records)
 }
 
 /// The campaign worker pool.
@@ -648,11 +660,11 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns the first failure in that order — a scenario's error when
-    /// its turn comes, or the sink's — and either aborts the remaining work
-    /// (in-flight groups finish, their sends fail, the workers exit).
-    /// Records already handed to the sink stay on disk and remain valid
-    /// `--resume` input.
+    /// Returns the first [`EngineError`] in that order — the technology
+    /// library's, a scenario's when its turn comes, or the sink's — and
+    /// stops the remaining work (in-flight groups finish, their sends fail,
+    /// the workers exit). Records already handed to the sink stay on disk
+    /// and remain valid `--resume` input.
     pub fn run<F>(
         &self,
         campaign: &Campaign,
@@ -668,140 +680,82 @@ impl Executor {
 
     /// Like [`Executor::run`], but the sink also receives each scenario's
     /// completed span tree (empty unless [`Executor::with_trace`] is set) —
-    /// how a service worker piggybacks span batches on record posts.
+    /// how a service worker piggybacks span batches on record posts — and
+    /// may fail with its caller's own error type `E`.
     ///
     /// # Errors
     ///
-    /// As [`Executor::run`].
-    pub fn run_traced<F>(
+    /// As [`Executor::run`]: the first failure in id order, as an `E`. The
+    /// sink's error is returned as it is; the library's and a scenario's
+    /// [`EngineError`] are converted with `E::from`.
+    pub fn run_traced<F, E>(
         &self,
         campaign: &Campaign,
         scenarios: &[Scenario],
         skip: &BTreeSet<u64>,
         mut sink: F,
-    ) -> Result<BatchRun, EngineError>
+    ) -> Result<BatchRun, E>
     where
-        F: FnMut(&ScenarioRecord, &[SpanEvent]) -> Result<(), EngineError>,
+        F: FnMut(&ScenarioRecord, &[SpanEvent]) -> Result<(), E>,
+        E: From<EngineError>,
     {
         let mut todo: Vec<&Scenario> = scenarios.iter().filter(|s| !skip.contains(&s.id)).collect();
         todo.sort_by_key(|s| s.id);
         let skipped = scenarios.len() - todo.len();
-        let order = group_order(&todo);
-        // A group starts where a member does not share the previous one's.
-        let starts_group = |at: usize| at == 0 || !same_group(todo[order[at - 1]], todo[order[at]]);
-        // Nothing pending (a resume of a finished file, a re-leased shard
-        // whose records all arrived) starts no worker.
-        let workers = self
-            .threads
-            .min((0..order.len()).filter(|&at| starts_group(at)).count());
-        let cursor = AtomicUsize::new(0);
-        let metrics = self.metrics.as_deref().map(EngineMetrics::new);
-        let (tx, rx) = mpsc::channel::<Message>();
+        // The groups of `todo`'s positions: each group's members in id
+        // order, groups ordered by their first member, so the lowest
+        // pending ids are computed first.
+        let mut order: Vec<usize> = (0..todo.len()).collect();
+        order.sort_unstable_by_key(|&i| {
+            let s = todo[i];
+            let solver = s.solver.as_ref().map(GridSolver::name);
+            (s.benchmark.name(), s.flow.name(), solver, s.seed, i)
+        });
+        let mut groups: Vec<&[usize]> = order
+            .chunk_by(|&a, &b| same_group(todo[a], todo[b]))
+            .collect();
+        groups.sort_unstable_by_key(|group| group[0]);
 
         let start = Instant::now();
-        let mut records: Vec<ScenarioRecord> = Vec::with_capacity(todo.len());
-        let mut cache = CacheStats::default();
-        let mut failure: Option<EngineError> = None;
+        // Nothing pending (a resume of a finished file, a re-leased shard
+        // whose records all arrived) builds no library and starts no worker.
+        let library = if groups.is_empty() {
+            None
+        } else {
+            Some(campaign.experiment().library().map_err(EngineError::from)?)
+        };
+        let workers = self.threads.min(groups.len());
+        let cursor = AtomicUsize::new(0);
+        let metrics = self.metrics.as_deref().map(EngineMetrics::new);
+        let (tx, rx) = mpsc::channel();
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let (todo, order) = (&todo, &order);
-                let metrics = metrics.as_ref();
-                let trace = self.trace.as_ref();
-                scope.spawn(move || {
-                    let library = match campaign.experiment().library() {
-                        Ok(library) => library,
-                        Err(error) => {
-                            let _ = tx.send(Message::Failed(Box::new(EngineError::from(error))));
-                            let _ = tx.send(Message::WorkerDone(CacheStats::default()));
-                            return;
-                        }
-                    };
-                    let mut worker = Worker {
+        let (released, cache) = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
+            if let Some(library) = &library {
+                for _ in 0..workers {
+                    let worker = Worker {
                         campaign,
                         library,
                         caches: WorkerCaches::new(),
-                        metrics,
-                        trace,
+                        metrics: metrics.as_ref(),
+                        trace: self.trace.as_ref(),
                     };
-                    loop {
-                        let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&first) = order.get(at) else {
-                            break;
-                        };
-                        // A group belongs to the worker that draws its first
-                        // position; the others move on.
-                        if !starts_group(at) {
-                            continue;
-                        }
-                        let positions: Vec<usize> = order[at..]
-                            .iter()
-                            .copied()
-                            .take_while(|&i| same_group(todo[i], todo[first]))
-                            .collect();
-                        let group: Vec<&Scenario> = positions.iter().map(|&i| todo[i]).collect();
-                        let outcomes = worker.run_group(&group);
-                        let sent = positions.into_iter().zip(outcomes).all(|(i, outcome)| {
-                            tx.send(Message::Outcome(i, Box::new(outcome))).is_ok()
-                        });
-                        if !sent {
-                            break;
-                        }
-                    }
-                    let _ = tx.send(Message::WorkerDone(worker.caches.stats()));
-                });
-            }
-            // The receiving end runs on the caller's thread so the sink (a
-            // JSONL file, a summary accumulator) needs no synchronisation.
-            // An outcome waits in its slot until every lower position has
-            // been handed on, so the sink sees id order at any thread count.
-            drop(tx);
-            let mut slots: Vec<Option<Box<Outcome>>> = Vec::new();
-            slots.resize_with(todo.len(), || None);
-            let mut next = 0;
-            'receive: for message in rx {
-                match message {
-                    Message::Outcome(position, outcome) => {
-                        slots[position] = Some(outcome);
-                        while let Some(outcome) = slots.get_mut(next).and_then(Option::take) {
-                            next += 1;
-                            let (record, span_events) = match *outcome {
-                                Ok(done) => done,
-                                Err(error) => {
-                                    // A failed scenario aborts the campaign:
-                                    // results already streamed to the sink
-                                    // remain valid resume input, so nothing
-                                    // is lost by stopping instead of
-                                    // grinding through the rest of the grid.
-                                    failure = Some(error);
-                                    break 'receive;
-                                }
-                            };
-                            if let Err(error) = sink(&record, &span_events) {
-                                // A dead sink (disk full, closed pipe)
-                                // aborts likewise: dropping the receiver
-                                // makes every worker's next send fail and
-                                // exit its loop.
-                                failure = Some(error);
-                                break 'receive;
-                            }
-                            records.push(record);
-                        }
-                    }
-                    Message::Failed(error) => {
-                        failure = Some(*error);
-                        break;
-                    }
-                    Message::WorkerDone(stats) => cache.merge(stats),
+                    let (todo, groups, cursor, tx) = (&todo, &groups, &cursor, tx.clone());
+                    handles.push(scope.spawn(move || worker.serve(todo, groups, cursor, tx)));
                 }
             }
+            drop(tx);
+            // The release runs on the caller's thread, so the sink (a JSONL
+            // file, a summary accumulator) needs no synchronisation.
+            let released = release(rx, todo.len(), &mut sink);
+            let mut cache = CacheStats::default();
+            for handle in handles {
+                cache.merge(handle.join().expect("an executor worker panicked"));
+            }
+            (released, cache)
         });
 
-        if let Some(error) = failure {
-            return Err(error);
-        }
+        let records = released?;
         if let Some(metrics) = &metrics {
             metrics.cache_hits.add(cache.hits);
             metrics.cache_misses.add(cache.misses);
@@ -983,7 +937,7 @@ mod tests {
                 // scheduling and thermal phase children.
                 assert_eq!(spans.len(), 3, "record {}", record.id);
                 collected.extend(spans.iter().cloned());
-                Ok(())
+                Ok::<_, EngineError>(())
             })
             .unwrap();
         assert_eq!(collected.len(), 6);
@@ -1014,7 +968,7 @@ mod tests {
             .with_trace(trace)
             .run_traced(&campaign, &scenarios, &BTreeSet::new(), |_, spans| {
                 second.extend(spans.iter().map(|s| s.span_id));
-                Ok(())
+                Ok::<_, EngineError>(())
             })
             .unwrap();
         let mut first_ids: Vec<u64> = collected.iter().map(|s| s.span_id).collect();
@@ -1025,7 +979,7 @@ mod tests {
         Executor::new(1)
             .run_traced(&campaign, &scenarios, &BTreeSet::new(), |_, spans| {
                 assert!(spans.is_empty());
-                Ok(())
+                Ok::<_, EngineError>(())
             })
             .unwrap();
     }
@@ -1046,7 +1000,7 @@ mod tests {
             .with_trace(trace)
             .run_traced(&campaign, &scenarios, &BTreeSet::new(), |_, spans| {
                 grid_spans.extend(spans.iter().filter(|s| s.name == "grid").cloned());
-                Ok(())
+                Ok::<_, EngineError>(())
             })
             .unwrap();
         let snapshot = registry.snapshot();

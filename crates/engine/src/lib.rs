@@ -10,12 +10,13 @@
 //!   are splittable and restartable by construction;
 //! * [`Shard`] partitions that list deterministically (`--shard i/n` keeps
 //!   ids with `id % n == i`) for fan-out across machines;
-//! * [`Executor`] runs scenarios on a work-stealing worker pool, one group
-//!   of scenarios that differ only in policy at a time (one task graph and,
-//!   on co-synthesis, one architecture per group), where every worker owns
-//!   geometry-keyed caches (block-model factorisations, grid models with
-//!   their Cholesky factors), so thermal state is **reused across
-//!   scenarios** instead of rebuilt per run;
+//! * [`Executor`] runs scenarios on a worker pool whose workers claim whole
+//!   groups of scenarios that differ only in policy (one task graph and,
+//!   on co-synthesis, one architecture per group) and share one technology
+//!   library per run, where every worker owns geometry-keyed caches
+//!   (block-model factorisations, grid models with their Cholesky
+//!   factors), so thermal state is **reused across scenarios** instead of
+//!   rebuilt per run;
 //! * results stream through the caller's sink in scenario-id order — the
 //!   CLI writes JSON Lines via `tats_trace::jsonl`, which also provides the
 //!   resume scanner (`--resume` skips scenario ids already on disk);

@@ -36,6 +36,16 @@ fn score_population(
         .collect()
 }
 
+/// Probability of recombining two parents (otherwise the fitter parent is
+/// cloned).
+const CROSSOVER_RATE: f64 = 0.9;
+/// Probability of mutating a child.
+const MUTATION_RATE: f64 = 0.4;
+/// Number of chromosomes competing in each tournament.
+const TOURNAMENT_SIZE: usize = 3;
+/// Number of best chromosomes copied unchanged into the next generation.
+const ELITISM: usize = 2;
+
 /// Parameters of the genetic floorplanning engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaConfig {
@@ -43,15 +53,6 @@ pub struct GaConfig {
     pub population: usize,
     /// Number of generations to evolve.
     pub generations: usize,
-    /// Probability of recombining two parents (otherwise the fitter parent is
-    /// cloned).
-    pub crossover_rate: f64,
-    /// Probability of mutating a child.
-    pub mutation_rate: f64,
-    /// Number of chromosomes competing in each tournament.
-    pub tournament_size: usize,
-    /// Number of best chromosomes copied unchanged into the next generation.
-    pub elitism: usize,
     /// Seed of the pseudo-random generator.
     pub seed: u64,
 }
@@ -61,10 +62,6 @@ impl Default for GaConfig {
         GaConfig {
             population: 24,
             generations: 40,
-            crossover_rate: 0.9,
-            mutation_rate: 0.4,
-            tournament_size: 3,
-            elitism: 2,
             seed: 0x6E6E,
         }
     }
@@ -72,30 +69,16 @@ impl Default for GaConfig {
 
 impl GaConfig {
     fn validate(&self) -> Result<(), FloorplanError> {
-        if self.population < 2 {
+        // The least population that holds the elites plus one child and
+        // that a tournament does not outnumber.
+        if self.population < 3 {
             return Err(FloorplanError::InvalidParameter(
-                "population must be at least 2".to_string(),
+                "population must be at least 3".to_string(),
             ));
         }
         if self.generations == 0 {
             return Err(FloorplanError::InvalidParameter(
                 "generations must be at least 1".to_string(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.crossover_rate) || !(0.0..=1.0).contains(&self.mutation_rate)
-        {
-            return Err(FloorplanError::InvalidParameter(
-                "crossover and mutation rates must be in [0, 1]".to_string(),
-            ));
-        }
-        if self.tournament_size == 0 || self.tournament_size > self.population {
-            return Err(FloorplanError::InvalidParameter(
-                "tournament size must be in 1..=population".to_string(),
-            ));
-        }
-        if self.elitism >= self.population {
-            return Err(FloorplanError::InvalidParameter(
-                "elitism must be smaller than the population".to_string(),
             ));
         }
         Ok(())
@@ -167,20 +150,20 @@ pub fn evolve(
 
     for _generation in 0..config.generations {
         scored.sort_by(|a, b| a.1.weighted.total_cmp(&b.1.weighted));
-        let mut next: Vec<Scored> = scored.iter().take(config.elitism).cloned().collect();
+        let mut next: Vec<Scored> = scored.iter().take(ELITISM).cloned().collect();
 
         let mut children: Vec<PolishExpression> =
             Vec::with_capacity(config.population - next.len());
         while next.len() + children.len() < config.population {
             let pick = |rng: &mut StdRng| -> usize {
-                (0..config.tournament_size)
+                (0..TOURNAMENT_SIZE)
                     .map(|_| rng.gen_range(0..scored.len()))
                     .min_by(|&a, &b| scored[a].1.weighted.total_cmp(&scored[b].1.weighted))
                     .expect("tournament size is at least 1")
             };
             let a = pick(&mut rng);
             let b = pick(&mut rng);
-            let mut child = if rng.gen::<f64>() < config.crossover_rate {
+            let mut child = if rng.gen::<f64>() < CROSSOVER_RATE {
                 crossover(&scored[a].0, &scored[b].0)
             } else {
                 let fitter = if scored[a].1.weighted <= scored[b].1.weighted {
@@ -190,7 +173,7 @@ pub fn evolve(
                 };
                 scored[fitter].0.clone()
             };
-            if rng.gen::<f64>() < config.mutation_rate {
+            if rng.gen::<f64>() < MUTATION_RATE {
                 child = child.perturb(&mut rng);
             }
             children.push(child);
@@ -353,19 +336,11 @@ mod tests {
                 ..GaConfig::default()
             },
             GaConfig {
+                population: 2,
+                ..GaConfig::default()
+            },
+            GaConfig {
                 generations: 0,
-                ..GaConfig::default()
-            },
-            GaConfig {
-                crossover_rate: 1.5,
-                ..GaConfig::default()
-            },
-            GaConfig {
-                tournament_size: 0,
-                ..GaConfig::default()
-            },
-            GaConfig {
-                elitism: 99,
                 ..GaConfig::default()
             },
         ] {

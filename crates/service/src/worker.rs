@@ -30,7 +30,7 @@ use std::process;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tats_engine::{CampaignSpec, EngineError, Executor, Shard, TraceContext};
+use tats_engine::{CampaignSpec, Executor, Shard, TraceContext};
 use tats_trace::log::{LogEvent, LogLevel, LogSink};
 use tats_trace::metrics::{Counter, Histogram};
 use tats_trace::spans::{self, id_hex, SpanEvent, SpanIdGen, SpanKind};
@@ -253,10 +253,12 @@ fn parse_lease(value: &JsonValue) -> Result<Lease, ServiceError> {
 
 /// Runs one leased shard, streaming records back over the shared keep-alive
 /// connection and counting each successful post into `posted_total` (which
-/// therefore survives failed attempts). Record posts retry transient
-/// failures with `retry`; `Err(ServiceError::Http {status: 409, ..})` means
-/// the lease was lost (the caller abandons the shard and polls again),
-/// `Aborted` is the injected-crash hook, anything else is fatal.
+/// therefore survives failed attempts). The executor's sink posts each
+/// record, retrying transient failures with `retry`, and the first error in
+/// id order comes back as it is: `Err(ServiceError::Http {status: 409, ..})`
+/// means the lease was lost (the caller abandons the shard and polls
+/// again), `Aborted` is the injected-crash hook, and a failing scenario
+/// arrives as [`ServiceError::Engine`]. Anything but a lost lease is fatal.
 fn run_shard(
     connection: &mut Connection,
     config: &WorkerConfig,
@@ -279,7 +281,6 @@ fn run_shard(
         headers.push(("x-trace-id", id_hex(trace_id)));
     }
     let shard_start_us = spans::now_us();
-    let mut failure: Option<ServiceError> = None;
     let mut executor = Executor::new(config.threads).with_metrics(Arc::clone(&metrics.registry));
     if let Some((trace_id, _, span_id)) = shard_span {
         executor = executor.with_trace(TraceContext {
@@ -288,13 +289,12 @@ fn run_shard(
             worker: config.name.clone(),
         });
     }
-    let run = executor.run_traced(&campaign, &scenarios, &lease.completed, |record, spans| {
+    executor.run_traced(&campaign, &scenarios, &lease.completed, |record, spans| {
         if let Some(limit) = config.fail_after_records {
             if *posted_total >= limit {
-                failure = Some(ServiceError::Aborted(format!(
+                return Err(ServiceError::Aborted(format!(
                     "injected failure after {limit} records"
                 )));
-                return Err(EngineError::InvalidParameter("injected failure".into()));
             }
         }
         // One record plus its scenario's span tree per post: the spans ride
@@ -306,67 +306,49 @@ fn run_shard(
             line.push_str(&span.to_line());
             line.push('\n');
         }
-        let response = retry_observed(&retry, metrics, config.log.as_ref(), || {
+        retry_observed(&retry, metrics, config.log.as_ref(), || {
             connection
                 .request("POST", &records_path, &headers, Some(&line))
                 .and_then(client::expect_ok)
-        });
-        match response {
-            Ok(_) => {
-                *posted_total += 1;
-                metrics.records_posted.inc();
-                Ok(())
-            }
-            Err(error) => {
-                failure = Some(error);
-                Err(EngineError::InvalidParameter("record post failed".into()))
-            }
-        }
-    });
-    match run {
-        Ok(_) => {
-            // Close the shard span before announcing done, so the server's
-            // merged stream has it by the time the root span is synthesized.
-            if let Some((trace_id, root, span_id)) = shard_span {
-                let span = SpanEvent::new(
-                    trace_id,
-                    span_id,
-                    Some(root),
-                    "shard",
-                    SpanKind::Worker,
-                    shard_start_us,
-                    spans::now_us(),
-                )
-                .attr("job", lease.job.as_str())
-                .attr("shard", lease.shard.to_string())
-                .attr("worker", config.name.as_str());
-                let mut line = span.to_line();
-                line.push('\n');
-                retry_observed(&retry, metrics, config.log.as_ref(), || {
-                    connection
-                        .request("POST", &records_path, &headers, Some(&line))
-                        .and_then(client::expect_ok)
-                })?;
-            }
-            retry_observed(&retry, metrics, config.log.as_ref(), || {
-                connection
-                    .request(
-                        "POST",
-                        &format!("/jobs/{}/shards/{}/done", lease.job, lease.shard.index),
-                        &headers,
-                        None,
-                    )
-                    .and_then(client::expect_ok)
-            })?;
-            Ok(())
-        }
-        Err(engine_error) => Err(match failure {
-            // The sink aborted the run: surface the transport/injected error.
-            Some(error) => error,
-            // The scenario itself failed — a real evaluation bug, fatal.
-            None => ServiceError::Engine(engine_error),
-        }),
+        })?;
+        *posted_total += 1;
+        metrics.records_posted.inc();
+        Ok(())
+    })?;
+    // Close the shard span before announcing done, so the server's merged
+    // stream has it by the time the root span is synthesized.
+    if let Some((trace_id, root, span_id)) = shard_span {
+        let span = SpanEvent::new(
+            trace_id,
+            span_id,
+            Some(root),
+            "shard",
+            SpanKind::Worker,
+            shard_start_us,
+            spans::now_us(),
+        )
+        .attr("job", lease.job.as_str())
+        .attr("shard", lease.shard.to_string())
+        .attr("worker", config.name.as_str());
+        let mut line = span.to_line();
+        line.push('\n');
+        retry_observed(&retry, metrics, config.log.as_ref(), || {
+            connection
+                .request("POST", &records_path, &headers, Some(&line))
+                .and_then(client::expect_ok)
+        })?;
     }
+    retry_observed(&retry, metrics, config.log.as_ref(), || {
+        connection
+            .request(
+                "POST",
+                &format!("/jobs/{}/shards/{}/done", lease.job, lease.shard.index),
+                &headers,
+                None,
+            )
+            .and_then(client::expect_ok)
+    })?;
+    Ok(())
 }
 
 /// The worker main loop: poll `addr` for shard leases and run them until

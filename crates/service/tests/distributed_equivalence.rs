@@ -8,13 +8,15 @@
 //!   resumes (skipping what was streamed), and the final record set is
 //!   still identical — no duplicates, no drops;
 //! * the server-side summary equals the summary an in-process run
-//!   aggregates.
+//!   aggregates;
+//! * a scenario that fails stops its worker with the scenario's error,
+//!   after the records of the lower ids and before any other.
 
 use std::collections::BTreeSet;
 
 use tats_core::Policy;
 use tats_engine::{Campaign, CampaignSpec, Effort, Executor, FlowKind, Summary};
-use tats_service::{client, run_worker, Service, ServiceConfig, WorkerConfig};
+use tats_service::{client, run_worker, Service, ServiceConfig, ServiceError, WorkerConfig};
 use tats_taskgraph::Benchmark;
 use tats_trace::{jsonl, JsonValue};
 
@@ -237,6 +239,45 @@ fn killed_worker_is_re_leased_and_resumed_without_duplicates() {
         "{}",
         status.body
     );
+
+    server.stop();
+}
+
+#[test]
+fn a_failing_scenario_stops_the_worker_with_its_error() {
+    // Bm1 at seed 322 has no co-synthesis architecture that meets the
+    // deadline. With one policy its id is 1, after seed 1's id 0, so the
+    // worker posts record 0 and then fails with the scenario's error.
+    let spec = CampaignSpec {
+        benchmarks: vec![Benchmark::Bm1],
+        flows: vec![FlowKind::CoSynthesis],
+        policies: vec![Policy::Baseline],
+        solvers: vec![None],
+        seeds: vec![1, 322],
+        grid_resolution: (16, 16),
+        effort: Effort::Fast,
+    };
+    let server = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let addr = server.addr_string();
+    let job = submit(&addr, &spec, 1);
+    let error = run_worker(
+        &addr,
+        &WorkerConfig {
+            name: "fatal".to_string(),
+            poll_ms: 10,
+            exit_when_drained: true,
+            ..WorkerConfig::default()
+        },
+    )
+    .expect_err("seed 322 has no feasible co-synthesis");
+    assert!(matches!(error, ServiceError::Engine(_)), "{error:?}");
+    assert!(
+        error.to_string().contains("Bm1/cosynthesis/baseline/s322"),
+        "{error}"
+    );
+    let records = fetch_sorted_records(&addr, &job);
+    assert_eq!(records.len(), 1, "{records:?}");
+    assert_eq!(jsonl::line_id(&records[0]), Some(0));
 
     server.stop();
 }

@@ -11,7 +11,7 @@ use tats_taskgraph::Benchmark;
 use tats_techlib::profiles;
 use tats_thermal::{ThermalConfig, ThermalModel};
 
-fn platform_result(benchmark: Benchmark, policy: Policy) -> tats_core::PlatformResult {
+fn platform_result(benchmark: Benchmark, policy: Policy) -> tats_core::FlowResult {
     let library = profiles::standard_library(12).expect("library");
     PlatformFlow::new(&library)
         .expect("flow")

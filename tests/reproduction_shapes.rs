@@ -1,19 +1,28 @@
-//! Shape checks for the paper's headline results, run with the fast
-//! experiment configuration.
+//! Shape checks for the paper's headline results on the four canonical
+//! benchmark graphs, run with the fast experiment configuration.
 //!
 //! These tests do not compare absolute numbers against the paper (our
 //! technology library and thermal package are synthetic); they check the
 //! *qualitative* claims behind the paper's quantitative tables:
 //!
-//! * every policy meets the real-time deadline on both flows;
-//! * on the platform, the thermal-aware ASP never has a higher peak
-//!   temperature than the best power heuristic (Table 3's direction);
-//! * on the co-synthesis architecture, the power- and thermal-aware policies
-//!   never consume more total power than the performance-only baseline
-//!   (Table 1/2's direction);
-//! * the platform architecture runs hotter than the co-synthesis architecture
-//!   in total power (it has more, faster PEs), mirroring the relationship
-//!   between the co-synthesis and platform columns of Table 1.
+//! * on the platform, the thermal-aware ASP's peak temperature is at most
+//!   0.5 °C above the best power heuristic's on each benchmark and not
+//!   higher on average (Table 3's direction);
+//! * on the co-synthesis architecture, the thermal-aware peak is at most
+//!   0.5 °C above the baseline's, and the power-aware policy never consumes
+//!   more total power than the performance-only baseline (Table 2's
+//!   direction);
+//! * heuristic 3 has the lowest summed peak temperature of the three power
+//!   heuristics, and on co-synthesis never consumes more total power than
+//!   the worse of heuristics 1 and 2 (Table 1);
+//! * the platform architecture draws more total power than the
+//!   co-synthesis architecture (it has more, faster PEs), mirroring the
+//!   relationship between the co-synthesis and platform columns of Table 1;
+//! * the table drivers are deterministic.
+//!
+//! None of them checks deadlines or covers the seeded graph variants: over
+//! Bm1 at seeds 1 to 300, 26 platform schedules miss the deadline under the
+//! baseline policy.
 
 use tats_core::experiment::{ExperimentConfig, Table1};
 use tats_core::{Policy, PowerHeuristic};
