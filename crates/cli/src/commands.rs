@@ -8,6 +8,7 @@ use tats_core::{CoSynthesis, PlatformFlow, Policy, ScheduleEvaluation};
 use tats_engine::{table1, table2, table3, Campaign, Executor, FlowKind, Shard, Summary};
 use tats_power::{simulate_schedule, DvfsTable, SlackReclaimer};
 use tats_reliability::ReliabilityAnalyzer;
+use tats_service::console;
 use tats_taskgraph::{dot, extended, tgff};
 use tats_techlib::profiles;
 use tats_thermal::{GridModel, GridSolver, ThermalConfig, ThermalModel, MAX_GRID_SIDE};
@@ -848,12 +849,11 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
 /// the exit reason; `TATS_LOG`-filtered) stream to stderr as JSONL, so
 /// stdout stays the one-line report.
 pub fn worker(options: &Options) -> Result<String, CliError> {
-    use tats_trace::log::{log_channel, LogFilter};
+    use tats_trace::log::{LogFilter, LogSink};
 
     let addr = options
         .value("connect")
         .ok_or_else(|| CliError::Execution("worker requires --connect host:port".to_string()))?;
-    let (sink, mut drain) = log_channel(LogFilter::from_env());
     let config = tats_service::WorkerConfig {
         name: options
             .value_or("name", &tats_service::WorkerConfig::default().name)
@@ -861,30 +861,10 @@ pub fn worker(options: &Options) -> Result<String, CliError> {
         threads: options.integer("threads", 0, 0..=usize::MAX)?,
         poll_ms: options.integer("poll-ms", 200, 0..=u64::MAX)?,
         exit_when_drained: options.switch("exit-when-drained"),
-        log: Some(sink),
+        log: Some(LogSink::new(LogFilter::from_env(), std::io::stderr())),
         ..tats_service::WorkerConfig::default()
     };
-    // The worker loop blocks this thread, so a helper pumps the log drain
-    // to stderr until the loop returns; the final pass after the done flag
-    // is observed cannot miss lines because the loop has stopped emitting
-    // by the time the flag is set.
-    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let pump = {
-        let done = std::sync::Arc::clone(&done);
-        std::thread::spawn(move || loop {
-            for line in drain.drain_lines() {
-                eprintln!("{line}");
-            }
-            if done.load(std::sync::atomic::Ordering::Acquire) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        })
-    };
-    let result = tats_service::run_worker(addr, &config);
-    done.store(true, std::sync::atomic::Ordering::Release);
-    let _ = pump.join();
-    let report = result.map_err(execution_error)?;
+    let report = tats_service::run_worker(addr, &config).map_err(execution_error)?;
     Ok(format!(
         "worker {}: completed {} shard(s), streamed {} record(s), {} idle poll(s)\n",
         config.name, report.shards_completed, report.records_posted, report.idle_polls,
@@ -896,10 +876,11 @@ pub fn worker(options: &Options) -> Result<String, CliError> {
 /// With `--wait`, polls the job over one keep-alive connection, streams its
 /// records (to `--out` or into the output) as they arrive, and prints the
 /// same campaign summary `tats batch` prints — distributed and in-process
-/// runs are interchangeable at the command line. The poll loop retries
-/// transient failures with capped backoff and resumes from the last
-/// `x-next-from`, so a journaled server restart mid-wait neither
-/// duplicates nor drops a record.
+/// runs are interchangeable at the command line. While it waits, it prints
+/// the job's [`console::progress_line`] to stderr at most once a second.
+/// The poll loop retries transient failures with capped backoff and
+/// resumes from the last `x-next-from`, so a journaled server restart
+/// mid-wait neither duplicates nor drops a record.
 pub fn submit(options: &Options) -> Result<String, CliError> {
     use tats_service::client;
     use tats_trace::JsonValue;
@@ -1063,43 +1044,7 @@ pub fn submit(options: &Options) -> Result<String, CliError> {
             let progress_path = format!("/jobs/{job}/progress");
             if let Ok(progress) = retry.run(|| connection.get(&progress_path)) {
                 if let Ok(progress) = JsonValue::parse(&progress.body) {
-                    let done = progress
-                        .get("done")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0);
-                    let total = progress
-                        .get("total")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0);
-                    let mut line = format!("job {job}: {done}/{total} record(s)");
-                    if let Some(rate) = progress.get("records_per_sec").and_then(JsonValue::as_f64)
-                    {
-                        line.push_str(&format!(", {rate:.1}/s"));
-                    }
-                    line.push_str(&format!(
-                        ", eta {}",
-                        format_eta(progress.get("eta_s").and_then(JsonValue::as_f64))
-                    ));
-                    // Name the engine phase with the worst tail latency so
-                    // an operator sees *where* a slow campaign is slow.
-                    if let Some((phase, p99_us)) = progress
-                        .get("phases")
-                        .and_then(JsonValue::as_array)
-                        .into_iter()
-                        .flatten()
-                        .filter_map(|entry| {
-                            Some((
-                                entry.get("phase")?.as_str()?,
-                                entry.get("p99_us")?.as_u64()?,
-                            ))
-                        })
-                        .max_by_key(|&(_, p99_us)| p99_us)
-                    {
-                        line.push_str(&format!(
-                            ", slow phase: {phase} p99 {}ms",
-                            p99_us.div_ceil(1_000)
-                        ));
-                    }
+                    let line = console::progress_line(&job, &progress);
                     if progress_tty {
                         use std::io::Write;
                         eprint!("\r\x1b[2K{line}");
@@ -1156,28 +1101,8 @@ pub fn compact(options: &Options) -> Result<String, CliError> {
     ))
 }
 
-/// ETAs beyond this horizon (30 days, in seconds) are noise, not a
-/// forecast: a throughput that rounds to zero divides into an absurd
-/// number that would still be printed as if it meant something.
-const ETA_CLAMP_S: f64 = 30.0 * 24.0 * 3_600.0;
-
-/// Renders a progress `eta_s` field for the `submit --wait` progress line
-/// and the `tats top` job table. Missing, non-finite, negative and
-/// over-horizon values all collapse to `--` instead of a nonsense number.
-fn format_eta(eta_s: Option<f64>) -> String {
-    match eta_s {
-        Some(eta) if eta.is_finite() && (0.0..=ETA_CLAMP_S).contains(&eta) => format!("{eta:.0}s"),
-        _ => "--".to_string(),
-    }
-}
-
-/// Lines of server log tail shown per `tats top` frame.
-const TOP_LOG_TAIL: usize = 12;
-
-/// One rendered `tats top` frame: fleet header, per-job progress rows
-/// (bar, rate, ETA, slowest engine phase), per-worker rows and the log
-/// tail. Plain text with no ANSI — the live view adds only the repaint
-/// prefix, so `--once` output is byte-for-byte a frame.
+/// One `tats top` frame: fetches `/jobs`, each job's progress, `/workers`
+/// and the log tail, and renders them with [`console::frame`].
 fn top_frame(
     connection: &mut tats_service::client::Connection,
     retry: &tats_service::RetryPolicy,
@@ -1196,117 +1121,13 @@ fn top_frame(
     };
     let jobs_value = fetch(connection, "/jobs")?;
     let workers_value = fetch(connection, "/workers")?;
-    let empty: &[JsonValue] = &[];
     let jobs = jobs_value
-        .get("jobs")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(empty);
-    let workers = workers_value
-        .get("workers")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(empty);
-
-    let total_records: u64 = jobs
+        .field_array("jobs")
+        .unwrap_or_default()
         .iter()
-        .filter_map(|job| job.get("records").and_then(JsonValue::as_u64))
-        .sum();
-    // Fleet throughput: lifetime rates of the workers still inside their
-    // lease TTL (a stale worker's historical rate is not throughput).
-    let fleet_rate: f64 = workers
-        .iter()
-        .filter(|row| row.get("status").and_then(JsonValue::as_str) != Some("stale"))
-        .filter_map(|row| row.get("records_per_sec").and_then(JsonValue::as_f64))
-        .sum();
-    let mut frame = format!(
-        "tats top — {addr}\nfleet: {} job(s), {} worker(s), {} record(s), {:.1} records/s\n",
-        jobs.len(),
-        workers.len(),
-        total_records,
-        fleet_rate,
-    );
-
-    frame.push_str("\nJOB       STATE     PROGRESS                     RECORDS         RATE      ETA  SLOW PHASE\n");
-    if jobs.is_empty() {
-        frame.push_str("  (no jobs submitted)\n");
-    }
-    for job in jobs {
-        let id = job.get("job").and_then(JsonValue::as_str).unwrap_or("?");
-        let state = job.get("state").and_then(JsonValue::as_str).unwrap_or("?");
-        let progress = fetch(connection, &format!("/jobs/{id}/progress"))?;
-        let done = progress
-            .get("done")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let total = progress
-            .get("total")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let width = 20usize;
-        let filled = ((done.min(total) as usize * width) / total.max(1) as usize).min(width);
-        let bar = format!(
-            "[{}{}] {:>3}%",
-            "#".repeat(filled),
-            "-".repeat(width - filled),
-            done * 100 / total.max(1),
-        );
-        let rate = progress
-            .get("records_per_sec")
-            .and_then(JsonValue::as_f64)
-            .map_or_else(|| "-".to_string(), |rate| format!("{rate:.1}/s"));
-        let eta = format_eta(progress.get("eta_s").and_then(JsonValue::as_f64));
-        // The engine phase with the worst tail latency, same signal the
-        // submit --wait progress line names.
-        let slow = progress
-            .get("phases")
-            .and_then(JsonValue::as_array)
-            .into_iter()
-            .flatten()
-            .filter_map(|entry| {
-                Some((
-                    entry.get("phase")?.as_str()?.to_string(),
-                    entry.get("p50_us")?.as_u64()?,
-                    entry.get("p99_us")?.as_u64()?,
-                ))
-            })
-            .max_by_key(|&(_, _, p99_us)| p99_us)
-            .map_or_else(
-                || "-".to_string(),
-                |(phase, p50_us, p99_us)| {
-                    format!(
-                        "{phase} p50 {}ms p99 {}ms",
-                        p50_us.div_ceil(1_000),
-                        p99_us.div_ceil(1_000)
-                    )
-                },
-            );
-        frame.push_str(&format!(
-            "{id:<9} {state:<9} {bar:<26} {done:>6}/{total:<6} {rate:>8} {eta:>8}  {slow}\n"
-        ));
-    }
-
-    frame.push_str("\nWORKER                STATUS   RECORDS      RATE  LAST SEEN\n");
-    if workers.is_empty() {
-        frame.push_str("  (no workers seen)\n");
-    }
-    for row in workers {
-        let name = row.get("name").and_then(JsonValue::as_str).unwrap_or("?");
-        let status = row.get("status").and_then(JsonValue::as_str).unwrap_or("?");
-        let records = row.get("records").and_then(JsonValue::as_u64).unwrap_or(0);
-        let rate = row
-            .get("records_per_sec")
-            .and_then(JsonValue::as_f64)
-            .map_or_else(|| "-".to_string(), |rate| format!("{rate:.1}/s"));
-        let age = row
-            .get("last_seen_age_ms")
-            .and_then(JsonValue::as_u64)
-            .map_or_else(
-                || "-".to_string(),
-                |ms| format!("{:.1}s ago", ms as f64 / 1_000.0),
-            );
-        frame.push_str(&format!(
-            "{name:<21} {status:<8} {records:>7} {rate:>9}  {age}\n"
-        ));
-    }
+        .filter_map(|job| job.get("job").and_then(JsonValue::as_str))
+        .map(|id| fetch(connection, &format!("/jobs/{id}/progress")))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Log tail: one empty probe learns the ring's next index from
     // x-next-from, the second request pages just the last few lines.
@@ -1318,28 +1139,29 @@ fn top_frame(
         .and_then(|value| value.parse().ok())
         .unwrap_or(0);
     let tail = retry
-        .run(|| connection.get(&format!("/logs?from={}", next.saturating_sub(TOP_LOG_TAIL))))
+        .run(|| {
+            connection.get(&format!(
+                "/logs?from={}",
+                next.saturating_sub(console::LOG_TAIL)
+            ))
+        })
         .map_err(execution_error)?;
-    let count = tail.body.lines().count();
-    frame.push_str(&format!("\nLOG  last {count} of {next} line(s)\n"));
-    if count == 0 {
-        frame.push_str("  (log ring is empty)\n");
-    }
-    for line in tail.body.lines() {
-        frame.push_str("  ");
-        frame.push_str(line);
-        frame.push('\n');
-    }
-    Ok(frame)
+    Ok(console::frame(
+        &format!("tats top — {addr}"),
+        &jobs,
+        workers_value.field_array("workers").unwrap_or_default(),
+        &tail.body.lines().collect::<Vec<_>>(),
+        next,
+    ))
 }
 
-/// `tats top` — live operator console for a `tats serve` fleet: fleet
-/// throughput, per-job progress bars with rate/ETA and the slowest engine
-/// phase (p50/p99 from `GET /jobs/{id}/progress`), per-worker
-/// status/rate/last-seen rows, and a scrolling tail of the server's
-/// structured log (`GET /logs`). The live view repaints in place every
-/// `--interval-ms` until killed; `--once` returns a single plain-text
-/// snapshot (no ANSI) for scripts and CI.
+/// `tats top` — live operator console for a `tats serve` fleet: it fetches
+/// `/jobs`, each job's `/jobs/{id}/progress`, `/workers` and the tail of
+/// `/logs`, and prints the [`console::frame`] that `GET /dashboard` also
+/// serves (fleet throughput, per-job progress bars with rate, ETA and the
+/// slowest engine phase, per-worker rows, the log tail). The live view
+/// repaints in place every `--interval-ms` until killed; `--once` returns
+/// a single plain-text frame (no ANSI) for scripts and CI.
 pub fn top(options: &Options) -> Result<String, CliError> {
     let addr = options
         .value("connect")
@@ -1611,20 +1433,6 @@ mod tests {
         ] {
             assert!(text.contains(option), "help must document {option}");
         }
-    }
-
-    #[test]
-    fn eta_formatting_clamps_nonsense_to_dashes() {
-        assert_eq!(format_eta(Some(42.4)), "42s");
-        assert_eq!(format_eta(Some(0.0)), "0s");
-        // A rate that rounds to zero yields a missing, infinite or absurd
-        // eta_s — every shape of that must print as `--`, not a number.
-        assert_eq!(format_eta(None), "--");
-        assert_eq!(format_eta(Some(f64::NAN)), "--");
-        assert_eq!(format_eta(Some(f64::INFINITY)), "--");
-        assert_eq!(format_eta(Some(-3.0)), "--");
-        assert_eq!(format_eta(Some(ETA_CLAMP_S + 1.0)), "--");
-        assert_eq!(format_eta(Some(ETA_CLAMP_S)), "2592000s");
     }
 
     #[test]

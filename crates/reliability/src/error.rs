@@ -8,13 +8,6 @@ use std::fmt;
 pub enum ReliabilityError {
     /// A numeric parameter was out of range or not finite.
     InvalidParameter(String),
-    /// A vector argument did not have the expected length.
-    LengthMismatch {
-        /// Expected number of entries.
-        expected: usize,
-        /// Number of entries supplied.
-        actual: usize,
-    },
     /// A temperature series was too short for the requested analysis.
     InsufficientSamples {
         /// Minimum number of samples required.
@@ -29,9 +22,6 @@ impl fmt::Display for ReliabilityError {
         match self {
             ReliabilityError::InvalidParameter(message) => {
                 write!(f, "invalid parameter: {message}")
-            }
-            ReliabilityError::LengthMismatch { expected, actual } => {
-                write!(f, "expected {expected} entries, got {actual}")
             }
             ReliabilityError::InsufficientSamples { required, actual } => write!(
                 f,
@@ -51,11 +41,6 @@ mod tests {
     fn display_is_informative() {
         let error = ReliabilityError::InvalidParameter("activation energy".into());
         assert!(error.to_string().contains("activation energy"));
-        let error = ReliabilityError::LengthMismatch {
-            expected: 3,
-            actual: 1,
-        };
-        assert!(error.to_string().contains('3'));
         let error = ReliabilityError::InsufficientSamples {
             required: 2,
             actual: 0,

@@ -82,11 +82,12 @@
 //!  "records_per_sec":41.2,"eta_s":1.14,...}
 //! ```
 //!
-//! `tats submit --wait` prints that progress line to stderr once a second
-//! (a rewriting carriage-return line on a tty, plain appended lines when
-//! piped), and `tats serve --access-log events.jsonl` appends one JSONL
-//! event per request (method, path, status, duration, bytes, keep-alive)
-//! to a crash-repaired log file.
+//! `tats submit --wait` prints that object as one line
+//! ([`console::progress_line`]) to stderr once a second (a rewriting
+//! carriage-return line on a tty, plain appended lines when piped), and
+//! `tats serve --access-log events.jsonl` appends one JSONL event per
+//! request (method, path, status, duration, bytes, keep-alive) to a
+//! crash-repaired log file.
 //!
 //! # Operating the fleet (PR 9)
 //!
@@ -105,13 +106,17 @@
 //! `tests/log_stream.rs`). Workers opt in via [`WorkerConfig::log`]
 //! (`tats worker` streams its lines to stderr as JSONL).
 //!
-//! Two operator consoles sit on top: `tats top --connect HOST:PORT` is a
-//! live ANSI terminal dashboard (fleet throughput, per-worker rates and
-//! last-seen ages, per-job progress bars with phase p50/p99, a scrolling
-//! log tail; `--once` prints one plain-text frame for scripts), and
-//! `GET /dashboard` serves the same picture as a single self-contained
-//! HTML page — inline styling, inline SVG sparklines, an auto-refresh
-//! meta tag, and no external fetches of any kind.
+//! One renderer, [`console`], draws the operator's view of the fleet:
+//! fleet throughput, per-job progress bars with rate, ETA and the slowest
+//! engine phase's p50/p99, per-worker rates and last-seen ages, and the
+//! log tail. `tats top --connect HOST:PORT` fetches its inputs over HTTP
+//! and repaints the frame in place (`--once` prints one plain-text frame
+//! for scripts); `GET /dashboard` builds the same frame from the registry
+//! and serves it inside a `<pre>` of a self-contained HTML page that
+//! refreshes itself and fetches nothing; `tats submit --wait` prints
+//! [`console::progress_line`]. The phases come from the latest cumulative
+//! snapshot of each worker, so they cover every job the fleet has run
+//! since each worker started, not only the job they are shown with.
 //!
 //! ## Which signal do I reach for?
 //!
@@ -221,6 +226,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod console;
 mod error;
 pub mod http;
 pub mod journal;

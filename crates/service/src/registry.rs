@@ -1039,6 +1039,11 @@ impl Registry {
         Ok(self.job(job_id)?.progress_json(now_ms))
     }
 
+    /// Every job id, oldest first.
+    pub fn job_ids(&self) -> impl Iterator<Item = &str> {
+        self.jobs.keys().map(String::as_str)
+    }
+
     /// Status of every job, oldest first.
     pub fn jobs_status(&self, now_ms: u64) -> JsonValue {
         JsonValue::object(vec![(

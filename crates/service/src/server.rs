@@ -35,11 +35,11 @@
 //! | `GET /jobs/{id}` | — | one job's status |
 //! | `GET /jobs/{id}/records?from=k` | — | JSONL records from index `k` (header `x-next-from`) |
 //! | `GET /jobs/{id}/spans?from=k` | — | JSONL span events from index `k` (header `x-next-from`) |
-//! | `GET /jobs/{id}/progress` | — | done/total, records/sec, ETA, per-phase p50/p99 |
+//! | `GET /jobs/{id}/progress` | — | done/total, records/sec, ETA, and per-phase p50/p99 over every job the fleet has run since each worker started |
 //! | `GET /jobs/{id}/summary` | — | aggregated campaign summary |
 //! | `GET /workers` | — | per-worker statistics (status, last-seen age, lifetime records/sec) |
 //! | `GET /logs?from=k` | — | JSONL structured log lines from ring index `k` (header `x-next-from`) |
-//! | `GET /dashboard` | — | self-contained auto-refreshing HTML fleet dashboard |
+//! | `GET /dashboard` | — | the `tats top` frame ([`crate::console`]) in a self-contained, auto-refreshing HTML page |
 //! | `POST /lease` | `{"worker": name, "metrics"?: snapshot}` | lease the next available shard |
 //! | `POST /jobs/{id}/shards/{i}/records` | JSONL lines (`x-worker` header) | stream shard records |
 //! | `POST /jobs/{id}/shards/{i}/done` | — (`x-worker` header) | mark a shard complete |
@@ -112,6 +112,7 @@ use tats_trace::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use tats_trace::spans::{self, SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::{jsonl, JsonValue};
 
+use crate::console;
 use crate::error::ServiceError;
 use crate::http::{read_request, write_response, Request};
 use crate::journal::{JournaledRegistry, ReplayReport};
@@ -234,14 +235,7 @@ const ROUTES: [(&str, &str, Handler); 17] = [
             .map_err(|_| poisoned("log ring"))?;
         Ok(Reply::page(ring.page(from)))
     }),
-    ("GET", "/dashboard", |call| {
-        Ok(Reply {
-            status: 200,
-            content_type: "text/html; charset=utf-8",
-            extra: Vec::new(),
-            body: render_dashboard(call.shared, call.epoch)?,
-        })
-    }),
+    ("GET", "/dashboard", dashboard),
     ("POST", "/jobs", submit),
     ("GET", "/jobs", |call| {
         let (state, now) = call.lock()?;
@@ -478,9 +472,6 @@ struct Shared {
     trace: Option<TraceLog>,
     /// Structured-log ring and optional `--log-file`.
     logs: ServerLogs,
-    /// `(now_ms, total records)` samples taken on each `GET /dashboard`
-    /// render — the fleet-throughput sparkline's data.
-    throughput: Mutex<Vec<(u64, u64)>>,
     /// Graceful-shutdown flag: the accept loop exits, in-flight responses
     /// carry `connection: close`.
     stop: AtomicBool,
@@ -683,7 +674,6 @@ impl Service {
             access_log,
             trace,
             logs,
-            throughput: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             dead: AtomicBool::new(false),
         });
@@ -1148,17 +1138,14 @@ fn submit(call: &Call<'_>) -> Result<Reply, ServiceError> {
     })
 }
 
-fn progress(call: &Call<'_>) -> Result<Reply, ServiceError> {
-    let mut progress = {
-        let (state, now) = call.lock()?;
-        state.registry().progress(call.params[0], now)?
-    };
-    // Per-phase latency quantiles from the merged worker snapshots (the
-    // histograms record microseconds), so `submit --wait` can name the
-    // slowest engine phase without a /metrics scrape.
+/// The `phases` array of a progress object: count and p50/p99 (µs) of each
+/// engine phase that has run, from the merged latest snapshot of every
+/// worker, so `submit --wait` and the console can name the slowest phase
+/// without a `/metrics` scrape. Worker snapshots are cumulative, so the
+/// phases cover every job the fleet has run since each worker started.
+fn engine_phases(shared: &Shared) -> Result<JsonValue, ServiceError> {
     let mut merged = MetricsSnapshot::default();
-    for snapshot in call
-        .shared
+    for snapshot in shared
         .worker_metrics
         .lock()
         .map_err(|_| poisoned("worker metrics"))?
@@ -1189,10 +1176,73 @@ fn progress(call: &Call<'_>) -> Result<Reply, ServiceError> {
             })
         })
         .collect();
+    Ok(JsonValue::Array(phases))
+}
+
+/// A registry progress object with the fleet's [`engine_phases`] added.
+fn with_phases(mut progress: JsonValue, phases: JsonValue) -> JsonValue {
     if let JsonValue::Object(fields) = &mut progress {
-        fields.insert("phases".to_string(), JsonValue::Array(phases));
+        fields.insert("phases".to_string(), phases);
     }
-    Ok(Reply::json(&progress))
+    progress
+}
+
+fn progress(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    let progress = {
+        let (state, now) = call.lock()?;
+        state.registry().progress(call.params[0], now)?
+    };
+    Ok(Reply::json(&with_phases(
+        progress,
+        engine_phases(call.shared)?,
+    )))
+}
+
+/// `GET /dashboard`: the [`console::frame`] that `tats top` prints, built
+/// from the registry under its lock, HTML-escaped inside a `<pre>` of one
+/// self-contained page that refreshes itself every 2 s and fetches nothing.
+fn dashboard(call: &Call<'_>) -> Result<Reply, ServiceError> {
+    let phases = engine_phases(call.shared)?;
+    let (jobs, workers) = {
+        let (state, now) = call.lock()?;
+        let registry = state.registry();
+        let jobs = registry
+            .job_ids()
+            .map(|id| Ok(with_phases(registry.progress(id, now)?, phases.clone())))
+            .collect::<Result<Vec<_>, ServiceError>>()?;
+        (jobs, registry.workers_status(now))
+    };
+    let (log_tail, log_next) = {
+        let ring = call
+            .shared
+            .logs
+            .ring
+            .lock()
+            .map_err(|_| poisoned("log ring"))?;
+        let tail: Vec<String> = ring.tail(console::LOG_TAIL).map(str::to_string).collect();
+        (tail, ring.next_index())
+    };
+    let frame = console::frame(
+        "tats dashboard",
+        &jobs,
+        workers.field_array("workers").unwrap_or_default(),
+        &log_tail,
+        log_next,
+    );
+    let escaped = frame
+        .replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;");
+    Ok(Reply {
+        status: 200,
+        content_type: "text/html; charset=utf-8",
+        extra: Vec::new(),
+        body: format!(
+            "<!doctype html><html><head><meta charset=\"utf-8\">\
+             <meta http-equiv=\"refresh\" content=\"2\"><title>tats fleet</title></head>\
+             <body><pre>{escaped}</pre></body></html>"
+        ),
+    })
 }
 
 fn lease(call: &Call<'_>) -> Result<Reply, ServiceError> {
@@ -1228,207 +1278,6 @@ fn ingest(call: &Call<'_>) -> Result<Reply, ServiceError> {
         ("duplicates".to_string(), JsonValue::from(report.duplicates)),
         ("ignored".to_string(), JsonValue::from(report.ignored)),
     ])))
-}
-
-/// Throughput samples retained for the dashboard sparkline (one per
-/// `GET /dashboard` render; at the page's 2 s auto-refresh this spans
-/// about three minutes).
-const SPARKLINE_SAMPLES: usize = 90;
-
-/// Minimal HTML escaping for text interpolated into the dashboard.
-fn html_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
-
-/// An inline SVG sparkline of fleet throughput — records/sec between
-/// consecutive dashboard samples. A placeholder until two samples exist.
-fn sparkline_svg(samples: &[(u64, u64)]) -> String {
-    use std::fmt::Write as _;
-    let mut rates: Vec<f64> = Vec::new();
-    for pair in samples.windows(2) {
-        let ((t0, r0), (t1, r1)) = (pair[0], pair[1]);
-        let dt_ms = t1.saturating_sub(t0).max(1) as f64;
-        rates.push(r1.saturating_sub(r0) as f64 / dt_ms * 1_000.0);
-    }
-    if rates.is_empty() {
-        return "<p class=\"meta\">throughput: collecting samples…</p>".to_string();
-    }
-    let (width, height) = (360.0_f64, 48.0_f64);
-    let max = rates.iter().copied().fold(1.0_f64, f64::max);
-    let step = if rates.len() > 1 {
-        width / (rates.len() - 1) as f64
-    } else {
-        width
-    };
-    let mut points = String::new();
-    for (index, rate) in rates.iter().enumerate() {
-        let x = index as f64 * step;
-        let y = height - 2.0 - (rate / max) * (height - 4.0);
-        let _ = write!(points, "{}{x:.1},{y:.1}", if index > 0 { " " } else { "" });
-    }
-    format!(
-        "<svg width=\"360\" height=\"48\" viewBox=\"0 0 360 48\" role=\"img\" aria-label=\"throughput\">\
-         <polyline fill=\"none\" stroke=\"#2b7\" stroke-width=\"2\" points=\"{points}\"/></svg>\
-         <p class=\"meta\">throughput: {last:.1} records/s (peak {max:.1})</p>",
-        last = rates.last().copied().unwrap_or(0.0),
-    )
-}
-
-/// Renders `GET /dashboard`: one self-contained HTML page — inline CSS,
-/// inline SVG sparkline, `<meta http-equiv="refresh">` auto-refresh, no
-/// external resources — showing jobs with progress bars, workers with
-/// derived status, and the structured-log tail. A browser pointed at the
-/// server sees the whole fleet with zero tooling.
-fn render_dashboard(shared: &Shared, epoch: Instant) -> Result<String, ServiceError> {
-    use std::fmt::Write as _;
-    let now = now_ms(epoch);
-    let (jobs, workers) = {
-        let state = shared.state.lock().map_err(|_| poisoned("registry"))?;
-        (
-            state.registry().jobs_status(now),
-            state.registry().workers_status(now),
-        )
-    };
-    let job_rows: &[JsonValue] = match jobs.get("jobs") {
-        Some(JsonValue::Array(items)) => items.as_slice(),
-        _ => &[],
-    };
-    let worker_rows: &[JsonValue] = match workers.get("workers") {
-        Some(JsonValue::Array(items)) => items.as_slice(),
-        _ => &[],
-    };
-    let total_records: u64 = job_rows
-        .iter()
-        .filter_map(|job| job.get("records").and_then(JsonValue::as_u64))
-        .sum();
-    let samples = {
-        let mut samples = shared
-            .throughput
-            .lock()
-            .map_err(|_| poisoned("throughput"))?;
-        samples.push((now, total_records));
-        let excess = samples.len().saturating_sub(SPARKLINE_SAMPLES);
-        if excess > 0 {
-            samples.drain(..excess);
-        }
-        samples.clone()
-    };
-    let tail: Vec<String> = shared
-        .logs
-        .ring
-        .lock()
-        .map_err(|_| poisoned("log ring"))?
-        .tail(20)
-        .map(str::to_string)
-        .collect();
-
-    let mut html = String::with_capacity(4_096);
-    html.push_str(
-        "<!doctype html><html><head><meta charset=\"utf-8\">\
-         <meta http-equiv=\"refresh\" content=\"2\"><title>tats fleet</title><style>\
-         body{font-family:ui-monospace,monospace;margin:1.5rem;background:#111;color:#ddd}\
-         h1,h2{color:#fff;font-weight:600}h1{font-size:1.2rem}h2{font-size:1rem;margin-top:1.2rem}\
-         table{border-collapse:collapse;min-width:32rem}\
-         td,th{padding:.2rem .6rem;text-align:left;border-bottom:1px solid #333}\
-         .meta{color:#888}.bar{background:#333;width:10rem;height:.6rem;display:inline-block}\
-         .bar>span{background:#2b7;height:100%;display:block}\
-         pre{background:#000;padding:.6rem;overflow-x:auto;font-size:.75rem}\
-         .active{color:#2b7}.idle{color:#bb2}.stale{color:#b33}\
-         </style></head><body><h1>tats fleet dashboard</h1>",
-    );
-    let _ = write!(
-        html,
-        "<p class=\"meta\">uptime {:.1}s · {} job(s) · {} record(s) · {} worker(s) · auto-refresh 2s</p>",
-        now as f64 / 1_000.0,
-        job_rows.len(),
-        total_records,
-        worker_rows.len(),
-    );
-    html.push_str(&sparkline_svg(&samples));
-    html.push_str(
-        "<h2>jobs</h2><table><tr><th>job</th><th>state</th><th>progress</th>\
-         <th>records</th><th>shards</th></tr>",
-    );
-    for job in job_rows {
-        let id = job.get("job").and_then(JsonValue::as_str).unwrap_or("?");
-        let state = job.get("state").and_then(JsonValue::as_str).unwrap_or("?");
-        let records = job.get("records").and_then(JsonValue::as_u64).unwrap_or(0);
-        let scenarios = job
-            .get("scenarios")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0)
-            .max(1);
-        let pct = records * 100 / scenarios;
-        let shards = job.get("shards");
-        let done = shards
-            .and_then(|s| s.get("done"))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let count = shards
-            .and_then(|s| s.get("count"))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let _ = write!(
-            html,
-            "<tr><td>{}</td><td>{}</td>\
-             <td><span class=\"bar\"><span style=\"width:{pct}%\"></span></span> {pct}%</td>\
-             <td>{records}</td><td>{done}/{count}</td></tr>",
-            html_escape(id),
-            html_escape(state),
-        );
-    }
-    html.push_str("</table>");
-    html.push_str(
-        "<h2>workers</h2><table><tr><th>worker</th><th>status</th><th>records</th>\
-         <th>records/s</th><th>last seen</th></tr>",
-    );
-    for worker in worker_rows {
-        let name = worker
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?");
-        let status = worker
-            .get("status")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?");
-        let records = worker
-            .get("records")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let rate = match worker.get("records_per_sec") {
-            Some(JsonValue::Number(n)) => format!("{n:.1}"),
-            _ => "—".to_string(),
-        };
-        let age = worker
-            .get("last_seen_age_ms")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        let _ = write!(
-            html,
-            "<tr><td>{}</td><td class=\"{}\">{}</td><td>{records}</td>\
-             <td>{rate}</td><td>{age} ms ago</td></tr>",
-            html_escape(name),
-            html_escape(status),
-            html_escape(status),
-        );
-    }
-    html.push_str("</table><h2>log tail</h2><pre>");
-    for line in &tail {
-        html.push_str(&html_escape(line));
-        html.push('\n');
-    }
-    html.push_str("</pre></body></html>");
-    Ok(html)
 }
 
 #[cfg(test)]

@@ -357,6 +357,22 @@ fn fleet_metrics_surface_on_the_server_scrape_and_progress_endpoint() {
     assert_eq!(progress.get("done").and_then(JsonValue::as_u64), Some(10));
     assert_eq!(progress.get("total").and_then(JsonValue::as_u64), Some(10));
     assert_eq!(progress.get("eta_s").and_then(JsonValue::as_f64), Some(0.0));
+    // Its phases are the engine phases the worker's snapshot reported: the
+    // platform flow schedules and evaluates each of the 10 scenarios once.
+    let phases = progress.field_array("phases").expect("phases");
+    let names: Vec<&str> = phases
+        .iter()
+        .map(|phase| phase.field_str("phase").expect("phase name"))
+        .collect();
+    assert_eq!(names, ["scheduling", "thermal"], "{}", progress.to_json());
+    for phase in phases {
+        assert_eq!(phase.field_u64("count"), Ok(10), "{}", phase.to_json());
+        assert!(
+            phase.field_u64("p50_us").expect("p50") <= phase.field_u64("p99_us").expect("p99"),
+            "{}",
+            phase.to_json()
+        );
+    }
 
     // The enriched workers view names the worker with a lifetime rate.
     let workers = client::get(&addr, "/workers").expect("workers");

@@ -1,6 +1,7 @@
 //! The structured-log surface over real sockets: `GET /logs` paging, the
 //! crash-stability contract for journal-derived lines, `--log-file`
-//! append semantics and the self-contained `GET /dashboard` page.
+//! append semantics, a worker's log sink and the self-contained
+//! `GET /dashboard` page.
 //!
 //! The stability contract mirrors the span stream's, with one deliberate
 //! carve-out: registry transition lines (`"target":"registry"`) are
@@ -9,13 +10,17 @@
 //! `"server"`) are live-only ring content and may differ or disappear
 //! across a restart. Tests therefore pin only the `registry` subset.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use tats_core::Policy;
 use tats_engine::{CampaignSpec, Effort, FlowKind};
-use tats_service::{client, run_worker, Service, ServiceConfig, ServiceError, WorkerConfig};
+use tats_service::{
+    client, console, run_worker, Service, ServiceConfig, ServiceError, WorkerConfig,
+};
 use tats_taskgraph::Benchmark;
-use tats_trace::log::{LogEvent, LogFilter, LogLevel};
+use tats_trace::log::{LogEvent, LogFilter, LogLevel, LogSink};
 use tats_trace::JsonValue;
 
 /// 1 benchmark x platform x 5 policies x 2 seeds = 10 scenarios.
@@ -269,8 +274,18 @@ fn dashboard_serves_one_self_contained_html_page() {
     assert!(html.contains(&job), "job row present: {html}");
     assert!(html.contains("log-dash-w1"), "worker row present: {html}");
     assert!(html.contains("100%"), "finished job shows 100%: {html}");
-    // Self-contained: no external fetches of any kind — styling is inline
-    // and the sparkline is an inline SVG.
+    // The page shows the console frame: the job's row is the one
+    // `console::frame` renders from that job's `/progress`.
+    let progress = client::get(&addr, &format!("/jobs/{job}/progress")).expect("progress");
+    let progress = JsonValue::parse(&progress.body).expect("progress json");
+    let frame = console::frame("", &[progress], &[], &[] as &[&str], 0);
+    let row = frame
+        .lines()
+        .find(|line| line.starts_with(&job))
+        .expect("frame has the job row");
+    assert!(html.contains(row), "dashboard shows {row:?}:\n{html}");
+    // Self-contained: no external fetches of any kind — the frame is plain
+    // text in a `<pre>`, with no styling to load.
     for forbidden in ["src=", "href=", "http://", "https://", "url("] {
         assert!(
             !html.contains(forbidden),
@@ -280,4 +295,61 @@ fn dashboard_serves_one_self_contained_html_page() {
     // The auto-refresh meta tag is the one allowed head directive.
     assert!(html.contains("http-equiv=\"refresh\""), "{html}");
     server.stop();
+}
+
+/// A writer the test keeps a handle on while the sink owns its clone.
+#[derive(Clone, Default)]
+struct Captured(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("buffer").extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_worker_with_a_log_sink_writes_its_lifecycle_as_jsonl() {
+    let server = Service::bind("127.0.0.1:0", debug_config(None)).expect("bind");
+    let addr = server.addr_string();
+    submit_job(&addr, &spec(), 2);
+    let captured = Captured::default();
+    run_worker(
+        &addr,
+        &WorkerConfig {
+            name: "log-sink-w1".to_string(),
+            poll_ms: 10,
+            exit_when_drained: true,
+            log: Some(LogSink::new(
+                LogFilter::at(LogLevel::Debug),
+                captured.clone(),
+            )),
+            ..WorkerConfig::default()
+        },
+    )
+    .expect("drain");
+    server.stop();
+
+    let text = String::from_utf8(captured.0.lock().expect("buffer").clone()).expect("utf-8");
+    let events: Vec<LogEvent> = text
+        .lines()
+        .map(|line| LogEvent::parse_line(line).expect("log line parses"))
+        .collect();
+    assert!(
+        events.iter().all(|event| event.target == "worker"),
+        "{text}"
+    );
+    let count = |message: &str| {
+        events
+            .iter()
+            .filter(|event| event.message == message)
+            .count()
+    };
+    assert_eq!(count("lease acquired"), 2, "{text}");
+    assert_eq!(count("shard completed"), 2, "{text}");
+    assert_eq!(count("drained; exiting"), 1, "{text}");
 }

@@ -9,8 +9,6 @@ use crate::task::TaskId;
 pub enum GraphError {
     /// An edge referred to a task id that does not exist in the graph.
     UnknownTask(TaskId),
-    /// A duplicate task id was inserted.
-    DuplicateTask(TaskId),
     /// A duplicate edge (same source and destination) was inserted.
     DuplicateEdge(TaskId, TaskId),
     /// An edge connects a task to itself.
@@ -29,7 +27,6 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::UnknownTask(id) => write!(f, "unknown task id {id}"),
-            GraphError::DuplicateTask(id) => write!(f, "duplicate task id {id}"),
             GraphError::DuplicateEdge(s, d) => {
                 write!(f, "duplicate edge from task {s} to task {d}")
             }
@@ -54,7 +51,6 @@ mod tests {
     fn display_messages_are_nonempty_and_lowercase() {
         let errors = vec![
             GraphError::UnknownTask(TaskId(3)),
-            GraphError::DuplicateTask(TaskId(1)),
             GraphError::DuplicateEdge(TaskId(0), TaskId(2)),
             GraphError::SelfLoop(TaskId(5)),
             GraphError::CycleDetected,

@@ -12,13 +12,14 @@
 //!   engine and every file the campaign service writes, plus the resume-id
 //!   scanner and the `?from=k` pager;
 //! * [`log`] — structured, leveled log events (`TATS_LOG`-style filtering,
-//!   sorted-key JSONL schema, a lock-free-on-the-send-path [`log::LogSink`]
-//!   and a bounded monotonic-index [`log::LogRing`]) — the third
+//!   sorted-key JSONL schema, a [`log::LogSink`] that writes each line
+//!   whole to any writer and a bounded monotonic-index [`log::LogRing`])
+//!   — the third
 //!   observability pillar next to [`metrics`] and [`spans`];
 //! * [`markdown`] — markdown rendering of the reproduced Tables 1–3;
 //! * [`metrics`] — a lock-free-on-the-hot-path metrics registry (counters,
-//!   gauges, log-linear latency histograms, scoped spans) with Prometheus
-//!   text rendering and snapshot-based cross-worker merging;
+//!   gauges, log-linear latency histograms) with Prometheus text rendering
+//!   and snapshot-based cross-worker merging;
 //! * [`spans`] — distributed-tracing span events (trace/span/parent ids,
 //!   µs intervals, attributes) with deterministic id generation,
 //!   span-forest reconstruction with critical-path analysis, and Chrome

@@ -30,37 +30,35 @@
 //!
 //! # Hot path
 //!
-//! [`LogSink::log`] serialises on the caller and enqueues on an unbounded
-//! channel, so emitting threads (service workers, retry loops) never touch
-//! an output or any shared buffer; the owning thread takes the lines with
-//! [`LogDrain::drain_lines`] and prints or forwards them. The campaign
-//! server logs on its request threads and needs no channel: it appends
-//! each request's lines to a bounded [`LogRing`] whose indices are
-//! monotonic, so pagers can resume with `from=k` even after old lines have
-//! been overwritten, and to its `--log-file` through
-//! [`crate::jsonl::JsonlWriter`].
+//! [`LogSink::log`] serialises on the emitting thread (a service worker, a
+//! retry loop) and writes the finished line to the sink's writer in one
+//! `write_all` under the sink's mutex, so concurrent lines never
+//! interleave; `tats worker` hands it stderr. The campaign server logs on
+//! its request threads: it appends each request's lines to a bounded
+//! [`LogRing`] whose indices are monotonic, so pagers can resume with
+//! `from=k` even after old lines have been overwritten, and to its
+//! `--log-file` through [`crate::jsonl::JsonlWriter`].
 //!
 //! # Examples
 //!
 //! ```
-//! use tats_trace::log::{log_channel, LogEvent, LogFilter, LogLevel};
+//! use tats_trace::log::{LogEvent, LogFilter, LogLevel, LogSink};
 //!
 //! let filter = LogFilter::parse("info,worker=debug").unwrap();
-//! let (sink, mut drain) = log_channel(filter);
+//! let sink = LogSink::new(filter, std::io::stderr());
 //! assert!(sink.enabled(LogLevel::Debug, "worker"));
 //! assert!(!sink.enabled(LogLevel::Debug, "server"));
 //!
 //! let event = LogEvent::new(LogLevel::Info, "worker", "shard leased")
 //!     .at(1_700_000_000_000_000)
 //!     .attr("scenario", "17");
-//! sink.log(&event);
-//! let lines = drain.drain_lines();
-//! assert_eq!(LogEvent::parse_line(&lines[0]).unwrap(), event);
+//! sink.log(&event); // one JSONL line on stderr
+//! assert_eq!(LogEvent::parse_line(&event.to_line()).unwrap(), event);
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 use crate::json::{self, JsonValue};
 use crate::jsonl;
@@ -343,60 +341,52 @@ impl LogFilter {
     }
 }
 
-/// The recording half of a log stream: cheap, clonable, shareable across
-/// threads. [`LogSink::log`] checks the filter, serialises on the caller
-/// and enqueues on an unbounded channel (lock-free on the send path); a
-/// [`LogDrain`] on the owning thread takes the lines.
-#[derive(Debug, Clone)]
+/// A log stream's writer end: cheap to clone and shareable across threads.
+/// [`LogSink::log`] checks the filter, serialises on the caller and writes
+/// the line and its newline with one `write_all` under a mutex, so lines
+/// from different threads never interleave.
+#[derive(Clone)]
 pub struct LogSink {
-    tx: Sender<String>,
     filter: Arc<LogFilter>,
+    out: Arc<Mutex<dyn Write + Send>>,
+}
+
+impl std::fmt::Debug for LogSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogSink")
+            .field("filter", &self.filter)
+            .finish_non_exhaustive()
+    }
 }
 
 impl LogSink {
+    /// A sink writing the events `filter` passes to `out`, one JSONL line
+    /// each (`tats worker` passes stderr).
+    pub fn new(filter: LogFilter, out: impl Write + Send + 'static) -> Self {
+        LogSink {
+            filter: Arc::new(filter),
+            out: Arc::new(Mutex::new(out)),
+        }
+    }
+
     /// `true` when events at `level` from `target` would be recorded —
     /// check this before building an expensive message.
     pub fn enabled(&self, level: LogLevel, target: &str) -> bool {
         self.filter.enabled(level, target)
     }
 
-    /// Records an event if the filter passes it. Never fails: if the drain
-    /// is gone the line is dropped (logging must not take down the logged
-    /// system).
+    /// Writes an event if the filter passes it. Never fails: a write error
+    /// or a poisoned lock drops the line (logging must not take down the
+    /// logged system).
     pub fn log(&self, event: &LogEvent) {
         if self.enabled(event.level, &event.target) {
-            let _ = self.tx.send(event.to_line());
+            let mut line = event.to_line();
+            line.push('\n');
+            if let Ok(mut out) = self.out.lock() {
+                let _ = out.write_all(line.as_bytes());
+            }
         }
     }
-}
-
-/// The draining half of a log stream: owns the buffered lines.
-#[derive(Debug)]
-pub struct LogDrain {
-    rx: Receiver<String>,
-}
-
-impl LogDrain {
-    /// Takes every buffered line, oldest first.
-    pub fn drain_lines(&mut self) -> Vec<String> {
-        let mut lines = Vec::new();
-        while let Ok(line) = self.rx.try_recv() {
-            lines.push(line);
-        }
-        lines
-    }
-}
-
-/// A log stream: sink plus drain.
-pub fn log_channel(filter: LogFilter) -> (LogSink, LogDrain) {
-    let (tx, rx) = std::sync::mpsc::channel();
-    (
-        LogSink {
-            tx,
-            filter: Arc::new(filter),
-        },
-        LogDrain { rx },
-    )
 }
 
 /// A bounded in-memory buffer of recent log lines with **monotonic**
@@ -609,17 +599,17 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // A partial line left by a simulated kill -9 mid-write...
         std::fs::write(&path, "{\"attrs\":{},\"level\":\"info\",\"mess").unwrap();
-        let (mut file, repaired) = jsonl::append_repaired(&path).unwrap();
+        let (file, repaired) = jsonl::append_repaired(&path).unwrap();
         assert!(repaired > 0, "partial tail must be repaired away");
-        let (sink, mut drain) = log_channel(LogFilter::parse("info,server=debug").unwrap());
+        let sink = LogSink::new(
+            LogFilter::parse("info,server=debug").unwrap(),
+            file.into_inner(),
+        );
 
         sink.log(&LogEvent::new(LogLevel::Info, "worker", "kept").at(1));
         sink.log(&LogEvent::new(LogLevel::Debug, "worker", "filtered").at(2));
         sink.log(&LogEvent::new(LogLevel::Debug, "server", "kept by override").at(3));
-        let lines = drain.drain_lines();
-        assert_eq!(lines.len(), 2);
-        assert!(drain.drain_lines().is_empty());
-        file.write_lines(&lines).unwrap();
+        drop(sink);
 
         let text = std::fs::read_to_string(&path).unwrap();
         let events: Vec<LogEvent> = text

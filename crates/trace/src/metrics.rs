@@ -10,9 +10,7 @@
 //! * [`Histogram`] — a log-linear latency histogram with an allocation-free
 //!   `record` and a bucket-wise merge of its snapshots, mirroring how
 //!   `tats_core::CacheStats` already merges across executor workers; the
-//!   snapshots read out quantiles and the maximum;
-//!
-//! plus a scoped [`Span`] timer that records into a histogram on drop.
+//!   snapshots read out quantiles and the maximum.
 //!
 //! # Sharding model
 //!
@@ -33,15 +31,14 @@
 //! # Examples
 //!
 //! ```
+//! use std::time::Duration;
 //! use tats_trace::metrics::MetricsRegistry;
 //!
 //! let registry = MetricsRegistry::new();
 //! let requests = registry.counter("http_requests_total", &[("endpoint", "GET /healthz")]);
 //! let latency = registry.histogram("http_request_seconds", &[("endpoint", "GET /healthz")]);
 //! requests.inc();
-//! {
-//!     let _span = latency.span(); // records elapsed µs on drop
-//! }
+//! latency.record_duration(Duration::from_micros(250)); // recorded in µs
 //! let text = registry.render_prometheus();
 //! assert!(text.contains("# TYPE http_requests_total counter"));
 //! assert!(text.contains("http_request_seconds_count{endpoint=\"GET /healthz\"} 1"));
@@ -50,7 +47,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::json::JsonValue;
 
@@ -199,15 +196,6 @@ impl Histogram {
         self.record(u64::try_from(duration.as_micros()).unwrap_or(u64::MAX));
     }
 
-    /// Starts a scoped timer that records the elapsed microseconds into this
-    /// histogram when dropped.
-    pub fn span(&self) -> Span<'_> {
-        Span {
-            histogram: self,
-            start: Instant::now(),
-        }
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -239,27 +227,6 @@ impl Histogram {
             max: self.max(),
             buckets,
         }
-    }
-}
-
-/// A scoped timer: created by [`Histogram::span`], records the elapsed
-/// microseconds into the histogram when dropped.
-#[derive(Debug)]
-pub struct Span<'h> {
-    histogram: &'h Histogram,
-    start: Instant,
-}
-
-impl Span<'_> {
-    /// Elapsed time so far (the span keeps running).
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.histogram.record_duration(self.start.elapsed());
     }
 }
 
@@ -978,16 +945,6 @@ mod tests {
         );
         assert!(text.contains("wait_seconds_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("wait_seconds_count 2"));
-    }
-
-    #[test]
-    fn span_records_into_the_histogram_on_drop() {
-        let histogram = Histogram::new();
-        {
-            let span = histogram.span();
-            assert!(span.elapsed().as_secs() < 1);
-        }
-        assert_eq!(histogram.count(), 1);
     }
 
     #[test]
