@@ -1146,9 +1146,15 @@ fn top_frame(
             ))
         })
         .map_err(execution_error)?;
+    // Every progress object carries the same fleet-wide phases.
+    let phases = jobs
+        .first()
+        .and_then(|job| job.field_array("phases").ok())
+        .unwrap_or_default();
     Ok(console::frame(
         &format!("tats top — {addr}"),
         &jobs,
+        phases,
         workers_value.field_array("workers").unwrap_or_default(),
         &tail.body.lines().collect::<Vec<_>>(),
         next,
@@ -1158,8 +1164,8 @@ fn top_frame(
 /// `tats top` — live operator console for a `tats serve` fleet: it fetches
 /// `/jobs`, each job's `/jobs/{id}/progress`, `/workers` and the tail of
 /// `/logs`, and prints the [`console::frame`] that `GET /dashboard` also
-/// serves (fleet throughput, per-job progress bars with rate, ETA and the
-/// slowest engine phase, per-worker rows, the log tail). The live view
+/// serves (fleet throughput and slowest engine phase, per-job progress bars
+/// with rate and ETA, per-worker rows, the log tail). The live view
 /// repaints in place every `--interval-ms` until killed; `--once` returns
 /// a single plain-text frame (no ANSI) for scripts and CI.
 pub fn top(options: &Options) -> Result<String, CliError> {
@@ -1268,7 +1274,7 @@ pub fn trace(input: Option<&str>, options: &Options) -> Result<String, CliError>
 
     // Per-phase totals across every scenario.
     out.push_str("\nper-phase totals:\n");
-    for phase in ["scheduling", "thermal", "floorplan", "grid"] {
+    for phase in tats_engine::PHASES {
         let total = forest.total_us_where(|span| span.name == phase);
         if total > 0 {
             out.push_str(&format!("  {phase:<12} {:>12.3} ms\n", total as f64 / 1e3));
@@ -2170,7 +2176,13 @@ mod tests {
         .expect("trace report");
 
         assert!(report.contains("critical path"), "{report}");
-        assert!(report.contains("campaign"), "{report}");
+        // The path follows the longest child at every hop: through a
+        // worker's shard and scenario, not the zero-length transition span
+        // that ends the campaign.
+        assert!(
+            report.contains("s): campaign -> shard -> scenario -> "),
+            "{report}"
+        );
         assert!(report.contains("per-phase totals"), "{report}");
         assert!(
             report.contains("thermal solve by benchmark x policy"),

@@ -239,16 +239,20 @@ impl WorkerCaches {
     }
 }
 
+/// The engine's phases, in the order a scenario's phase spans and the
+/// `engine_phase_seconds` histograms list them: the flow's scheduling and
+/// thermal evaluation, floorplanning (co-synthesis only), then grid
+/// validation (only with a grid solver).
+pub const PHASES: [&str; 4] = ["scheduling", "thermal", "floorplan", "grid"];
+
 /// Pre-registered metric handles for the executor's hot path: looked up once
 /// per run, recorded with pure atomics from every worker thread. Phase
 /// histograms come from the flows' `*_timed` entry points, so `/metrics`
 /// reports the same phase split a profiler would see.
 struct EngineMetrics {
     scenario_seconds: Arc<Histogram>,
-    scheduling_seconds: Arc<Histogram>,
-    thermal_seconds: Arc<Histogram>,
-    floorplan_seconds: Arc<Histogram>,
-    grid_seconds: Arc<Histogram>,
+    /// One `engine_phase_seconds` histogram per entry of [`PHASES`].
+    phase_seconds: [Arc<Histogram>; PHASES.len()],
     completed: Arc<Counter>,
     failed: Arc<Counter>,
     cache_hits: Arc<Counter>,
@@ -260,13 +264,10 @@ struct EngineMetrics {
 
 impl EngineMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
-        let phase = |name: &str| registry.histogram("engine_phase_seconds", &[("phase", name)]);
         EngineMetrics {
             scenario_seconds: registry.histogram("engine_scenario_seconds", &[]),
-            scheduling_seconds: phase("scheduling"),
-            thermal_seconds: phase("thermal"),
-            floorplan_seconds: phase("floorplan"),
-            grid_seconds: phase("grid"),
+            phase_seconds: PHASES
+                .map(|phase| registry.histogram("engine_phase_seconds", &[("phase", phase)])),
             completed: registry.counter("engine_scenarios_completed_total", &[]),
             failed: registry.counter("engine_scenarios_failed_total", &[]),
             cache_hits: registry.counter("engine_cache_hits_total", &[]),
@@ -278,9 +279,9 @@ impl EngineMetrics {
 
 /// The distributed-tracing context a service worker threads through the
 /// executor: when set (see [`Executor::with_trace`]), every scenario emits
-/// a span tree — a `scenario` span under `parent_span`, with `scheduling` /
-/// `thermal` / `floorplan` / `grid` phase children — delivered alongside
-/// its record through [`Executor::run_traced`]'s sink.
+/// a span tree — a `scenario` span under `parent_span`, with one child per
+/// entry of [`PHASES`] that the scenario ran, in that order — delivered
+/// alongside its record through [`Executor::run_traced`]'s sink.
 ///
 /// Span ids are derived statelessly from `(trace_id, scenario id, phase)`
 /// via [`SpanIdGen::derive`], so the tree's ids do not depend on thread
@@ -468,21 +469,28 @@ impl Worker<'_> {
         };
         let grid_time = grid_clock.elapsed();
 
-        let cosynthesis = scenario.flow == FlowKind::CoSynthesis;
+        // The phases this scenario ran, as `(phase, time)` in `PHASES`
+        // order: floorplanning only on co-synthesis, grid validation only
+        // with a grid solver. The histograms and the phase spans both read
+        // this one list.
+        let measured = PHASES.into_iter().zip([
+            Some(phases.scheduling),
+            Some(phases.thermal),
+            (scenario.flow == FlowKind::CoSynthesis).then_some(phases.floorplan),
+            scenario.solver.map(|_| grid_time),
+        ]);
+        let ran = measured
+            .clone()
+            .filter_map(|(phase, time)| Some((phase, time?)));
         if let Some(metrics) = self.metrics {
+            for ((_, time), histogram) in measured.zip(&metrics.phase_seconds) {
+                if let Some(time) = time {
+                    histogram.record_duration(time);
+                }
+            }
             metrics
-                .scheduling_seconds
-                .record_duration(phases.scheduling);
-            metrics.thermal_seconds.record_duration(phases.thermal);
-            if cosynthesis {
-                metrics.floorplan_seconds.record_duration(phases.floorplan);
-            }
-            if scenario.solver.is_some() {
-                metrics.grid_seconds.record_duration(grid_time);
-            }
-            metrics.scenario_seconds.record_duration(
-                graph_time + phases.scheduling + phases.thermal + phases.floorplan + grid_time,
-            );
+                .scenario_seconds
+                .record_duration(graph_time + ran.clone().map(|(_, time)| time).sum::<Duration>());
         }
 
         let mut span_events = Vec::new();
@@ -491,24 +499,9 @@ impl Worker<'_> {
             // Phase children laid out one after another past the task
             // graph: exact measured durations, whose sum with the graph's is
             // the scenario span's length, so nesting holds.
-            type NamedPhase = (&'static str, u64, Vec<(&'static str, String)>);
-            let mut named_phases: Vec<NamedPhase> = vec![
-                ("scheduling", micros(phases.scheduling), vec![]),
-                ("thermal", micros(phases.thermal), vec![]),
-            ];
-            if cosynthesis {
-                named_phases.push(("floorplan", micros(phases.floorplan), vec![]));
-            }
-            if let Some(solver) = scenario.solver {
-                named_phases.push((
-                    "grid",
-                    micros(grid_time),
-                    vec![("solver", solver.name().to_string())],
-                ));
-            }
             let start_us = *cursor_us;
             let mut cursor = start_us + micros(graph_time);
-            let end_us = cursor + named_phases.iter().map(|phase| phase.1).sum::<u64>();
+            let end_us = cursor + ran.clone().map(|(_, time)| micros(time)).sum::<u64>();
             *cursor_us = end_us;
             let seed = trace.scenario_seed(scenario.id);
             let scenario_span = SpanIdGen::derive(seed, "scenario");
@@ -529,7 +522,9 @@ impl Worker<'_> {
                 .attr("policy", policy_slug(scenario.policy))
                 .attr("seed", scenario.seed.to_string()),
             ));
-            for (name, duration_us, attrs) in named_phases {
+            let [.., grid] = PHASES;
+            for (name, time) in ran {
+                let duration_us = micros(time);
                 let mut span = SpanEvent::new(
                     trace.trace_id,
                     SpanIdGen::derive(seed, name),
@@ -539,8 +534,8 @@ impl Worker<'_> {
                     cursor,
                     cursor + duration_us,
                 );
-                for (key, value) in attrs {
-                    span = span.attr(key, value);
+                if let Some(solver) = scenario.solver.filter(|_| name == grid) {
+                    span = span.attr("solver", solver.name());
                 }
                 span_events.push(stamp(span));
                 cursor += duration_us;
@@ -1018,6 +1013,52 @@ mod tests {
                 Some("cholesky")
             );
             assert_eq!(span.attrs.keys().collect::<Vec<_>>(), ["solver", "worker"]);
+        }
+    }
+
+    #[test]
+    fn phase_histograms_and_spans_read_one_phase_list() {
+        // Both flows, with and without grid validation: each optional phase
+        // runs in some scenarios and not in others.
+        let campaign = tiny_campaign()
+            .with_flows(vec![FlowKind::Platform, FlowKind::CoSynthesis])
+            .with_policies(vec![Policy::Baseline])
+            .with_solvers(vec![None, Some(GridSolver::BandedCholesky)]);
+        let scenarios = campaign.scenarios();
+        let registry = Arc::new(MetricsRegistry::new());
+        let trace = TraceContext {
+            trace_id: 0x3,
+            parent_span: 0x4,
+            worker: "w0".to_string(),
+        };
+        let mut spans_per_phase = [0u64; PHASES.len()];
+        Executor::new(1)
+            .with_metrics(Arc::clone(&registry))
+            .with_trace(trace)
+            .run_traced(&campaign, &scenarios, &BTreeSet::new(), |record, spans| {
+                let ran: Vec<&str> = spans[1..].iter().map(|s| s.name.as_str()).collect();
+                let expected: Vec<&str> = PHASES
+                    .into_iter()
+                    .filter(|&phase| match phase {
+                        "floorplan" => record.flow == "cosynthesis",
+                        "grid" => record.solver.is_some(),
+                        _ => true,
+                    })
+                    .collect();
+                assert_eq!(ran, expected, "{}", record.key);
+                for (count, phase) in spans_per_phase.iter_mut().zip(PHASES) {
+                    *count += u64::from(ran.contains(&phase));
+                }
+                Ok::<_, EngineError>(())
+            })
+            .unwrap();
+        assert_eq!(spans_per_phase, [4, 4, 2, 2]);
+        let snapshot = registry.snapshot();
+        for (phase, spans) in PHASES.into_iter().zip(spans_per_phase) {
+            let samples = snapshot
+                .histogram_value("engine_phase_seconds", &[("phase", phase)])
+                .map_or(0, |histogram| histogram.count());
+            assert_eq!(samples, spans, "{phase}");
         }
     }
 

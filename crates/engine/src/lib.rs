@@ -73,7 +73,7 @@ mod summary;
 mod tables;
 
 pub use error::EngineError;
-pub use executor::{BatchReport, BatchRun, Executor, ScenarioRecord, TraceContext};
+pub use executor::{BatchReport, BatchRun, Executor, ScenarioRecord, TraceContext, PHASES};
 pub use lease::{ShardBoard, ShardState};
 pub use scenario::{policy_slug, Campaign, FlowKind, Scenario, Shard};
 pub use spec::{CampaignSpec, Effort};

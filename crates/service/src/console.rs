@@ -7,8 +7,10 @@
 //! Every input is a wire object the service already serves, so the
 //! console reads nothing a client could not:
 //!
-//! * a job row reads `job`, `state`, `done`, `total`, `records_per_sec`,
-//!   `eta_s` and `phases` of that job's `GET /jobs/{id}/progress` object;
+//! * a job row reads `job`, `state`, `done`, `total`, `records_per_sec`
+//!   and `eta_s` of that job's `GET /jobs/{id}/progress` object;
+//! * the fleet line's slowest engine phase reads a `phases` array, which
+//!   is the same fleet-wide array in every progress object;
 //! * a worker row reads `name`, `status`, `records`, `records_per_sec` and
 //!   `last_seen_age_ms` of one `GET /workers` row;
 //! * the log section is the last lines of `GET /logs` and the ring's next
@@ -39,12 +41,10 @@ fn format_eta(eta_s: Option<f64>) -> String {
     }
 }
 
-/// The engine phase with the worst p99 in a progress object's `phases`,
-/// as `(phase, p50_us, p99_us)`.
-fn slowest_phase(progress: &JsonValue) -> Option<(&str, u64, u64)> {
-    progress
-        .get("phases")?
-        .as_array()?
+/// The engine phase with the worst p99 in a `phases` array, as
+/// `(phase, p50_us, p99_us)`.
+fn slowest_phase(phases: &[JsonValue]) -> Option<(&str, u64, u64)> {
+    phases
         .iter()
         .filter_map(|entry| {
             Some((
@@ -74,23 +74,25 @@ fn rate(value: &JsonValue) -> String {
         .map_or_else(|| "-".to_string(), |rate| format!("{rate:.1}/s"))
 }
 
-/// One console frame: the fleet header, a row per job (progress bar, rate,
-/// ETA, slowest engine phase), a row per worker, and the log tail.
+/// One console frame: the fleet header with the fleet's slowest engine
+/// phase, a row per job (progress bar, rate, ETA), a row per worker, and
+/// the log tail.
 ///
-/// `jobs` are `GET /jobs/{id}/progress` objects, `workers` are the rows of
-/// `GET /workers`, `log_tail` is the last lines of the log ring and
-/// `log_next` its next index. The fleet's record count is the sum of the
-/// jobs' `done`, and its rate the sum of the lifetime rates of the workers
-/// that are not `stale` (a stale worker's historical rate is not
-/// throughput).
+/// `jobs` are `GET /jobs/{id}/progress` objects, `phases` is the `phases`
+/// array those objects carry, `workers` are the rows of `GET /workers`,
+/// `log_tail` is the last lines of the log ring and `log_next` its next
+/// index. The fleet's record count is the sum of the jobs' `done`, and its
+/// rate the sum of the lifetime rates of the workers that are not `stale`
+/// (a stale worker's historical rate is not throughput).
 ///
-/// The `SLOW PHASE` column shows the phase with the worst p99 and its
-/// p50/p99, rounded up to whole milliseconds. A job's `phases` merge the
-/// latest cumulative snapshot of every worker, so they cover every job the
-/// fleet has run since each worker started, not only the job of the row.
+/// The phases merge the latest cumulative snapshot of every worker, so
+/// they cover every job the fleet has run since each worker started: the
+/// frame shows them once, on the fleet line, as the phase with the worst
+/// p99 and its p50/p99, rounded up to whole milliseconds.
 pub fn frame(
     title: &str,
     jobs: &[JsonValue],
+    phases: &[JsonValue],
     workers: &[JsonValue],
     log_tail: &[impl AsRef<str>],
     log_next: usize,
@@ -102,12 +104,22 @@ pub fn frame(
         .filter_map(|row| row.get("records_per_sec").and_then(JsonValue::as_f64))
         .sum();
     let mut frame = format!(
-        "{title}\nfleet: {} job(s), {} worker(s), {records} record(s), {fleet_rate:.1} records/s\n",
+        "{title}\nfleet: {} job(s), {} worker(s), {records} record(s), {fleet_rate:.1} records/s",
         jobs.len(),
         workers.len(),
     );
+    if let Some((phase, p50_us, p99_us)) = slowest_phase(phases) {
+        let _ = write!(
+            frame,
+            ", slow phase: {phase} p50 {}ms p99 {}ms",
+            p50_us.div_ceil(1_000),
+            p99_us.div_ceil(1_000)
+        );
+    }
 
-    frame.push_str("\nJOB       STATE     PROGRESS                     RECORDS         RATE      ETA  SLOW PHASE\n");
+    frame.push_str(
+        "\n\nJOB       STATE     PROGRESS                     RECORDS         RATE      ETA\n",
+    );
     if jobs.is_empty() {
         frame.push_str("  (no jobs submitted)\n");
     }
@@ -121,19 +133,9 @@ pub fn frame(
             "-".repeat(width - filled),
             done * 100 / total.max(1),
         );
-        let slow = slowest_phase(job).map_or_else(
-            || "-".to_string(),
-            |(phase, p50_us, p99_us)| {
-                format!(
-                    "{phase} p50 {}ms p99 {}ms",
-                    p50_us.div_ceil(1_000),
-                    p99_us.div_ceil(1_000)
-                )
-            },
-        );
         let _ = writeln!(
             frame,
-            "{:<9} {:<9} {bar:<26} {done:>6}/{total:<6} {:>8} {:>8}  {slow}",
+            "{:<9} {:<9} {bar:<26} {done:>6}/{total:<6} {:>8} {:>8}",
             text(job, "job"),
             text(job, "state"),
             rate(job),
@@ -179,8 +181,8 @@ pub fn frame(
 
 /// The one-line form of a job's `GET /jobs/{id}/progress` object that
 /// `tats submit --wait` prints: done/total, the rate once there is one,
-/// the ETA, and the slowest engine phase's p99 once a worker has reported
-/// one.
+/// the ETA, and the fleet's slowest engine phase's p99 once a worker has
+/// reported one.
 pub fn progress_line(job: &str, progress: &JsonValue) -> String {
     let mut line = format!(
         "job {job}: {}/{} record(s)",
@@ -195,10 +197,11 @@ pub fn progress_line(job: &str, progress: &JsonValue) -> String {
         ", eta {}",
         format_eta(progress.get("eta_s").and_then(JsonValue::as_f64))
     );
-    if let Some((phase, _, p99_us)) = slowest_phase(progress) {
+    let phases = progress.field_array("phases").unwrap_or_default();
+    if let Some((phase, _, p99_us)) = slowest_phase(phases) {
         let _ = write!(
             line,
-            ", slow phase: {phase} p99 {}ms",
+            ", fleet slow phase: {phase} p99 {}ms",
             p99_us.div_ceil(1_000)
         );
     }
@@ -221,5 +224,29 @@ mod tests {
         assert_eq!(format_eta(Some(-3.0)), "--");
         assert_eq!(format_eta(Some(ETA_CLAMP_S + 1.0)), "--");
         assert_eq!(format_eta(Some(ETA_CLAMP_S)), "2592000s");
+    }
+
+    #[test]
+    fn the_fleet_slow_phase_is_printed_once_on_the_fleet_line() {
+        let parse = |text: &str| JsonValue::parse(text).expect("json");
+        let phases = parse(
+            r#"[{"phase":"scheduling","count":4,"p50_us":900,"p99_us":1500},
+                {"phase":"thermal","count":4,"p50_us":20,"p99_us":40}]"#,
+        );
+        let phases = phases.as_array().expect("array");
+        let jobs = [
+            parse(r#"{"job":"j000001","state":"done","done":2,"total":2,"eta_s":0}"#),
+            parse(r#"{"job":"j000002","state":"queued","done":0,"total":1}"#),
+        ];
+        let shown = frame("t", &jobs, phases, &[], &[] as &[&str], 0);
+        assert_eq!(shown.matches("scheduling").count(), 1, "{shown}");
+        let fleet = shown.lines().nth(1).expect("fleet line");
+        assert!(
+            fleet.ends_with(", slow phase: scheduling p50 1ms p99 2ms"),
+            "{fleet}"
+        );
+        // Without phases the fleet line says nothing about them.
+        let quiet = frame("t", &jobs, &[], &[], &[] as &[&str], 0);
+        assert!(!quiet.contains("slow phase"), "{quiet}");
     }
 }

@@ -107,16 +107,17 @@
 //! (`tats worker` streams its lines to stderr as JSONL).
 //!
 //! One renderer, [`console`], draws the operator's view of the fleet:
-//! fleet throughput, per-job progress bars with rate, ETA and the slowest
-//! engine phase's p50/p99, per-worker rates and last-seen ages, and the
-//! log tail. `tats top --connect HOST:PORT` fetches its inputs over HTTP
-//! and repaints the frame in place (`--once` prints one plain-text frame
-//! for scripts); `GET /dashboard` builds the same frame from the registry
-//! and serves it inside a `<pre>` of a self-contained HTML page that
-//! refreshes itself and fetches nothing; `tats submit --wait` prints
+//! fleet throughput and the slowest engine phase's p50/p99, per-job
+//! progress bars with rate and ETA, per-worker rates and last-seen ages,
+//! and the log tail. `tats top --connect HOST:PORT` fetches its inputs over
+//! HTTP and repaints the frame in place (`--once` prints one plain-text
+//! frame for scripts); `GET /dashboard` builds the same frame from the
+//! registry and serves it inside a `<pre>` of a self-contained HTML page
+//! that refreshes itself and fetches nothing; `tats submit --wait` prints
 //! [`console::progress_line`]. The phases come from the latest cumulative
 //! snapshot of each worker, so they cover every job the fleet has run
-//! since each worker started, not only the job they are shown with.
+//! since each worker started: the frame shows them once, on its fleet
+//! line, and the progress line calls them the fleet's.
 //!
 //! ## Which signal do I reach for?
 //!

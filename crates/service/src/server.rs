@@ -107,6 +107,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use tats_engine::PHASES;
 use tats_trace::log::{LogEvent, LogFilter, LogLevel, LogRing};
 use tats_trace::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use tats_trace::spans::{self, SpanEvent, SpanIdGen, SpanKind};
@@ -1139,11 +1140,12 @@ fn submit(call: &Call<'_>) -> Result<Reply, ServiceError> {
 }
 
 /// The `phases` array of a progress object: count and p50/p99 (µs) of each
-/// engine phase that has run, from the merged latest snapshot of every
-/// worker, so `submit --wait` and the console can name the slowest phase
-/// without a `/metrics` scrape. Worker snapshots are cumulative, so the
-/// phases cover every job the fleet has run since each worker started.
-fn engine_phases(shared: &Shared) -> Result<JsonValue, ServiceError> {
+/// engine phase that has run, in [`PHASES`] order, from the merged latest
+/// snapshot of every worker, so `submit --wait` and the console can name
+/// the slowest phase without a `/metrics` scrape. Worker snapshots are
+/// cumulative, so the phases cover every job the fleet has run since each
+/// worker started: they describe the fleet, not one job.
+fn engine_phases(shared: &Shared) -> Result<Vec<JsonValue>, ServiceError> {
     let mut merged = MetricsSnapshot::default();
     for snapshot in shared
         .worker_metrics
@@ -1153,13 +1155,13 @@ fn engine_phases(shared: &Shared) -> Result<JsonValue, ServiceError> {
     {
         merged.merge(snapshot);
     }
-    let phases: Vec<JsonValue> = ["scheduling", "thermal", "floorplan", "grid"]
-        .iter()
+    let phases = PHASES
+        .into_iter()
         .filter_map(|phase| {
             let histogram = merged.histogram_value("engine_phase_seconds", &[("phase", phase)])?;
             (histogram.count() > 0).then(|| {
                 JsonValue::object(vec![
-                    ("phase".to_string(), JsonValue::from(*phase)),
+                    ("phase".to_string(), JsonValue::from(phase)),
                     (
                         "count".to_string(),
                         JsonValue::from(histogram.count() as usize),
@@ -1176,31 +1178,29 @@ fn engine_phases(shared: &Shared) -> Result<JsonValue, ServiceError> {
             })
         })
         .collect();
-    Ok(JsonValue::Array(phases))
+    Ok(phases)
 }
 
-/// A registry progress object with the fleet's [`engine_phases`] added.
-fn with_phases(mut progress: JsonValue, phases: JsonValue) -> JsonValue {
-    if let JsonValue::Object(fields) = &mut progress {
-        fields.insert("phases".to_string(), phases);
-    }
-    progress
-}
-
+/// `GET /jobs/{id}/progress`: the registry's progress object with the
+/// fleet's [`engine_phases`] added as `phases`.
 fn progress(call: &Call<'_>) -> Result<Reply, ServiceError> {
-    let progress = {
+    let mut progress = {
         let (state, now) = call.lock()?;
         state.registry().progress(call.params[0], now)?
     };
-    Ok(Reply::json(&with_phases(
-        progress,
-        engine_phases(call.shared)?,
-    )))
+    if let JsonValue::Object(fields) = &mut progress {
+        fields.insert(
+            "phases".to_string(),
+            JsonValue::Array(engine_phases(call.shared)?),
+        );
+    }
+    Ok(Reply::json(&progress))
 }
 
 /// `GET /dashboard`: the [`console::frame`] that `tats top` prints, built
-/// from the registry under its lock, HTML-escaped inside a `<pre>` of one
-/// self-contained page that refreshes itself every 2 s and fetches nothing.
+/// from the registry under its lock and the fleet's [`engine_phases`],
+/// HTML-escaped inside a `<pre>` of one self-contained page that refreshes
+/// itself every 2 s and fetches nothing.
 fn dashboard(call: &Call<'_>) -> Result<Reply, ServiceError> {
     let phases = engine_phases(call.shared)?;
     let (jobs, workers) = {
@@ -1208,8 +1208,8 @@ fn dashboard(call: &Call<'_>) -> Result<Reply, ServiceError> {
         let registry = state.registry();
         let jobs = registry
             .job_ids()
-            .map(|id| Ok(with_phases(registry.progress(id, now)?, phases.clone())))
-            .collect::<Result<Vec<_>, ServiceError>>()?;
+            .map(|id| registry.progress(id, now))
+            .collect::<Result<Vec<_>, _>>()?;
         (jobs, registry.workers_status(now))
     };
     let (log_tail, log_next) = {
@@ -1225,6 +1225,7 @@ fn dashboard(call: &Call<'_>) -> Result<Reply, ServiceError> {
     let frame = console::frame(
         "tats dashboard",
         &jobs,
+        &phases,
         workers.field_array("workers").unwrap_or_default(),
         &log_tail,
         log_next,

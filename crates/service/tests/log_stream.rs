@@ -278,7 +278,7 @@ fn dashboard_serves_one_self_contained_html_page() {
     // `console::frame` renders from that job's `/progress`.
     let progress = client::get(&addr, &format!("/jobs/{job}/progress")).expect("progress");
     let progress = JsonValue::parse(&progress.body).expect("progress json");
-    let frame = console::frame("", &[progress], &[], &[] as &[&str], 0);
+    let frame = console::frame("", &[progress], &[], &[], &[] as &[&str], 0);
     let row = frame
         .lines()
         .find(|line| line.starts_with(&job))

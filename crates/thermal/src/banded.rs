@@ -6,34 +6,20 @@
 //! of magnitude below a dense factorisation and, after caching the factor,
 //! far below an iterative sweep per right-hand side.
 
-use crate::error::SparseError;
+use crate::error::ThermalError;
+
+/// The error for a vector or block whose length does not fit the system.
+pub(crate) fn dimension_mismatch(context: &str, expected: usize, actual: usize) -> ThermalError {
+    ThermalError::InvalidParameter(format!(
+        "{context}: expected dimension {expected}, got {actual}"
+    ))
+}
 
 /// A symmetric banded matrix, storing the lower band row-major: entry
 /// `(i, j)` with `i - bandwidth <= j <= i` lives at
 /// `i * (bandwidth + 1) + (j - i + bandwidth)`.
-///
-/// # Examples
-///
-/// ```
-/// use tats_sparse::{BandedCholesky, BandedMatrix};
-///
-/// # fn main() -> Result<(), tats_sparse::SparseError> {
-/// // Tridiagonal [2 -1; -1 2 -1; -1 2].
-/// let mut a = BandedMatrix::zeros(3, 1);
-/// for i in 0..3 {
-///     a.add(i, i, 2.0)?;
-/// }
-/// a.add(1, 0, -1.0)?;
-/// a.add(2, 1, -1.0)?;
-/// let factor = BandedCholesky::new(&a)?;
-/// let mut x = vec![1.0, 0.0, 1.0];
-/// factor.solve_into(&mut x)?;
-/// assert!((x[1] - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct BandedMatrix {
+#[derive(Debug)]
+pub(crate) struct BandedMatrix {
     n: usize,
     bandwidth: usize,
     /// Lower band, `n` rows of `bandwidth + 1` entries each.
@@ -43,7 +29,7 @@ pub struct BandedMatrix {
 impl BandedMatrix {
     /// Creates an all-zero `n x n` symmetric matrix with the given lower
     /// bandwidth (0 = diagonal).
-    pub fn zeros(n: usize, bandwidth: usize) -> Self {
+    pub(crate) fn zeros(n: usize, bandwidth: usize) -> Self {
         BandedMatrix {
             n,
             bandwidth,
@@ -52,13 +38,8 @@ impl BandedMatrix {
     }
 
     /// Dimension of the matrix.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
-    }
-
-    /// Lower bandwidth.
-    pub fn bandwidth(&self) -> usize {
-        self.bandwidth
     }
 
     fn offset(&self, i: usize, j: usize) -> Option<usize> {
@@ -74,54 +55,48 @@ impl BandedMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::IndexOutOfBounds`] for entries outside the
-    /// band or above the diagonal and [`SparseError::InvalidValue`] for
-    /// non-finite values.
-    pub fn add(&mut self, i: usize, j: usize, value: f64) -> Result<(), SparseError> {
+    /// Returns [`ThermalError::InvalidParameter`] for non-finite values and
+    /// for entries outside the band or above the diagonal.
+    pub(crate) fn add(&mut self, i: usize, j: usize, value: f64) -> Result<(), ThermalError> {
         if !value.is_finite() {
-            return Err(SparseError::InvalidValue {
-                context: "banded entry",
-                value,
-            });
+            return Err(ThermalError::InvalidParameter(format!(
+                "banded entry must be finite, got {value}"
+            )));
         }
         match self.offset(i, j) {
             Some(at) => {
                 self.band[at] += value;
                 Ok(())
             }
-            None => Err(SparseError::IndexOutOfBounds {
-                row: i,
-                col: j,
-                n: self.n,
-            }),
+            None => Err(ThermalError::InvalidParameter(format!(
+                "entry ({i}, {j}) outside {n} x {n} matrix",
+                n = self.n
+            ))),
         }
     }
 
     /// The entry at `(i, j)` of the full symmetric matrix (0 outside the
-    /// band).
+    /// band): the reference products of the tests.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of bounds.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "banded index out of bounds");
         let (lo, hi) = if j <= i { (j, i) } else { (i, j) };
         self.offset(hi, lo).map_or(0.0, |at| self.band[at])
-    }
-
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.band.fill(0.0);
     }
 }
 
 /// Cached `L L^T` factorisation of a [`BandedMatrix`].
 ///
 /// Factor once, then call [`BandedCholesky::solve_into`] for every
-/// right-hand side: the steady-state grid solver and the implicit transient
-/// stepper both reuse one factor across hundreds of solves.
+/// right-hand side: the grid model's steady-state queries and the border
+/// columns of [`crate::bordered::BorderedBandedCholesky`] all reuse one
+/// factor.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BandedCholesky {
+pub(crate) struct BandedCholesky {
     n: usize,
     bandwidth: usize,
     /// Lower-band storage of `L`, same layout as [`BandedMatrix`].
@@ -133,66 +108,33 @@ impl BandedCholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::NotPositiveDefinite`] when a pivot is not
-    /// strictly positive.
-    pub fn new(matrix: &BandedMatrix) -> Result<Self, SparseError> {
-        let mut factor = BandedCholesky {
-            n: matrix.n,
-            bandwidth: matrix.bandwidth,
-            band: Vec::new(),
-        };
-        factor.refactor(matrix)?;
-        Ok(factor)
-    }
-
-    /// Re-factorises `matrix` reusing this factor's storage; no heap
-    /// allocation occurs when `n` and the bandwidth are unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::NotPositiveDefinite`] when a pivot fails (the
-    /// stored factor is invalidated in that case).
-    pub fn refactor(&mut self, matrix: &BandedMatrix) -> Result<(), SparseError> {
-        self.n = matrix.n;
-        self.bandwidth = matrix.bandwidth;
-        if self.band.len() != matrix.band.len() {
-            self.band.clear();
-            self.band.extend_from_slice(&matrix.band);
-        } else {
-            self.band.copy_from_slice(&matrix.band);
-        }
-        let n = self.n;
-        let w = self.bandwidth + 1;
+    /// Returns [`ThermalError::SingularSystem`] when a pivot is not strictly
+    /// positive.
+    pub(crate) fn new(matrix: &BandedMatrix) -> Result<Self, ThermalError> {
+        let (n, bandwidth) = (matrix.n, matrix.bandwidth);
+        let mut band = matrix.band.clone();
+        let w = bandwidth + 1;
         for i in 0..n {
-            let j_min = i.saturating_sub(self.bandwidth);
+            let j_min = i.saturating_sub(bandwidth);
             for j in j_min..=i {
                 // sum = a_ij - sum_k l_ik l_jk over the shared band k < j.
-                let k_min = j.saturating_sub(self.bandwidth).max(j_min);
-                let mut sum = self.band[i * w + (j + self.bandwidth - i)];
+                let k_min = j.saturating_sub(bandwidth).max(j_min);
+                let mut sum = band[i * w + (j + bandwidth - i)];
                 for k in k_min..j {
-                    sum -= self.band[i * w + (k + self.bandwidth - i)]
-                        * self.band[j * w + (k + self.bandwidth - j)];
+                    sum -= band[i * w + (k + bandwidth - i)] * band[j * w + (k + bandwidth - j)];
                 }
-                let at = i * w + (j + self.bandwidth - i);
+                let at = i * w + (j + bandwidth - i);
                 if j == i {
                     if sum <= 0.0 || sum.is_nan() {
-                        return Err(SparseError::NotPositiveDefinite {
-                            pivot: i,
-                            value: sum,
-                        });
+                        return Err(ThermalError::SingularSystem);
                     }
-                    self.band[at] = sum.sqrt();
+                    band[at] = sum.sqrt();
                 } else {
-                    self.band[at] = sum / self.band[j * w + self.bandwidth];
+                    band[at] = sum / band[j * w + bandwidth];
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Dimension of the factorised system.
-    pub fn n(&self) -> usize {
-        self.n
+        Ok(BandedCholesky { n, bandwidth, band })
     }
 
     /// Solves `A x = b` in place: `b` holds the right-hand side on entry and
@@ -200,14 +142,10 @@ impl BandedCholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] when `b.len() != n`.
-    pub fn solve_into(&self, b: &mut [f64]) -> Result<(), SparseError> {
+    /// Returns [`ThermalError::InvalidParameter`] when `b.len() != n`.
+    pub(crate) fn solve_into(&self, b: &mut [f64]) -> Result<(), ThermalError> {
         if b.len() != self.n {
-            return Err(SparseError::DimensionMismatch {
-                context: "banded solve",
-                expected: self.n,
-                actual: b.len(),
-            });
+            return Err(dimension_mismatch("banded solve", self.n, b.len()));
         }
         let n = self.n;
         let w = self.bandwidth + 1;
@@ -264,7 +202,6 @@ mod tests {
     fn factor_solve_round_trips() {
         let a = chain(20, 1);
         let factor = BandedCholesky::new(&a).unwrap();
-        assert_eq!(factor.n(), 20);
         let b: Vec<f64> = (0..20).map(|i| (i as f64).sin()).collect();
         let mut x = b.clone();
         factor.solve_into(&mut x).unwrap();
@@ -300,54 +237,43 @@ mod tests {
     }
 
     #[test]
-    fn refactor_reuses_storage_and_matches_fresh() {
-        let a = chain(10, 1);
-        let mut b = chain(10, 1);
-        b.add(3, 3, 5.0).unwrap();
-        let mut factor = BandedCholesky::new(&a).unwrap();
-        factor.refactor(&b).unwrap();
-        let fresh = BandedCholesky::new(&b).unwrap();
-        let mut x1 = vec![1.0; 10];
-        let mut x2 = vec![1.0; 10];
-        factor.solve_into(&mut x1).unwrap();
-        fresh.solve_into(&mut x2).unwrap();
-        assert_eq!(x1, x2);
-    }
-
-    #[test]
     fn indefinite_matrix_is_rejected() {
         let mut a = BandedMatrix::zeros(2, 1);
         a.add(0, 0, 1.0).unwrap();
         a.add(1, 1, 1.0).unwrap();
         a.add(1, 0, -2.0).unwrap();
-        assert!(matches!(
-            BandedCholesky::new(&a),
-            Err(SparseError::NotPositiveDefinite { .. })
-        ));
+        assert_eq!(BandedCholesky::new(&a), Err(ThermalError::SingularSystem));
     }
 
     #[test]
     fn out_of_band_and_invalid_entries_are_rejected() {
         let mut a = BandedMatrix::zeros(5, 1);
-        assert!(a.add(3, 1, 1.0).is_err());
-        assert!(a.add(1, 3, 1.0).is_err());
-        assert!(a.add(5, 0, 1.0).is_err());
-        assert!(a.add(1, 1, f64::NAN).is_err());
-        assert_eq!(a.bandwidth(), 1);
+        let message = |result: Result<(), ThermalError>| match result {
+            Err(ThermalError::InvalidParameter(message)) => message,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        for (i, j) in [(3, 1), (1, 3), (5, 0)] {
+            let expected = format!("entry ({i}, {j}) outside 5 x 5 matrix");
+            assert_eq!(message(a.add(i, j, 1.0)), expected);
+        }
+        assert_eq!(
+            message(a.add(1, 1, f64::NAN)),
+            "banded entry must be finite, got NaN"
+        );
         assert_eq!(a.get(0, 4), 0.0);
         a.add(1, 0, -2.5).unwrap();
         assert_eq!(a.get(0, 1), -2.5);
-        a.fill_zero();
-        assert_eq!(a.get(0, 1), 0.0);
     }
 
     #[test]
     fn solve_rejects_wrong_length() {
         let factor = BandedCholesky::new(&chain(4, 1)).unwrap();
         let mut short = vec![1.0; 3];
-        assert!(matches!(
+        assert_eq!(
             factor.solve_into(&mut short),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
+            Err(ThermalError::InvalidParameter(
+                "banded solve: expected dimension 4, got 3".to_string()
+            ))
+        );
     }
 }

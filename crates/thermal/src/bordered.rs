@@ -15,34 +15,12 @@
 //! banded sweep, one `m x m` solve and one rank-`m` correction — all in
 //! place and allocation free.
 
-use crate::banded::{BandedCholesky, BandedMatrix};
-use crate::error::SparseError;
+use crate::banded::{dimension_mismatch, BandedCholesky, BandedMatrix};
+use crate::error::ThermalError;
 
 /// Cached factorisation of a bordered banded SPD system.
-///
-/// # Examples
-///
-/// ```
-/// use tats_sparse::{BandedMatrix, BorderedBandedCholesky};
-///
-/// # fn main() -> Result<(), tats_sparse::SparseError> {
-/// // Core: [2 -1; -1 2]; border column couples both nodes to one extra
-/// // node with conductance 1; corner closes the loop to ground.
-/// let mut core = BandedMatrix::zeros(2, 1);
-/// core.add(0, 0, 3.0)?;
-/// core.add(1, 1, 3.0)?;
-/// core.add(1, 0, -1.0)?;
-/// let border = vec![vec![-1.0, -1.0]];
-/// let corner = vec![vec![3.0]];
-/// let factor = BorderedBandedCholesky::new(&core, &border, &corner)?;
-/// let mut x = vec![1.0, 1.0, 1.0];
-/// factor.solve_into(&mut x)?;
-/// assert_eq!(x.len(), 3);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct BorderedBandedCholesky {
+pub(crate) struct BorderedBandedCholesky {
     n: usize,
     m: usize,
     core: BandedCholesky,
@@ -61,39 +39,31 @@ impl BorderedBandedCholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] for malformed border or
-    /// corner shapes and [`SparseError::NotPositiveDefinite`] when either
-    /// the core or the Schur complement fails to factorise.
-    pub fn new(
+    /// Returns [`ThermalError::InvalidParameter`] for malformed border or
+    /// corner shapes and [`ThermalError::SingularSystem`] when either the
+    /// core or the Schur complement fails to factorise.
+    pub(crate) fn new(
         core: &BandedMatrix,
         border: &[Vec<f64>],
         corner: &[Vec<f64>],
-    ) -> Result<Self, SparseError> {
+    ) -> Result<Self, ThermalError> {
         let n = core.n();
         let m = border.len();
         if corner.len() != m {
-            return Err(SparseError::DimensionMismatch {
-                context: "bordered corner rows",
-                expected: m,
-                actual: corner.len(),
-            });
+            return Err(dimension_mismatch("bordered corner rows", m, corner.len()));
         }
         for column in border {
             if column.len() != n {
-                return Err(SparseError::DimensionMismatch {
-                    context: "bordered border column",
-                    expected: n,
-                    actual: column.len(),
-                });
+                return Err(dimension_mismatch(
+                    "bordered border column",
+                    n,
+                    column.len(),
+                ));
             }
         }
         for row in corner {
             if row.len() != m {
-                return Err(SparseError::DimensionMismatch {
-                    context: "bordered corner columns",
-                    expected: m,
-                    actual: row.len(),
-                });
+                return Err(dimension_mismatch("bordered corner columns", m, row.len()));
             }
         }
 
@@ -125,26 +95,20 @@ impl BorderedBandedCholesky {
         })
     }
 
-    /// Total dimension `n + m` of the factorised system.
-    pub fn dim(&self) -> usize {
-        self.n + self.m
-    }
-
     /// Solves `A x = b` in place: `b` holds `[core rhs, border rhs]` on
     /// entry and the solution on exit. **Zero heap allocations** — the
     /// border segment of `b` doubles as the Schur-system scratch.
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] when
-    /// `b.len() != n + m`.
-    pub fn solve_into(&self, b: &mut [f64]) -> Result<(), SparseError> {
+    /// Returns [`ThermalError::InvalidParameter`] when `b.len() != n + m`.
+    pub(crate) fn solve_into(&self, b: &mut [f64]) -> Result<(), ThermalError> {
         if b.len() != self.n + self.m {
-            return Err(SparseError::DimensionMismatch {
-                context: "bordered solve",
-                expected: self.n + self.m,
-                actual: b.len(),
-            });
+            return Err(dimension_mismatch(
+                "bordered solve",
+                self.n + self.m,
+                b.len(),
+            ));
         }
         let (b1, b2) = b.split_at_mut(self.n);
         // y1 = C^{-1} b1.
@@ -169,7 +133,7 @@ impl BorderedBandedCholesky {
 }
 
 /// In-place dense Cholesky of a row-major `m x m` matrix (lower triangle).
-fn dense_cholesky_in_place(a: &mut [f64], m: usize) -> Result<(), SparseError> {
+fn dense_cholesky_in_place(a: &mut [f64], m: usize) -> Result<(), ThermalError> {
     for i in 0..m {
         for j in 0..=i {
             let mut sum = a[i * m + j];
@@ -178,10 +142,7 @@ fn dense_cholesky_in_place(a: &mut [f64], m: usize) -> Result<(), SparseError> {
             }
             if j == i {
                 if sum <= 0.0 || sum.is_nan() {
-                    return Err(SparseError::NotPositiveDefinite {
-                        pivot: i,
-                        value: sum,
-                    });
+                    return Err(ThermalError::SingularSystem);
                 }
                 a[i * m + i] = sum.sqrt();
             } else {
@@ -302,7 +263,6 @@ mod tests {
     fn matches_dense_elimination() {
         let (core, border, corner) = fixture();
         let factor = BorderedBandedCholesky::new(&core, &border, &corner).unwrap();
-        assert_eq!(factor.dim(), 6);
         let full = assemble_dense(&core, &border, &corner);
         let b = vec![1.0, 0.5, 0.0, -0.5, 0.0, 2.0];
         let expected = dense_solve(&full, &b);
@@ -344,14 +304,33 @@ mod tests {
     #[test]
     fn malformed_shapes_are_rejected() {
         let (core, border, corner) = fixture();
-        assert!(BorderedBandedCholesky::new(&core, &border, &corner[..1]).is_err());
+        let message = |error: ThermalError| match error {
+            ThermalError::InvalidParameter(message) => message,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        let error = BorderedBandedCholesky::new(&core, &border, &corner[..1]).unwrap_err();
+        assert_eq!(
+            message(error),
+            "bordered corner rows: expected dimension 2, got 1"
+        );
         let short_border = vec![vec![0.0; 2], vec![0.0; 4]];
-        assert!(BorderedBandedCholesky::new(&core, &short_border, &corner).is_err());
+        let error = BorderedBandedCholesky::new(&core, &short_border, &corner).unwrap_err();
+        assert_eq!(
+            message(error),
+            "bordered border column: expected dimension 4, got 2"
+        );
         let ragged_corner = vec![vec![1.0], vec![0.0, 1.0]];
-        assert!(BorderedBandedCholesky::new(&core, &border, &ragged_corner).is_err());
+        let error = BorderedBandedCholesky::new(&core, &border, &ragged_corner).unwrap_err();
+        assert_eq!(
+            message(error),
+            "bordered corner columns: expected dimension 2, got 1"
+        );
         let factor = BorderedBandedCholesky::new(&core, &border, &corner).unwrap();
         let mut wrong = vec![0.0; 5];
-        assert!(factor.solve_into(&mut wrong).is_err());
+        assert_eq!(
+            message(factor.solve_into(&mut wrong).unwrap_err()),
+            "bordered solve: expected dimension 6, got 5"
+        );
     }
 
     #[test]
@@ -359,9 +338,9 @@ mod tests {
         let (core, border, _) = fixture();
         // Corner too weak: the Schur complement goes negative.
         let corner = vec![vec![0.1, 0.0], vec![0.0, 0.1]];
-        assert!(matches!(
+        assert_eq!(
             BorderedBandedCholesky::new(&core, &border, &corner),
-            Err(SparseError::NotPositiveDefinite { .. })
-        ));
+            Err(ThermalError::SingularSystem)
+        );
     }
 }

@@ -12,15 +12,16 @@
 //! factorises the system once, in `O(cells · nx²)`, and every query is one
 //! banded sweep, `O(cells · nx)`. The cell Laplacian has bandwidth `nx`; the
 //! spreader and sink nodes couple to every cell, so they form a dense
-//! border that [`tats_sparse::BorderedBandedCholesky`] eliminates through a
+//! border that the private [`BorderedBandedCholesky`] eliminates through a
 //! Schur complement. The tests check the factor against a Gauss–Seidel
 //! sweep of the same system within `1e-6`. Each side holds at most
 //! [`MAX_GRID_SIDE`] cells.
 
+use crate::banded::BandedMatrix;
+use crate::bordered::BorderedBandedCholesky;
 use crate::error::ThermalError;
 use crate::floorplan::Floorplan;
 use crate::materials::ThermalConfig;
-use tats_sparse::{BandedMatrix, BorderedBandedCholesky, SparseError};
 
 /// Largest grid resolution per side, in cells. At 128×128 one cached
 /// factor holds about 17 MB (`cells · (nx + 1)` band entries), and the
@@ -31,14 +32,6 @@ pub const MAX_GRID_SIDE: usize = 128;
 /// Banded cell core, dense border columns and corner block of the grid
 /// system in the form [`BorderedBandedCholesky`] consumes.
 type BorderedSystem = (BandedMatrix, Vec<Vec<f64>>, Vec<Vec<f64>>);
-
-/// Converts a sparse-subsystem failure into the thermal error vocabulary.
-fn from_sparse(error: SparseError) -> ThermalError {
-    match error {
-        SparseError::NotPositiveDefinite { .. } => ThermalError::SingularSystem,
-        other => ThermalError::InvalidParameter(other.to_string()),
-    }
-}
 
 /// Per-cell steady-state temperatures produced by [`GridModel::steady_state`].
 #[derive(Debug, Clone, PartialEq)]
@@ -178,20 +171,16 @@ impl Stencil {
         for iy in 0..ny {
             for ix in 0..nx {
                 let idx = iy * nx + ix;
-                core.add(idx, idx, self.vertical).map_err(from_sparse)?;
+                core.add(idx, idx, self.vertical)?;
                 if ix + 1 < nx {
-                    core.add(idx, idx, self.lateral_x).map_err(from_sparse)?;
-                    core.add(idx + 1, idx + 1, self.lateral_x)
-                        .map_err(from_sparse)?;
-                    core.add(idx + 1, idx, -self.lateral_x)
-                        .map_err(from_sparse)?;
+                    core.add(idx, idx, self.lateral_x)?;
+                    core.add(idx + 1, idx + 1, self.lateral_x)?;
+                    core.add(idx + 1, idx, -self.lateral_x)?;
                 }
                 if iy + 1 < ny {
-                    core.add(idx, idx, self.lateral_y).map_err(from_sparse)?;
-                    core.add(idx + nx, idx + nx, self.lateral_y)
-                        .map_err(from_sparse)?;
-                    core.add(idx + nx, idx, -self.lateral_y)
-                        .map_err(from_sparse)?;
+                    core.add(idx, idx, self.lateral_y)?;
+                    core.add(idx + nx, idx + nx, self.lateral_y)?;
+                    core.add(idx + nx, idx, -self.lateral_y)?;
                 }
             }
         }
@@ -301,7 +290,7 @@ impl GridModel {
             convection: 1.0 / config.convection_resistance,
         };
         let (core, border, corner) = stencil.assemble_bordered()?;
-        let factor = BorderedBandedCholesky::new(&core, &border, &corner).map_err(from_sparse)?;
+        let factor = BorderedBandedCholesky::new(&core, &border, &corner)?;
         Ok(GridModel {
             config,
             stencil,
@@ -405,9 +394,7 @@ impl GridModel {
         self.validate_power(block_power)?;
         workspace.t.resize(self.node_count(), 0.0);
         self.heat_input_into(block_power, &mut workspace.t);
-        self.factor
-            .solve_into(&mut workspace.t)
-            .map_err(from_sparse)?;
+        self.factor.solve_into(&mut workspace.t)?;
         Ok(self.temperatures_from_cells(&workspace.t))
     }
 

@@ -585,25 +585,18 @@ impl SpanForest {
         }
     }
 
-    /// The critical path: starting from the latest-ending root, repeatedly
-    /// descend into the latest-ending child — the chain of spans that had
-    /// to finish for the trace to finish. Ties break on span id so the
+    /// The critical path: starting from the longest root, repeatedly
+    /// descend into the longest child — the chain of spans where the time
+    /// went, level by level. A zero-length transition that merely ends
+    /// last (a job's final `ingest`) loses to the long worker `shard`
+    /// beside it. Ties break on the later end, then on the span id, so the
     /// path is deterministic.
     pub fn critical_path(&self) -> Vec<&SpanEvent> {
-        let mut path = Vec::new();
-        let Some(mut current) = self.roots().max_by_key(|span| (span.end_us, span.span_id)) else {
-            return path;
-        };
-        loop {
-            path.push(current);
-            match self
-                .children_of(current.span_id)
-                .max_by_key(|span| (span.end_us, span.span_id))
-            {
-                Some(child) => current = child,
-                None => return path,
-            }
-        }
+        let longest = |span: &&SpanEvent| (span.duration_us(), span.end_us, span.span_id);
+        std::iter::successors(self.roots().max_by_key(longest), |span| {
+            self.children_of(span.span_id).max_by_key(longest)
+        })
+        .collect()
     }
 
     /// Sums `duration_us` over spans selected by `filter` — the building
@@ -879,6 +872,30 @@ mod tests {
         assert_eq!(forest.roots().count(), 2);
         assert_eq!(forest.critical_path()[0].span_id, 20);
         assert_eq!(forest.total_us_where(|s| s.name == "scenario"), 200);
+    }
+
+    #[test]
+    fn critical_path_takes_the_longest_child_not_the_last_to_end() {
+        let trace = 0x7;
+        // A drained job's shape: a long worker shard early on and a
+        // zero-length transition span at the very end of the campaign.
+        let campaign = span(trace, 1, None, 0, 100);
+        let shard = span(trace, 2, Some(1), 10, 80);
+        let ingest = span(trace, 3, Some(1), 100, 100);
+        let scenario = span(trace, 4, Some(2), 20, 70);
+        let forest = SpanForest::build(vec![ingest, scenario, shard, campaign]);
+        let path: Vec<u64> = forest.critical_path().iter().map(|s| s.span_id).collect();
+        assert_eq!(path, vec![1, 2, 4]);
+        // Equal lengths break on the later end, then on the larger id.
+        let forest = SpanForest::build(vec![
+            span(trace, 1, None, 0, 100),
+            span(trace, 5, Some(1), 0, 10),
+            span(trace, 8, Some(1), 90, 100),
+            span(trace, 7, Some(1), 90, 100),
+            span(trace, 6, Some(1), 50, 60),
+        ]);
+        let path: Vec<u64> = forest.critical_path().iter().map(|s| s.span_id).collect();
+        assert_eq!(path, vec![1, 8]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   `SpanEvent::parse_line` and through a real crash-repaired log file);
 //! * `SpanForest::build` reattaches every child to its parent and finds
 //!   exactly the generated roots;
-//! * the critical path is a root-to-leaf chain of parent links whose last
-//!   span ends when the forest ends;
+//! * the critical path is a root-to-leaf chain of parent links that
+//!   descends into the longest child at every hop;
 //! * the Chrome trace-event export parses back through `JsonValue::parse`
 //!   with one `"X"` event per span.
 //!
@@ -112,21 +112,23 @@ proptest! {
             }
         }
 
-        // The critical path is a parent-linked chain from the root; with
-        // nested intervals the root itself carries the forest's latest
-        // end, and every hop descends into the latest-ending child.
+        // The critical path is a parent-linked chain from the root to a
+        // leaf; with nested intervals the root itself carries the forest's
+        // latest end, and every hop descends into the longest child.
         let path = forest.critical_path();
         prop_assert!(!path.is_empty());
         prop_assert_eq!(path[0].parent_id, None);
         for pair in path.windows(2) {
             prop_assert_eq!(pair[1].parent_id, Some(pair[0].span_id));
-            let latest_child = forest
+            let longest_child = forest
                 .children_of(pair[0].span_id)
-                .map(|c| c.end_us)
+                .map(SpanEvent::duration_us)
                 .max()
                 .unwrap();
-            prop_assert_eq!(pair[1].end_us, latest_child);
+            prop_assert_eq!(pair[1].duration_us(), longest_child);
         }
+        let last = path.last().unwrap();
+        prop_assert_eq!(forest.children_of(last.span_id).count(), 0);
         let forest_end = spans.iter().map(|s| s.end_us).max().unwrap();
         prop_assert_eq!(path[0].end_us, forest_end);
 
