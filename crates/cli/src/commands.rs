@@ -70,7 +70,7 @@ COMMANDS:
     grid         Fine-grained grid thermal validation of a schedule
                    --benchmark Bm1..Bm4 --policy ...  (default: Bm1, thermal)
                    --nx 32 --ny 32                    grid resolution (1 to 128 per side;
-                                                      solved by a cached banded Cholesky factor)
+                                                      solved exactly by per-block DCT responses)
     batch        Run a scenario campaign through the sharded batch engine
                    --benchmarks Bm1,Bm3|all           (default: all)
                    --flows platform,cosynthesis|all   (default: platform)
@@ -1195,6 +1195,11 @@ pub fn top(options: &Options) -> Result<String, CliError> {
 /// per-axis breakdowns and per-shard lease-to-first-record latency, and
 /// optionally export a Chrome trace-event timeline (`--chrome out.json`)
 /// loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
+///
+/// The critical path starts at the longest root and descends into the
+/// longest child at every level. Its header gives the number of hops and
+/// the path's length, which is the root's duration: every hop lies inside
+/// the root, and the longest child may end well before it.
 pub fn trace(input: Option<&str>, options: &Options) -> Result<String, CliError> {
     use std::collections::BTreeMap;
     use tats_trace::spans::{chrome_trace, SpanEvent, SpanForest};
@@ -1241,17 +1246,14 @@ pub fn trace(input: Option<&str>, options: &Options) -> Result<String, CliError>
     }
 
     // Critical path: the chain of spans that had to finish for the campaign
-    // to finish, each hop with its own duration and salient attributes.
+    // to finish, each hop with its own duration and salient attributes. Its
+    // length is the root's duration.
     let critical = forest.critical_path();
     let names: Vec<&str> = critical.iter().map(|span| span.name.as_str()).collect();
     out.push_str(&format!(
         "\ncritical path ({} hop(s), {:.3} s): {}\n",
         critical.len(),
-        critical
-            .first()
-            .map_or(0, |root| critical.last().expect("nonempty").end_us
-                - root.start_us) as f64
-            / 1e6,
+        critical.first().map_or(0, |root| root.duration_us()) as f64 / 1e6,
         names.join(" -> "),
     ));
     for span in &critical {
@@ -2101,6 +2103,37 @@ mod tests {
         .expect_err("no spans");
         assert!(error.to_string().contains("no span events"), "{error}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The critical path's length is its root's duration, also when the
+    /// longest child, which the path takes, ends well before the root and a
+    /// zero-length child ends last.
+    #[test]
+    fn trace_reports_the_root_duration_as_the_critical_path_length() {
+        use tats_trace::spans::{SpanEvent, SpanKind};
+        let span = |id: u64, parent: Option<u64>, name: &str, start_us: u64, end_us: u64| {
+            SpanEvent::new(7, id, parent, name, SpanKind::Internal, start_us, end_us).to_line()
+        };
+        let lines = [
+            span(1, None, "bench.pass", 1_000_000, 1_250_000),
+            span(2, Some(1), "scenario", 1_000_000, 1_100_000),
+            span(3, Some(2), "scheduling", 1_010_000, 1_090_000),
+            span(4, Some(1), "scenario", 1_240_000, 1_240_000),
+        ];
+        let path = std::env::temp_dir().join("tats_cli_trace_root_length_test.jsonl");
+        std::fs::write(&path, lines.join("\n")).expect("write");
+        let report = trace(
+            Some(path.to_str().expect("utf8")),
+            &opts(&[], &["chrome"], &[]),
+        )
+        .expect("trace report");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            report.contains(
+                "critical path (3 hop(s), 0.250 s): bench.pass -> scenario -> scheduling\n"
+            ),
+            "{report}"
+        );
     }
 
     /// Tentpole end-to-end: submit a traced campaign against a live service,

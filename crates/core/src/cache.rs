@@ -38,7 +38,7 @@ impl GeometryKey {
 /// coordinate and every configuration field as `f64` bit patterns. Two
 /// inputs compare equal iff they are numerically identical — the only
 /// equality under which reusing a derived thermal artefact (a factorised
-/// model, a grid solver's Cholesky factor) is sound. Shared by
+/// model, a grid model's per-block responses) is sound. Shared by
 /// [`ThermalModelCache`] and the batch engine's grid-model cache so the two
 /// can never diverge on what "same geometry" means.
 pub fn geometry_config_bits(floorplan: &Floorplan, config: &ThermalConfig) -> Vec<u64> {

@@ -12,13 +12,13 @@
 //! take the next group, and heavy groups never block light ones behind a
 //! static partition. Every worker owns its caches — a [`ThermalModelCache`]
 //! for block-model factorisations and a grid-model cache for fine-grid
-//! validation — keyed by floorplan geometry, so thermal sessions and
-//! Cholesky factors are *reused across scenarios* instead of rebuilt per
-//! run. The channel to the caller's thread carries outcomes only; the
-//! caller hands them to the sink in scenario-id order (streaming JSONL): a
-//! record waits there only until every lower pending id is handed on. Each
-//! worker returns its cache counters when the caller joins it, and they are
-//! merged into the final report.
+//! validation — keyed by floorplan geometry, so thermal sessions and grid
+//! models with their per-block responses are *reused across scenarios*
+//! instead of rebuilt per run. The channel to the caller's thread carries
+//! outcomes only; the caller hands them to the sink in scenario-id order
+//! (streaming JSONL): a record waits there only until every lower pending
+//! id is handed on. Each worker returns its cache counters when the caller
+//! joins it, and they are merged into the final report.
 //!
 //! Every scenario evaluation is deterministic and isolated, so the sink
 //! sees the same records in the same order at any thread count, and any
@@ -181,13 +181,13 @@ pub struct BatchRun {
     pub report: BatchReport,
 }
 
-/// Per-worker cache bundle: block-model factorisations plus grid models
-/// (whose cached Cholesky factors are the expensive part), both keyed by
-/// the exact-bits `(floorplan, config)` material from
-/// [`tats_core::geometry_config_bits`]. The grid side is a FIFO-bounded
-/// [`FifoCache`] like the thermal side, because co-synthesis campaigns can
-/// produce a distinct floorplan per scenario and a 128×128 factor is
-/// megabytes.
+/// Per-worker cache bundle: block-model factorisations plus grid models,
+/// both keyed by the exact-bits `(floorplan, config)` material from
+/// [`tats_core::geometry_config_bits`]. Building a grid model (its per-block
+/// responses) costs about 30 of its queries at 32×32, so a geometry that
+/// recurs is worth keeping. The grid side is a FIFO-bounded [`FifoCache`]
+/// like the thermal side, because co-synthesis campaigns can produce a
+/// distinct floorplan per scenario and a 128×128 model is megabytes.
 struct WorkerCaches {
     thermal: ThermalModelCache,
     grid: FifoCache<GridKey, GridModel>,
@@ -213,8 +213,8 @@ impl WorkerCaches {
         }
     }
 
-    /// The factorised grid model for this geometry and resolution, built on
-    /// miss (evicting the oldest entry when the bound is hit).
+    /// The grid model for this geometry and resolution, built on miss
+    /// (evicting the oldest entry when the bound is hit).
     fn grid_model(
         &mut self,
         floorplan: &Floorplan,
@@ -257,9 +257,9 @@ struct EngineMetrics {
     failed: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    /// Banded-Cholesky factorisations: one per grid-model cache miss — the
-    /// expensive rebuild a diverging cache hit-rate turns into.
-    cholesky_refactors: Arc<Counter>,
+    /// Grid-model builds: one per grid-model cache miss — the expensive
+    /// rebuild a diverging cache hit-rate turns into.
+    grid_model_builds: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -272,7 +272,7 @@ impl EngineMetrics {
             failed: registry.counter("engine_scenarios_failed_total", &[]),
             cache_hits: registry.counter("engine_cache_hits_total", &[]),
             cache_misses: registry.counter("engine_cache_misses_total", &[]),
-            cholesky_refactors: registry.counter("engine_cholesky_refactors_total", &[]),
+            grid_model_builds: registry.counter("engine_grid_model_builds_total", &[]),
         }
     }
 }
@@ -461,7 +461,7 @@ impl Worker<'_> {
                 };
                 if self.caches.grid.stats().misses > misses_before {
                     if let Some(metrics) = self.metrics {
-                        metrics.cholesky_refactors.inc();
+                        metrics.grid_model_builds.inc();
                     }
                 }
                 Some(max_c)
@@ -999,9 +999,9 @@ mod tests {
             })
             .unwrap();
         let snapshot = registry.snapshot();
-        // One Cholesky refactor per worker for the shared geometry.
+        // One grid-model build per worker for the shared geometry.
         assert_eq!(
-            snapshot.counter_value("engine_cholesky_refactors_total", &[]),
+            snapshot.counter_value("engine_grid_model_builds_total", &[]),
             Some(1)
         );
         // Only the grid-validated half of the scenarios has a grid phase,

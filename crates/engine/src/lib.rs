@@ -14,8 +14,8 @@
 //!   groups of scenarios that differ only in policy (one task graph and,
 //!   on co-synthesis, one architecture per group) and share one technology
 //!   library per run, where every worker owns geometry-keyed caches
-//!   (block-model factorisations, grid models with their Cholesky
-//!   factors), so thermal state is **reused across scenarios** instead of
+//!   (block-model factorisations, grid models with their per-block
+//!   responses), so thermal state is **reused across scenarios** instead of
 //!   rebuilt per run;
 //! * results stream through the caller's sink in scenario-id order — the
 //!   CLI writes JSON Lines via `tats_trace::jsonl`, which also provides the

@@ -22,15 +22,16 @@
 //! * [`TransientSolver`] — time-domain integration of piecewise-constant
 //!   power traces (backward Euler),
 //! * [`GridModel`] — finer grid-refined steady-state model used for
-//!   validation. Its one [`GridSolver`] is a banded Cholesky
-//!   factorisation (bandwidth `nx`, with the dense spreader/sink rows
-//!   handled by block elimination), computed once per model and cached for
-//!   every right-hand side. Each side holds at most [`MAX_GRID_SIDE`] cells.
+//!   validation. Its cells are uniform silicon with flux-free edges, so
+//!   the 2-D DCT-II diagonalises its system exactly: the model solves once
+//!   per block for the cells' response to one watt and keeps the
+//!   responses, as [`ThermalModel`] keeps `R`, and every query is a sum of
+//!   responses over the spreader temperature. Each side holds at most
+//!   [`MAX_GRID_SIDE`] cells.
 //!
-//! Two solvers, both private to this crate, back these models: a small
+//! One solver, private to this crate, backs the other models: a small
 //! dense LU factorises the block model's conductance matrix and the
-//! transient solver's backward-Euler system, and the banded Cholesky with
-//! its bordered extension factorises the grid's system.
+//! transient solver's backward-Euler system. The grid factorises nothing.
 //!
 //! # Examples
 //!
@@ -56,8 +57,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod banded;
-mod bordered;
 mod error;
 mod floorplan;
 mod grid;
@@ -79,34 +78,7 @@ pub use transient::{PowerPhase, TransientSolver};
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::banded::{BandedCholesky, BandedMatrix};
     use proptest::prelude::*;
-
-    /// Assembles a random 2-D grid conductance system (5-point stencil with
-    /// per-node ground leak) as a banded matrix.
-    fn grid_matrix(nx: usize, ny: usize, leak: f64, coupling: f64) -> BandedMatrix {
-        let n = nx * ny;
-        let mut banded = BandedMatrix::zeros(n, nx);
-        for i in 0..n {
-            banded.add(i, i, leak).unwrap();
-        }
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = y * nx + x;
-                if x + 1 < nx {
-                    banded.add(i, i, coupling).unwrap();
-                    banded.add(i + 1, i + 1, coupling).unwrap();
-                    banded.add(i + 1, i, -coupling).unwrap();
-                }
-                if y + 1 < ny {
-                    banded.add(i, i, coupling).unwrap();
-                    banded.add(i + nx, i + nx, coupling).unwrap();
-                    banded.add(i + nx, i, -coupling).unwrap();
-                }
-            }
-        }
-        banded
-    }
 
     fn quad_model() -> ThermalModel {
         let plan = Floorplan::new(vec![
@@ -120,26 +92,6 @@ mod proptests {
     }
 
     proptest! {
-        /// Solving a banded grid system then multiplying round-trips the
-        /// right-hand side.
-        #[test]
-        fn solve_spmv_round_trips(
-            nx in 2usize..6,
-            ny in 2usize..6,
-            leak in 0.05f64..1.0,
-            rhs in proptest::collection::vec(-5.0f64..5.0, 25),
-        ) {
-            let banded = grid_matrix(nx, ny, leak, 1.0);
-            let n = banded.n();
-            let b = &rhs[..n];
-            let mut x = b.to_vec();
-            BandedCholesky::new(&banded).unwrap().solve_into(&mut x).unwrap();
-            for (i, bi) in b.iter().enumerate() {
-                let back: f64 = (0..n).map(|j| banded.get(i, j) * x[j]).sum();
-                prop_assert!((bi - back).abs() < 1e-8);
-            }
-        }
-
         /// Every block temperature stays at or above ambient for any
         /// non-negative power assignment, and the total heat flowing into the
         /// ambient equals the total dissipated power (energy conservation).

@@ -3,8 +3,8 @@
 //! The compact RC network leads to small dense symmetric systems (one row
 //! per block plus a handful of package nodes), so a straightforward
 //! LU decomposition with partial pivoting is both sufficient and dependency
-//! free. The grid model factorises its much larger, banded system with the
-//! banded Cholesky of `banded.rs` and `bordered.rs` instead.
+//! free. The grid model needs no factorisation: the 2-D DCT-II diagonalises
+//! its uniform cell system (see `grid.rs`).
 
 use std::ops::{Index, IndexMut};
 
