@@ -1586,19 +1586,45 @@ mod tests {
 
     #[test]
     fn reliability_compares_two_policies() {
-        let options = opts(&["--benchmark", "Bm1"], &["benchmark"], &[]);
-        let out = reliability(&options).expect("reliability");
-        assert!(out.contains("system MTTF"));
         // Exact rows: the transient peak and both MTTFs come from the
         // backward-Euler replay of each schedule.
-        let rows: Vec<&str> = out.lines().filter(|line| line.starts_with("| ")).collect();
-        assert_eq!(
-            rows[1..],
-            [
-                "| Heuristic 3 | 100.44 | 77.67 | 5266 | 1502 |",
-                "| Thermal-aware | 99.49 | 77.80 | 4603 | 1621 |",
-            ]
-        );
+        let expected = [
+            (
+                "Bm1",
+                [
+                    "| Heuristic 3 | 100.44 | 77.67 | 5266 | 1502 |",
+                    "| Thermal-aware | 99.49 | 77.80 | 4603 | 1621 |",
+                ],
+            ),
+            (
+                "Bm2",
+                [
+                    "| Heuristic 3 | 97.72 | 80.84 | 3734 | 1115 |",
+                    "| Thermal-aware | 97.53 | 80.43 | 3979 | 1122 |",
+                ],
+            ),
+            (
+                "Bm3",
+                [
+                    "| Heuristic 3 | 98.57 | 80.91 | 5078 | 1434 |",
+                    "| Thermal-aware | 97.10 | 80.87 | 5613 | 1652 |",
+                ],
+            ),
+            (
+                "Bm4",
+                [
+                    "| Heuristic 3 | 98.04 | 82.77 | 3393 | 1224 |",
+                    "| Thermal-aware | 97.67 | 82.75 | 3686 | 1328 |",
+                ],
+            ),
+        ];
+        for (benchmark, rows) in expected {
+            let options = opts(&["--benchmark", benchmark], &["benchmark"], &[]);
+            let out = reliability(&options).expect("reliability");
+            assert!(out.contains("system MTTF"));
+            let printed: Vec<&str> = out.lines().filter(|line| line.starts_with("| ")).collect();
+            assert_eq!(printed[1..], rows, "{benchmark}");
+        }
     }
 
     const BATCH_VALUES: &[&str] = &[

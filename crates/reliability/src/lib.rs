@@ -94,6 +94,35 @@ mod tests {
     }
 
     #[test]
+    fn lifetime_arithmetic_is_pinned_bit_exact() {
+        // `tats reliability` rounds MTTFs to whole hours, so only these bits
+        // show that the mechanism sum, the Arrhenius factors and the
+        // Coffin–Manson rate keep their floating-point operations.
+        let analyzer = ReliabilityAnalyzer::new();
+        let steady = analyzer
+            .from_steady_temperatures(&Temperatures::uniform(4, 85.0))
+            .expect("steady");
+        let swings = synthetic_trace(3, &[(45.0, 80.0), (52.0, 91.0), (40.0, 85.0)]);
+        let cycling = analyzer.from_trace(&swings).expect("trace");
+        let bits = [
+            steady.worst_mttf_hours(),
+            steady.system_mttf_hours(),
+            cycling.worst_mttf_hours(),
+            cycling.system_mttf_hours(),
+        ]
+        .map(f64::to_bits);
+        assert_eq!(
+            bits,
+            [
+                0x40aa_40e3_c712_d454,
+                0x408a_40e3_c712_d454,
+                0x409c_2590_e653_4592,
+                0x4082_c3b5_eee2_2e62,
+            ]
+        );
+    }
+
+    #[test]
     fn shorter_period_means_more_cycles_per_hour_and_shorter_life() {
         let swings = [(40.0, 90.0), (40.0, 90.0), (40.0, 90.0), (40.0, 90.0)];
         let trace = synthetic_trace(1, &swings);
