@@ -6,8 +6,7 @@
 use tats_core::experiment::ExperimentConfig;
 use tats_core::{CoSynthesis, PlatformFlow, Policy, ScheduleEvaluation};
 use tats_engine::{table1, table2, table3, Campaign, Executor, FlowKind, Shard, Summary};
-use tats_power::{simulate_schedule, DvfsTable, SlackReclaimer};
-use tats_reliability::ReliabilityAnalyzer;
+use tats_power::{simulate_schedule, DvfsTable, ReliabilityAnalyzer, SlackReclaimer};
 use tats_service::console;
 use tats_taskgraph::{dot, extended, tgff};
 use tats_techlib::profiles;
@@ -418,6 +417,9 @@ pub fn grid(options: &Options) -> Result<String, CliError> {
         .steady_state(&result.evaluation.per_pe_power)
         .map_err(execution_error)?;
     let solve_s = solve_start.elapsed().as_secs_f64();
+    let (block_average, block_max) = model
+        .block_average_and_max_c(&temps)
+        .map_err(execution_error)?;
 
     let mut out = format!(
         "Grid thermal validation of {benchmark} with {policy} ({nx}x{ny} cells, {solver} solver)\n\n"
@@ -431,8 +433,8 @@ pub fn grid(options: &Options) -> Result<String, CliError> {
             vec![
                 format!("PE{pe}"),
                 format!("{power:.3}"),
-                format!("{:.2}", temps.block_average_c()[pe]),
-                format!("{:.2}", temps.block_max_c()[pe]),
+                format!("{:.2}", block_average[pe]),
+                format!("{:.2}", block_max[pe]),
             ]
         })
         .collect();
@@ -920,8 +922,9 @@ pub fn submit(options: &Options) -> Result<String, CliError> {
     let trace_id = tats_trace::spans::SpanIdGen::seeded(trace_seed).next_id();
     let trace_hex = tats_trace::spans::id_hex(trace_id);
     // Admission identity: the server leases fairly across clients within a
-    // priority tier, and a per-client quota (429 + retry-after, retried by
-    // the policy below) may apply.
+    // priority tier, and a per-client quota (429 + retry-after) may apply.
+    // `POST /jobs` goes through the one-shot `client::request`, so a quota
+    // refusal is not retried: `tats submit` exits with the error.
     let priority = options.integer("priority", 0, 0..=u64::MAX)?;
     let submission = tats_service::Submission::new(spec, shards)
         .for_client(options.value("client").unwrap_or("default"), priority);

@@ -19,6 +19,13 @@ pub enum PowerError {
         /// Number of entries supplied.
         actual: usize,
     },
+    /// A temperature series was too short for the requested analysis.
+    InsufficientSamples {
+        /// Minimum number of samples required.
+        required: usize,
+        /// Number of samples supplied.
+        actual: usize,
+    },
     /// Error propagated from the thermal model.
     Thermal(ThermalError),
     /// Error propagated from the technology library.
@@ -36,6 +43,10 @@ impl fmt::Display for PowerError {
             PowerError::LengthMismatch { expected, actual } => {
                 write!(f, "expected {expected} entries, got {actual}")
             }
+            PowerError::InsufficientSamples { required, actual } => write!(
+                f,
+                "temperature series has {actual} samples but at least {required} are required"
+            ),
             PowerError::Thermal(source) => write!(f, "thermal model error: {source}"),
             PowerError::Library(source) => write!(f, "technology library error: {source}"),
             PowerError::Core(source) => write!(f, "scheduling core error: {source}"),

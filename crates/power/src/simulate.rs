@@ -4,7 +4,7 @@
 //! the schedule; this module answers the complementary validation question:
 //! *given the finished schedule, how does the temperature of each PE evolve
 //! over time while the schedule executes?*  The answer drives the thermal
-//! cycling and reliability analyses in the `tats-reliability` crate.
+//! cycling and lifetime analyses of `ReliabilityAnalyzer::from_trace`.
 
 use tats_core::Schedule;
 use tats_techlib::{Architecture, TechLibrary};

@@ -4,13 +4,18 @@
 //! Every generated input goes through `http::read_request`,
 //! `JsonValue::parse`, `SpanEvent::{parse_line, canonical_ids}` and
 //! `LogEvent::parse_line`, each of which must return, `Ok` or `Err`,
-//! without panicking. The inputs are arbitrary strings of up to 512 bytes
-//! and 1–4 byte edits (replace, insert, delete, truncate) of a valid HTTP
-//! request, a worker span line and a log line, drawn from the proptest seed
-//! through `StdRng`.
+//! without panicking. A JSON input that carries a `metrics` field is also
+//! decoded by `MetricsSnapshot::from_json` and merged into the fleet's
+//! snapshot, as `POST /lease` and the progress handler do. The inputs are
+//! arbitrary strings of up to 512 bytes and 1–4 byte edits (replace,
+//! insert, delete, truncate) of a valid HTTP request, a worker span line, a
+//! log line and a lease body that carries a metrics snapshot, drawn from
+//! the proptest seed through `StdRng`.
 //!
 //! Whenever `canonical_ids` admits a line, `parse_line` decodes it to the
-//! same ids, so span ingest never admits a line the decoder refuses.
+//! same ids, so span ingest never admits a line the decoder refuses. A
+//! fleet counter at its limit stays there whatever a worker's snapshot
+//! adds.
 //!
 //! A request that declares the largest body `read_request` admits and then
 //! sends at most 4 KiB of it never asks the stream to fill more than 64 KiB
@@ -29,6 +34,7 @@ use tats_service::http::read_request;
 use tats_service::retry::is_transient;
 use tats_service::ServiceError;
 use tats_trace::log::{LogEvent, LogLevel};
+use tats_trace::metrics::{MetricsRegistry, MetricsSnapshot};
 use tats_trace::spans::{SpanEvent, SpanIdGen, SpanKind};
 use tats_trace::JsonValue;
 
@@ -70,6 +76,53 @@ fn log_line() -> String {
         .attr("job", "j000001")
         .attr("shard", "0")
         .to_line()
+}
+
+const RECORDS_POSTED: &str = "worker_records_posted_total";
+
+/// A worker's metrics after one scenario: its engine phases and a counter.
+fn worker_metrics() -> MetricsSnapshot {
+    let registry = MetricsRegistry::new();
+    for (phase, us) in [("scheduling", 41), ("thermal", 3), ("grid", 12)] {
+        registry
+            .histogram("engine_phase_seconds", &[("phase", phase)])
+            .record(us);
+    }
+    registry.counter(RECORDS_POSTED, &[]).add(5);
+    registry.snapshot()
+}
+
+/// A lease poll that carries the worker's metrics snapshot.
+fn lease_body() -> String {
+    JsonValue::object(vec![
+        ("worker".to_string(), JsonValue::from("w1")),
+        ("metrics".to_string(), worker_metrics().to_json()),
+    ])
+    .to_json()
+}
+
+/// Decodes a lease body's `metrics` as `POST /lease` does and merges it
+/// into a fleet snapshot that already holds a grid phase and whose counter
+/// is at its limit, so the merge adds to both kinds of series.
+fn merge_metrics(body: &JsonValue) -> Result<(), TestCaseError> {
+    let Some(Ok(worker)) = body.get("metrics").map(MetricsSnapshot::from_json) else {
+        return Ok(());
+    };
+    let fleet = MetricsRegistry::new();
+    fleet
+        .histogram("engine_phase_seconds", &[("phase", "grid")])
+        .record(9);
+    fleet.counter(RECORDS_POSTED, &[]).add(u64::MAX);
+    let mut fleet = fleet.snapshot();
+    fleet.merge(&worker);
+    if let Some(records) = fleet.counter_value(RECORDS_POSTED, &[]) {
+        prop_assert_eq!(records, u64::MAX);
+    }
+    if let Some(grid) = fleet.histogram_value("engine_phase_seconds", &[("phase", "grid")]) {
+        let _ = grid.quantile(0.99);
+    }
+    let _ = fleet.render_prometheus();
+    Ok(())
 }
 
 /// A record post carrying `body`.
@@ -123,7 +176,9 @@ fn edited(base: &[u8], rng: &mut StdRng) -> Vec<u8> {
 fn decode_all(bytes: &[u8]) -> Result<(), TestCaseError> {
     let _ = read_request(&mut &bytes[..]);
     let text = String::from_utf8_lossy(bytes);
-    let _ = JsonValue::parse(&text);
+    if let Ok(body) = JsonValue::parse(&text) {
+        merge_metrics(&body)?;
+    }
     let _ = LogEvent::parse_line(&text);
     let decoded = SpanEvent::parse_line(&text);
     if let Some(ids) = SpanEvent::canonical_ids(&text) {
@@ -148,6 +203,9 @@ fn the_edited_inputs_start_valid() {
     LogEvent::parse_line(&log_line()).expect("log line");
     let posted = read_request(&mut request(&span).as_bytes()).expect("request");
     assert_eq!(posted.body, span);
+    let lease = JsonValue::parse(&lease_body()).expect("lease body");
+    let metrics = lease.field("metrics").expect("metrics");
+    assert_eq!(MetricsSnapshot::from_json(metrics), Ok(worker_metrics()));
 }
 
 proptest! {
@@ -163,7 +221,7 @@ proptest! {
     fn edited_inputs_never_panic_a_decoder(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let span = span_line();
-        for base in [request(&span), span, log_line()] {
+        for base in [request(&span), span, log_line(), lease_body()] {
             decode_all(&edited(base.as_bytes(), &mut rng))?;
         }
     }

@@ -175,9 +175,10 @@ impl Floorplan {
     /// Lays out `widths_heights` (metre pairs) on a near-square grid with the
     /// given spacing, producing a simple non-overlapping placement.
     ///
-    /// This is the placement used for the platform-based architecture (e.g.
-    /// four identical PEs in a 2×2 arrangement) and as the initial solution
-    /// of the floorplanner.
+    /// This is the placement of the platform-based architecture (e.g. four
+    /// identical PEs in a 2×2 arrangement), of co-synthesis's back-off pass
+    /// and of a one-PE co-synthesis design. The floorplanners start from
+    /// `PolishExpression::initial` instead.
     ///
     /// # Errors
     ///

@@ -41,13 +41,12 @@ use crate::materials::ThermalConfig;
 pub const MAX_GRID_SIDE: usize = 128;
 
 /// Per-cell steady-state temperatures produced by [`GridModel::steady_state`].
+/// [`GridModel::block_average_and_max_c`] summarises them per block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridTemperatures {
     nx: usize,
     ny: usize,
     cell_c: Vec<f64>,
-    block_avg_c: Vec<f64>,
-    block_max_c: Vec<f64>,
 }
 
 impl GridTemperatures {
@@ -74,16 +73,6 @@ impl GridTemperatures {
     /// All cell temperatures in row-major order, °C.
     pub fn cells(&self) -> &[f64] {
         &self.cell_c
-    }
-
-    /// Mean temperature of the cells covered by each block, °C.
-    pub fn block_average_c(&self) -> &[f64] {
-        &self.block_avg_c
-    }
-
-    /// Maximum temperature of the cells covered by each block, °C.
-    pub fn block_max_c(&self) -> &[f64] {
-        &self.block_max_c
     }
 
     /// Hottest cell temperature on the whole die, °C.
@@ -252,7 +241,8 @@ impl Stencil {
 /// ])?;
 /// let grid = GridModel::new(&plan, ThermalConfig::default(), 16, 8)?;
 /// let temps = grid.steady_state(&[8.0, 0.5])?;
-/// assert!(temps.block_average_c()[0] > temps.block_average_c()[1]);
+/// let (average, _) = grid.block_average_and_max_c(&temps)?;
+/// assert!(average[0] > average[1]);
 /// # Ok(())
 /// # }
 /// ```
@@ -401,10 +391,9 @@ impl GridModel {
     }
 
     /// Solves the steady-state grid system from the stored responses,
-    /// reusing caller-owned buffers: after the first call no heap
-    /// allocation occurs on the solve path (the returned
-    /// [`GridTemperatures`] owns fresh statistics vectors). A workspace
-    /// sized for another model is resized.
+    /// reusing caller-owned buffers: after the first call the only heap
+    /// allocation is the returned [`GridTemperatures`]' copy of the cells.
+    /// A workspace sized for another model is resized.
     ///
     /// # Errors
     ///
@@ -433,13 +422,33 @@ impl GridModel {
                 *t += p * r;
             }
         }
-        Ok(self.temperatures_from_cells(&workspace.t))
+        Ok(GridTemperatures {
+            nx: self.stencil.nx,
+            ny: self.stencil.ny,
+            cell_c: workspace.t.clone(),
+        })
     }
 
-    /// Builds the per-block statistics from a node temperature vector
-    /// (cells first; trailing spreader/sink entries are ignored).
-    fn temperatures_from_cells(&self, t: &[f64]) -> GridTemperatures {
-        let (nx, ny) = self.resolution();
+    /// The mean and the maximum temperature of the cells each block
+    /// covers, °C, in block order; a block that covers no cell reads
+    /// ambient. A query leaves these to the callers that print them: a
+    /// campaign reads only [`GridTemperatures::max_c`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::InvalidParameter`] for temperatures of
+    /// another resolution.
+    pub fn block_average_and_max_c(
+        &self,
+        temps: &GridTemperatures,
+    ) -> Result<(Vec<f64>, Vec<f64>), ThermalError> {
+        if temps.resolution() != self.resolution() {
+            return Err(ThermalError::InvalidParameter(format!(
+                "{}x{} grid temperatures for a {}x{} model",
+                temps.nx, temps.ny, self.stencil.nx, self.stencil.ny
+            )));
+        }
+        let t = temps.cells();
         let block_count = self.coverage.len();
         let mut block_avg = vec![0.0; block_count];
         let mut block_max = vec![f64::NEG_INFINITY; block_count];
@@ -462,14 +471,7 @@ impl GridModel {
                 block_max[b] = self.config.ambient_c;
             }
         }
-
-        GridTemperatures {
-            nx,
-            ny,
-            cell_c: t[..nx * ny].to_vec(),
-            block_avg_c: block_avg,
-            block_max_c: block_max,
-        }
+        Ok((block_avg, block_max))
     }
 
     /// Number of floorplan blocks the model distributes power over.
@@ -593,8 +595,9 @@ mod tests {
             .with_solver(GridSolver::BandedCholesky)
             .unwrap();
         let temps = grid.steady_state(&[8.0, 0.5]).unwrap();
-        assert!(temps.block_average_c()[0] > temps.block_average_c()[1]);
-        assert!(temps.block_max_c()[0] >= temps.block_average_c()[0]);
+        let (average, max) = grid.block_average_and_max_c(&temps).unwrap();
+        assert!(average[0] > average[1]);
+        assert!(max[0] >= average[0]);
         assert_eq!(temps.resolution(), (14, 7));
         assert_eq!(temps.cells().len(), 14 * 7);
     }
@@ -608,10 +611,11 @@ mod tests {
         let power = [6.0, 2.0];
         let block_temps = block_model.steady_state(&power).unwrap();
         let grid_temps = grid.steady_state(&power).unwrap();
+        let (grid_average, _) = grid.block_average_and_max_c(&grid_temps).unwrap();
         // Same ordering and the averages agree within a few degrees.
-        assert!(grid_temps.block_average_c()[0] > grid_temps.block_average_c()[1]);
-        for i in 0..2 {
-            let diff = (grid_temps.block_average_c()[i] - block_temps.block(i).unwrap()).abs();
+        assert!(grid_average[0] > grid_average[1]);
+        for (i, (grid, block)) in grid_average.iter().zip(block_temps.blocks()).enumerate() {
+            let diff = (grid - block).abs();
             assert!(diff < 10.0, "block {i} differs by {diff} C");
         }
     }
@@ -656,6 +660,8 @@ mod tests {
         assert!(grid.steady_state(&[1.0, -1.0]).is_err());
         let temps = grid.steady_state(&[1.0, 1.0]).unwrap();
         assert!(temps.cell(99, 0).is_err());
+        let coarse = GridModel::new(&two_block_plan(), ThermalConfig::default(), 4, 4).unwrap();
+        assert!(coarse.block_average_and_max_c(&temps).is_err());
         // Each side must lie in 1..=MAX_GRID_SIDE; a side of 2^32 used to
         // wrap `nx * ny` to zero on 64-bit targets.
         let huge = usize::try_from(1u64 << 32).unwrap_or(usize::MAX);
@@ -856,12 +862,16 @@ mod proptests {
             let plan = strip_plan(&widths, height);
             let power = &powers[..widths.len()];
             let model = GridModel::new(&plan, ThermalConfig::default(), nx, ny).unwrap();
-            let reference = model.temperatures_from_cells(&model.gauss_seidel(power, 1e-11, 500_000));
+            let mut nodes = model.gauss_seidel(power, 1e-11, 500_000);
+            nodes.truncate(nx * ny);
+            let reference = GridTemperatures { nx, ny, cell_c: nodes };
             let temps = model.steady_state(power).unwrap();
             for (cell, (a, b)) in temps.cells().iter().zip(reference.cells()).enumerate() {
                 prop_assert!((a - b).abs() < 1e-6, "cell {cell}: {a} vs {b}");
             }
-            for (a, b) in temps.block_average_c().iter().zip(reference.block_average_c()) {
+            let (average, _) = model.block_average_and_max_c(&temps).unwrap();
+            let (reference_average, _) = model.block_average_and_max_c(&reference).unwrap();
+            for (a, b) in average.iter().zip(&reference_average) {
                 prop_assert!((a - b).abs() < 1e-6, "block avg {a} vs {b}");
             }
         }

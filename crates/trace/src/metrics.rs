@@ -107,10 +107,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// Increments by `delta` (saturating).
+    /// Increments by `delta`, wrapping on overflow.
     pub fn add(&self, delta: u64) {
-        // fetch_add wraps on overflow; values here are event counts that
-        // cannot realistically reach 2^64, so wrapping is acceptable.
+        // Values here are event counts that cannot realistically reach 2^64,
+        // so wrapping is acceptable.
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -381,7 +381,7 @@ impl HistogramSnapshot {
         #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
         // `Histogram::snapshot`, `merge` and `from_json` all leave the
-        // buckets sorted by index.
+        // buckets sorted by index, each index once.
         let mut seen = 0u64;
         for &(index, count) in &self.buckets {
             seen = seen.saturating_add(count);
@@ -393,12 +393,13 @@ impl HistogramSnapshot {
     }
 
     fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
         let mut merged: BTreeMap<u32, u64> = self.buckets.iter().copied().collect();
         for &(index, count) in &other.buckets {
-            *merged.entry(index).or_insert(0) += count;
+            let merged_count = merged.entry(index).or_insert(0);
+            *merged_count = merged_count.saturating_add(count);
         }
         self.buckets = merged.into_iter().collect();
     }
@@ -408,8 +409,7 @@ impl HistogramSnapshot {
         self.buckets
             .iter()
             .filter(|&&(index, _)| bucket_high(index as usize) < bound)
-            .map(|&(_, count)| count)
-            .sum()
+            .fold(0, |below, &(_, count)| below.saturating_add(count))
     }
 }
 
@@ -478,13 +478,14 @@ impl MetricsSnapshot {
     }
 
     /// Merges another shard into this one: counters and histogram buckets
-    /// add, gauges take the other side's value. Associative and commutative
-    /// for counters and histograms, so shard arrival order does not matter.
+    /// add, saturating at `u64::MAX`, and gauges take the other side's
+    /// value. Associative and commutative for counters and histograms, so
+    /// shard arrival order does not matter.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (key, value) in &other.series {
             match (self.series.get_mut(key), value) {
                 (Some(MetricValue::Counter(mine)), MetricValue::Counter(theirs)) => {
-                    *mine += theirs;
+                    *mine = mine.saturating_add(*theirs);
                 }
                 (Some(MetricValue::Gauge(mine)), MetricValue::Gauge(theirs)) => {
                     *mine = *theirs;
@@ -564,7 +565,8 @@ impl MetricsSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Returns a description of the first malformed field. A histogram that
+    /// lists a bucket index twice is malformed: `to_json` never writes one.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let mut series = BTreeMap::new();
         for entry in value.field_array("series")? {
@@ -601,6 +603,9 @@ impl MetricsSnapshot {
                         buckets.push((index, count));
                     }
                     buckets.sort_unstable();
+                    if let Some(pair) = buckets.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                        return Err(format!("bucket index {} repeats", pair[0].0));
+                    }
                     MetricValue::Histogram(HistogramSnapshot {
                         count: entry.field_u64("count")?,
                         sum: entry.field_u64("sum")?,
@@ -879,6 +884,47 @@ mod tests {
         let json = snapshot.to_json().to_json();
         let parsed = MetricsSnapshot::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed, snapshot);
+    }
+
+    /// A worker's snapshot cannot overflow the server's merge of the
+    /// fleet's phases: the decoder refuses a bucket listed twice, and counts
+    /// from many workers saturate instead of overflowing.
+    #[test]
+    fn hostile_snapshots_neither_repeat_buckets_nor_overflow_the_merge() {
+        use crate::json::MAX_EXACT_INTEGER;
+        let honest = MetricsRegistry::new();
+        honest
+            .histogram("engine_phase_seconds", &[("phase", "grid")])
+            .record(5);
+        honest.counter("records_posted_total", &[]).add(3);
+        let hostile = |bucket_count: usize| {
+            let buckets = vec![format!("[5,{MAX_EXACT_INTEGER}]"); bucket_count].join(",");
+            let text = format!(
+                "{{\"series\":[{{\"name\":\"engine_phase_seconds\",\
+                 \"labels\":[[\"phase\",\"grid\"]],\"type\":\"histogram\",\
+                 \"count\":{MAX_EXACT_INTEGER},\"sum\":0,\"max\":5,\"buckets\":[{buckets}]}},\
+                 {{\"name\":\"records_posted_total\",\"type\":\"counter\",\
+                 \"value\":{MAX_EXACT_INTEGER}}}]}}"
+            );
+            MetricsSnapshot::from_json(&JsonValue::parse(&text).expect("json"))
+        };
+        let error = hostile(2_050).expect_err("a repeated bucket index");
+        assert!(error.contains("bucket index 5 repeats"), "{error}");
+
+        let worker = hostile(1).expect("one bucket");
+        let mut merged = honest.snapshot();
+        for _ in 0..2_050 {
+            merged.merge(&worker);
+        }
+        let phase = merged
+            .histogram_value("engine_phase_seconds", &[("phase", "grid")])
+            .expect("phase");
+        assert_eq!(phase.count(), u64::MAX);
+        assert_eq!(phase.quantile(0.5), 5);
+        assert_eq!(
+            merged.counter_value("records_posted_total", &[]),
+            Some(u64::MAX)
+        );
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! ```
 
 use tats_core::{PlatformFlow, Policy, PowerHeuristic};
-use tats_power::simulate_schedule;
-use tats_reliability::ReliabilityAnalyzer;
+use tats_power::{simulate_schedule, ReliabilityAnalyzer};
 use tats_taskgraph::Benchmark;
 use tats_techlib::profiles;
 use tats_thermal::{ThermalConfig, ThermalModel};

@@ -90,18 +90,19 @@ fn scheduler_output_feeds_the_grid_thermal_model() {
     let block_temps = block_model.steady_state(&power).unwrap();
     let grid = GridModel::new(&plan, ThermalConfig::default(), 24, 24).unwrap();
     let grid_temps = grid.steady_state(&power).unwrap();
+    let (grid_average, _) = grid.block_average_and_max_c(&grid_temps).unwrap();
 
     let block_hottest = block_temps.hottest_block();
-    let grid_hottest = grid_temps
-        .block_average_c()
+    let grid_hottest = grid_average
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .unwrap();
     assert_eq!(block_hottest, grid_hottest);
-    for i in 0..4 {
-        let diff = (block_temps.block(i).unwrap() - grid_temps.block_average_c()[i]).abs();
+    assert_eq!(grid_average.len(), 4);
+    for (i, (block, grid)) in block_temps.blocks().iter().zip(&grid_average).enumerate() {
+        let diff = (block - grid).abs();
         assert!(diff < 12.0, "block {i} differs by {diff} C between models");
     }
 }

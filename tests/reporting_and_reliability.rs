@@ -1,9 +1,8 @@
-//! Integration tests for the reporting (`tats-trace`) and reliability
-//! (`tats-reliability`) crates driven by real scheduling results.
+//! Integration tests for reporting (`tats-trace`) and the lifetime model
+//! (`tats-power`) driven by real scheduling results.
 
 use tats_core::{PlatformFlow, Policy, PowerHeuristic};
-use tats_power::simulate_schedule;
-use tats_reliability::ReliabilityAnalyzer;
+use tats_power::{simulate_schedule, ReliabilityAnalyzer};
 use tats_taskgraph::Benchmark;
 use tats_techlib::profiles;
 use tats_thermal::{ThermalConfig, ThermalModel};
