@@ -116,24 +116,14 @@ impl SystemReliability {
     }
 
     /// Series-system MTTF under the exponential competing-risk model: the
-    /// reciprocal of the summed per-PE failure rates, hours.
+    /// reciprocal of the summed per-PE failure rates, hours. A PE that
+    /// never fails adds a zero rate, and a system of none never fails.
     pub fn system_mttf_hours(&self) -> f64 {
-        let total_rate: f64 = self
+        // Folded from +0.0: `Sum` starts at −0.0, whose reciprocal is −∞.
+        1.0 / self
             .per_pe
             .iter()
-            .map(|&mttf| {
-                if mttf.is_finite() && mttf > 0.0 {
-                    1.0 / mttf
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        if total_rate <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / total_rate
-        }
+            .fold(0.0, |rate, &mttf| rate + 1.0 / mttf)
     }
 
     /// The block index of the PE with the shortest lifetime.
@@ -350,5 +340,10 @@ mod tests {
         // fail as any single PE.
         let ratio = system.worst_mttf_hours() / system.system_mttf_hours();
         assert!((ratio - 4.0).abs() < 1e-6);
+        // No PE, no failure.
+        let empty = analyzer
+            .from_steady_temperatures(&Temperatures::uniform(0, 80.0))
+            .expect("no PEs");
+        assert_eq!(empty.system_mttf_hours(), f64::INFINITY);
     }
 }
