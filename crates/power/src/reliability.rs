@@ -236,6 +236,45 @@ mod tests {
     use super::*;
     use tats_thermal::{Block, Floorplan, ThermalConfig, ThermalModel};
 
+    /// A mechanism outside the table, for checking the Arrhenius factor
+    /// itself: its MTTF is the reciprocal of the factor, in thousands of
+    /// hours.
+    fn arrhenius_probe(activation_energy_ev: f64) -> Mechanism {
+        Mechanism {
+            name: "probe",
+            activation_energy_ev,
+            qualified_mttf_hours: 1000.0,
+        }
+    }
+
+    #[test]
+    fn factor_is_one_at_reference_temperature() {
+        for activation_energy_ev in [0.5, 0.7, 0.9] {
+            let mttf = arrhenius_probe(activation_energy_ev)
+                .mttf_hours(QUALIFICATION_TEMP_C)
+                .expect("valid");
+            assert!((1000.0 / mttf - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn hotter_is_worse_and_colder_is_better() {
+        for mechanism in MECHANISMS {
+            let qualified = mechanism.qualified_mttf_hours;
+            let hotter = mechanism.mttf_hours(100.0).expect("valid");
+            let colder = mechanism.mttf_hours(40.0).expect("valid");
+            assert!(hotter < qualified, "{} must degrade", mechanism.name);
+            assert!(colder > qualified, "{} must improve", mechanism.name);
+        }
+    }
+
+    #[test]
+    fn higher_activation_energy_accelerates_faster() {
+        let low_ea = arrhenius_probe(0.5).mttf_hours(100.0).expect("valid");
+        let high_ea = arrhenius_probe(0.9).mttf_hours(100.0).expect("valid");
+        assert!(high_ea < low_ea);
+    }
+
     #[test]
     fn mttf_matches_qualification_at_qualification_temperature() {
         for mechanism in MECHANISMS {
