@@ -8,8 +8,8 @@
 //!   non-idempotent request such as `POST /jobs` (no silent retry).
 //! * [`Connection`] — a persistent keep-alive connection that pipelines
 //!   many request/response exchanges over one TCP stream. This is what the
-//!   worker streams records through: the per-record TCP handshake was ~25%
-//!   of the distribution overhead, and reusing the stream removes it.
+//!   worker posts its lease polls and record batches through, paying one
+//!   TCP handshake per connection instead of one per request.
 //!
 //! A keep-alive stream can always go stale between exchanges (the server
 //! restarts, closes an idle connection, or caps requests-per-connection),

@@ -9,9 +9,9 @@
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive) by default: every
 //! response is `Content-Length`-framed, so one socket carries many
-//! exchanges and a record-streaming worker pays connection setup once per
-//! shard rather than once per record. Either side opts out per exchange
-//! with a `Connection: close` header ([`Request::wants_close`] /
+//! exchanges and a worker sets up one connection for its lease polls and
+//! record batches rather than one per request. Either side opts out per
+//! exchange with a `Connection: close` header ([`Request::wants_close`] /
 //! [`Response::allows_reuse`]); the server also closes on its per-
 //! connection request bound, on idle timeout, and on shutdown.
 

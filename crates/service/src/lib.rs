@@ -28,11 +28,11 @@
 //!   out a server restart instead of dying with it;
 //! * [`run_worker`] is the pull loop `tats worker --connect` runs: lease a
 //!   shard, run it through the engine's `Executor` (per-worker
-//!   geometry-keyed thermal caches and all), stream each record back in
-//!   scenario-id order as soon as every lower id of the shard is done. The
-//!   executor evaluates the scenarios that differ only in policy as one
-//!   group, so a worker whose shard holds several policies of a group
-//!   posts those records in a burst, once the lower ids are done;
+//!   geometry-keyed thermal caches and all), and post its records back in
+//!   scenario-id order in batches. A batch is one request, one journal
+//!   event and one lease renewal; it goes out at 32 records, once 50 ms
+//!   (or a quarter of the lease TTL, if shorter) have passed since the
+//!   shard's last post, or when the shard ends;
 //! * [`client`] and [`http`] are the shared minimal HTTP/1.1 plumbing —
 //!   persistent keep-alive connections by default ([`client::Connection`]),
 //!   with `Connection: close` one-shots for probes and non-idempotent

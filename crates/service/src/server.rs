@@ -2,13 +2,13 @@
 //! accept loop that routes requests into the journaled [`Registry`].
 //!
 //! Connections are persistent HTTP/1.1 keep-alive by default — a worker
-//! streams every record of a shard over one TCP stream instead of paying a
-//! handshake per record (which measured at roughly a quarter of the whole
-//! distribution overhead). Each connection is handled on its own thread
-//! with a bounded request budget and an idle timeout, so a slow or
-//! abandoned client never blocks the accept loop and the registry mutex is
-//! the only synchronisation point. The server is clocked by a monotonic
-//! `Instant` taken at bind time; all lease deadlines live in that clock.
+//! sends its lease polls and a shard's record batches over one TCP stream
+//! instead of paying a handshake per request. Each connection is handled
+//! on its own thread with a bounded request budget and an idle timeout, so
+//! a slow or abandoned client never blocks the accept loop and the
+//! registry mutex is the only synchronisation point. The server is clocked
+//! by a monotonic `Instant` taken at bind time; all lease deadlines live in
+//! that clock.
 //!
 //! With [`ServiceConfig::journal`] set, every state transition is appended
 //! to a JSONL journal ([`crate::journal`]) and a restart on the same file
@@ -50,14 +50,16 @@
 //! The server keeps a [`MetricsRegistry`] ([`tats_trace::metrics`]): one
 //! latency histogram and per-status-class request counters per endpoint
 //! label, connection/accept-backoff counters, lease request/grant
-//! counters, the journal append+flush latency, and gauges describing what
-//! boot-time replay reconstructed. Workers piggyback a snapshot of their own
-//! registry (lease-wait time, retry counts, engine phase spans, thermal
-//! cache hits) on every `POST /lease`; `GET /metrics` merges the latest
-//! snapshot per worker — labelled `worker="name"` — into one Prometheus
-//! text page. With [`ServiceConfig::access_log`] set, every request
-//! is also appended to a JSONL access log; each access-log line carries
-//! the request's `x-trace-id` (empty string when the client sent none).
+//! counters, the journal append+flush latency, the handlers' wait for the
+//! registry lock (`registry_lock_wait_seconds`), and gauges describing
+//! what boot-time replay reconstructed. Workers piggyback a snapshot of
+//! their own registry (lease-wait time, retry counts, engine phase spans,
+//! thermal cache hits) on every `POST /lease`; `GET /metrics` merges the
+//! latest snapshot per worker — labelled `worker="name"` — into one
+//! Prometheus text page. With [`ServiceConfig::access_log`] set, every
+//! request is also appended to a JSONL access log; each access-log line
+//! carries the request's `x-trace-id` (empty string when the client sent
+//! none).
 //!
 //! The access log, the trace log and the log file are written like the
 //! journal: through [`jsonl::JsonlWriter`], opened with
@@ -123,9 +125,10 @@ use crate::registry::Submission;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Shard-lease TTL, ms: how long a silent worker keeps a shard before it
-    /// is re-leased. Every record batch a worker streams renews its lease,
-    /// so the TTL only has to outlast the gap *between* records of the
-    /// heaviest scenario, not the whole shard.
+    /// is re-leased. Every record batch a worker posts renews its lease, and
+    /// a worker posts pending records once a quarter of the TTL (at most
+    /// 50 ms) has passed since its last post, so the TTL only has to
+    /// outlast that wait plus the heaviest scenario, not the whole shard.
     pub lease_ttl_ms: u64,
     /// Journal file that lets the state survive a process kill. `None` (the
     /// default) keeps all state in memory; with a path, every transition is
@@ -357,6 +360,9 @@ struct ServerMetrics {
     accept_backoff: Arc<Counter>,
     lease_requests: Arc<Counter>,
     leases_granted: Arc<Counter>,
+    /// How long handlers waited for the registry mutex ([`Call::lock`]):
+    /// whether reads queue behind ingests.
+    lock_wait: Arc<Histogram>,
 }
 
 impl ServerMetrics {
@@ -383,6 +389,7 @@ impl ServerMetrics {
             accept_backoff: registry.counter("http_accept_backoff_total", &[]),
             lease_requests: registry.counter("lease_requests_total", &[]),
             leases_granted: registry.counter("leases_granted_total", &[]),
+            lock_wait: registry.histogram("registry_lock_wait_seconds", &[]),
             endpoints,
             registry,
         }
@@ -965,10 +972,16 @@ struct Call<'r> {
 }
 
 impl Call<'_> {
-    /// Takes the registry lock, then reads the server clock, so the
+    /// Takes the registry lock, recording the wait for it in
+    /// `registry_lock_wait_seconds`, then reads the server clock, so the
     /// timestamps transitions are journaled with follow the lock order.
     fn lock(&self) -> Result<(MutexGuard<'_, JournaledRegistry>, u64), ServiceError> {
+        let asked = Instant::now();
         let state = self.shared.state.lock().map_err(|_| poisoned("registry"))?;
+        self.shared
+            .metrics
+            .lock_wait
+            .record_duration(asked.elapsed());
         Ok((state, now_ms(self.epoch)))
     }
 
@@ -1355,6 +1368,28 @@ mod tests {
             "{}",
             metrics.body
         );
+        handle.stop();
+    }
+
+    /// Every handler that takes the registry lock records its wait: `k`
+    /// lock-taking requests count at least `k` waits (the scrape itself
+    /// takes no `Call::lock`).
+    #[test]
+    fn registry_lock_waits_are_counted_per_locking_request() {
+        let handle = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+        let addr = handle.addr_string();
+        let k = 5;
+        for _ in 0..k {
+            client::get(&addr, "/jobs").expect("jobs");
+        }
+        let metrics = client::get(&addr, "/metrics").expect("metrics");
+        let count = metrics
+            .body
+            .lines()
+            .find_map(|line| line.strip_prefix("registry_lock_wait_seconds_count "))
+            .and_then(|value| value.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no lock-wait count in {}", metrics.body));
+        assert!(count >= k, "{count} lock waits for {k} requests");
         handle.stop();
     }
 

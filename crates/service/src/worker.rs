@@ -7,11 +7,16 @@
 //! [`Campaign`](tats_engine::Campaign) locally, verifies the spec
 //! fingerprint matches the server's, and runs the shard's missing scenarios
 //! through the existing [`Executor`] — per-worker geometry-keyed thermal
-//! caches included. Every completed record is streamed back immediately
-//! (`POST .../records`, which also renews the lease), so a worker killed
-//! mid-shard loses at most the scenario in flight: the re-leased shard
-//! resumes from the server's completed ids and the server dedups re-streams,
-//! so records are never duplicated or dropped.
+//! caches included. Completed records go back in batches (`POST
+//! .../records`, which also renews the lease): one post carries up to
+//! [`BATCH_RECORDS`] records, goes out sooner once [`BATCH_WAIT`] (or a
+//! quarter of the lease TTL, if shorter) has passed since the shard's last
+//! post, and the shard's end, the injected crash and a failing scenario
+//! post what is pending first. So a worker killed mid-shard loses at most
+//! one unposted batch (32 records or 50 ms of finished work) plus the
+//! scenario in flight: the re-leased shard resumes from the server's
+//! completed ids and the server dedups re-streams, so records are never
+//! duplicated or dropped.
 //!
 //! All server traffic flows over one persistent keep-alive
 //! [`Connection`](client::Connection) and through the worker's
@@ -30,7 +35,7 @@ use std::process;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tats_engine::{CampaignSpec, Executor, Shard, TraceContext};
+use tats_engine::{CampaignSpec, Executor, ScenarioRecord, Shard, TraceContext};
 use tats_trace::log::{LogEvent, LogLevel, LogSink};
 use tats_trace::metrics::{Counter, Histogram};
 use tats_trace::spans::{self, id_hex, SpanEvent, SpanIdGen, SpanKind};
@@ -194,6 +199,9 @@ struct Lease {
     /// the shard in a span parented on the campaign root and piggybacks the
     /// executor's per-scenario span trees on record posts.
     trace: Option<(u64, u64)>,
+    /// The lease's time to live, when the server sent one: it caps how long
+    /// records wait between posts ([`flush_wait`]).
+    ttl_ms: Option<u64>,
 }
 
 /// Wraps a field-accessor message (`JsonValue::field_*`) as a lease
@@ -248,17 +256,105 @@ fn parse_lease(value: &JsonValue) -> Result<Lease, ServiceError> {
         spec,
         completed,
         trace,
+        ttl_ms: value.get("ttl_ms").and_then(JsonValue::as_u64),
     })
 }
 
-/// Runs one leased shard, streaming records back over the shared keep-alive
-/// connection and counting each successful post into `posted_total` (which
-/// therefore survives failed attempts). The executor's sink posts each
-/// record, retrying transient failures with `retry`, and the first error in
-/// id order comes back as it is: `Err(ServiceError::Http {status: 409, ..})`
-/// means the lease was lost (the caller abandons the shard and polls
-/// again), `Aborted` is the injected-crash hook, and a failing scenario
-/// arrives as [`ServiceError::Engine`]. Anything but a lost lease is fatal.
+/// Records one post carries at most.
+const BATCH_RECORDS: usize = 32;
+
+/// How long a shard holding finished records goes without posting them,
+/// counted from its last post (or its lease) and checked as each record
+/// arrives; a short lease cuts it ([`flush_wait`]).
+const BATCH_WAIT: Duration = Duration::from_millis(50);
+
+/// The wait of a shard whose lease lives `ttl_ms`: [`BATCH_WAIT`], or a
+/// quarter of the TTL when that is shorter, so that the posts that renew
+/// the lease come well inside it.
+fn flush_wait(ttl_ms: Option<u64>) -> Duration {
+    ttl_ms.map_or(BATCH_WAIT, |ttl| {
+        BATCH_WAIT.min(Duration::from_millis(ttl / 4))
+    })
+}
+
+/// One leased shard's posts over the worker's connection, and the body of
+/// finished records not posted yet: each record line followed by its
+/// scenario's span lines, as `POST .../records` takes them.
+struct ShardPosts<'a> {
+    connection: &'a mut Connection,
+    retry: RetryPolicy,
+    metrics: &'a WorkerMetrics,
+    log: Option<&'a LogSink>,
+    headers: Vec<(&'static str, String)>,
+    /// `/jobs/{id}/shards/{i}`.
+    shard_path: String,
+    /// Records posted by this worker over all its shards.
+    posted_total: &'a mut usize,
+    body: String,
+    pending: usize,
+    last_post: Instant,
+    wait: Duration,
+}
+
+impl ShardPosts<'_> {
+    /// Posts `body` to `path`, retrying transient failures, and expects a
+    /// 2xx answer.
+    fn post(&mut self, path: &str, body: Option<&str>) -> Result<(), ServiceError> {
+        let (connection, headers) = (&mut *self.connection, self.headers.as_slice());
+        retry_observed(&self.retry, self.metrics, self.log, || {
+            connection
+                .request("POST", path, headers, body)
+                .and_then(client::expect_ok)
+        })?;
+        Ok(())
+    }
+
+    /// Adds a finished record and its span tree to the body, and posts the
+    /// body once it holds [`BATCH_RECORDS`] records or the wait since the
+    /// last post has run out. The spans ride the record's journaled ingest,
+    /// so a crash keeps both or drops both, and the re-post after a lost
+    /// response is deduped as a unit.
+    fn push(&mut self, record: &ScenarioRecord, spans: &[SpanEvent]) -> Result<(), ServiceError> {
+        self.body.push_str(&record.to_json().to_json());
+        self.body.push('\n');
+        for span in spans {
+            self.body.push_str(&span.to_line());
+            self.body.push('\n');
+        }
+        self.pending += 1;
+        if self.pending >= BATCH_RECORDS || self.last_post.elapsed() >= self.wait {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Posts the body, if it holds anything, and counts its records as
+    /// posted once the server has them. A failed post drops the body: the
+    /// error ends the shard.
+    fn flush(&mut self) -> Result<(), ServiceError> {
+        if self.body.is_empty() {
+            return Ok(());
+        }
+        let body = std::mem::take(&mut self.body);
+        let records = std::mem::take(&mut self.pending);
+        self.last_post = Instant::now();
+        let path = format!("{}/records", self.shard_path);
+        self.post(&path, Some(&body))?;
+        *self.posted_total += records;
+        self.metrics.records_posted.add(records as u64);
+        Ok(())
+    }
+}
+
+/// Runs one leased shard, posting its records in batches ([`ShardPosts`])
+/// over the shared keep-alive connection and counting each successful post
+/// into `posted_total` (which therefore survives failed attempts). Posts
+/// retry transient failures with `retry`, and the first error in id order
+/// comes back as it is: `Err(ServiceError::Http {status: 409, ..})` means
+/// the lease was lost (the caller abandons the shard and polls again),
+/// `Aborted` is the injected-crash hook, and a failing scenario arrives as
+/// [`ServiceError::Engine`] once the records ahead of it are posted.
+/// Anything but a lost lease is fatal.
 fn run_shard(
     connection: &mut Connection,
     config: &WorkerConfig,
@@ -269,7 +365,6 @@ fn run_shard(
 ) -> Result<(), ServiceError> {
     let campaign = lease.spec.to_campaign();
     let scenarios = campaign.shard_scenarios(lease.shard);
-    let records_path = format!("/jobs/{}/shards/{}/records", lease.job, lease.shard.index);
     let mut headers = vec![("x-worker", config.name.clone())];
     // The shard span id is a pure function of (trace id, shard index), so a
     // re-leased shard reproduces it and the server's dedup keeps one copy.
@@ -289,35 +384,36 @@ fn run_shard(
             worker: config.name.clone(),
         });
     }
-    executor.run_traced(&campaign, &scenarios, &lease.completed, |record, spans| {
+    let mut posts = ShardPosts {
+        connection,
+        retry,
+        metrics,
+        log: config.log.as_ref(),
+        headers,
+        shard_path: format!("/jobs/{}/shards/{}", lease.job, lease.shard.index),
+        posted_total,
+        body: String::new(),
+        pending: 0,
+        last_post: Instant::now(),
+        wait: flush_wait(lease.ttl_ms),
+    };
+    let run = executor.run_traced(&campaign, &scenarios, &lease.completed, |record, spans| {
         if let Some(limit) = config.fail_after_records {
-            if *posted_total >= limit {
+            // A crash after exactly `limit` records: the pending ones go
+            // out first, this one never does.
+            if *posts.posted_total + posts.pending >= limit {
+                posts.flush()?;
                 return Err(ServiceError::Aborted(format!(
                     "injected failure after {limit} records"
                 )));
             }
         }
-        // One record plus its scenario's span tree per post: the spans ride
-        // the same journaled ingest, so a crash either keeps both or drops
-        // both, and the re-post after a lost response is deduped as a unit.
-        let mut line = record.to_json().to_json();
-        line.push('\n');
-        for span in spans {
-            line.push_str(&span.to_line());
-            line.push('\n');
-        }
-        retry_observed(&retry, metrics, config.log.as_ref(), || {
-            connection
-                .request("POST", &records_path, &headers, Some(&line))
-                .and_then(client::expect_ok)
-        })?;
-        *posted_total += 1;
-        metrics.records_posted.inc();
-        Ok(())
-    })?;
-    // Close the shard span before announcing done, so the server's merged
-    // stream has it by the time the root span is synthesized.
-    if let Some((trace_id, root, span_id)) = shard_span {
+        posts.push(record, spans)
+    });
+    // Close the shard span in the last batch, before announcing done, so the
+    // server's merged stream has it by the time the root span is
+    // synthesized.
+    if let (Ok(_), Some((trace_id, root, span_id))) = (&run, shard_span) {
         let span = SpanEvent::new(
             trace_id,
             span_id,
@@ -330,25 +426,15 @@ fn run_shard(
         .attr("job", lease.job.as_str())
         .attr("shard", lease.shard.to_string())
         .attr("worker", config.name.as_str());
-        let mut line = span.to_line();
-        line.push('\n');
-        retry_observed(&retry, metrics, config.log.as_ref(), || {
-            connection
-                .request("POST", &records_path, &headers, Some(&line))
-                .and_then(client::expect_ok)
-        })?;
+        posts.body.push_str(&span.to_line());
+        posts.body.push('\n');
     }
-    retry_observed(&retry, metrics, config.log.as_ref(), || {
-        connection
-            .request(
-                "POST",
-                &format!("/jobs/{}/shards/{}/done", lease.job, lease.shard.index),
-                &headers,
-                None,
-            )
-            .and_then(client::expect_ok)
-    })?;
-    Ok(())
+    // The records ahead of a failing scenario reach the server before its
+    // error comes back.
+    posts.flush()?;
+    run?;
+    let done = format!("{}/done", posts.shard_path);
+    posts.post(&done, None)
 }
 
 /// The worker main loop: poll `addr` for shard leases and run them until
@@ -516,6 +602,7 @@ mod tests {
         assert_eq!(lease.job, "j000001");
         assert_eq!((lease.shard.index, lease.shard.count), (0, 2));
         assert_eq!(lease.completed.iter().copied().collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(lease.ttl_ms, Some(1000));
 
         // A fingerprint that does not match the spec is refused.
         fields[3] = ("fingerprint".to_string(), JsonValue::from("deadbeef"));
@@ -594,6 +681,19 @@ mod tests {
         fields.push(("root_span".to_string(), JsonValue::from(1.5f64)));
         let lease = parse_lease(&JsonValue::object(fields)).expect("hostile trace is optional");
         assert!(lease.trace.is_none());
+        assert_eq!(lease.ttl_ms, None);
+    }
+
+    /// Records wait at most 50 ms for a post, or a quarter of the lease's
+    /// TTL when that is shorter; a lease without a TTL keeps 50 ms.
+    #[test]
+    fn the_flush_wait_is_fifty_ms_or_a_quarter_of_the_lease() {
+        let ms = Duration::from_millis;
+        assert_eq!(flush_wait(None), ms(50));
+        assert_eq!(flush_wait(Some(15_000)), ms(50));
+        assert_eq!(flush_wait(Some(200)), ms(50));
+        assert_eq!(flush_wait(Some(120)), ms(30));
+        assert_eq!(flush_wait(Some(3)), Duration::ZERO);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use tats_core::Policy;
+use tats_core::{Policy, PowerHeuristic};
 use tats_engine::{Campaign, CampaignSpec, Effort, Executor, FlowKind, Summary};
 use tats_service::{client, run_worker, Service, ServiceConfig, ServiceError, WorkerConfig};
 use tats_taskgraph::Benchmark;
@@ -282,6 +282,53 @@ fn a_failing_scenario_stops_the_worker_with_its_error() {
     server.stop();
 }
 
+/// A worker posts a shard's records in batches of up to 32: a one-shard job
+/// of 40 cheap scenarios reaches the ingest endpoint in two requests, and
+/// its records are the in-process run's.
+#[test]
+fn a_shard_of_forty_records_arrives_in_two_posts() {
+    let spec = CampaignSpec {
+        benchmarks: vec![
+            Benchmark::Bm1,
+            Benchmark::Bm2,
+            Benchmark::Bm3,
+            Benchmark::Bm4,
+        ],
+        policies: vec![
+            Policy::Baseline,
+            Policy::PowerAware(PowerHeuristic::MinTaskPower),
+        ],
+        seeds: vec![0, 1, 2, 3, 4],
+        ..spec()
+    };
+    let (reference, _) = in_process_reference(&spec);
+    assert_eq!(reference.len(), 40);
+    let server = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let addr = server.addr_string();
+    let job = submit(&addr, &spec, 1);
+    let report = run_worker(
+        &addr,
+        &WorkerConfig {
+            name: "batched".to_string(),
+            poll_ms: 10,
+            exit_when_drained: true,
+            ..WorkerConfig::default()
+        },
+    )
+    .expect("worker");
+    assert_eq!(report.records_posted, 40);
+    let metrics = client::get(&addr, "/metrics").expect("metrics");
+    assert!(
+        metrics.body.contains(
+            "http_request_seconds_count{endpoint=\"POST /jobs/{id}/shards/{i}/records\"} 2\n"
+        ),
+        "{}",
+        metrics.body
+    );
+    assert_eq!(fetch_sorted_records(&addr, &job), reference);
+    server.stop();
+}
+
 #[test]
 fn fleet_metrics_surface_on_the_server_scrape_and_progress_endpoint() {
     let server = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
@@ -310,7 +357,7 @@ fn fleet_metrics_surface_on_the_server_scrape_and_progress_endpoint() {
     );
     assert!(
         body.contains(
-            "http_request_seconds_count{endpoint=\"POST /jobs/{id}/shards/{i}/records\"} 10"
+            "http_request_seconds_count{endpoint=\"POST /jobs/{id}/shards/{i}/records\"} 2"
         ),
         "{body}"
     );

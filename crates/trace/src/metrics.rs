@@ -92,6 +92,13 @@ fn bucket_high(index: usize) -> u64 {
     }
 }
 
+/// The saturating sum of `(index, count)` bucket counts.
+fn bucket_total(buckets: &[(u32, u64)]) -> u64 {
+    buckets
+        .iter()
+        .fold(0, |total, &(_, count)| total.saturating_add(count))
+}
+
 /// A monotonically increasing counter. Recording is a relaxed atomic add.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -211,8 +218,11 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
+    /// Freezes the histogram. The count is the sum of the buckets it read,
+    /// not the `count` field: a value recorded during the bucket loads may
+    /// reach one and not the other, and a snapshot must agree with itself.
     fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self
+        let buckets: Vec<(u32, u64)> = self
             .buckets
             .iter()
             .enumerate()
@@ -222,7 +232,7 @@ impl Histogram {
             })
             .collect();
         HistogramSnapshot {
-            count: self.count(),
+            count: bucket_total(&buckets),
             sum: self.sum(),
             max: self.max(),
             buckets,
@@ -566,7 +576,8 @@ impl MetricsSnapshot {
     /// # Errors
     ///
     /// Returns a description of the first malformed field. A histogram that
-    /// lists a bucket index twice is malformed: `to_json` never writes one.
+    /// lists a bucket index twice, or whose `count` is not the sum of its
+    /// buckets, is malformed: `to_json` never writes one.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let mut series = BTreeMap::new();
         for entry in value.field_array("series")? {
@@ -606,8 +617,15 @@ impl MetricsSnapshot {
                     if let Some(pair) = buckets.windows(2).find(|pair| pair[0].0 == pair[1].0) {
                         return Err(format!("bucket index {} repeats", pair[0].0));
                     }
+                    let count = entry.field_u64("count")?;
+                    let total = bucket_total(&buckets);
+                    if count != total {
+                        return Err(format!(
+                            "histogram count {count} but its buckets hold {total}"
+                        ));
+                    }
                     MetricValue::Histogram(HistogramSnapshot {
-                        count: entry.field_u64("count")?,
+                        count,
                         sum: entry.field_u64("sum")?,
                         max: entry.field_u64("max")?,
                         buckets,
@@ -925,6 +943,52 @@ mod tests {
             merged.counter_value("records_posted_total", &[]),
             Some(u64::MAX)
         );
+    }
+
+    /// A histogram whose count disagrees with its buckets would render
+    /// finite `le` buckets above `+Inf`; the decoder refuses it.
+    #[test]
+    fn a_count_that_disagrees_with_the_buckets_is_refused() {
+        let text = "{\"series\":[{\"name\":\"engine_phase_seconds\",\"type\":\"histogram\",\
+                    \"count\":1,\"sum\":0,\"max\":0,\"buckets\":[[0,5]]}]}";
+        let error = MetricsSnapshot::from_json(&JsonValue::parse(text).expect("json"))
+            .expect_err("count 1 over a bucket of 5");
+        assert!(error.contains("count 1"), "{error}");
+    }
+
+    /// A snapshot taken while another thread records agrees with itself:
+    /// its count is the sum of the buckets it read.
+    #[test]
+    fn snapshots_taken_while_recording_count_their_own_buckets() {
+        use std::sync::atomic::AtomicBool;
+        let histogram = Histogram::new();
+        let stop = AtomicBool::new(false);
+        let disagreeing = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut value = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    histogram.record(value % 100_000);
+                    value += 7;
+                }
+            });
+            // Snapshot only once the recorder is running.
+            while histogram.count() == 0 {
+                std::hint::spin_loop();
+            }
+            let disagreeing = (0..500)
+                .map(|_| histogram.snapshot())
+                .filter(|snapshot| snapshot.count != bucket_total(&snapshot.buckets))
+                .count();
+            // Stop the recorder before asserting, so a failure cannot leave
+            // the scope waiting for it.
+            stop.store(true, Ordering::Relaxed);
+            disagreeing
+        });
+        assert_eq!(
+            disagreeing, 0,
+            "snapshots whose count is not their bucket sum"
+        );
+        assert_eq!(histogram.snapshot().count, histogram.count());
     }
 
     #[test]
